@@ -227,7 +227,8 @@ def build_kg(pages_ds, cfg: KGConfig | None = None, work_dir: str | None = None)
             entities,
             LinkingConfig(min_similarity=cfg.min_similarity,
                           use_phonetic=cfg.use_phonetic),
-            embedding_threshold=cfg.link_embedding_threshold).materialize()
+            embedding_threshold=cfg.link_embedding_threshold,
+            num_buckets=cfg.num_shards * 4).materialize()
         n_links = links_ds.count()
         if n_links and n_links <= cfg.link_broadcast_limit:
             # fast path: links fit the driver — broadcast dict remap
@@ -249,8 +250,7 @@ def build_kg(pages_ds, cfg: KGConfig | None = None, work_dir: str | None = None)
     # ---- triples -------------------------------------------------------
     t_rows = combined.map_batches(triples_only, batch_format="pyarrow")
     if links:
-        links_ref2 = ray.put(links)
-        t_rows = t_rows.map_batches(make_remap_triples(links_ref2), batch_format="pyarrow")
+        t_rows = t_rows.map_batches(make_remap_triples(links_ref), batch_format="pyarrow")
     elif n_links:
         t_rows = remap_column_bucketed(
             remap_column_bucketed(t_rows, links_ds, "subj"), links_ds, "obj")
@@ -398,11 +398,12 @@ def write_graph(result: KGResult, out_dir: str, num_shards: int = 16,
                 shutil.rmtree(d)
 
         def add_shard(batch: pa.Table) -> pa.Table:
-            h = pc.cast(pa.array(
-                [hash_subj(s, num_shards)
-                 for s in batch.column("subj").to_pylist()],
-                pa.int32()), pa.int32())
-            return batch.append_column("shard", h)
+            # one hash per distinct subject: a hub subject repeats
+            subj = pc.dictionary_encode(batch.column("subj").combine_chunks())
+            shard_of = pa.array([hash_subj(s, num_shards)
+                                 for s in subj.dictionary.to_pylist()],
+                                pa.int32())
+            return batch.append_column("shard", shard_of.take(subj.indices))
 
         if disk_shuffle:
             import ray

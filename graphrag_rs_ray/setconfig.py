@@ -842,9 +842,9 @@ def _toml_scalar(v) -> str:
         esc = v.replace("\\", "\\\\").replace('"', '\\"') \
                .replace("\n", "\\n").replace("\t", "\\t") \
                .replace("\r", "\\r")
-        # remaining C0 control chars are invalid inside a TOML basic
-        # string — emit \uXXXX so save/load round-trips (ADVICE r04)
-        esc = "".join(c if ord(c) >= 0x20 else "\\u%04X" % ord(c)
+        # remaining C0 control chars and DEL are invalid inside a TOML
+        # basic string — emit \uXXXX so save/load round-trips
+        esc = "".join(c if 0x20 <= ord(c) != 0x7F else "\\u%04X" % ord(c)
                       for c in esc)
         return f'"{esc}"'
     if isinstance(v, (list, tuple)):

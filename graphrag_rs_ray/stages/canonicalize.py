@@ -18,6 +18,7 @@ needing an explicit salt column.
 from __future__ import annotations
 
 import pyarrow as pa
+import pyarrow.compute as pc
 
 
 def partial_entity_agg(batch: pa.Table) -> pa.Table:
@@ -30,30 +31,29 @@ def partial_entity_agg(batch: pa.Table) -> pa.Table:
 
 
 def entity_bucket_merge(t: pa.Table) -> pa.Table:
-    """Vectorized per-bucket entity merge (pandas groupby, no per-key
-    Python): canonical name by (total count, length, lexicographic) vote
-    (= ``functions/similarity.select_canonical_name`` semantics), max conf,
-    summed mentions."""
-    df = t.to_pandas()
-    per_name = (df.groupby(["entity_id", "name", "type"], as_index=False)
-                  .agg(conf=("conf", "max"),
-                       mention_count=("mention_count", "sum"),
-                       name_count=("name_count", "sum")))
-    per_name["_len"] = per_name["name"].str.len()
-    ranked = per_name.sort_values(
-        ["entity_id", "name_count", "_len", "name"],
-        ascending=[True, False, False, False])
-    canon = ranked.drop_duplicates("entity_id", keep="first")[["entity_id", "name"]]
-    totals = (per_name.groupby("entity_id", as_index=False)
-                      .agg(type=("type", "first"), conf=("conf", "max"),
-                           mention_count=("mention_count", "sum")))
-    out = totals.merge(canon, on="entity_id")
+    """Vectorized per-bucket entity merge (pyarrow, no per-key Python):
+    canonical name by (total count, length in code points, lexicographic)
+    vote (= ``functions/similarity.select_canonical_name`` semantics), max
+    conf, summed mentions, output sorted by entity_id.  The type comes
+    from the canonical name's row; ids are ``{TYPE}_{name}`` and links
+    never cross types, so one id carries one type."""
+    per_name = t.group_by(["entity_id", "name", "type"],
+                          use_threads=False).aggregate([
+        ("conf", "max"), ("mention_count", "sum"), ("name_count", "sum")])
+    per_name = per_name.append_column(
+        "name_len", pc.utf8_length(per_name.column("name")))
+    ranked = per_name.sort_by([
+        ("entity_id", "ascending"), ("name_count_sum", "descending"),
+        ("name_len", "descending"), ("name", "descending")])
+    out = ranked.group_by("entity_id", use_threads=False).aggregate([
+        ("name", "first"), ("type", "first"), ("conf_max", "max"),
+        ("mention_count_sum", "sum")]).sort_by("entity_id")
     return pa.table({
-        "entity_id": pa.array(out["entity_id"], pa.string()),
-        "name": pa.array(out["name"], pa.string()),
-        "type": pa.array(out["type"], pa.string()),
-        "conf": pa.array(out["conf"], pa.float32()),
-        "mention_count": pa.array(out["mention_count"], pa.int64()),
+        "entity_id": out.column("entity_id").cast(pa.string()),
+        "name": out.column("name_first").cast(pa.string()),
+        "type": out.column("type_first").cast(pa.string()),
+        "conf": out.column("conf_max_max").cast(pa.float32()),
+        "mention_count": out.column("mention_count_sum_sum").cast(pa.int64()),
     })
 
 

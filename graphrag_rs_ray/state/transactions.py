@@ -290,17 +290,22 @@ def consistency_report(entities_ds, triples_ds,
         from ..stages.hashagg import bucketed_join, grouped_arrow_agg, \
             hash_grouped_aggregate
 
+        # every shuffle output below is MATERIALIZED before a join reads
+        # it: ent_names feeds two joins (a diamond), and bucketed_join
+        # reads both input schemas, which on a lazy shuffle output is a
+        # limit-1 execution back through every upstream sort (a test run
+        # once stalled for 30+ min inside such a probe of ``sj``)
         ent_names = hash_grouped_aggregate(
             ent.map_batches(lambda t: t.select(["name"]),
                             batch_format="pyarrow"),
             ["name"], grouped_arrow_agg(["name"], [("name", "count")],
-                                        rename=["name", "_n"]))
+                                        rename=["name", "_n"])).materialize()
         # broken: left-join both endpoints against the entity name set
         sj = bucketed_join(
             tri.map_batches(lambda t: pa.table(
                 {"name": t.column("subj"), "oname": t.column("obj")}),
                 batch_format="pyarrow"),
-            ent_names, on=["name"], how="left")
+            ent_names, on=["name"], how="left").materialize()
         sj2 = bucketed_join(
             sj.map_batches(lambda t: pa.table(
                 {"name": t.column("oname"),
@@ -319,7 +324,7 @@ def consistency_report(entities_ds, triples_ds,
                  t.column("obj").combine_chunks()])}),
                 batch_format="pyarrow"),
             ["name"], grouped_arrow_agg(["name"], [("name", "count")],
-                                        rename=["name", "_t"]))
+                                        rename=["name", "_t"])).materialize()
         oj = bucketed_join(ent.map_batches(
             lambda t: t.select(["name"]), batch_format="pyarrow"),
             ep_names, on=["name"], how="left")

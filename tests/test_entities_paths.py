@@ -24,3 +24,67 @@ def test_reference_entity_schema_adapter(ray_session):
     # persistence/parquet.rs:218-229 column names
     assert {"id", "name", "entity_type", "confidence", "mention_count"} <= set(ref.columns)
     assert len(ref) > 0
+
+
+def _fold_entity_merge(t):
+    """Plain-Python per-id fold of partial entity rows: summed counts per
+    name, canonical name by ``select_canonical_name``, max conf, summed
+    mentions."""
+    from graphrag_rs_ray.functions.similarity import select_canonical_name
+
+    acc: dict = {}
+    for r in t.to_pylist():
+        e = acc.setdefault(r["entity_id"], {"names": {}, "type": r["type"],
+                                            "conf": r["conf"], "m": 0})
+        e["names"][r["name"]] = e["names"].get(r["name"], 0) + r["name_count"]
+        e["conf"] = max(e["conf"], r["conf"])
+        e["m"] += r["mention_count"]
+    return [{"entity_id": eid, "name": select_canonical_name(e["names"]),
+             "type": e["type"], "conf": e["conf"], "mention_count": e["m"]}
+            for eid, e in sorted(acc.items())]
+
+
+def test_entity_bucket_merge_equals_python_fold():
+    """The Arrow bucket merge equals a per-id Python fold on random
+    buckets with count and length ties, multi-byte names (length counts
+    code points, not UTF-8 bytes) and several names per id."""
+    import random
+
+    import pyarrow as pa
+
+    from graphrag_rs_ray.stages.canonicalize import entity_bucket_merge
+
+    # "Ébc" is 3 code points / 4 bytes, "Abcd" 4 / 4: ranking by bytes
+    # would tie them; "東京" (2 / 6) loses to "Tokyo" on length
+    names = ["Ébc", "Abcd", "Abc", "Abd", "東京", "Tokyo", "Zoë", "Zoe",
+             "ab", "ba"]
+    rng = random.Random(11)
+    for trial in range(150):
+        rows = []
+        for _ in range(rng.randrange(1, 60)):
+            typ = rng.choice(["ORG", "PERSON"])
+            rows.append({"entity_id": f"{typ}_{rng.randrange(6)}",
+                         "name": rng.choice(names), "type": typ,
+                         "conf": rng.random(),
+                         "mention_count": rng.randrange(1, 4),
+                         "name_count": rng.randrange(1, 3)})
+        t = pa.Table.from_pylist(rows, schema=pa.schema([
+            ("entity_id", pa.string()), ("name", pa.string()),
+            ("type", pa.string()), ("conf", pa.float32()),
+            ("mention_count", pa.int64()), ("name_count", pa.int64())]))
+        got = entity_bucket_merge(t)
+        assert got.schema == pa.schema([
+            ("entity_id", pa.string()), ("name", pa.string()),
+            ("type", pa.string()), ("conf", pa.float32()),
+            ("mention_count", pa.int64())])
+        assert got.to_pylist() == _fold_entity_merge(t), trial
+
+    # code points, not bytes: "Ébc" (4 bytes) and "Abcd" tie on count;
+    # the longer in code points wins
+    t = pa.table({"entity_id": ["X_1"] * 2, "name": ["Ébc", "Abcd"],
+                  "type": ["X"] * 2,
+                  "conf": pa.array([0.5, 0.25], pa.float32()),
+                  "mention_count": [1, 2], "name_count": [1, 1]})
+    assert entity_bucket_merge(t).to_pylist() == [{
+        "entity_id": "X_1", "name": "Abcd", "type": "X", "conf": 0.5,
+        "mention_count": 3}]

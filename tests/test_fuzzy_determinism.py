@@ -115,3 +115,99 @@ def test_fuzzy_broadcast_and_bucketed_paths_equal(ray_session):
     assert slow_res.links == {}          # scale path never collects
     assert fast_e.equals(slow_e)
     assert fast_t.equals(slow_t)
+
+
+def _singleton_heavy_rows():
+    """Typo families (multi-member blocks) among many one-off names
+    (singleton blocks), like an open-vocabulary corpus."""
+    import random
+    rng = random.Random(7)
+    rows = [(eid, name, typ, conf) for eid, name, typ, conf in ROWS]
+    rows += [("PERSON_smith", "Smith", "PERSON", 0.9),
+             ("PERSON_smyth", "Smyth", "PERSON", 0.6)]
+    letters = "bcdfghjklmnpqrstvwxz"
+    for i in range(120):
+        typ = ("PERSON", "ORGANIZATION", "LOCATION")[i % 3]
+        name = "".join(rng.choice(letters) + rng.choice("aeiou")
+                       for _ in range(3)).title()
+        rows.append((f"{typ}_{name.lower()}{i}", name, typ,
+                     round(rng.random(), 3)))
+    return rows
+
+
+def _per_block_reference(rows, embedding_threshold=None):
+    """Driver-side expectation: greedy_cluster_reference on every
+    (type, soundex) block, then the optional embedding-cosine filter."""
+    import numpy as np
+
+    from graphrag_rs_ray.functions.embedding import HashEmbedder
+    from graphrag_rs_ray.functions.similarity import (
+        LinkingConfig, greedy_cluster_reference, soundex)
+
+    blocks: dict = {}
+    for eid, name, typ, conf in rows:
+        key = f"{typ}|{soundex(name.split(' ', 1)[0])}"
+        blocks.setdefault(key, []).append((eid, name, conf))
+    links = {}
+    name_of = {r[0]: r[1] for r in rows}
+    embedder = HashEmbedder(dim=64)
+    for items in blocks.values():
+        for src, dst in greedy_cluster_reference(items, LinkingConfig()).items():
+            if embedding_threshold is not None:
+                a, b = embedder.embed_many([name_of[src], name_of[dst]])
+                if float(np.dot(a, b)) < embedding_threshold:
+                    continue
+            links[src] = dst
+    return links, blocks
+
+
+def test_compute_links_ds_equals_per_block_reference(ray_session):
+    """Bucketed blocking (many blocks per hash bucket, empty buckets,
+    mostly singleton blocks) links exactly what the reference clusterer
+    links block by block, with and without embedding refinement."""
+    from graphrag_rs_ray.stages.linking import (compute_links_ds,
+                                                links_ds_to_dict)
+
+    rows = _singleton_heavy_rows()
+    want, blocks = _per_block_reference(rows)
+    singletons = sum(1 for items in blocks.values() if len(items) == 1)
+    assert singletons > len(blocks) / 2
+    assert want                            # the families do link
+    for num_buckets in (3, 4 * len(blocks)):   # shared and empty buckets
+        got = links_ds_to_dict(compute_links_ds(
+            _entities_ds(rows, 16), num_buckets=num_buckets))
+        assert got == want
+    refined_want, _ = _per_block_reference(rows, embedding_threshold=0.4)
+    assert refined_want != want            # the filter drops something
+    refined = links_ds_to_dict(compute_links_ds(
+        _entities_ds(rows, 16), embedding_threshold=0.4,
+        num_buckets=4 * len(blocks)))
+    assert refined == refined_want
+
+
+def test_broadcast_remap_equals_dict_lookup():
+    """The vectorized broadcast remap replaces exactly the linked values
+    (nulls and unlinked values pass through) on multi-chunk columns."""
+    from graphrag_rs_ray.stages.linking import (make_remap_entities,
+                                                make_remap_triples)
+
+    links = {"a": "A", "b": "A", "c": "C"}
+    subj = [["a", "x", None], ["b", "c", "c"]]
+    obj = [["z", "b", "a"], [None, "y", "a"]]
+    batch = pa.table({"subj": pa.chunked_array(subj, pa.string()),
+                      "pred": pa.chunked_array([["p"] * 3] * 2, pa.string()),
+                      "obj": pa.chunked_array(obj, pa.string())})
+    out = make_remap_triples(links)(batch)
+    assert out.schema == batch.schema
+    flat = [v for chunk in subj for v in chunk]
+    assert out.column("subj").to_pylist() == [links.get(v, v) for v in flat]
+    flat = [v for chunk in obj for v in chunk]
+    assert out.column("obj").to_pylist() == [links.get(v, v) for v in flat]
+    assert out.column("pred").equals(batch.column("pred"))
+    assert make_remap_triples({})(batch) is batch
+
+    ents = pa.table({"entity_id": pa.array(["c", "q", "a"], pa.string()),
+                     "name": pa.array(["n1", "n2", "n3"], pa.string())})
+    out = make_remap_entities(links)(ents)
+    assert out.column("entity_id").to_pylist() == ["C", "q", "A"]
+    assert out.column("name").equals(ents.column("name"))

@@ -598,7 +598,7 @@ def test_write_graph_disk_shuffle_equals_instore(ray_session, tmp_path):
     import pyarrow.dataset as pads
 
     from graphrag_rs_ray.config import KGConfig
-    from graphrag_rs_ray.pipelines.kg import build_kg, write_graph
+    from graphrag_rs_ray.pipelines.kg import build_kg, hash_subj, write_graph
     from graphrag_rs_ray.sources.pages import pages_dataset
     from graphrag_rs_ray.state.manifests import read_manifest
 
@@ -620,6 +620,13 @@ def test_write_graph_disk_shuffle_equals_instore(ray_session, tmp_path):
 
     ta, tb = triples_table(out_a), triples_table(out_b)
     assert ta.equals(tb)
+    # both paths place every triple by the blake2b hash of its subject
+    for out in (out_a, out_b):
+        t = pads.dataset(os.path.join(out, "triples"),
+                         partitioning="hive").to_table(
+                             columns=["subj", "shard"])
+        assert t.column("shard").to_pylist() == [
+            hash_subj(s, 4) for s in t.column("subj").to_pylist()]
 
     # crashed-shard redo: only the victim shard is reduced again, from
     # the staged shuffle partition (stage manifest untouched)

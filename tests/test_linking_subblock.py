@@ -139,3 +139,26 @@ def test_no_dense_blocks_identical_to_faithful(ray_session):
 
 def test_default_config_has_no_bound():
     assert LinkingConfig().max_block_size is None
+
+
+def test_oversized_block_is_logged(caplog):
+    """A block still over ``max_block_size`` after sub-blocking is
+    clustered whole, and the bucket clusterer logs its key and size."""
+    from graphrag_rs_ray.stages.linking import make_block_clusterer
+
+    rows = _DENSE[:3] + _SPARSE
+    t = add_block_key(_ents_table(rows))
+    with caplog.at_level("WARNING", logger="graphrag_rs_ray.stages.linking"):
+        got = make_block_clusterer(LinkingConfig(max_block_size=2))(t)
+    assert {r[0] for r in _DENSE[:3]} & set(
+        got.column("entity_id").to_pylist())
+    warned = [r.getMessage() for r in caplog.records
+              if r.levelname == "WARNING"]
+    assert len(warned) == 1
+    assert "PERSON|S530" in warned[0] and " 3 " in warned[0]
+
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="graphrag_rs_ray.stages.linking"):
+        make_block_clusterer(LinkingConfig(max_block_size=3))(t)
+        make_block_clusterer(LinkingConfig())(t)
+    assert not caplog.records

@@ -260,3 +260,16 @@ def test_toml_save_roundtrip_modified(tmp_path):
     rt = load_setconfig(p)
     assert rt == sc
     assert rt.general.output_dir == 'weird "dir"\nwith\tescapes'
+
+
+def test_toml_save_roundtrip_control_chars(tmp_path):
+    """Every C0 control character and DEL is escaped on save (TOML
+    forbids them raw in basic strings), so the value round-trips."""
+    from graphrag_rs_ray.setconfig import (SetConfig, dumps_setconfig,
+                                           load_setconfig, save_setconfig)
+    sc = SetConfig()
+    sc.general.output_dir = "".join(map(chr, range(0x20))) + "a\x7fb"
+    assert "\\u007F" in dumps_setconfig(sc)
+    p = str(tmp_path / "cfg.toml")
+    save_setconfig(sc, p)
+    assert load_setconfig(p).general.output_dir == sc.general.output_dir
