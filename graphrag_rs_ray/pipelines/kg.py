@@ -33,7 +33,11 @@ from ..stages.canonicalize import (
     partial_entity_agg,
     partial_triple_agg,
 )
-from ..stages.hashagg import grouped_arrow_agg, hash_grouped_aggregate
+from ..stages.hashagg import (
+    exchange_blocks,
+    grouped_arrow_agg,
+    hash_grouped_aggregate,
+)
 from ..stages.chunk import ChunkStage
 from ..stages.extract_text import extract_text_stage
 from ..stages.kg_extract import ExtractKG, entities_only, make_extract_fn, triples_only
@@ -162,12 +166,29 @@ def entities_dataset(pages_ds, cfg: KGConfig | None = None):
     """Lazy pages → canonical entities (exact tier): single streaming pass
     with no materialization — use when triples are not needed."""
     cfg = cfg or KGConfig()
-    combined = chunks_to_combined(pages_to_chunks(pages_ds, cfg), cfg)
-    e_rows = combined.map_batches(entities_only, batch_format="pyarrow")
+    return exact_entities(
+        chunks_to_combined(pages_to_chunks(pages_ds, cfg), cfg), cfg)
+
+
+def exact_entities(combined, cfg: KGConfig):
+    """Exact tier: combined extraction rows → one row per ``entity_id``.
+
+    Ray's sort fans out one task per input block, so the partials are
+    coalesced to a block count sized from ``combined`` before the
+    exchange (``exchange_blocks``: by size, at least one block per
+    cluster CPU, at most ``num_shards * 4``).  Big inputs emit thousands
+    of tiny partial blocks (16M pages → 3174 blocks / 2.85M rows;
+    uncoalesced, the entity exchange cost 610 s of a 646 s stage) and
+    reach the cap; a small build is not split into ``num_shards * 4``
+    sort tasks.  The bucket count stays ``num_shards * 4``, so every
+    bucket holds the same rows whatever the block count."""
+    partial = (combined.map_batches(entities_only, batch_format="pyarrow")
+               .map_batches(partial_entity_agg, batch_format="pyarrow",
+                            batch_size=None))
+    n_blocks = exchange_blocks(combined, cfg.num_shards * 4)
     return hash_grouped_aggregate(
-        e_rows.map_batches(partial_entity_agg, batch_format="pyarrow",
-                           batch_size=None).repartition(cfg.num_shards * 4),
-        ["entity_id"], entity_bucket_merge, num_buckets=cfg.num_shards * 4)
+        partial.repartition(n_blocks), ["entity_id"], entity_bucket_merge,
+        num_buckets=cfg.num_shards * 4)
 
 
 @dataclass
@@ -208,15 +229,8 @@ def build_kg(pages_ds, cfg: KGConfig | None = None, work_dir: str | None = None)
         combined = chunks_to_combined(pages_to_chunks(pages_ds, cfg), cfg).materialize()
 
     # ---- entities: exact tier -----------------------------------------
-    # coalesce the combined partials before the exchange: the partial
-    # stage emits thousands of tiny blocks at big inputs (16M pages →
-    # 3174 blocks / 2.85M rows) and Ray's sort fans with the block
-    # count (measured: the entity exchange cost 610 s of a 646 s stage)
-    e_rows = combined.map_batches(entities_only, batch_format="pyarrow")
-    entities = hash_grouped_aggregate(
-        e_rows.map_batches(partial_entity_agg, batch_format="pyarrow",
-                           batch_size=None).repartition(cfg.num_shards * 4),
-        ["entity_id"], entity_bucket_merge, num_buckets=cfg.num_shards * 4)
+    # ``combined`` is materialized or a Parquet read, so the exchange sizes
+    entities = exact_entities(combined, cfg)
 
     links: dict[str, str] = {}
     n_links = 0

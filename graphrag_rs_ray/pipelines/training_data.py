@@ -864,7 +864,9 @@ def corpus_curation(sf_dir: str, min_tokens: int = 20,
     to the corpus by construction).
 
     ``survivors_ds`` / ``bands_ds`` let the query layer stage the band
-    rows so the whole composition is DuckDB-oracle-checked.
+    rows so the whole composition is DuckDB-oracle-checked.  They apply
+    to the in-store path only; combining either with ``disk_shuffle``
+    raises ``ValueError``.
 
     ``disk_shuffle=True`` (corpus volumes beyond the object-store/spill
     budget — the 20M-doc curation leg ENOSPC'd the in-store path):
@@ -874,7 +876,11 @@ def corpus_curation(sf_dir: str, min_tokens: int = 20,
     identical (equality-gated in tests/test_dedup_disk.py)."""
     import ray
 
-    if disk_shuffle and survivors_ds is None:
+    if disk_shuffle and (survivors_ds is not None or bands_ds is not None):
+        raise ValueError("corpus_curation: survivors_ds/bands_ds are "
+                         "in-store overrides; disk_shuffle=True stages "
+                         "its own survivors and candidates")
+    if disk_shuffle:
         import shutil
         import ray.data as rd
         stage_dir = stage_dir or os.path.join(

@@ -10,9 +10,11 @@ implements the classic two-level pattern instead:
     map_groups: pyarrow group_by inside bucket (vectorized C++ per bucket)
 
 Per-group Python cost drops from O(#distinct keys) to O(P).  All rows of
-one key land in one bucket, so any per-key aggregate stays exact.  P is
-the shuffle-parallelism knob: a few × cluster cores locally; thousands on
-a real cluster (keeps each reduce partition in memory).
+one key land in one bucket, so any per-key aggregate stays exact.  P
+bounds the rows one ``per_bucket_fn`` call sees: a few × cluster cores
+locally; thousands on a real cluster (keeps each reduce partition in
+memory).  The number of exchange TASKS follows the input's block count,
+not P (see ``hash_grouped_aggregate``).
 
 The hash is pandas' stable 64-bit column hash (vectorized); bucket ids
 never appear in outputs, so only run-internal consistency matters.
@@ -26,6 +28,7 @@ entities cost O(#blocks), not O(#occurrences), on the wire.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 
 import pandas as pd
@@ -38,13 +41,17 @@ def auto_pool(lo: int = 4) -> tuple[int, int]:
     pipeline stall), never a tiny fixed cap (a concurrency=2 pool was the
     bottleneck of several per-op benchmarks); floor 4 because ramping up
     from 1 actor dominates short jobs."""
+    hi = max(2, _cluster_cpus() - 2)
+    return (min(lo, hi), hi)
+
+
+def _cluster_cpus() -> int:
+    """CPUs of the connected Ray cluster (4 when there is none)."""
     try:
         import ray
-        cpus = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
+        return int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
     except Exception:  # noqa: BLE001
-        cpus = 4
-    hi = max(2, cpus - 2)
-    return (min(lo, hi), hi)
+        return 4
 
 
 def _bucket_of(batch: pa.Table, keys: list[str], num_buckets: int) -> pa.Array:
@@ -53,11 +60,45 @@ def _bucket_of(batch: pa.Table, keys: list[str], num_buckets: int) -> pa.Array:
     return pa.array((h % num_buckets).astype("int64"), pa.int64())
 
 
+def exchange_blocks(ds, max_blocks: int) -> int:
+    """Block count to coalesce an exchange input to: one block per
+    ``DataContext.target_max_block_size`` of ``ds``'s size, but at least
+    one per cluster CPU and at most ``max_blocks``.
+
+    The CPU floor keeps the exchange and the per-bucket work after it
+    spread over every CPU of a multi-CPU session; the size term lets a
+    big input reach the cap.  Reads plan metadata only (a materialized
+    dataset's block metadata, a Parquet read's file metadata) and returns
+    ``max_blocks`` when the size is unknown there: ``Dataset.size_bytes()``
+    would EXECUTE a lazy plan to learn it.  Pass the dataset the exchange
+    input derives from when that one has a known size (an upper bound is
+    fine: it only decides how many sort tasks the exchange fans out to)."""
+    from ray.data import DataContext
+
+    try:
+        # private plan API, checked against Ray 2.49; if it moves, the
+        # size is unknown and the exchange keeps the cap
+        size = ds._logical_plan.dag.infer_metadata().size_bytes
+    except AttributeError:
+        size = None
+    target = DataContext.get_current().target_max_block_size
+    if size is None or not target:
+        return max_blocks
+    n = max(math.ceil(size / target), _cluster_cpus())
+    return max(1, min(max_blocks, n))
+
+
 def hash_grouped_aggregate(ds, keys: list[str],
                            per_bucket_fn: Callable[[pa.Table], pa.Table],
                            num_buckets: int = 64):
     """``per_bucket_fn`` receives every row of a bucket (all rows of each
-    contained key) as one Arrow table and returns the aggregated rows."""
+    contained key) as one Arrow table and returns the aggregated rows.
+
+    ``num_buckets`` (P) fixes which rows share a bucket, not the task
+    fan-out: the exchange is a Ray sort on ``_bucket``, which runs one map
+    and one reduce task per INPUT block.  A small input spread over many
+    blocks pays Ray's per-task overhead once per block, so coalesce it
+    first (``ds.repartition(exchange_blocks(...))``)."""
 
     def add_bucket(batch: pa.Table) -> pa.Table:
         return batch.append_column("_bucket", _bucket_of(batch, keys, num_buckets))

@@ -10,9 +10,20 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 def ray_session():
     """One Ray session for the whole pytest run (per round instructions)."""
     import ray
+
+    def dump_stacks_on_sigusr1():
+        # `kill -USR1 <worker pid>` writes every thread's Python stack to
+        # the worker's stderr (its worker-*.err file under the session's
+        # logs/ directory), so a hung task can be inspected in place
+        import faulthandler
+        import signal
+        faulthandler.register(signal.SIGUSR1, all_threads=True)
+
     if not ray.is_initialized():
         ray.init(address="local", num_cpus=4, include_dashboard=False,
-                 ignore_reinit_error=True, logging_level="ERROR")
+                 ignore_reinit_error=True, logging_level="ERROR",
+                 runtime_env={"worker_process_setup_hook":
+                              dump_stacks_on_sigusr1})
     from ray.data import DataContext
     ctx = DataContext.get_current()
     ctx.enable_progress_bars = False

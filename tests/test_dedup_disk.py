@@ -68,3 +68,13 @@ def test_curation_disk_equals_default(ray_session, tmp_path):
     x = a[cols].sort_values(cols).reset_index(drop=True)
     y = b[cols].sort_values(cols).reset_index(drop=True)
     pd.testing.assert_frame_equal(x, y)
+
+
+@pytest.mark.parametrize("override", ["survivors_ds", "bands_ds"])
+def test_curation_disk_rejects_in_store_overrides(tmp_path, override):
+    """The disk path stages its own survivors and candidates, so a
+    caller's staged survivors or bands must raise, not be ignored."""
+    with pytest.raises(ValueError, match="in-store overrides"):
+        td.corpus_curation(SF_DIR, disk_shuffle=True,
+                           stage_dir=str(tmp_path / "cur"),
+                           **{override: object()})

@@ -14,6 +14,56 @@ def test_entities_dataset_matches_build_kg(ray_session):
     assert lazy.equals(full)
 
 
+def test_exchange_blocks_sizes_from_metadata(ray_session, monkeypatch):
+    """One block per target_max_block_size of a known size, at least one
+    per cluster CPU, clamped to [1, cap]; a lazy plan's size is unknown,
+    so it gets the cap without running anything."""
+    import pyarrow as pa
+    import ray.data as rd
+    from ray.data import DataContext
+
+    from graphrag_rs_ray.stages import hashagg
+    from graphrag_rs_ray.stages.hashagg import exchange_blocks
+
+    small = rd.from_arrow(pa.table({"x": list(range(1000))})).materialize()
+    cpus = hashagg._cluster_cpus()
+    assert exchange_blocks(small, 64) == min(cpus, 64)
+    assert exchange_blocks(small, 1) == 1
+    with monkeypatch.context() as m:
+        m.setattr(hashagg, "_cluster_cpus", lambda: 1)
+        assert exchange_blocks(small, 16) == 1
+        assert exchange_blocks(rd.from_items([]).materialize(), 16) == 1
+    with monkeypatch.context() as m:
+        m.setattr(hashagg, "_cluster_cpus", lambda: 32)
+        assert exchange_blocks(small, 16) == 16
+
+    def boom(batch):
+        raise RuntimeError("exchange_blocks executed the plan")
+
+    lazy = rd.range(100).map_batches(boom, batch_format="pyarrow")
+    assert exchange_blocks(lazy, 16) == 16
+
+    monkeypatch.setattr(DataContext.get_current(), "target_max_block_size", 1)
+    monkeypatch.setattr(hashagg, "_cluster_cpus", lambda: 1)
+    assert exchange_blocks(small, 16) == 16
+    assert exchange_blocks(small, 7) == 7
+
+
+def test_small_build_entities_one_block_per_cpu(ray_session):
+    """A 60-page build (~250 entities) is far below one target block, so
+    the entity exchange gets one block per cluster CPU, not
+    num_shards * 4 blocks."""
+    from graphrag_rs_ray.config import KGConfig
+    from graphrag_rs_ray.pipelines.kg import build_kg
+    from graphrag_rs_ray.sources.pages import pages_dataset
+    from graphrag_rs_ray.stages.hashagg import _cluster_cpus
+
+    cfg = KGConfig()
+    res = build_kg(pages_dataset(60, seed=13), cfg)
+    assert cfg.num_shards * 4 == 64 > _cluster_cpus()
+    assert res.entities.materialize().num_blocks() == _cluster_cpus()
+
+
 def test_reference_entity_schema_adapter(ray_session):
     from graphrag_rs_ray.config import KGConfig
     from graphrag_rs_ray.pipelines.kg import entities_dataset, to_reference_entity_schema

@@ -117,6 +117,43 @@ def test_fuzzy_broadcast_and_bucketed_paths_equal(ray_session):
     assert fast_t.equals(slow_t)
 
 
+def test_fuzzy_build_same_at_full_exchange_fan_out(ray_session, monkeypatch):
+    """The entity exchange's block count must not change the graph: a
+    one-CPU sizing (one block) and a tiny target_max_block_size (the cap,
+    num_shards * 4 blocks, the old fixed fan-out) give the same entities,
+    links and triples."""
+    from ray.data import DataContext
+
+    from graphrag_rs_ray.config import KGConfig
+    from graphrag_rs_ray.pipelines.kg import build_kg
+    from graphrag_rs_ray.sources.pages import pages_dataset
+    from graphrag_rs_ray.stages import hashagg
+
+    def run(fan_out):
+        # the pages dataset snapshots the DataContext it is created
+        # under, so only the exchange sizing reads the patched target
+        pages = pages_dataset(80, seed=21)
+        with monkeypatch.context() as m:
+            if fan_out:
+                m.setattr(DataContext.get_current(), "target_max_block_size", 1)
+            else:
+                m.setattr(hashagg, "_cluster_cpus", lambda: 1)
+            res = build_kg(pages, KGConfig(fuzzy_linking=True))
+        ents = res.entities.materialize()
+        tris = (res.triples.to_pandas().sort_values(["subj", "pred", "obj"])
+                .reset_index(drop=True))
+        return (ents.num_blocks(), res.links, tris,
+                ents.to_pandas().sort_values("entity_id").reset_index(drop=True))
+
+    small_blocks, small_links, small_t, small_e = run(fan_out=False)
+    wide_blocks, wide_links, wide_t, wide_e = run(fan_out=True)
+    assert small_blocks == 1
+    assert wide_blocks == KGConfig().num_shards * 4
+    assert small_links and small_links == wide_links
+    assert small_e.equals(wide_e)
+    assert small_t.equals(wide_t)
+
+
 def _singleton_heavy_rows():
     """Typo families (multi-member blocks) among many one-off names
     (singleton blocks), like an open-vocabulary corpus."""
