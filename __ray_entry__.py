@@ -151,10 +151,7 @@ def _kg_ds(sf_dir: str, kind: str):
     (fuzzy tier, custom chunking) do NOT use it."""
     key = (sf_dir, kind)
     if key not in _KG_DS_CACHE:
-        from graphrag_rs_ray.pipelines.kg import dedup_triples
-        from graphrag_rs_ray.stages.canonicalize import (
-            entity_bucket_merge, partial_entity_agg)
-        from graphrag_rs_ray.stages.hashagg import hash_grouped_aggregate
+        from graphrag_rs_ray.pipelines.kg import dedup_triples, exact_entities
         from graphrag_rs_ray.stages.kg_extract import triples_only
         cfg = KGConfig()
         if kind == "chunks":
@@ -166,13 +163,7 @@ def _kg_ds(sf_dir: str, kind: str):
                 _kg_ds(sf_dir, "combined").map_batches(
                     triples_only, batch_format="pyarrow"), cfg)
         elif kind == "entities":
-            e_rows = _kg_ds(sf_dir, "combined").map_batches(
-                entities_only, batch_format="pyarrow")
-            ds = hash_grouped_aggregate(
-                e_rows.map_batches(partial_entity_agg, batch_format="pyarrow",
-                                   batch_size=None),
-                ["entity_id"], entity_bucket_merge,
-                num_buckets=cfg.num_shards * 4)
+            ds = exact_entities(_kg_ds(sf_dir, "combined"), cfg)
         else:
             raise KeyError(kind)
         _KG_DS_CACHE[key] = ds.materialize()

@@ -200,21 +200,12 @@ def run_bench() -> dict:
     timed("kg_build_write_shards", full_write)
 
     def kg_entities_unstaged():
-        # production canonicalization: mention rows → partial agg →
-        # groupby(entity_id) merge, from the warmed combined checkpoint
-        # (the query fn additionally stages 1.2M mention rows for its
-        # oracle — harness I/O)
-        from graphrag_rs_ray.stages.canonicalize import (
-            entity_bucket_merge, partial_entity_agg)
-        from graphrag_rs_ray.stages.hashagg import hash_grouped_aggregate
-        from graphrag_rs_ray.stages.kg_extract import entities_only
-        e_rows = e._kg_ds(sf_dir, "combined").map_batches(
-            entities_only, batch_format="pyarrow")
-        return hash_grouped_aggregate(
-            e_rows.map_batches(partial_entity_agg, batch_format="pyarrow",
-                               batch_size=None),
-            ["entity_id"], entity_bucket_merge,
-            num_buckets=KGConfig().num_shards * 4).count()
+        # production canonicalization (build_kg's exact tier) from the
+        # warmed combined checkpoint (the query fn additionally stages
+        # 1.2M mention rows for its oracle — harness I/O)
+        from graphrag_rs_ray.pipelines.kg import exact_entities
+        return exact_entities(e._kg_ds(sf_dir, "combined"),
+                              KGConfig()).count()
 
     timed("kg_entities", kg_entities_unstaged)
     def concept_edges_unstaged():

@@ -39,6 +39,7 @@ from ..stages.hashagg import (
     hash_grouped_aggregate,
 )
 from ..stages.chunk import ChunkStage
+from ..stages.disk_exchange import reduce_shards, stage_parquet
 from ..stages.extract_text import extract_text_stage
 from ..stages.kg_extract import ExtractKG, entities_only, make_extract_fn, triples_only
 from ..stages.linking import (
@@ -215,15 +216,9 @@ def build_kg(pages_ds, cfg: KGConfig | None = None, work_dir: str | None = None)
     cfg = cfg or KGConfig()
     if work_dir:
         combined_dir = os.path.join(work_dir, "combined")
-        fp = fingerprint_config("combined", cfg)
-        if not stage_complete(combined_dir, fp):
-            import shutil
-            if os.path.exists(combined_dir):   # stale/partial stage output
-                shutil.rmtree(combined_dir)    # (write_parquet APPENDS by default)
-            combined = chunks_to_combined(pages_to_chunks(pages_ds, cfg), cfg)
-            os.makedirs(combined_dir, exist_ok=True)
-            combined.write_parquet(combined_dir)
-            write_manifest(combined_dir, "combined", fp)
+        stage_parquet(combined_dir, fingerprint_config("combined", cfg),
+                      lambda: chunks_to_combined(pages_to_chunks(pages_ds, cfg),
+                                                 cfg))
         combined = rd.read_parquet(combined_dir)
     else:
         combined = chunks_to_combined(pages_to_chunks(pages_ds, cfg), cfg).materialize()
@@ -356,14 +351,11 @@ def write_graph(result: KGResult, out_dir: str, num_shards: int = 16,
     default 37 GB store — spill storms, then an 85 GB driver OOM):
     the pre-exchange partial rows (``result.t_partial``) stream straight
     to ``_shuffle/shard=K/`` Parquet in ONE map-only pass (no all-to-all
-    anywhere), then each shard is reduced by an independent Ray task
-    (pyarrow ``group_by`` with EXACTLY the in-store path's aggregate —
-    ``triple_final_agg``) into its final adjacency shard.  Raw tasks are
-    justified here: Ray Data cannot express a per-directory reduce
-    without re-shuffling.  Peak memory per reduce = one shard
-    (total/num_shards — num_shards is the memory knob); the stage dir is
-    fingerprint-gated so a crashed run resumes it for free, and shard
-    reduces keep the usual partition-granular resume."""
+    anywhere), then each shard is reduced by its own task (pyarrow
+    ``group_by`` with EXACTLY the in-store path's aggregate —
+    ``triple_final_agg``) into its final adjacency shard; both steps are
+    ``stages/disk_exchange.py``.  Peak memory per reduce = one shard
+    (total/num_shards — num_shards is the memory knob)."""
     import glob
     import shutil
 
@@ -380,107 +372,76 @@ def write_graph(result: KGResult, out_dir: str, num_shards: int = 16,
         files = glob.glob(os.path.join(d, "*.parquet"))
         return pads.dataset(files).count_rows() if files else 0
 
-    ent_dir = os.path.join(out_dir, "entities")
     tri_dir = os.path.join(out_dir, "triples")
-    ent_fp = fingerprint_config("graph-entities", num_shards, input_token)
-    if not stage_complete(ent_dir, ent_fp):
-        if os.path.exists(ent_dir):           # write_parquet APPENDS —
-            shutil.rmtree(ent_dir)            # a rerun must not duplicate
-        os.makedirs(ent_dir)
-        result.entities.write_parquet(ent_dir)
-        write_manifest(ent_dir, "graph_entities", ent_fp,
-                       rows=_count(ent_dir))
-    n_entities = read_manifest(ent_dir)["rows"]
+    n_entities = stage_parquet(
+        os.path.join(out_dir, "entities"),
+        fingerprint_config("graph-entities", num_shards, input_token),
+        lambda: result.entities)["rows"]
+
+    shard_parts = ("graph", num_shards, input_token)
 
     def shard_fp(k: int) -> str:
-        return fingerprint_config("graph", num_shards, input_token,
-                                  f"shard={k}")
+        return fingerprint_config(*shard_parts, f"shard={k}")
 
-    os.makedirs(tri_dir, exist_ok=True)
     done = {k for k in range(num_shards)
             if stage_complete(os.path.join(tri_dir, f"shard={k}"),
                               shard_fp(k))}
-    if not done and os.path.exists(tri_dir):
-        shutil.rmtree(tri_dir)                # config change / first run:
-        os.makedirs(tri_dir)                  # drop stale layouts whole
     missing = [k for k in range(num_shards) if k not in done]
 
-    if missing:
+    def shard_of(batch: pa.Table) -> pa.Array:
+        # one hash per distinct subject: a hub subject repeats
+        subj = pc.dictionary_encode(batch.column("subj").combine_chunks())
+        shards = pa.array([hash_subj(s, num_shards)
+                           for s in subj.dictionary.to_pylist()], pa.int32())
+        return shards.take(subj.indices)
+
+    if missing and disk_shuffle:
+        stage_dir = os.path.join(out_dir, "_shuffle")
+        # level-2 window combine before the disk write (see
+        # triples_partial: 22.6 GB → 9.1 GB of stage volume); safe HERE
+        # because the sink is a terminal write, not a streaming exchange
+        stage_parquet(
+            stage_dir,
+            fingerprint_config("graph-shuffle", num_shards, input_token),
+            lambda: result.t_partial.map_batches(
+                triple_final_agg(), batch_format="pyarrow",
+                batch_size=2_000_000),
+            shard_of)
+
+        def reduce_triples(k: int, files: list[list[str]]):
+            if not files[0]:
+                return None
+            return triple_final_agg()(pads.dataset(files[0]).to_table(
+                columns=["subj", "pred", "obj", "conf", "n_contexts",
+                         "context_sample"]))
+
+        reduce_shards([stage_dir], num_shards, reduce_triples, tri_dir,
+                      shard_parts)
+    elif missing:
+        if not done and os.path.exists(tri_dir):
+            shutil.rmtree(tri_dir)            # config change / first run
         for k in missing:                     # partial data without a
             d = os.path.join(tri_dir, f"shard={k}")
             if os.path.exists(d):             # manifest = crashed write
                 shutil.rmtree(d)
 
-        def add_shard(batch: pa.Table) -> pa.Table:
-            # one hash per distinct subject: a hub subject repeats
-            subj = pc.dictionary_encode(batch.column("subj").combine_chunks())
-            shard_of = pa.array([hash_subj(s, num_shards)
-                                 for s in subj.dictionary.to_pylist()],
-                                pa.int32())
-            return batch.append_column("shard", shard_of.take(subj.indices))
+        sharded = result.triples.map_batches(
+            lambda b: b.append_column("shard", shard_of(b)),
+            batch_format="pyarrow")
+        if done:
+            todo = pa.array(missing, pa.int32())
 
-        if disk_shuffle:
-            import ray
-
-            stage_dir = os.path.join(out_dir, "_shuffle")
-            stage_fp = fingerprint_config("graph-shuffle", num_shards,
-                                          input_token)
-            if not stage_complete(stage_dir, stage_fp):
-                if os.path.exists(stage_dir):     # crashed stage write
-                    shutil.rmtree(stage_dir)
-                os.makedirs(stage_dir)
-                # level-2 window combine before the disk write (see
-                # triples_partial: 22.6 GB → 9.1 GB of stage volume);
-                # safe HERE because the sink is a terminal write, not a
-                # streaming exchange
-                (result.t_partial
-                 .map_batches(triple_final_agg(), batch_format="pyarrow",
-                              batch_size=2_000_000)
-                 .map_batches(add_shard, batch_format="pyarrow")
-                 .write_parquet(stage_dir, partition_cols=["shard"]))
-                write_manifest(stage_dir, "graph_shuffle", stage_fp)
-
-            @ray.remote(num_cpus=1)
-            def reduce_shard(k: int) -> int:
-                files = glob.glob(os.path.join(stage_dir, f"shard={k}",
-                                               "*.parquet"))
-                d = os.path.join(tri_dir, f"shard={k}")
-                os.makedirs(d, exist_ok=True)
-                if not files:
-                    return 0
-                t = pads.dataset(files).to_table(
-                    columns=["subj", "pred", "obj", "conf",
-                             "n_contexts", "context_sample"])
-                out = triple_final_agg()(t)
-                import pyarrow.parquet as pq
-                pq.write_table(out, os.path.join(d, "part-0.parquet"))
-                return out.num_rows
-
-            rows_by_shard = dict(zip(
-                missing, ray.get([reduce_shard.remote(k)
-                                  for k in missing])))
-            for k in missing:
-                d = os.path.join(tri_dir, f"shard={k}")
-                os.makedirs(d, exist_ok=True)
-                write_manifest(d, "triples_shard", shard_fp(k),
-                               rows=rows_by_shard[k])
-        else:
-            sharded = result.triples.map_batches(add_shard,
-                                                 batch_format="pyarrow")
-            if done:
-                todo = pa.array(missing, pa.int32())
-
-                def keep_missing(t: pa.Table) -> pa.Table:
-                    return t.filter(pc.is_in(t.column("shard"),
-                                             value_set=todo))
-                sharded = sharded.map_batches(keep_missing,
-                                              batch_format="pyarrow")
-            sharded.write_parquet(tri_dir, partition_cols=["shard"])
-            for k in missing:
-                d = os.path.join(tri_dir, f"shard={k}")
-                os.makedirs(d, exist_ok=True)  # empty shards get a dir too
-                write_manifest(d, "triples_shard", shard_fp(k),
-                               rows=_count(d))
+            def keep_missing(t: pa.Table) -> pa.Table:
+                return t.filter(pc.is_in(t.column("shard"),
+                                         value_set=todo))
+            sharded = sharded.map_batches(keep_missing,
+                                          batch_format="pyarrow")
+        sharded.write_parquet(tri_dir, partition_cols=["shard"])
+        for k in missing:
+            d = os.path.join(tri_dir, f"shard={k}")
+            os.makedirs(d, exist_ok=True)  # empty shards get a dir too
+            write_manifest(d, "triples_shard", shard_fp(k),
+                           rows=_count(d))
 
     # per-partition lineage rollup from the shard manifests
     shard_counts = {f"shard={k}":

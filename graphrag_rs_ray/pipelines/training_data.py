@@ -14,7 +14,10 @@ import hashlib
 import math
 import os
 
+from ..stages.disk_exchange import reduce_shards, stage_parquet
 from ..stages.hashagg import auto_pool
+from ..state.manifests import (fingerprint_config, read_manifest,
+                               stage_complete, write_manifest)
 
 import numpy as np
 import pyarrow as pa
@@ -185,13 +188,13 @@ def minhash_lsh_candidates_disk(sf_dir: str, num_perm: int = 64,
     attempt died at the in-store band exchange against the host's
     ~50 GB effective spill budget — CLAUDE.md).
 
-    Same discipline as ``write_graph(disk_shuffle=True)``: the band rows
+    A disk exchange (``stages/disk_exchange.py``): the band rows
     stream MAP-ONLY into hash-partitioned Parquet
-    (``stage_dir/shard=K/``, shard = band_hash % num_shards — a pure
-    function of the group key, so every (band, band_hash) bucket lands
-    whole in one shard), then one Ray task per shard reads its files and
-    emits that shard's candidate pairs locally (numpy lexsort + bucket
-    boundaries; the per-bucket Python pair loop only ever touches
+    (``stage_dir/bands/shard=K/``, shard = band_hash % num_shards — a
+    pure function of the group key, so every (band, band_hash) bucket
+    lands whole in one shard), then one task per shard reads its files
+    and emits that shard's candidate pairs locally (numpy lexsort +
+    bucket boundaries; the per-bucket Python pair loop only ever touches
     COLLIDING buckets).  The only object-store exchange left is the
     final (doc_a, doc_b) aggregate over the pair table, which is
     ~|duplicates|-sized by construction.  A pair colliding in several
@@ -200,14 +203,11 @@ def minhash_lsh_candidates_disk(sf_dir: str, num_perm: int = 64,
     them — output (doc_a, doc_b, n_bands) identical to the in-store path
     (equality-gated in tests/test_dedup_disk.py).
 
-    Resumable: each shard's pair file is written once; a crashed run
-    re-reduces only shards without an output file."""
-    import glob as _glob
-    import shutil
-
+    Resumable: the bands are fingerprinted by the corpus path,
+    ``num_perm``, ``shingle_k`` and ``num_shards``, each shard's pairs by
+    the bands.  The fingerprint cannot see ``docs_ds``'s rows: give each
+    ``docs_ds`` its own ``stage_dir``."""
     import pyarrow.dataset as pads
-    import pyarrow.parquet as pq
-    import ray
     import ray.data as rd
     from ..stages.hashagg import grouped_arrow_agg, hash_grouped_aggregate
 
@@ -217,39 +217,24 @@ def minhash_lsh_candidates_disk(sf_dir: str, num_perm: int = 64,
     bands_dir = os.path.join(stage_dir, "bands")
     pairs_dir = os.path.join(stage_dir, "pairs")
 
-    if not os.path.exists(os.path.join(stage_dir, "_BANDS_DONE")):
-        if os.path.exists(stage_dir):
-            shutil.rmtree(stage_dir)
-        os.makedirs(bands_dir)
-        sigs = minhash_signatures(sf_dir, num_perm, shingle_k,
-                                  docs_ds=docs_ds)
+    def shard_of(batch: pa.Table) -> np.ndarray:
+        bh = batch.column("band_hash").to_numpy(zero_copy_only=False)
+        return (bh % np.uint64(num_shards)).astype(np.int32)
 
-        def add_shard(batch: pa.Table) -> pa.Table:
-            bh = batch.column("band_hash").to_numpy(zero_copy_only=False)
-            return batch.append_column(
-                "shard", pa.array((bh % np.uint64(num_shards))
-                                  .astype(np.int32), pa.int32()))
+    bands_fp = fingerprint_config("minhash-bands", os.path.abspath(sf_dir),
+                                  num_perm, shingle_k, num_shards)
+    stage_parquet(bands_dir, bands_fp,
+                  lambda: minhash_signatures(sf_dir, num_perm, shingle_k,
+                                             docs_ds=docs_ds),
+                  shard_of)
 
-        (sigs.map_batches(add_shard, batch_format="pyarrow")
-             .write_parquet(bands_dir, partition_cols=["shard"]))
-        open(os.path.join(stage_dir, "_BANDS_DONE"), "w").write("1")
-
-    os.makedirs(pairs_dir, exist_ok=True)
-
-    @ray.remote(num_cpus=1)
-    def reduce_shard(k: int) -> int:
-        out_path = os.path.join(pairs_dir, f"pairs-{k:04d}.parquet")
-        if os.path.exists(out_path):          # crash-resume: done shard
-            return 0
-        files = _glob.glob(os.path.join(bands_dir, f"shard={k}",
-                                        "*.parquet"))
+    def shard_pairs(k: int, files: list[list[str]]) -> pa.Table:
         empty = pa.table({"doc_a": pa.array([], pa.int64()),
                           "doc_b": pa.array([], pa.int64()),
                           "n": pa.array([], pa.int64())})
-        if not files:
-            pq.write_table(empty, out_path)
-            return 0
-        t = pads.dataset(files).to_table(
+        if not files[0]:
+            return empty
+        t = pads.dataset(files[0]).to_table(
             columns=["doc_id", "band", "band_hash"])
         did = t.column("doc_id").to_numpy(zero_copy_only=False)
         band = t.column("band").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -274,19 +259,17 @@ def minhash_lsh_candidates_disk(sf_dir: str, num_perm: int = 64,
                     key = (a, ids[j])
                     pair_n[key] = pair_n.get(key, 0) + 1
         if not pair_n:
-            pq.write_table(empty, out_path)
-            return 0
+            return empty
         keys = sorted(pair_n)
-        out = pa.table({
+        return pa.table({
             "doc_a": pa.array([k0 for k0, _ in keys], pa.int64()),
             "doc_b": pa.array([k1 for _, k1 in keys], pa.int64()),
             "n": pa.array([pair_n[k2] for k2 in keys], pa.int64())})
-        pq.write_table(out, out_path)
-        return out.num_rows
 
-    ray.get([reduce_shard.remote(k) for k in range(num_shards)])
+    reduce_shards([bands_dir], num_shards, shard_pairs, pairs_dir,
+                  ("minhash-pairs", bands_fp))
 
-    pairs = rd.read_parquet(pairs_dir)
+    pairs = rd.read_parquet(pairs_dir, columns=["doc_a", "doc_b", "n"])
     return hash_grouped_aggregate(
         pairs, ["doc_a", "doc_b"],
         grouped_arrow_agg(["doc_a", "doc_b"], [("n", "sum")],
@@ -778,20 +761,17 @@ def curation_survivors_skinny(sf_dir: str, ann_dir: str,
        broadcast via ``ray.put``, and a final stateless map filters
        non-representative dup members and attaches ``n_exact_dups``
        (1 for every fp not in the broadcast)."""
-    import shutil
-
     import ray
     import ray.data as rd
 
     from ..stages.hashagg import grouped_arrow_agg, hash_grouped_aggregate
 
-    if not os.path.exists(os.path.join(ann_dir, "_ANN_DONE")):
-        if os.path.exists(ann_dir):
-            shutil.rmtree(ann_dir)
-        os.makedirs(ann_dir)
-        _curation_annotated(sf_dir, min_tokens, max_punct, min_stopword,
-                            lang).write_parquet(ann_dir)
-        open(os.path.join(ann_dir, "_ANN_DONE"), "w").write("1")
+    stage_parquet(ann_dir,
+                  fingerprint_config("curation-annotated",
+                                     os.path.abspath(sf_dir), min_tokens,
+                                     max_punct, min_stopword, lang),
+                  lambda: _curation_annotated(sf_dir, min_tokens, max_punct,
+                                              min_stopword, lang))
     ann = rd.read_parquet(ann_dir)
 
     groups = hash_grouped_aggregate(
@@ -887,18 +867,19 @@ def corpus_curation(sf_dir: str, min_tokens: int = 20,
             "/tmp", "graft_curation_stage",
             os.path.basename(os.path.normpath(sf_dir)))
         surv_dir = os.path.join(stage_dir, "survivors")
-        if not os.path.exists(os.path.join(stage_dir, "_SURV_DONE")):
-            if os.path.exists(stage_dir):
-                shutil.rmtree(stage_dir)
-            os.makedirs(surv_dir)
-            # skinny twin: annotated rows stage once to Parquet; only
-            # (fp, doc_id) is exchanged; dup groups broadcast — the
-            # text column never enters a shuffle (equality-gated)
-            curation_survivors_skinny(
-                sf_dir, os.path.join(stage_dir, "annotated"),
-                min_tokens, max_punct, min_stopword,
-                lang=lang).write_parquet(surv_dir)
-            open(os.path.join(stage_dir, "_SURV_DONE"), "w").write("1")
+        surv_fp = fingerprint_config("curation-survivors",
+                                     os.path.abspath(sf_dir), min_tokens,
+                                     max_punct, min_stopword, lang)
+        if not stage_complete(surv_dir, surv_fp):
+            # the candidate stages below are built from these survivors
+            shutil.rmtree(stage_dir, ignore_errors=True)
+        # skinny twin: annotated rows stage once to Parquet; only
+        # (fp, doc_id) is exchanged; dup groups broadcast — the text
+        # column never enters a shuffle (equality-gated)
+        stage_parquet(surv_dir, surv_fp,
+                      lambda: curation_survivors_skinny(
+                          sf_dir, os.path.join(stage_dir, "annotated"),
+                          min_tokens, max_punct, min_stopword, lang=lang))
         surv = rd.read_parquet(surv_dir)
         cand = minhash_lsh_candidates_disk(
             sf_dir, docs_ds=surv.map_batches(
@@ -1072,33 +1053,20 @@ def write_curated_corpus(curated_ds, out_dir: str, num_shards: int = 16,
                          fingerprint_parts: tuple = ()):
     """Resumable curated-corpus sink: ``docs/shard=K/`` partitioned by
     ``hash(doc_id) % num_shards``, one manifest per shard + a top-level
-    rollup (same partition-granularity resume discipline as
-    ``pipelines/kg.write_graph``).  A rerun with an unchanged fingerprint
-    returns the existing manifest without rewriting — never one giant
-    file, and a failed run skips finished output."""
-    import shutil
-
+    rollup; the docs are staged through ``stages/disk_exchange.py``.  A
+    rerun with an unchanged fingerprint returns the existing manifest
+    without rewriting — never one giant file, and a failed run skips
+    finished output."""
     import pyarrow.dataset as pads
-
-    from ..state.manifests import (fingerprint_config, read_manifest,
-                                   stage_complete, write_manifest)
 
     fp = fingerprint_config("curated_corpus", num_shards, *fingerprint_parts)
     if stage_complete(out_dir, fp):
         return read_manifest(out_dir)
 
     docs_dir = os.path.join(out_dir, "docs")
-    if os.path.exists(docs_dir):        # write_parquet APPENDS
-        shutil.rmtree(docs_dir)
-    os.makedirs(docs_dir, exist_ok=True)
-
-    def add_shard(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "shard", pa.array((ids % num_shards).astype("int32")))
-
-    (curated_ds.map_batches(add_shard, batch_format="pyarrow")
-     .write_parquet(docs_dir, partition_cols=["shard"]))
+    stage_parquet(docs_dir, fp, lambda: curated_ds,
+                  lambda t: t.column("doc_id").to_numpy(
+                      zero_copy_only=False) % num_shards)
 
     shard_counts = {}
     for name in sorted(os.listdir(docs_dir)):
@@ -3942,8 +3910,6 @@ def write_corpus_shards(curated_dir: str, out_dir: str,
 
     import ray.data as rd
 
-    from ..state.manifests import (fingerprint_config, read_manifest,
-                                   stage_complete, write_manifest)
     from ..stages.hashagg import bucketed_join
 
     def shard_fp(k: int) -> str:
@@ -3995,23 +3961,16 @@ def write_corpus_shards(curated_dir: str, out_dir: str,
         # a crash-redo reads it back (~2 s) instead of recomputing the
         # distributed order statistic (~31 s at 9.4M docs)
         order_dir = os.path.join(out_dir, "_order")
-        order_fp = fingerprint_config("corpus-order", input_token,
-                                      num_shards, seed)
-        if stage_complete(order_dir, order_fp):
-            manifest_ds = rd.read_parquet(glob.glob(
-                os.path.join(order_dir, "*.parquet")))
-        else:
-            if os.path.exists(order_dir):      # write_parquet APPENDS
-                shutil.rmtree(order_dir)
-            os.makedirs(order_dir)
-            shuffle_shards(
-                "", n_shards=num_shards, seed=seed,
-                docs_ds=curated_ds.map_batches(
-                    lambda t: t.select(["doc_id"]),
-                    batch_format="pyarrow")).write_parquet(order_dir)
-            write_manifest(order_dir, "corpus_order", order_fp)
-            manifest_ds = rd.read_parquet(glob.glob(
-                os.path.join(order_dir, "*.parquet")))
+        stage_parquet(order_dir,
+                      fingerprint_config("corpus-order", input_token,
+                                         num_shards, seed),
+                      lambda: shuffle_shards(
+                          "", n_shards=num_shards, seed=seed,
+                          docs_ds=curated_ds.map_batches(
+                              lambda t: t.select(["doc_id"]),
+                              batch_format="pyarrow")))
+        manifest_ds = rd.read_parquet(glob.glob(
+            os.path.join(order_dir, "*.parquet")))
         if done:
             # RESUME: prune BEFORE the text-carrying join — the manifest
             # is ids-only (cheap to filter), and broadcasting the missing

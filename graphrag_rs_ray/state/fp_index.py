@@ -4,8 +4,8 @@ its near-dups against everything already ingested WITHOUT re-reading or
 re-fingerprinting the old corpus, then append the shard's fingerprints.
 
 Layout (one directory per ingested batch, manifest-guarded so re-running
-a crashed or duplicate ingest is a no-op — same discipline as
-``pipelines/kg.write_graph``):
+a crashed or duplicate ingest is a no-op — a disk exchange,
+``stages/disk_exchange.py``):
 
     <base>/index.json                     — k/w config, ingested batch ids
     <base>/batch=<id>/shard=K/*.parquet   — distinct (doc_id, fp) rows,
@@ -27,8 +27,8 @@ import os
 import numpy as np
 import pyarrow as pa
 
-from .manifests import (atomic_write_dir, fingerprint_config,
-                        stage_complete, write_manifest)
+from ..stages.disk_exchange import reduce_shards, stage_parquet
+from .manifests import fingerprint_config
 
 
 class FingerprintIndex:
@@ -127,39 +127,19 @@ class FingerprintIndex:
         lazy_fps = self._distinct_fps(docs_ds)
         new_fps = None
         if lazy_fps is not None:
-            if not stage_complete(bdir, fpc):
-                def add_shard(t: pa.Table) -> pa.Table:
-                    f = t.column("fp").to_numpy(zero_copy_only=False)
-                    # uint64 view: winnow fps are int64 bit patterns and
-                    # numpy's % keeps the dividend's sign
-                    s = f.astype(np.int64).view(np.uint64) \
-                        % np.uint64(self.FP_SHARDS)
-                    return t.append_column(
-                        "shard", pa.array(s.astype(np.int32), pa.int32()))
+            def shard_of(t: pa.Table) -> np.ndarray:
+                f = t.column("fp").to_numpy(zero_copy_only=False)
+                # uint64 view: winnow fps are int64 bit patterns and
+                # numpy's % keeps the dividend's sign
+                return (f.astype(np.int64).view(np.uint64)
+                        % np.uint64(self.FP_SHARDS)).astype(np.int32)
 
-                def write(tmp_dir):
-                    lazy_fps.map_batches(
-                        add_shard,
-                        batch_format="pyarrow").write_parquet(
-                        tmp_dir, partition_cols=["shard"])
-                    import glob as _g
-                    if not _g.glob(os.path.join(tmp_dir, "shard=*")):
-                        import pyarrow.parquet as pq
-                        os.makedirs(os.path.join(tmp_dir, "shard=0"),
-                                    exist_ok=True)
-                        pq.write_table(          # empty batch: keep the
-                            pa.table({           # dir readable
-                                "doc_id": pa.array([], pa.int64()),
-                                "fp": pa.array([], pa.int64())}),
-                            os.path.join(tmp_dir, "shard=0",
-                                         "part-empty.parquet"))
-
-                atomic_write_dir(write, bdir)
-                rows = rd.read_parquet(bdir).count()   # metadata count
-                write_manifest(bdir, "fp_index_batch", fpc, rows=rows)
+            rows = stage_parquet(bdir, fpc, lambda: lazy_fps,
+                                 shard_of)["rows"]
             if batch_id not in self.batches():
                 self._write_meta(self.batches() + [batch_id])
-            new_fps = rd.read_parquet(bdir)
+            if rows:
+                new_fps = rd.read_parquet(bdir)
 
         def _doc_counts(tag: int):
             import pyarrow.compute as pc
@@ -182,50 +162,23 @@ class FingerprintIndex:
         shared = None
         prior = [b for b in self.batches() if b != batch_id]
         if new_fps is not None and prior:
-            import glob as _glob
-
-            import ray
-
-            prior_dirs = [self._batch_dir(b) for b in prior]
-            new_dir = bdir
-            nshards = self.FP_SHARDS
             empty = pa.table({"doc_id": pa.array([], pa.int64()),
                               "n": pa.array([], pa.int64()),
                               "tag": pa.array([], pa.int64())})
 
-            @ray.remote(num_cpus=1)
-            def shard_shared(k: int) -> pa.Table:
+            def shard_shared(k: int, files: list[list[str]]) -> pa.Table:
                 import pyarrow.dataset as pads
-                new_files = _glob.glob(os.path.join(
-                    new_dir, f"shard={k}", "*.parquet"))
-                if not new_files:
-                    return empty
-                old_parts = []
-                for d in prior_dirs:
-                    part = _glob.glob(os.path.join(d, f"shard={k}",
-                                                   "*.parquet"))
-                    if part:
-                        old_parts.append((part, False))
-                        continue
-                    flat = _glob.glob(os.path.join(d, "*.parquet"))
-                    if flat:       # pre-sharded layout: filter in-task
-                        old_parts.append((flat, True))
-                if not old_parts:
+                new_files = files[0]
+                old_files = [f for fs in files[1:] for f in fs]
+                if not new_files or not old_files:
                     return empty
                 t = pads.dataset(new_files).to_table(
                     columns=["doc_id", "fp"])
                 if t.num_rows == 0:
                     return empty
-                chunks = []
-                for files, needs_filter in old_parts:
-                    a = pads.dataset(files).to_table(
-                        columns=["fp"]).column("fp").to_numpy(
-                        zero_copy_only=False)
-                    if needs_filter:
-                        a = a[a.astype(np.int64).view(np.uint64)
-                              % np.uint64(nshards) == k]
-                    chunks.append(a)
-                old_fp = np.unique(np.concatenate(chunks))
+                old_fp = np.unique(pads.dataset(old_files).to_table(
+                    columns=["fp"]).column("fp").to_numpy(
+                    zero_copy_only=False))
                 fps = t.column("fp").to_numpy(zero_copy_only=False)
                 hit_docs = t.column("doc_id").to_numpy(
                     zero_copy_only=False)[np.isin(fps, old_fp)]
@@ -237,8 +190,9 @@ class FingerprintIndex:
                     "n": pa.array(c.astype(np.int64), pa.int64()),
                     "tag": pa.array(np.ones(u.size, np.int64), pa.int64())})
 
-            refs = [shard_shared.remote(k) for k in range(self.FP_SHARDS)]
-            shared = rd.from_arrow_refs(refs)
+            shared = rd.from_arrow_refs(reduce_shards(
+                [bdir] + [self._batch_dir(b) for b in prior],
+                self.FP_SHARDS, shard_shared))
 
         def per_doc_fps(batch: pa.Table) -> pa.Table:
             return pa.table({"doc_id": batch.column("doc_id"),

@@ -78,3 +78,64 @@ def test_curation_disk_rejects_in_store_overrides(tmp_path, override):
         td.corpus_curation(SF_DIR, disk_shuffle=True,
                            stage_dir=str(tmp_path / "cur"),
                            **{override: object()})
+
+
+def test_disk_stage_rebuilds_on_changed_settings(ray_session, tmp_path):
+    """A second run into the same stage dir with other settings must not
+    reuse the first run's bands, nor read its pair files for shards the
+    new run does not have."""
+    stage = str(tmp_path / "stage")
+    td.minhash_lsh_candidates_disk(SF_DIR, num_perm=64, stage_dir=stage,
+                                   num_shards=8).materialize()
+    again = _norm(td.minhash_lsh_candidates_disk(
+        SF_DIR, num_perm=32, stage_dir=stage, num_shards=4))
+    pd.testing.assert_frame_equal(
+        again, _norm(td.minhash_lsh_candidates(SF_DIR, num_perm=32)))
+
+
+def test_disk_resume_redoes_truncated_shard(ray_session, tmp_path):
+    """A crash in the middle of one shard's pair write: a truncated file
+    and no manifest for that shard.  The rerun must redo the shard."""
+    import glob
+
+    stage = str(tmp_path / "stage")
+    td.minhash_lsh_candidates_disk(SF_DIR, stage_dir=stage,
+                                   num_shards=8).materialize()
+    pairs = os.path.join(stage, "pairs")
+    # shard 3's pair file (flat pairs-KKKK.parquet files are the layout
+    # the shard=K/ directories replaced)
+    victims = [p for p in glob.glob(os.path.join(pairs, "**", "*.parquet"),
+                                    recursive=True)
+               if "shard=3" in p or p.endswith("pairs-0003.parquet")]
+    assert len(victims) == 1
+    with open(victims[0], "r+b") as f:
+        f.truncate(os.path.getsize(victims[0]) // 2)
+    manifest = os.path.join(pairs, "shard=3", "_MANIFEST.json")
+    if os.path.exists(manifest):
+        os.remove(manifest)
+    again = _norm(td.minhash_lsh_candidates_disk(
+        SF_DIR, stage_dir=stage, num_shards=8))
+    pd.testing.assert_frame_equal(again,
+                                  _norm(td.minhash_lsh_candidates(SF_DIR)))
+
+
+def test_curation_disk_restages_on_changed_gates(ray_session, tmp_path):
+    """Two disk-mode curation runs into one stage dir with different
+    ``min_tokens``: each must equal the in-store result for its own
+    setting, not reuse the first run's survivors or candidates."""
+    stage = str(tmp_path / "cur")
+
+    def norm(df):
+        cols = sorted(df.columns)
+        return df[cols].sort_values(cols).reset_index(drop=True)
+
+    results = []
+    for min_tokens in (20, 60):
+        want = norm(td.corpus_curation(SF_DIR, min_tokens=min_tokens,
+                                       min_stopword=0.0).to_pandas())
+        got = norm(td.corpus_curation(SF_DIR, min_tokens=min_tokens,
+                                      min_stopword=0.0, disk_shuffle=True,
+                                      stage_dir=stage).to_pandas())
+        pd.testing.assert_frame_equal(got, want)
+        results.append(want)
+    assert len(results[0]) != len(results[1])   # the gate changes the set
