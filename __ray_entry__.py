@@ -143,8 +143,8 @@ def _kg_ds(sf_dir: str, kind: str):
     """Materialized per-process checkpoints of the DEFAULT-``KGConfig``
     KG derivation that ~20 queries share (pages → chunks → combined →
     triples / entities), built once per process — the same
-    shared-input-cache discipline as ``_ROGRAG_CACHE`` /
-    ``_TOOL_GRAPH_CACHE``.  At 100 TB the graph is built once and
+    shared-input-cache discipline as ``_ROGRAG_CACHE``.
+    At 100 TB the graph is built once and
     persisted (``pipelines/kg.write_graph``); downstream analytics read
     the persisted graph rather than re-deriving it per query, and this
     cache models exactly that.  Query fns with a non-default config
@@ -1031,28 +1031,6 @@ def q_consistency_report(sf_dir: str):
     return rd.from_arrow(consistency_report(ents, tris))
 
 
-def q_communities(sf_dir: str):
-    """Leiden level-0 communities (``graph/leiden.rs`` via the
-    per-connected-component distribution in pipelines/communities.py).
-    Oracle device: only the genuinely sequential local-move pass is staged
-    (node → ``lm`` key); DuckDB re-derives the Leiden refinement split
-    (per-``lm`` connected components via recursive-CTE reachability over
-    the staged edges, ``leiden.rs:594-668``) and the min-member community
-    labeling independently."""
-    from graphrag_rs_ray.pipelines.communities import (
-        _und_edges,
-        detect_communities_from_edges,
-    )
-    edges = _stage(
-        _und_edges(_kg_ds(sf_dir, "triples")).materialize(),
-        "communities", sf_dir, sub="edges")
-    assign = _stage(
-        detect_communities_from_edges(edges, emit_local_move=True),
-        "communities", sf_dir, sub="assign")
-    return assign.map_batches(lambda t: t.select(["node", "community"]),
-                              batch_format="pyarrow")
-
-
 def q_chunk_embeddings(sf_dir: str):
     from graphrag_rs_ray.stages.embed import EmbedStage
     from graphrag_rs_ray.stages.memo import memoized_stage
@@ -1367,30 +1345,6 @@ def q_hybrid_search(sf_dir: str):
     return td.hybrid_search(sf_dir, rankings=rankings)
 
 
-def q_community_summaries(sf_dir: str):
-    """Per-community summaries (``leiden.rs:139-230``
-    ``generate_community_summary``): header + entity count + one line per
-    type listing the top-5 members, 500-char truncation.  The community
-    ASSIGNMENT is procedural (Leiden local move), so the joined
-    (node, community, name, type, mention_count) rows are staged and
-    DuckDB re-assembles EVERY summary string (ordered string_agg,
-    overflow '' and N more'', truncation)."""
-    from graphrag_rs_ray.pipelines.communities import (
-        community_summaries_from_joined, detect_communities)
-    from graphrag_rs_ray.stages.hashagg import bucketed_join
-    res = _kg_result(sf_dir)
-    assign = detect_communities(res.triples)
-    ents = res.entities.map_batches(
-        lambda t: pa.table({"node": t.column("entity_id"),
-                            "name": t.column("name"),
-                            "type": t.column("type"),
-                            "mention_count": t.column("mention_count")}),
-        batch_format="pyarrow")
-    joined = _stage(bucketed_join(assign, ents, on=["node"]),
-                    "community_summaries", sf_dir)
-    return community_summaries_from_joined(joined)
-
-
 def q_rerank_topk(sf_dir: str):
     """Confidence cross-encoder rerank (``reranking/cross_encoder.rs:
     93-196``) of the BM25 top-50: Jaccard-overlap × length-factor
@@ -1459,57 +1413,6 @@ def q_hipporag_retrieval(sf_dir: str):
 
     return rtr.hipporag_retrieve(facts_topk, ep, ps_tbl, edges,
                                  ppr_iterations=8)
-
-
-def q_pagerank_retrieval(sf_dir: str):
-    """PageRank-based retrieval — the fast-GraphRAG search
-    (``retrieval/pagerank_retrieval.rs:134-330``): list-Jaccard vector
-    similarity over "name entity_type" + the +0.3 per-mention
-    query-in-chunk bonus → normalized reset over a 1/n default →
-    personalized PageRank on the weighted entity graph (weight-sum
-    out-degrees, uniform dangling redistribution — the reference's
-    production parallel path; FIXED 12 iterations, per-iteration
-    round-8) → 0.3/0.4 combination, 0.1 threshold → chunk expansion
-    with the ``entity_<id>`` fallback quirk → top-25.
-
-    Entities, mention rows, chunk texts and the pre-summed weighted
-    edge table are staged; DuckDB replays similarity → reset → the full
-    recurrence → combination → expansion."""
-    from graphrag_rs_ray.functions.pagerank_retrieval import (
-        PageRankRetrievalConfig)
-    from graphrag_rs_ray.pipelines.kg import dedup_triples
-    from graphrag_rs_ray.pipelines.pagerank_retrieval import (
-        search_with_pagerank, weighted_edges)
-    from graphrag_rs_ray.stages.canonicalize import (
-        entity_bucket_merge, partial_entity_agg)
-    from graphrag_rs_ray.stages.hashagg import hash_grouped_aggregate
-    from graphrag_rs_ray.stages.kg_extract import triples_only
-
-    cfg = KGConfig()
-    query = "university of berlin"
-    chunks = _kg_ds(sf_dir, "chunks")
-    combined = _kg_ds(sf_dir, "combined")
-    mentions = combined.map_batches(entities_only, batch_format="pyarrow")
-
-    ents = _kg_ds(sf_dir, "entities")
-    ents_st = _stage(ents.map_batches(
-        lambda t: t.select(["entity_id", "name", "type"]),
-        batch_format="pyarrow"), "pagerank_retrieval", sf_dir, "ents")
-    men_st = _stage(mentions.map_batches(
-        lambda t: t.select(["entity_id", "chunk_id", "mention_count"]),
-        batch_format="pyarrow"), "pagerank_retrieval", sf_dir, "mentions")
-    ch_st = _stage(chunks.map_batches(
-        lambda t: t.select(["chunk_id", "text"]), batch_format="pyarrow"),
-        "pagerank_retrieval", sf_dir, "chunks")
-
-    tri = _kg_ds(sf_dir, "triples")
-    edges_st = _stage(
-        weighted_edges(tri.map_batches(_synth_conf, batch_format="pyarrow")),
-        "pagerank_retrieval", sf_dir, "edges")
-
-    return search_with_pagerank(ents_st, men_st, ch_st, None, query,
-                                PageRankRetrievalConfig(),
-                                edges_ds=edges_st)
 
 
 def _planner_specs():
@@ -2018,57 +1921,6 @@ def q_lazy_pipeline_stats(sf_dir: str):
     return rd.from_arrow(pipeline_statistics(docs, mentions))
 
 
-def _agent_queries(sf_dir: str, query: str):
-    """Synthesized agent query corpus over the tool graph's entity
-    names, staged together with the entity-name table."""
-    import ray.data as rd
-    from graphrag_rs_ray.pipelines.agent import synthesize_agent_queries
-    g = _tool_graph(sf_dir)
-    names = [e["name"] for e in g["entities"][:8]]
-    queries = synthesize_agent_queries(names)
-    q_ds = _stage(rd.from_arrow(queries), query, sf_dir)
-    _stage(rd.from_arrow(pa.table({
-        "name": pa.array([e["name"] for e in g["entities"]],
-                         pa.string())})), query, sf_dir, "ents")
-    return q_ds, g
-
-
-def q_agent_plans(sf_dir: str):
-    """GraphRAG agent query planning (``function_calling/agent.rs:
-    115-298``): substring strategy detection, 1-/2-word window entity
-    extraction against the graph (first containing entity in
-    sorted-name order — the reference's HashMap iteration pinned,
-    documented), first quoted span, sort+dedup; per-strategy
-    graph_search/relationship_traverse call plans with the hardcoded
-    limits and the capitalized->3-byte adaptive fallback.  One 'plan'
-    header row (call_idx −1) plus one row per planned call; the oracle
-    replays the whole planner from the staged queries + entity
-    names."""
-    from graphrag_rs_ray.pipelines.agent import agent_plan_stage
-    q_ds, g = _agent_queries(sf_dir, "agent_plans")
-    return agent_plan_stage(q_ds, g)
-
-
-def q_query_analysis(sf_dir: str):
-    """QueryAnalyzer flags (``function_calling/tools.rs:241-278``):
-    entity/relationship/context focus by substring, requires_search =
-    no 'list all'/'show all', relationship > context > low
-    complexity."""
-    from graphrag_rs_ray.pipelines.agent import query_analysis_stage
-    q_ds, _ = _agent_queries(sf_dir, "query_analysis")
-    return query_analysis_stage(q_ds)
-
-
-def q_agent_sessions(sf_dir: str):
-    """Full agent loop (``agent.rs:80-113``): plan → FunctionCaller
-    tool execution (validation-failure rows kept, ``mod.rs:111-163``)
-    → synthesized answer strings (``agent.rs:300-383``).  Procedural
-    composition of oracle-checked pieces → rows-only."""
-    from graphrag_rs_ray.pipelines.agent import agent_session_stage
-    q_ds, g = _agent_queries(sf_dir, "agent_sessions")
-    return agent_session_stage(q_ds, g)
-
-
 def q_rograg_responses(sf_dir: str):
     """ROGRAG response synthesis + template assembly
     (``rograg/streaming.rs:62-1005``): five synthesis strategies
@@ -2102,37 +1954,6 @@ def _doc_texts(sf_dir: str) -> list[str]:
                         columns=["doc_id", "text"])
     order = pa.compute.sort_indices(tbl.column("doc_id"))
     return tbl.take(order).column("text").to_pylist()
-
-
-_DOC_TREE_QUERY = "report adventure discovery near the river crossing"
-
-
-def q_doc_tree_search(sf_dir: str):
-    """``DocumentTree::query`` across every document's summary tree
-    (``summarization/mod.rs:867-930``): +1 per query keyword contained
-    in the lowercased summary+keywords text, +2·query-word-overlap
-    ratio (duplicates counted), +0.5/(level+1); score > 0.1, per-doc
-    top-3 (the reference's tie order is HashMap-nondeterministic →
-    (score desc, node_id asc) pinned).  Tree nodes (procedural
-    summaries + keywords) and the extracted query keywords are staged;
-    the oracle replays the scoring + ranking."""
-    import ray.data as rd
-    from graphrag_rs_ray.functions.generation import extract_keywords
-    from graphrag_rs_ray.pipelines.doctree import (build_document_trees,
-                                                   tree_query_stage)
-    chunks = pages_to_chunks(_kg_pages(sf_dir),
-                             KGConfig(chunk_size=120, chunk_overlap=0,
-                                      min_chunk_size=20))
-    nodes = build_document_trees(chunks, with_summary=True,
-                                 with_keywords=True)
-    staged = _stage(nodes.map_batches(
-        lambda t: t.select(["doc_id", "node_id", "level", "summary",
-                            "keywords_csv"]), batch_format="pyarrow"),
-        "doc_tree_search", sf_dir)
-    _stage(rd.from_arrow(pa.table({
-        "kw": pa.array(extract_keywords(_DOC_TREE_QUERY, 5),
-                       pa.string())})), "doc_tree_search", sf_dir, "qk")
-    return tree_query_stage(staged, _DOC_TREE_QUERY, max_results=3)
 
 
 def q_text_statistics(sf_dir: str):
@@ -2622,144 +2443,6 @@ def q_lazy_search(sf_dir: str):
         pa.Table.from_pandas(mentions.to_pandas(), preserve_index=False))
     return lazy_search_stage(_rograg_queries_ds("lazy_search", sf_dir),
                              views)
-
-
-_TOOL_GRAPH_CACHE: dict[str, dict] = {}
-
-
-def _tool_graph(sf_dir: str) -> dict:
-    """Driver-side tool-graph dict, built once per process (the
-    chunk/mention index build costs ~8 s at sf0.1 — shared across the
-    six tool queries + the agent slice)."""
-    if sf_dir not in _TOOL_GRAPH_CACHE:
-        from graphrag_rs_ray.pipelines.tools import build_tool_graph
-        inp = _rograg_inputs(sf_dir)
-        _TOOL_GRAPH_CACHE[sf_dir] = build_tool_graph(
-            inp["entities"], inp["triples"], inp["mentions"],
-            inp["chunks"])
-    return _TOOL_GRAPH_CACHE[sf_dir]
-
-
-def q_tool_graph_search(sf_dir: str):
-    """Batch ``graph_search`` tool execution (``function_calling/
-    functions.rs:121-241``): exact (1.0) / contains (0.8) / fuzzy (0.6)
-    phases with later phases gated on found < limit; deterministic
-    (relevance desc, name asc, id asc) ranking."""
-    import ray.data as rd
-    from graphrag_rs_ray.pipelines.tools import (
-        graph_search_stage, synthesize_search_calls)
-    g = _tool_graph(sf_dir)
-    calls = _stage(rd.from_arrow(synthesize_search_calls(g)),
-                   "tool_graph_search", sf_dir)
-    _stage(rd.from_arrow(_rograg_inputs(sf_dir)["entities"]),
-           "tool_graph_search", sf_dir, "entities")
-    return graph_search_stage(calls, g)
-
-
-def q_tool_entity_expand(sf_dir: str):
-    """Batch ``entity_expand`` tool (``functions.rs:246-376``): incident
-    relationships in the pinned (source, type, target) order, take
-    limit, related entity resolved; unknown ids yield error rows."""
-    import ray.data as rd
-    from graphrag_rs_ray.pipelines.tools import (
-        entity_expand_stage, synthesize_expand_calls)
-    g = _tool_graph(sf_dir)
-    calls = _stage(rd.from_arrow(synthesize_expand_calls(g)),
-                   "tool_entity_expand", sf_dir)
-    _stage(rd.from_arrow(_rograg_inputs(sf_dir)["entities"]),
-           "tool_entity_expand", sf_dir, "entities")
-    rels = pa.table({
-        "source": pa.array([r["source"] for r in g["rels"]], pa.string()),
-        "target": pa.array([r["target"] for r in g["rels"]], pa.string()),
-        "type": pa.array([r["type"] for r in g["rels"]], pa.string()),
-        "conf": pa.array([r["conf"] for r in g["rels"]], pa.float64()),
-    })
-    _stage(rd.from_arrow(rels), "tool_entity_expand", sf_dir, "rels")
-    return entity_expand_stage(calls, g)
-
-
-def q_tool_entity_context(sf_dir: str):
-    """Batch ``get_entity_context`` tool (``functions.rs:600-711``):
-    context chunks containing the entity (chunk_id asc, take limit) plus
-    the entity's mention rows (offsets not tracked by this engine's
-    mention aggregates — chunk_id + confidence, documented)."""
-    import ray.data as rd
-    from graphrag_rs_ray.pipelines.tools import (
-        entity_context_stage, synthesize_context_calls)
-    g = _tool_graph(sf_dir)
-    calls = _stage(rd.from_arrow(synthesize_context_calls(g)),
-                   "tool_entity_context", sf_dir)
-    _stage(rd.from_arrow(_rograg_inputs(sf_dir)["mentions"]),
-           "tool_entity_context", sf_dir, "mentions")
-    _stage(rd.from_arrow(_rograg_inputs(sf_dir)["entities"]),
-           "tool_entity_context", sf_dir, "entities")
-    return entity_context_stage(calls, g)
-
-
-def q_tool_validation(sf_dir: str):
-    """Batch tool-argument validation (each tool's validate_arguments,
-    ``functions.rs:222-241,348-376,438-472,693-711``): required/type
-    checks, range limits, and the traverse wrong-parameter-name guard,
-    over a call table covering every rule."""
-    import ray.data as rd
-    from graphrag_rs_ray.pipelines.tools import (
-        synthesize_validation_calls, validation_calls_stage)
-    calls = _stage(rd.from_arrow(synthesize_validation_calls()),
-                   "tool_validation", sf_dir)
-    return validation_calls_stage(calls)
-
-
-def q_tool_traverse(sf_dir: str):
-    """Batch ``relationship_traverse`` tool (``functions.rs:381-560``):
-    name-or-id resolution then the reference's stack-based search whose
-    global visited set admits at most one non-trivial path (pinned edge
-    order; procedural → rows-only driver check, unit-tested)."""
-    import ray.data as rd
-    from graphrag_rs_ray.pipelines.tools import (
-        synthesize_traverse_calls, traverse_stage)
-    g = _tool_graph(sf_dir)
-    calls = _stage(rd.from_arrow(synthesize_traverse_calls(g)),
-                   "tool_traverse", sf_dir)
-    return traverse_stage(calls, g)
-
-
-def q_tool_infer(sf_dir: str):
-    """Batch ``infer_relationships`` tool (``functions.rs:714-874`` +
-    ``inference.rs:83-402``): co-occurrence evidence scoring (base 0.2 +
-    proximity + friendship/negative pattern weights ±context bonus,
-    family damper), normalized by the target's chunk count, threshold
-    0.3, top-10.  Oracle: the pinned-order tool-graph views (entities,
-    chunk texts, chunk-membership rows) are staged and DuckDB replays
-    the WHOLE tool (``_tool_infer_sql``: 3-phase resolution incl. the
-    fuzzy quirks, word-distance proximity, the 44 pattern weights with
-    context windows, family damper, normalization + threshold +
-    top-10); both sides round(8) the confidence."""
-    import ray.data as rd
-    from graphrag_rs_ray.pipelines.tools import infer_stage
-    g = _tool_graph(sf_dir)
-    names = [e["name"] for e in g["entities"][:6]] + ["zzz qqq"]
-    calls = _stage(rd.from_arrow(pa.table({
-        "call_id": pa.array(range(len(names)), pa.int64()),
-        "entity_name": pa.array(names, pa.string()),
-        "relation_type": pa.array(["FRIEND"] * len(names), pa.string()),
-    })), "tool_infer", sf_dir)
-    _stage(rd.from_arrow(pa.table({
-        "ord": pa.array(range(len(g["entities"])), pa.int64()),
-        "entity_id": pa.array([e["entity_id"] for e in g["entities"]],
-                              pa.string()),
-        "name": pa.array([e["name"] for e in g["entities"]], pa.string()),
-    })), "tool_infer", sf_dir, "entities")
-    _stage(rd.from_arrow(pa.table({
-        "chunk_idx": pa.array(range(len(g["chunks"])), pa.int64()),
-        "text": pa.array([c["text"] for c in g["chunks"]], pa.string()),
-    })), "tool_infer", sf_dir, "chunks")
-    mrows = [(i, e) for i, c in enumerate(g["chunks"])
-             for e in c["entity_ids"]]
-    _stage(rd.from_arrow(pa.table({
-        "chunk_idx": pa.array([r[0] for r in mrows], pa.int64()),
-        "entity_id": pa.array([r[1] for r in mrows], pa.string()),
-    })), "tool_infer", sf_dir, "members")
-    return infer_stage(calls, g)
 
 
 def _response_log(query_name: str, sf_dir: str):
@@ -3383,43 +3066,6 @@ def q_llm_evaluation(sf_dir: str):
 # graph/embeddings.rs — Node2Vec + GraphSAGE over a bounded KG subgraph.
 
 
-_GE_CFG = dict(dimension=32, walk_length=20, walks_per_node=4,
-               context_size=5, epochs=2, seed=17)
-
-
-def q_node2vec(sf_dir: str):
-    """Node2Vec (``graph/embeddings.rs:132-320``): distributed biased
-    walks (counter-seeded streams — partition-order-independent) over a
-    bounded weighted KG subgraph, sequential simplified skip-gram
-    (reference semantics).  Not SQL-expressible (seeded RNG + sequential
-    training) — rows-only driver check; local==distributed equality and
-    the reference's own test expectations are unit-gated."""
-    from graphrag_rs_ray.functions.graph_embeddings import EmbeddingConfig
-    from graphrag_rs_ray.pipelines.graph_embeddings import (
-        node2vec_embeddings)
-    edges = _staged_weighted_edges("node2vec", sf_dir, max_nodes=48)
-    out = node2vec_embeddings(edges, EmbeddingConfig(**_GE_CFG))
-    return out.map_batches(
-        lambda t: t.select(["node", "dim", "l2_norm"]),
-        batch_format="pyarrow")
-
-
-def q_graphsage(sf_dir: str):
-    """GraphSAGE (``graph/embeddings.rs:360-509``): per-layer node
-    fan-out with broadcast (adjacency, features); mean aggregation,
-    seeded sample-without-replacement.  Rows-only (seeded RNG)."""
-    from graphrag_rs_ray.functions.graph_embeddings import GraphSAGEConfig
-    from graphrag_rs_ray.pipelines.graph_embeddings import (
-        graphsage_embeddings)
-    edges = _staged_weighted_edges("graphsage", sf_dir, max_nodes=48)
-    out = graphsage_embeddings(
-        edges, GraphSAGEConfig(dimension=32, num_layers=2,
-                               samples_per_layer=[5, 3], seed=17))
-    return out.map_batches(
-        lambda t: t.select(["node", "dim", "l2_norm"]),
-        batch_format="pyarrow")
-
-
 # ------------------------------------------------ vector store actor --
 # vector/voy_store.rs — shared mutable vector index as a Ray actor.
 
@@ -3804,18 +3450,16 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "multimodal_features": q_multimodal_features,
         "frame_samples": q_frame_samples,
         "pagerank": q_pagerank,
-        # graph ops over staged triples (oracle-checked) + communities
+        # graph ops over staged triples (oracle-checked)
         "k_hop": q_k_hop,
         "degree_stats": q_degree_stats,
         "connected_components": q_connected_components,
         "consistency_report": q_consistency_report,
         "doc_tree": q_doc_tree,
         "doc_tree_summaries": q_doc_tree_summaries,
-        "doc_tree_search": q_doc_tree_search,
         "triangle_counts": q_triangle_counts,
         "shortest_paths": q_shortest_paths,
         "all_paths": q_all_paths,
-        "pagerank_retrieval": q_pagerank_retrieval,
         "query_plans": q_query_plans,
         "hybrid_fusion": q_hybrid_fusion,
         "enriched_search": q_enriched_search,
@@ -3833,10 +3477,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # LazyGraphRAG end-to-end pipeline (lightrag/lazy_pipeline.rs)
         "lazy_chunks": q_lazy_chunks,
         "lazy_pipeline_stats": q_lazy_pipeline_stats,
-        # function-calling agent layer (agent.rs / tools.rs)
-        "agent_plans": q_agent_plans,
-        "query_analysis": q_query_analysis,
-        "agent_sessions": q_agent_sessions,
         # ROGRAG response synthesis + templates (rograg/streaming.rs)
         "rograg_responses": q_rograg_responses,
         "text_statistics": q_text_statistics,
@@ -3846,8 +3486,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "query_focused_subgraph": q_query_focused_subgraph,
         "graph_statistics": q_graph_statistics,
         "centrality": q_centrality,
-        "communities": q_communities,
-        "community_summaries": q_community_summaries,
         "chunk_embeddings": q_chunk_embeddings,
         "neural_embeddings": q_neural_embeddings,
         # BM25 scoring + sentence stats (oracle-checked)
@@ -3889,13 +3527,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "dual_keywords": q_dual_keywords,
         "dual_retrieval": q_dual_retrieval,
         "lazy_search": q_lazy_search,
-        # batch agent-tool execution (function_calling/ + inference.rs)
-        "tool_graph_search": q_tool_graph_search,
-        "tool_entity_expand": q_tool_entity_expand,
-        "tool_entity_context": q_tool_entity_context,
-        "tool_validation": q_tool_validation,
-        "tool_traverse": q_tool_traverse,
-        "tool_infer": q_tool_infer,
         # ROGRAG quality metrics (per-response scoring + corpus report)
         "response_quality": q_response_quality,
         "quality_report": q_quality_report,
@@ -3918,9 +3549,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "doc_structure_stats": q_doc_structure_stats,
         # LLM evaluation framework (evaluation/mod.rs)
         "llm_evaluation": q_llm_evaluation,
-        # graph embeddings (graph/embeddings.rs; seeded-RNG rows-only)
-        "node2vec_embeddings": q_node2vec,
-        "graphsage_embeddings": q_graphsage,
         # shared vector-store actor (vector/voy_store.rs)
         "vector_store_topk": q_vector_store_topk,
         "vector_store_stats": q_vector_store_stats,
@@ -4145,211 +3773,6 @@ def _kg_chunks_sql(chunk_size: int = 1000, overlap: int = 100,
                      AS chunk_id,
                    doc_id, chunk AS text, s AS start, e AS "end", lang
             FROM emitted"""
-
-
-def _tool_infer_sql() -> str:
-    """Generated-SQL replay of the batch ``infer_relationships`` tool
-    (``inference.rs:83-402`` via ``functions/toolcalls.py``) over the
-    staged calls + pinned-order tool-graph views (entities, chunk texts,
-    chunk-membership rows):
-
-    - 3-phase name resolution (exact → contains → fuzzy with the
-      single-word-early-return / last-word / byte-maxlen-char-distance
-      levenshtein quirks), first hit in pinned entity order,
-    - proximity = min word-distance between word-CONTAINS-name positions
-      (multi-word names therefore rarely hit — the faithful quirk falls
-      out naturally: a word never contains a space),
-    - the 25 friendship / 19 negative pattern weights with the ±100-char
-      first-occurrence context bonus, the family ×0.8 damper, [0,1]
-      clamp, chunk-count normalization, threshold 0.3, top-10 by
-      (confidence desc, target asc).
-
-    f64 note: Python adds pattern terms in list order; the SQL SUMs are
-    unordered — both sides emit round(norm, 8) (the pagerank device), so
-    last-bit regrouping differences are absorbed."""
-    c = _staged_sql("tool_infer")
-    e = _staged_sql("tool_infer", "entities")
-    ch = _staged_sql("tool_infer", "chunks")
-    m = _staged_sql("tool_infer", "members")
-    ws = "' ' || chr(9) || chr(10) || chr(13) || chr(11) || chr(12)"
-    from graphrag_rs_ray.functions.toolcalls import (FAMILY_PATTERNS,
-                                                     FRIENDSHIP_PATTERNS,
-                                                     NEGATIVE_PATTERNS)
-    pats = ", ".join(
-        [f"({i}, 'f', '{p}', {w!r})"
-         for i, (p, w) in enumerate(FRIENDSHIP_PATTERNS)] +
-        [f"({i + 100}, 'n', '{p}', {w!r})"
-         for i, (p, w) in enumerate(NEGATIVE_PATTERNS)])
-    fam = " OR ".join(f"strpos(cl, '{p}') > 0" for p in FAMILY_PATTERNS)
-    splitw = ("list_filter(regexp_split_to_array({x}, '\\s+'), "
-              "y -> y <> '')")
-    fuzzy = f"""(
-        CASE WHEN len({splitw.format(x='lower(c.entity_name)')}) = 1
-                  AND len({splitw.format(x='lower(e.name)')}) > 0
-             THEN starts_with({splitw.format(x='lower(e.name)')}[1],
-                              {splitw.format(x='lower(c.entity_name)')}[1])
-               OR starts_with({splitw.format(x='lower(c.entity_name)')}[1],
-                              {splitw.format(x='lower(e.name)')}[1])
-             WHEN len({splitw.format(x='lower(e.name)')}) > 0
-                  AND len({splitw.format(x='lower(c.entity_name)')}) > 0
-                  AND {splitw.format(x='lower(e.name)')}[
-                        len({splitw.format(x='lower(e.name)')})]
-                    = {splitw.format(x='lower(c.entity_name)')}[
-                        len({splitw.format(x='lower(c.entity_name)')})]
-             THEN TRUE
-             ELSE levenshtein(lower(e.name), lower(c.entity_name))
-                  <= greatest(least(strlen(lower(c.entity_name)),
-                                    strlen(lower(e.name))) // 4, 1)
-        END)"""
-    return f"""
-        WITH calls AS (SELECT * FROM {c}),
-        ents AS (SELECT * FROM {e}),
-        chunksrc AS (SELECT chunk_idx, lower(text) AS cl FROM {ch}),
-        mem AS (SELECT * FROM {m}),
-        res0 AS (
-          SELECT c.call_id, c.entity_name, c.relation_type,
-            (SELECT min(ord) FROM ents e
-              WHERE trim(lower(e.name), {ws})
-                    = trim(lower(c.entity_name), {ws})) AS ex,
-            (SELECT min(ord) FROM ents e
-              WHERE contains(lower(e.name),
-                             trim(lower(c.entity_name), {ws}))
-                 OR contains(trim(lower(c.entity_name), {ws}),
-                             lower(e.name))) AS co,
-            (SELECT min(ord) FROM ents e WHERE {fuzzy}) AS fz
-          FROM calls c),
-        resolved AS (
-          SELECT r.call_id, r.relation_type, e.entity_id AS target_id
-          FROM res0 r JOIN ents e ON e.ord = COALESCE(r.ex, r.co, r.fz)),
-        tc AS (
-          SELECT r.call_id, r.target_id, m2.chunk_idx
-          FROM resolved r
-          JOIN (SELECT DISTINCT chunk_idx, entity_id FROM mem) m2
-            ON m2.entity_id = r.target_id),
-        tcn AS (SELECT call_id, count(*)::BIGINT AS n_tc
-                FROM tc GROUP BY call_id),
-        pairs AS (
-          SELECT t.call_id, t.target_id, t.chunk_idx,
-                 m.entity_id AS other,
-                 row_number() OVER () AS prid
-          FROM tc t JOIN mem m ON m.chunk_idx = t.chunk_idx
-          WHERE m.entity_id <> t.target_id),
-        idn AS (
-          SELECT DISTINCT entity_id,
-                 CASE WHEN strpos(entity_id, '_') > 0
-                      THEN lower(replace(
-                             substr(entity_id, strpos(entity_id, '_') + 1),
-                             '_', ' '))
-                      ELSE lower(entity_id) END AS nm
-          FROM (SELECT entity_id FROM mem
-                UNION SELECT target_id FROM resolved) u),
-        cn AS (
-          SELECT DISTINCT m.chunk_idx, i.nm
-          FROM mem m JOIN idn i USING (entity_id)),
-        wp AS (
-          SELECT chunk_idx, unnest(range(0, len(wl))) AS widx,
-                 unnest(wl) AS w
-          FROM (SELECT chunk_idx,
-                       {splitw.format(x='cl')} AS wl
-                FROM chunksrc) z),
-        np AS MATERIALIZED (
-          SELECT c2.chunk_idx, c2.nm, p.widx
-          FROM cn c2 JOIN wp p
-            ON p.chunk_idx = c2.chunk_idx AND contains(p.w, c2.nm)),
-        prox AS (
-          SELECT pr.prid, min(abs(a.widx - b.widx)) AS d
-          FROM pairs pr
-          JOIN idn ia ON ia.entity_id = pr.target_id
-          JOIN idn ib ON ib.entity_id = pr.other
-          LEFT JOIN np a ON a.chunk_idx = pr.chunk_idx AND a.nm = ia.nm
-          LEFT JOIN np b ON b.chunk_idx = pr.chunk_idx AND b.nm = ib.nm
-          GROUP BY pr.prid),
-        pp AS MATERIALIZED (
-          SELECT c2.chunk_idx, p.pid, p.kind, p.weight,
-                 substr(c2.cl,
-                        greatest(strpos(c2.cl, p.pattern) - 1 - 100, 0) + 1,
-                        least(strpos(c2.cl, p.pattern) - 1
-                              + length(p.pattern) + 100, length(c2.cl))
-                        - greatest(strpos(c2.cl, p.pattern) - 1 - 100, 0))
-                   AS ctx
-          FROM chunksrc c2
-          JOIN (VALUES {pats}) p(pid, kind, pattern, weight)
-            ON strpos(c2.cl, p.pattern) > 0),
-        near AS MATERIALIZED (
-          SELECT pp.chunk_idx, pp.pid, c2.nm
-          FROM pp JOIN cn c2 USING (chunk_idx)
-          WHERE contains(pp.ctx, c2.nm)),
-        famc AS (SELECT chunk_idx FROM chunksrc WHERE {fam}),
-        pc AS (
-          SELECT pr.prid,
-                 SUM(CASE WHEN pp.kind = 'f'
-                          THEN pp.weight *
-                               (CASE WHEN na.nm IS NOT NULL
-                                      AND nb.nm IS NOT NULL
-                                     THEN 0.5 ELSE 0.3 END)
-                          ELSE pp.weight *
-                               (CASE WHEN na.nm IS NOT NULL
-                                      AND nb.nm IS NOT NULL
-                                     THEN 1.2 ELSE 0.8 END)
-                     END) AS psum
-          FROM pairs pr
-          JOIN pp ON pp.chunk_idx = pr.chunk_idx
-          JOIN idn ia ON ia.entity_id = pr.target_id
-          JOIN idn ib ON ib.entity_id = pr.other
-          LEFT JOIN near na ON na.chunk_idx = pr.chunk_idx
-                           AND na.pid = pp.pid AND na.nm = ia.nm
-          LEFT JOIN near nb ON nb.chunk_idx = pr.chunk_idx
-                           AND nb.pid = pp.pid AND nb.nm = ib.nm
-          GROUP BY pr.prid),
-        ev AS (
-          SELECT pr.call_id, pr.other,
-                 least(greatest(
-                   CASE WHEN f.chunk_idx IS NOT NULL
-                        THEN ((0.2 +
-                          CASE WHEN px.d IS NULL THEN 0.0
-                               WHEN px.d <= 2 THEN 0.4
-                               WHEN px.d <= 5 THEN 0.3
-                               WHEN px.d <= 10 THEN 0.2
-                               WHEN px.d <= 20 THEN 0.1
-                               ELSE 0.05 END)
-                          + COALESCE(pc.psum, 0.0)) * 0.8
-                        ELSE (0.2 +
-                          CASE WHEN px.d IS NULL THEN 0.0
-                               WHEN px.d <= 2 THEN 0.4
-                               WHEN px.d <= 5 THEN 0.3
-                               WHEN px.d <= 10 THEN 0.2
-                               WHEN px.d <= 20 THEN 0.1
-                               ELSE 0.05 END)
-                          + COALESCE(pc.psum, 0.0)
-                   END, 0.0), 1.0) AS score
-          FROM pairs pr
-          LEFT JOIN prox px ON px.prid = pr.prid
-          LEFT JOIN pc ON pc.prid = pr.prid
-          LEFT JOIN famc f ON f.chunk_idx = pr.chunk_idx),
-        agg AS (
-          SELECT e2.call_id, e2.other, SUM(e2.score) AS s
-          FROM ev e2 GROUP BY e2.call_id, e2.other),
-        normed AS (
-          SELECT a.call_id, a.other,
-                 round(least(a.s / t.n_tc, 1.0), 8) AS confidence,
-                 t.n_tc,
-                 least(a.s / t.n_tc, 1.0) AS raw_norm
-          FROM agg a JOIN tcn t USING (call_id)),
-        ranked AS (
-          SELECT call_id, other, confidence, n_tc,
-                 row_number() OVER (PARTITION BY call_id
-                                    ORDER BY confidence DESC, other ASC)
-                   AS rank
-          FROM normed WHERE raw_norm >= 0.3)
-        SELECT r.call_id, r.rank::BIGINT AS rank, r.other AS target,
-               en.name AS target_name, r.confidence,
-               r.n_tc AS evidence_count, '' AS error
-        FROM ranked r JOIN ents en ON en.entity_id = r.other
-        WHERE r.rank <= 10
-        UNION ALL
-        SELECT call_id, -1::BIGINT, '', '', 0.0,
-               0::BIGINT, 'Entity ''' || entity_name || ''' not found'
-        FROM res0 WHERE COALESCE(ex, co, fz) IS NULL"""
 
 
 def _kg_mentions_sql() -> str:
@@ -5603,7 +5026,6 @@ def oracle_sql() -> dict[str, str]:
     d["enriched_chunks"] = _enriched_chunks_sql()
     d["kg_chunks"] = _kg_chunks_sql()
     d["kg_mentions"] = _kg_mentions_sql()
-    d["tool_infer"] = _tool_infer_sql()
     d["shortest_paths"] = _sssp_sql(n_rounds=64)
     d["rerank_topk"] = _rerank_sql(d["bm25_scores"])
     d["hipporag_retrieval"] = _hipporag_sql(n_iter=8, damping=0.5)
@@ -5617,14 +5039,9 @@ def oracle_sql() -> dict[str, str]:
     d["query_rewrite"] = _rewrite_sql()
     d["dual_keywords"] = _dual_keywords_sql()
     d["dual_retrieval"] = _dual_retrieval_sql()
-    d["tool_graph_search"] = _tool_search_sql()
-    d["tool_entity_expand"] = _tool_expand_sql()
-    d["tool_entity_context"] = _tool_context_sql()
-    d["tool_validation"] = _tool_validation_sql()
     d["response_quality"] = _response_quality_sql()
     d["quality_report"] = _quality_report_sql()
     d["logic_bindings"] = _logic_bindings_sql()
-    d["pagerank_retrieval"] = _pagerank_retrieval_sql()
     d["query_plans"] = _query_plans_sql()
     d["hybrid_fusion"] = _hybrid_fusion_sql()
     d["enriched_search"] = _enriched_search_sql()
@@ -5640,12 +5057,9 @@ def oracle_sql() -> dict[str, str]:
     d["generated_answers"] = _generation_sql()
     d["lazy_chunks"] = _lazy_chunks_sql()
     d["lazy_pipeline_stats"] = _lazy_stats_sql()
-    d["agent_plans"] = _agent_plans_sql()
-    d["query_analysis"] = _query_analysis_sql()
     d["rograg_responses"] = _rograg_responses_sql()
     d["concept_mentions"] = _concept_mentions_sql()
     d["ner_mentions"] = _ner_mentions_sql()
-    d["doc_tree_search"] = _doc_tree_search_sql()
     d["text_statistics"] = _text_statistics_sql()
     d["section_numbers"] = _section_numbers_sql()
     d["doc_collection"] = _doc_collection_sql()
@@ -6458,41 +5872,6 @@ SELECT p AS concept, chunk_id FROM valid
     """.replace("{chunks}", chunks).replace("{stop}", stop)
 
 
-# ----------------------------------------------- doc-tree query SQL --
-
-def _doc_tree_search_sql() -> str:
-    nodes = _staged_sql("doc_tree_search")
-    qk = _staged_sql("doc_tree_search", "qk")
-    qwords = "[" + ",".join(f"'{w}'" for w in
-                            _DOC_TREE_QUERY.split()) + "]"
-    return f"""
-WITH n AS (
-  SELECT doc_id, node_id, level,
-         lower(summary || ' ' || replace(keywords_csv, ',', ' '))
-           AS nt
-  FROM {nodes}),
-nw AS (SELECT doc_id, node_id,
-              list_filter(string_split_regex(nt, '\\s+'),
-                          x -> x <> '') AS ws
-       FROM n),
-scored AS (
-  SELECT n.doc_id, n.node_id, n.level,
-    (SELECT coalesce(sum(1.0), 0.0) FROM {qk} q
-     WHERE contains(n.nt, lower(q.kw)))
-    + (len(list_filter({qwords},
-           w -> list_contains(nw.ws, lower(w))))::DOUBLE
-       / len({qwords})) * 2.0
-    + (1.0 / (n.level + 1)) * 0.5 AS score
-  FROM n JOIN nw USING (doc_id, node_id)),
-ranked AS (
-  SELECT *, row_number() OVER (PARTITION BY doc_id
-             ORDER BY score DESC, node_id ASC) AS rn
-  FROM scored WHERE score > 0.1)
-SELECT doc_id, node_id, level, round(score, 12) AS score
-FROM ranked WHERE rn <= 3
-    """
-
-
 # ----------------------------------------------- NER engine SQL --
 
 def _ner_mentions_sql() -> str:
@@ -6839,149 +6218,6 @@ SELECT q.query_id, q.strategy, t.ttype AS template_type,
          AS n_chunks
 FROM q JOIN final f USING (query_id) JOIN tt t USING (query_id)
 JOIN srcall sa USING (query_id) JOIN nsub ns USING (query_id)
-    """
-
-
-# ----------------------------------------------- agent-planner SQL --
-
-def _agent_plans_sql() -> str:
-    qt = _staged_sql("agent_plans")
-    ents = _staged_sql("agent_plans", "ents")
-    return f"""
-WITH q AS (SELECT query_id, query FROM {qt}),
-ents AS (SELECT name FROM {ents}),
-words AS (SELECT query_id, query,
-                 list_filter(string_split_regex(query, '\\s+'),
-                             x -> x <> '') AS ws
-          FROM q),
-w1 AS (SELECT query_id, unnest(ws) AS win FROM words),
-w2 AS (SELECT query_id,
-              unnest(list_transform(range(1, len(ws)),
-                k -> ws[k::INT] || ' ' || ws[(k+1)::INT])) AS win
-       FROM words),
-allw AS (SELECT * FROM w1 UNION ALL SELECT * FROM w2),
-m AS (
-  SELECT w.query_id,
-         (SELECT min(e.name) FROM ents e
-          WHERE contains(lower(e.name), lower(w.win))) AS ename
-  FROM allw w),
-quoted AS (
-  SELECT query_id,
-    CASE WHEN strpos(query, '"') > 0
-              AND strpos(substr(query, strpos(query, '"') + 1), '"') > 0
-         THEN substr(query, strpos(query, '"') + 1,
-                     strpos(substr(query, strpos(query, '"') + 1), '"')
-                     - 1)
-    END AS qent
-  FROM q),
-pot AS (
-  SELECT query_id, name,
-         row_number() OVER (PARTITION BY query_id ORDER BY name) AS rk
-  FROM (SELECT DISTINCT query_id, ename AS name FROM m
-        WHERE ename IS NOT NULL
-        UNION
-        SELECT query_id, qent FROM quoted WHERE qent IS NOT NULL)),
-np AS (SELECT query_id, count(*)::BIGINT AS n FROM pot
-       GROUP BY query_id),
-strat AS (
-  SELECT q.query_id, coalesce(np.n, 0) AS np,
-    CASE WHEN contains(lower(query), 'relationship')
-              OR contains(lower(query), 'connect')
-              OR contains(lower(query), 'relation')
-              OR contains(lower(query), 'between')
-           THEN 'relationship_exploration'
-         WHEN contains(lower(query), 'context')
-              OR contains(lower(query), 'detail')
-              OR contains(lower(query), 'about')
-              OR contains(lower(query), 'information')
-           THEN 'contextual_analysis'
-         WHEN coalesce(np.n, 0) > 0 THEN 'entity_search'
-         ELSE 'adaptive' END AS strategy
-  FROM q LEFT JOIN np USING (query_id)),
-kterms AS (
-  SELECT query_id, w, row_number() OVER (
-           PARTITION BY query_id ORDER BY pos) AS krk
-  FROM (SELECT query_id, unnest(ws) AS w,
-               unnest(range(1, len(ws)+1)) AS pos
-        FROM words) t
-  WHERE strlen(w) > 3 AND substr(w, 1, 1) = upper(substr(w, 1, 1))
-        AND substr(w, 1, 1) <> lower(substr(w, 1, 1))),
-calls AS (
-  SELECT p.query_id, (p.rk - 1)::BIGINT AS call_idx,
-         'graph_search' AS function, p.name AS entity_name,
-         '' AS source_entity, '' AS target_entity,
-         CASE s.strategy WHEN 'entity_search' THEN 5 ELSE 3
-           END::BIGINT AS arg_limit,
-         -1::BIGINT AS max_hops
-  FROM pot p JOIN strat s USING (query_id)
-  WHERE s.strategy IN ('entity_search', 'relationship_exploration',
-                       'contextual_analysis')
-  UNION ALL
-  SELECT s.query_id, s.np, 'relationship_traverse', '', p1.name,
-         p2.name, -1, 3
-  FROM strat s
-  JOIN pot p1 ON p1.query_id = s.query_id AND p1.rk = 1
-  JOIN pot p2 ON p2.query_id = s.query_id AND p2.rk = 2
-  WHERE s.strategy = 'relationship_exploration' AND s.np >= 2
-  UNION ALL
-  SELECT k.query_id, (k.krk - 1)::BIGINT, 'graph_search', k.w, '', '',
-         5, -1
-  FROM kterms k JOIN strat s USING (query_id)
-  WHERE s.strategy = 'adaptive' AND k.krk <= 3),
-ngs AS (SELECT query_id, count(*) FILTER (
-          WHERE function = 'graph_search')::BIGINT AS n
-        FROM calls GROUP BY query_id),
-allrows AS (
-  SELECT s.query_id, s.strategy, -1::BIGINT AS call_idx,
-         'plan' AS function, '' AS entity_name, '' AS source_entity,
-         '' AS target_entity, -1::BIGINT AS arg_limit,
-         -1::BIGINT AS max_hops
-  FROM strat s
-  UNION ALL
-  SELECT c.query_id, s.strategy, c.call_idx, c.function, c.entity_name,
-         c.source_entity, c.target_entity, c.arg_limit, c.max_hops
-  FROM calls c JOIN strat s USING (query_id))
-SELECT r.query_id, r.strategy, r.call_idx, r.function, r.entity_name,
-       r.source_entity, r.target_entity, r.arg_limit, r.max_hops,
-       coalesce(g.n, 0) AS n_entities, 0.8 AS confidence
-FROM allrows r LEFT JOIN ngs g USING (query_id)
-    """
-
-
-def _query_analysis_sql() -> str:
-    qt = _staged_sql("query_analysis")
-    return f"""
-SELECT query_id,
-  (contains(lower(query), 'what is') OR contains(lower(query), 'who is')
-   OR contains(lower(query), 'tell me about'))::BIGINT
-    AS is_entity_focused,
-  (contains(lower(query), 'relationship')
-   OR contains(lower(query), 'connect')
-   OR contains(lower(query), 'relation')
-   OR contains(lower(query), 'between')
-   OR contains(lower(query), 'how are')
-   OR contains(lower(query), 'associated'))::BIGINT
-    AS is_relationship_focused,
-  (contains(lower(query), 'context') OR contains(lower(query), 'detail')
-   OR contains(lower(query), 'information')
-   OR contains(lower(query), 'describe')
-   OR contains(lower(query), 'explain'))::BIGINT AS is_context_focused,
-  (NOT contains(lower(query), 'list all')
-   AND NOT contains(lower(query), 'show all'))::BIGINT
-    AS requires_search,
-  CASE WHEN contains(lower(query), 'relationship')
-            OR contains(lower(query), 'connect')
-            OR contains(lower(query), 'relation')
-            OR contains(lower(query), 'between')
-            OR contains(lower(query), 'how are')
-            OR contains(lower(query), 'associated') THEN 'high'
-       WHEN contains(lower(query), 'context')
-            OR contains(lower(query), 'detail')
-            OR contains(lower(query), 'information')
-            OR contains(lower(query), 'describe')
-            OR contains(lower(query), 'explain') THEN 'medium'
-       ELSE 'low' END AS complexity
-FROM {qt}
     """
 
 
@@ -8077,104 +7313,6 @@ def _query_plans_sql() -> str:
                            + least(5.0 / te, 1.0), 1.0), 8) FROM sc
         ORDER BY query_id
     """
-
-
-def _pagerank_retrieval_sql(query: str = "university of berlin",
-                            n_iter: int = 12, d: float = 0.85,
-                            vw: float = 0.3, pw: float = 0.4,
-                            min_sim: float = 0.1, bonus: float = 0.3,
-                            thr: float = 0.1, max_results: int = 25) -> str:
-    """PageRank-retrieval oracle (``pagerank_retrieval.rs:134-330`` +
-    ``pagerank.rs:248-358,388-407,536-566``): list-Jaccard similarity
-    (duplicate-counting intersection over whitespace-split lowercase
-    word LISTS), per-mention chunk-contains bonus, reset = normalized
-    vector scores over a uniform-1/n default, the weight-sum-normalized
-    PPR recurrence with uniform dangling redistribution (round-8 per
-    iteration, both sides), 0.3/0.4 combination + 0.1 threshold, chunk
-    expansion with the ``entity_<id>`` fallback, top-``max_results``."""
-    ents = _staged_sql("pagerank_retrieval", "ents")
-    mts = _staged_sql("pagerank_retrieval", "mentions")
-    chs = _staged_sql("pagerank_retrieval", "chunks")
-    edges = _staged_sql("pagerank_retrieval", "edges")
-    qwords = query.lower().split()
-    qlist = "[" + ", ".join(f"'{w}'" for w in qwords) + "]"
-    ql = float(len(qwords))
-    parts = [f"""
-        WITH ents AS MATERIALIZED (
-          SELECT entity_id, name, type FROM {ents}),
-        e AS MATERIALIZED (SELECT src, dst, w FROM {edges}),
-        nn AS (SELECT count(*)::DOUBLE AS n FROM ents),
-        ew AS (SELECT entity_id,
-                 list_filter(string_split_regex(
-                     lower(name || ' ' || type), '\\s+'),
-                   x -> x <> '') AS ws
-               FROM ents),
-        jraw AS (SELECT entity_id,
-                   len(list_filter({qlist},
-                       w -> list_contains(ws, w)))::DOUBLE AS ic,
-                   len(ws)::DOUBLE AS el
-                 FROM ew),
-        jp AS (SELECT entity_id, ic / ({ql} + el - ic) AS sim FROM jraw
-               WHERE ic > 0 AND ic / ({ql} + el - ic) > {min_sim}),
-        mchunk AS (SELECT chunk_id FROM {chs}
-                   WHERE contains(lower(text), '{query.lower()}')),
-        bon AS (SELECT m.entity_id,
-                       {bonus} * sum(m.mention_count)::DOUBLE AS bv
-                FROM {mts} m JOIN mchunk USING (chunk_id)
-                GROUP BY m.entity_id),
-        vs AS MATERIALIZED (
-          SELECT coalesce(j.entity_id, b.entity_id) AS entity_id,
-                 round(coalesce(j.sim, 0.0) + coalesce(b.bv, 0.0), 8) AS v
-          FROM jp j FULL JOIN bon b ON j.entity_id = b.entity_id),
-        tot AS (SELECT sum(v) AS tv FROM vs),
-        reset AS MATERIALIZED (
-          SELECT en.entity_id AS node,
-                 CASE WHEN v.v IS NOT NULL
-                      THEN v.v / (SELECT tv FROM tot)
-                      ELSE 1.0 / (SELECT n FROM nn) END AS r
-          FROM ents en LEFT JOIN vs v ON en.entity_id = v.entity_id),
-        deg AS MATERIALIZED (SELECT src, sum(w) AS wsum FROM e
-                             GROUP BY src),
-        s0 AS (SELECT node, 1.0 / (SELECT n FROM nn) AS score
-               FROM reset)"""]
-    for i in range(1, n_iter + 1):
-        parts.append(f""",
-        g{i} AS (SELECT coalesce(sum(s.score), 0.0) AS gm FROM s{i - 1} s
-                 WHERE s.node NOT IN (SELECT src FROM deg)),
-        s{i} AS MATERIALIZED (
-          SELECT r.node,
-                 round((1.0 - {d}) * r.r + coalesce(c.csum, 0.0)
-                       + {d} * (SELECT gm FROM g{i})
-                         / (SELECT n FROM nn), 8) AS score
-          FROM reset r LEFT JOIN (
-            SELECT e.dst AS node,
-                   sum({d} * s.score * e.w / dg.wsum) AS csum
-            FROM e JOIN s{i - 1} s ON e.src = s.node
-                   JOIN deg dg ON e.src = dg.src
-            GROUP BY e.dst) c ON r.node = c.node)""")
-    parts.append(f""",
-        comb AS (SELECT s.node AS entity_id,
-                        round({vw} * coalesce(v.v, 0.0)
-                              + {pw} * s.score, 8) AS score,
-                        coalesce(v.v, 0.0) AS vector_score,
-                        s.score AS pagerank_score
-                 FROM s{n_iter} s LEFT JOIN vs v ON s.node = v.entity_id
-                 WHERE round({vw} * coalesce(v.v, 0.0)
-                             + {pw} * s.score, 8) >= {thr}),
-        dp AS (SELECT DISTINCT m.entity_id, m.chunk_id FROM {mts} m
-               JOIN comb c ON m.entity_id = c.entity_id),
-        rws AS (SELECT c.entity_id,
-                       coalesce(d.chunk_id,
-                                'entity_' || c.entity_id) AS chunk_id,
-                       c.score, c.vector_score, c.pagerank_score
-                FROM comb c LEFT JOIN dp d ON c.entity_id = d.entity_id)
-        SELECT row_number() OVER (
-                 ORDER BY score DESC, entity_id, chunk_id) AS rank,
-               entity_id, chunk_id, score, vector_score, pagerank_score
-        FROM rws
-        ORDER BY score DESC, entity_id, chunk_id
-        LIMIT {max_results}""")
-    return "\n".join(parts)
 
 
 def _validation_sql() -> str:
@@ -9576,37 +8714,6 @@ def _oracle_sql_base() -> dict[str, str]:
             FROM {s}
         """.replace("{s}", _staged_sql("kg_extract_text"))
           .replace("{ws}", "' ' || chr(9) || chr(10) || chr(13) || chr(11) || chr(12)"),
-        "community_summaries": """
-            WITH m AS (SELECT community, name, type, mention_count FROM {s}),
-            counts AS (SELECT community, count(*)::BIGINT AS n_entities
-                       FROM m GROUP BY community),
-            ranked AS (
-              SELECT community, type, name,
-                     row_number() OVER (PARTITION BY community, type
-                                        ORDER BY mention_count DESC, name ASC) AS rk,
-                     count(*) OVER (PARTITION BY community, type) AS type_n
-              FROM m),
-            type_lines AS (
-              SELECT community, type,
-                     '- ' || type || ': ' ||
-                     string_agg(name, ', ' ORDER BY rk) ||
-                     CASE WHEN max(type_n) > 5
-                          THEN ' and ' || (max(type_n) - 5)::VARCHAR || ' more'
-                          ELSE '' END AS line
-              FROM ranked WHERE rk <= 5 GROUP BY community, type),
-            body AS (SELECT community, string_agg(line, chr(10) ORDER BY type) AS lines
-                     FROM type_lines GROUP BY community),
-            assembled AS (
-              SELECT c.community, c.n_entities,
-                     'Community ' || c.community || ' (Level 0)' || chr(10) ||
-                     'Contains ' || c.n_entities::VARCHAR || ' entities:' || chr(10) ||
-                     b.lines AS s
-              FROM counts c JOIN body b USING (community))
-            SELECT community, n_entities,
-                   CASE WHEN length(s) > 500 THEN substr(s, 1, 497) || '...'
-                        ELSE s END AS summary
-            FROM assembled
-        """.replace("{s}", _staged_sql("community_summaries")),
         "consistency_report": """
             WITH e AS (SELECT * FROM {e}),
             t AS (SELECT * FROM {t}),
@@ -9943,36 +9050,6 @@ def _oracle_sql_base() -> dict[str, str]:
               SELECT u.dst, r.lab FROM r JOIN und u ON u.src = r.node)
             SELECT node, min(lab) AS component FROM r GROUP BY node
         """.replace("{t}", _staged_sql("connected_components")),
-        # Leiden refinement + labeling re-derived from the staged
-        # local-move assignment: per-lm connected components (recursive
-        # reachability closure, leiden.rs:594-668 split semantics) then
-        # community = smallest member name.  MATERIALIZED is mandatory on
-        # CTEs referenced from the recursive arm (DuckDB re-inlines them
-        # per iteration otherwise).
-        "communities": """
-            WITH RECURSIVE lm AS MATERIALIZED (
-              SELECT node, lm FROM {a}),
-            ed AS (SELECT a, b FROM {e} WHERE a <> b),
-            eds AS MATERIALIZED (
-              SELECT e.a, e.b, la.lm FROM (
-                 SELECT a, b FROM ed UNION SELECT b, a FROM ed) e
-              JOIN lm la ON la.node = e.a
-              JOIN lm lb ON lb.node = e.b
-              WHERE la.lm = lb.lm),
-            r(node, dst, lm) AS (
-              SELECT node, node, lm FROM lm
-              UNION
-              SELECT r.node, e.b, r.lm
-              FROM r JOIN eds e ON e.a = r.dst AND e.lm = r.lm),
-            comp AS (SELECT node, lm, min(dst) AS comp_label
-                     FROM r GROUP BY node, lm),
-            grp AS (SELECT lm, comp_label, min(node) AS community
-                    FROM comp GROUP BY lm, comp_label)
-            SELECT c.node AS node, g.community AS community
-            FROM comp c
-            JOIN grp g ON g.lm = c.lm AND g.comp_label = c.comp_label
-        """.replace("{a}", _staged_sql("communities", "assign"))
-           .replace("{e}", _staged_sql("communities", "edges")),
         "degree_stats": """
             WITH ep AS (
               SELECT subj AS node, 1 AS out_d, 0 AS in_d FROM {t}
@@ -10611,198 +9688,6 @@ def _dual_retrieval_sql(top_k: int = 10) -> str:
           SELECT j, doc_id, score, 1 AS src FROM {low})
         {union}
         ORDER BY strategy, rank
-    """
-
-
-def _tool_search_sql(top_default: int = 10) -> str:
-    """graph_search oracle (``functions.rs:121-241``): the three match
-    phases with later phases gated on the per-call found-so-far count,
-    the fuzzy rule (single-word prefix / last-word equality / edit
-    distance ≤ max(min_bytes//4, 1)) and the pinned ranking."""
-    calls = _staged_sql("tool_graph_search")
-    ents = _staged_sql("tool_graph_search", "entities")
-    qp = r"list_filter(string_split_regex(lower(entity_name), '\s+'), x -> x <> '')"
-    ep = r"list_filter(string_split_regex(ln, '\s+'), x -> x <> '')"
-    return f"""
-        WITH calls AS (SELECT call_id, entity_name, limit_arg FROM {calls}),
-        e AS (SELECT entity_id, name, type, conf, mention_count,
-              lower(name) AS ln FROM {ents}),
-        pair AS (SELECT c.call_id, c.entity_name, c.limit_arg, e.*
-                 FROM calls c CROSS JOIN e),
-        flags AS (SELECT *,
-            (trim(ln) = trim(lower(entity_name))) AS ex,
-            (contains(ln, lower(entity_name))
-             OR contains(lower(entity_name), ln)) AS ct,
-            CASE WHEN len({qp}) = 1 AND len({ep}) > 0
-                 THEN (starts_with(({ep})[1], ({qp})[1])
-                       OR starts_with(({qp})[1], ({ep})[1]))
-                 WHEN len({ep}) > 0 AND len({qp}) > 0
-                      AND ({ep})[len({ep})] = ({qp})[len({qp})] THEN TRUE
-                 ELSE levenshtein(ln, lower(entity_name))
-                      <= greatest(least(strlen(lower(entity_name)),
-                                        strlen(ln)) // 4, 1) END AS fz
-            FROM pair),
-        p1 AS (SELECT call_id, entity_id, name, type, conf, mention_count,
-               1.0 AS score FROM flags WHERE ex),
-        c1 AS (SELECT call_id, count(*) AS n FROM p1 GROUP BY call_id),
-        p2 AS (SELECT f.call_id, f.entity_id, f.name, f.type, f.conf,
-               f.mention_count, 0.8 AS score
-               FROM flags f LEFT JOIN c1 USING (call_id)
-               WHERE coalesce(c1.n, 0) < f.limit_arg AND f.ct AND NOT f.ex),
-        c2 AS (SELECT call_id, count(*) AS n FROM p2 GROUP BY call_id),
-        p3 AS (SELECT f.call_id, f.entity_id, f.name, f.type, f.conf,
-               f.mention_count, 0.6 AS score
-               FROM flags f LEFT JOIN c1 USING (call_id)
-               LEFT JOIN c2 USING (call_id)
-               WHERE coalesce(c1.n, 0) + coalesce(c2.n, 0) < f.limit_arg
-                 AND f.fz AND NOT f.ex AND NOT f.ct),
-        allm AS (SELECT * FROM p1 UNION ALL SELECT * FROM p2
-                 UNION ALL SELECT * FROM p3),
-        ranked AS (SELECT a.*, c.limit_arg,
-                   row_number() OVER (PARTITION BY a.call_id
-                                      ORDER BY a.score DESC, a.name ASC,
-                                               a.entity_id ASC) AS rank
-                   FROM allm a JOIN calls c USING (call_id))
-        SELECT call_id, rank::BIGINT AS rank, entity_id AS id, name, type,
-               round(conf::DOUBLE, 6) AS confidence,
-               score AS relevance_score, mention_count AS mentions_count
-        FROM ranked WHERE rank <= limit_arg
-        ORDER BY call_id, rank
-    """
-
-
-def _tool_expand_sql() -> str:
-    """entity_expand oracle (``functions.rs:246-376``): incident
-    relationships in the pinned (source, type, target) order, take
-    limit; unknown ids produce the error row."""
-    calls = _staged_sql("tool_entity_expand")
-    ents = _staged_sql("tool_entity_expand", "entities")
-    rels = _staged_sql("tool_entity_expand", "rels")
-    return f"""
-        WITH calls AS (SELECT call_id, entity_id, limit_arg FROM {calls}),
-        e AS (SELECT entity_id, name, type FROM {ents}),
-        r AS (SELECT source, target, type, conf FROM {rels}),
-        known AS (SELECT c.* FROM calls c JOIN e ON e.entity_id = c.entity_id),
-        unknown AS (SELECT c.* FROM calls c
-                    LEFT JOIN e ON e.entity_id = c.entity_id
-                    WHERE e.entity_id IS NULL),
-        inc AS (SELECT k.call_id, k.limit_arg, r.type AS rel_type, r.conf,
-                CASE WHEN r.source = k.entity_id
-                     THEN 'outgoing' ELSE 'incoming' END AS direction,
-                CASE WHEN r.source = k.entity_id
-                     THEN r.target ELSE r.source END AS rid,
-                row_number() OVER (PARTITION BY k.call_id
-                                   ORDER BY r.source, r.type, r.target)
-                  AS rn
-                FROM known k JOIN r
-                  ON r.source = k.entity_id OR r.target = k.entity_id),
-        rows_ AS (SELECT i.call_id, (i.rn - 1)::BIGINT AS idx,
-                  i.rel_type AS relationship_type, i.direction,
-                  i.rid AS related_id,
-                  coalesce(e2.name, '') AS related_name,
-                  coalesce(e2.type, '') AS related_type,
-                  round(i.conf::DOUBLE, 6) AS confidence, '' AS error
-                  FROM inc i LEFT JOIN e e2 ON e2.entity_id = i.rid
-                  WHERE i.rn <= i.limit_arg)
-        SELECT * FROM rows_
-        UNION ALL
-        SELECT call_id, -1::BIGINT, '', '', '', '', '', 0.0,
-               'Entity with id ''' || entity_id || ''' not found'
-        FROM unknown
-        ORDER BY call_id, idx
-    """
-
-
-def _tool_context_sql() -> str:
-    """get_entity_context oracle (``functions.rs:600-711``): per-call
-    chunk rows (chunks containing the entity, chunk_id asc, take limit;
-    n_entities = distinct entities in chunk) + mention rows (chunk_id
-    asc) + error rows for unknown ids."""
-    calls = _staged_sql("tool_entity_context")
-    ments = _staged_sql("tool_entity_context", "mentions")
-    ents = _staged_sql("tool_entity_context", "entities")
-    return f"""
-        WITH calls AS (SELECT call_id, entity_id, limit_arg FROM {calls}),
-        e AS (SELECT entity_id FROM {ents}),
-        m AS (SELECT chunk_id, doc_id, entity_id, conf FROM {ments}),
-        known AS (SELECT c.* FROM calls c JOIN e USING (entity_id)),
-        unknown AS (SELECT c.* FROM calls c
-                    LEFT JOIN e USING (entity_id)
-                    WHERE e.entity_id IS NULL),
-        nent AS (SELECT chunk_id, count(DISTINCT entity_id) AS n
-                 FROM m GROUP BY chunk_id),
-        echunks AS (SELECT k.call_id, m.chunk_id, m.doc_id,
-                    row_number() OVER (PARTITION BY k.call_id
-                                       ORDER BY m.chunk_id) AS rn,
-                    k.limit_arg
-                    FROM known k JOIN m ON m.entity_id = k.entity_id),
-        chunk_rows AS (SELECT ec.call_id, 'chunk' AS kind,
-                       (ec.rn - 1)::BIGINT AS idx, ec.chunk_id, ec.doc_id,
-                       ne.n::BIGINT AS n_entities, 0.0 AS conf, '' AS error
-                       FROM echunks ec JOIN nent ne USING (chunk_id)
-                       WHERE ec.rn <= ec.limit_arg),
-        mention_rows AS (SELECT k.call_id, 'mention' AS kind,
-                         (row_number() OVER (PARTITION BY k.call_id
-                                             ORDER BY m.chunk_id) - 1)
-                           ::BIGINT AS idx,
-                         m.chunk_id, '' AS doc_id, 0::BIGINT AS n_entities,
-                         round(m.conf::DOUBLE, 6) AS conf, '' AS error
-                         FROM known k JOIN m ON m.entity_id = k.entity_id)
-        SELECT * FROM chunk_rows
-        UNION ALL SELECT * FROM mention_rows
-        UNION ALL
-        SELECT call_id, 'error', -1::BIGINT, '', '', 0::BIGINT, 0.0,
-               'Entity with id ''' || entity_id || ''' not found'
-        FROM unknown
-        ORDER BY call_id, kind, idx
-    """
-
-
-def _tool_validation_sql() -> str:
-    """Tool-argument validation oracle: each tool's rule chain replayed
-    as ordered CASE branches ('' string = absent, -1 int = absent)."""
-    calls = _staged_sql("tool_validation")
-    return f"""
-        WITH c AS (SELECT * FROM {calls}),
-        v AS (SELECT call_id, function,
-          CASE function
-          WHEN 'graph_search' THEN
-            CASE WHEN entity_name = ''
-                 THEN 'entity_name must be a string'
-                 WHEN limit_arg >= 0 AND (limit_arg < 1 OR limit_arg > 100)
-                 THEN 'limit must be between 1 and 100'
-                 ELSE '' END
-          WHEN 'entity_expand' THEN
-            CASE WHEN entity_id = ''
-                 THEN 'entity_id must be a string'
-                 WHEN depth >= 0 AND (depth < 1 OR depth > 5)
-                 THEN 'depth must be between 1 and 5'
-                 WHEN limit_arg >= 0 AND (limit_arg < 1 OR limit_arg > 100)
-                 THEN 'limit must be between 1 and 100'
-                 ELSE '' END
-          WHEN 'relationship_traverse' THEN
-            CASE WHEN bad_param
-                 THEN 'PARAMETER ERROR: Use ''source_entity'' and ''target_entity'' (not ''entity_id_1'', ''entity1_id'', etc.)'
-                 WHEN source_entity = ''
-                 THEN 'REQUIRED PARAMETER: ''source_entity'' must be a string'
-                 WHEN target_entity = ''
-                 THEN 'REQUIRED PARAMETER: ''target_entity'' must be a string'
-                 WHEN max_hops >= 0 AND (max_hops < 1 OR max_hops > 10)
-                 THEN 'PARAMETER ERROR: ''max_hops'' must be between 1 and 10'
-                 ELSE '' END
-          WHEN 'get_entity_context' THEN
-            CASE WHEN entity_id = ''
-                 THEN 'entity_id must be a string'
-                 WHEN limit_arg >= 0 AND (limit_arg < 1 OR limit_arg > 50)
-                 THEN 'limit must be between 1 and 50'
-                 ELSE '' END
-          WHEN 'infer_relationships' THEN
-            CASE WHEN entity_name = '' THEN 'entity_name is required'
-                 ELSE '' END
-          ELSE '' END AS error
-          FROM c)
-        SELECT call_id, function, error, (error = '') AS is_valid
-        FROM v ORDER BY call_id
     """
 
 

@@ -231,13 +231,6 @@ def run_bench() -> dict:
 
     timed("semantic_edges", semantic_edges_unstaged)
     timed("degree_stats", lambda: q["degree_stats"](sf_dir).count())
-    # un-staged production path (the query fn stages its oracle inputs —
-    # harness I/O, not operator cost; same precedent as kg_triples)
-    def communities_unstaged():
-        from graphrag_rs_ray.pipelines.communities import detect_communities
-        return detect_communities(e._kg_ds(sf_dir, "triples")).count()
-
-    timed("communities", communities_unstaged)
     def ner_unstaged():
         from graphrag_rs_ray.pipelines.kg import pages_to_chunks
         from graphrag_rs_ray.sources.pages import pages_dataset
@@ -367,7 +360,7 @@ def run_bench() -> dict:
     # index path, transactions-side report, RAPTOR trees
     # graph analytics, un-staged production paths over the shared triples
     # checkpoint (the query fns stage the triple table for their oracles —
-    # harness I/O, same precedent as kg_triples/communities/concept_edges)
+    # harness I/O, same precedent as kg_triples/concept_edges)
     def _tri_sel():
         return e._kg_ds(sf_dir, "triples").map_batches(
             lambda t: t.select(["subj", "pred", "obj"]),
@@ -386,19 +379,10 @@ def run_bench() -> dict:
         return triangle_counts(_tri_sel(), num_buckets=16).count()
 
     def cc_unstaged():
-        import pyarrow as pa
-        import pyarrow.compute as pc
         from graphrag_rs_ray.pipelines.communities import (
-            connected_components)
-
-        def und(t):
-            keep = t.filter(pc.invert(pc.equal(t.column("subj"),
-                                               t.column("obj"))))
-            return pa.table({"a": keep.column("subj"),
-                             "b": keep.column("obj")})
-        return connected_components(
-            _tri_sel().map_batches(und, batch_format="pyarrow"),
-            num_buckets=16).count()
+            _und_edges, connected_components)
+        return connected_components(_und_edges(_tri_sel()),
+                                    num_buckets=16).count()
 
     timed("pagerank", pagerank_unstaged)
     timed("triangle_counts", triangles_unstaged)
@@ -420,13 +404,11 @@ def run_bench() -> dict:
     # round-2 late additions: traversal subgraphs, planner, entity
     # linking, text analysis (retrieval fusions' heavy halves — BM25,
     # cosine, extraction — are covered by the entries above).
-    # The shared KG-derived input caches (entities/triples/mentions +
-    # the driver-side tool-graph index) are warmed UNTIMED — the same
-    # per-process caches the linking/tool/agent queries and the ROGRAG
-    # stack reuse — so each entry measures its operator, not shared
-    # input construction.
+    # The shared KG-derived input cache (entities/triples/mentions) is
+    # warmed UNTIMED — the same per-process cache the linking queries
+    # and the ROGRAG stack reuse — so each entry measures its operator,
+    # not shared input construction.
     e._rograg_inputs(sf_dir)
-    e._tool_graph(sf_dir)
     timed("ego_network", lambda: q["ego_network"](sf_dir).count())
 
     # distributed hybrid linking over the flat mention table; the flat
@@ -447,11 +429,10 @@ def run_bench() -> dict:
     timed("query_plans", lambda: q["query_plans"](sf_dir).count())
     timed("entity_clusters", lambda: q["entity_clusters"](sf_dir).count())
     timed("text_statistics", lambda: q["text_statistics"](sf_dir).count())
-    # round-2 third-session additions: answer generation, agent planning,
-    # string-similarity linking, LazyGraphRAG fixed chunker
+    # answer generation, string-similarity linking, LazyGraphRAG fixed
+    # chunker
     timed("generated_answers",
           lambda: q["generated_answers"](sf_dir).count())
-    timed("agent_plans", lambda: q["agent_plans"](sf_dir).count())
     timed("string_sim_pairs",
           lambda: q["string_sim_pairs"](sf_dir).count())
     timed("lazy_chunks", lambda: q["lazy_chunks"](sf_dir).count())

@@ -1,17 +1,12 @@
-"""User-facing API facade — port of the reference's three API levels
-(``api/simple.rs`` one-function answers, ``api/easy.rs``
-``SimpleGraphRAG``, ``lib.rs:230-900`` ``GraphRAG`` orchestrator,
-``builder/mod.rs`` stub builder).
+"""User-facing build facade — port of the reference's ``GraphRAG``
+orchestrator (``lib.rs:230-900``) up to graph construction, plus the
+``builder/mod.rs`` stub builder.
 
-The reference's ``GraphRAG::ask`` flow (``lib.rs:658-683``):
-ensure-initialized → lazily build the graph when documents exist but
-no graph does → hybrid retrieval over the namespaced entity+chunk
-corpus → results formatted ``"{content} (score: {:.2})"`` joined with
-newlines (the no-LLM default path; the Ollama branch is out of
-sandbox scope).  This port composes the repo's OWN oracle-checked Ray
-dataflows: ``pipelines/kg`` (chunking + canonical entity extraction)
-and ``pipelines/hybrid`` (hash-embedding semantic + BM25 keyword
-shortlists, RRF fusion).
+``GraphRAG`` collects documents and builds the graph lazily through the
+repo's own oracle-checked dataflow (``pipelines/kg``: chunking +
+canonical entity extraction + deduped triples).  The reference's query
+half (``ask``, ``api/simple.rs``, ``api/easy.rs``) is outside this
+engine's indexing scope.
 
 Per the repo contract, NOTHING here calls ``ray.init`` — the caller
 owns the Ray session (the driver, bench.py, or the test fixture).
@@ -47,7 +42,6 @@ class GraphRAG:
         self._initialized = False
         self._docs: list[dict] = []
         self._entities = None      # materialized Datasets
-        self._chunks = None
         self._triples = None
 
     # ------------------------------------------------- lifecycle --
@@ -81,30 +75,24 @@ class GraphRAG:
         self._docs.append({"id": doc_id, "title": title,
                            "content": text})
         self._entities = None      # graph is stale (lazy rebuild)
-        self._chunks = None
         self._triples = None
 
     # ----------------------------------------------------- graph --
 
     def build_graph(self):
-        """Pages → chunks → canonical entities + deduped triples, via
-        the flagship dataflow (``pipelines/kg.py``); materialized once
+        """Pages → canonical entities + deduped triples, via the
+        flagship dataflow (``pipelines/kg.py``); materialized once
         (small facade corpora)."""
         import ray.data as rd
-        from .pipelines.kg import (entities_dataset, pages_to_chunks,
-                                   triples_dataset)
+        from .pipelines.kg import entities_dataset, triples_dataset
         pages = rd.from_arrow(_pages_table(self._docs))
-        self._chunks = pages_to_chunks(pages, self.config).materialize()
+        self._entities = entities_dataset(pages, self.config).materialize()
         pages2 = rd.from_arrow(_pages_table(self._docs))
-        self._entities = entities_dataset(
-            pages2, self.config).materialize()
-        pages3 = rd.from_arrow(_pages_table(self._docs))
-        self._triples = triples_dataset(
-            pages3, self.config).materialize()
+        self._triples = triples_dataset(pages2, self.config).materialize()
 
     def get_knowledge_graph(self) -> dict | None:
-        """Materialized graph view for the REST handlers
-        (``lib.rs::get_knowledge_graph`` shape); None before build."""
+        """Materialized graph view (``lib.rs::get_knowledge_graph``
+        shape); None before build."""
         if not self.has_graph():
             return None
         entities = [{"id": r["entity_id"], "name": r["name"],
@@ -115,44 +103,6 @@ class GraphRAG:
                          for r in self._triples.take_all()]
         return {"entities": entities, "relationships": relationships,
                 "documents": list(self._docs)}
-
-    # ----------------------------------------------------- query --
-
-    def query_internal(self, query: str) -> list[str]:
-        """``lib.rs:685-710`` — hybrid query, formatted strings."""
-        results = self.query_with_results(query)
-        return [f"{r['content']} (score: {r['score']:.2f})"
-                for r in results]
-
-    def query_with_results(self, query: str) -> list[dict]:
-        from .functions.hybrid_fusion import HybridFusionConfig
-        from .pipelines.hybrid import (
-            fuse_tables, keyword_shortlist, kg_corpus,
-            semantic_shortlist)
-        corpus = kg_corpus(self._entities, self._chunks).materialize()
-        sem = semantic_shortlist(corpus, query)
-        kw = keyword_shortlist(corpus, query)
-        sem_tbl = pa.Table.from_pylist(sem.take_all())
-        kw_tbl = pa.Table.from_pylist(kw.take_all())
-        if len(sem_tbl) == 0 and len(kw_tbl) == 0:
-            return []
-        empty = pa.table({"id": pa.array([], pa.string()),
-                          "score": pa.array([], pa.float64()),
-                          "content": pa.array([], pa.string())})
-        # Weighted fusion: hybrid.rs's RRF at the default 0.1 threshold
-        # returns ZERO results (pinned quirk, see pipelines/hybrid.py);
-        # the per-list max normalization keeps the facade useful.
-        fused = fuse_tables(sem_tbl if len(sem_tbl) else empty,
-                            kw_tbl if len(kw_tbl) else empty,
-                            ["weighted"], [HybridFusionConfig()])
-        return fused.to_pylist()
-
-    def ask(self, query: str) -> str:
-        """``lib.rs:658-683`` (non-async, no-Ollama path)."""
-        self.ensure_initialized()
-        if self.has_documents() and not self.has_graph():
-            self.build_graph()
-        return "\n".join(self.query_internal(query))
 
     # -------------------------------------------------- level 0 --
 
@@ -168,48 +118,6 @@ class GraphRAG:
         with open(path) as f:
             return cls.from_text(f.read())
 
-    @staticmethod
-    def quick_answer(document: str, question: str) -> str:
-        return GraphRAG.from_text(document).ask(question)
-
-
-class SimpleGraphRAG:
-    """``api/easy.rs:24-60``."""
-
-    def __init__(self, inner: GraphRAG):
-        self.inner = inner
-
-    @classmethod
-    def from_text(cls, text: str) -> "SimpleGraphRAG":
-        return cls(GraphRAG.from_text(text))
-
-    @classmethod
-    def from_file(cls, path: str) -> "SimpleGraphRAG":
-        return cls(GraphRAG.from_file(path))
-
-    def ask(self, question: str) -> str:
-        return self.inner.ask(question)
-
-    def add_text(self, text: str):
-        self.inner.add_document_from_text(text)
-
-    def add_file(self, path: str):
-        with open(path) as f:
-            self.add_text(f.read())
-
-    def is_ready(self) -> bool:
-        return self.inner.is_initialized() and self.inner.has_documents()
-
-
-def answer(document: str, question: str) -> str:
-    """``api/simple.rs:22-26`` — Level 1 one-function API."""
-    return GraphRAG.quick_answer(document, question)
-
-
-def answer_file(file_path: str, question: str) -> str:
-    with open(file_path) as f:
-        return answer(f.read(), question)
-
 
 class GraphRAGBuilder:
     """``builder/mod.rs`` — a stub in the reference (pinned)."""
@@ -218,5 +126,4 @@ class GraphRAGBuilder:
         raise NotImplementedError("GraphRAG builder not yet implemented")
 
 
-__all__ = ["GraphRAG", "SimpleGraphRAG", "answer", "answer_file",
-           "GraphRAGBuilder"]
+__all__ = ["GraphRAG", "GraphRAGBuilder"]

@@ -1,43 +1,18 @@
-"""Distributed community detection (Leiden level-0, ``graph/leiden.rs``;
-KG adapter ``core/mod.rs:813-899``).
+"""Distributed connected components of an undirected edge table.
 
-Key structural fact: the reference's local move only merges a node into a
-community it has an edge into, and its refinement splits disconnected
-communities — so every final community is contained in one connected
-component of the undirected relationship graph.  That makes components
-the natural distribution unit:
-
-    1. connected components via hash-to-min label propagation
-       (iterated ``bucketed_join`` + min-aggregate; O(diameter) rounds —
-       the standard CC-in-MapReduce construction),
-    2. edges grouped by component (one shuffle),
-    3. the sequential reference kernel (``functions/leiden.py``) runs
-       per component IN PARALLEL inside ``hash_grouped_aggregate``,
-       nodes ordered lexicographically for determinism.
-
-Community ids are the lexicographically-smallest member name — stable
-across runs and partitionings (the reference's integer ids depend on
-petgraph insertion order and are not reproducible anyway).
-
-Partitioning assumption (documented per the round brief): one component's
-edge set fits in one worker's memory.  Web-scale KGs have a giant
-connected component, so for >``max_component_edges`` the caller should
-pre-partition (e.g. drop low-confidence edges or run per shard);
-the group fn raises a clear error instead of silently OOMing.
+Hash-to-min label propagation (iterated ``bucketed_join`` +
+min-aggregate, the standard CC-in-MapReduce construction) with a
+driver union-find fast path for small graphs.  Component ids are the
+lexicographically-smallest member name — stable across runs and
+partitionings.  Used by ``dedup_clusters`` and the ``graph_ops``
+centrality / statistics operators.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.leiden import (
-    LeidenConfig,
-    _build_adjacency,
-    _refine_split,
-    leiden_local_move,
-)
 from ..stages.hashagg import (
     bucketed_join,
     grouped_arrow_agg,
@@ -193,199 +168,3 @@ def _connected_components_local(edges_ds):
     return rd.from_arrow(pa.table({
         "node": pa.array(nodes, pa.string()),
         "component": pa.array([labels[v] for v in nodes], pa.string())}))
-
-
-def detect_communities(triples_ds, config: LeidenConfig | None = None,
-                       num_buckets: int = 64,
-                       max_component_edges: int = 5_000_000,
-                       emit_local_move: bool = False):
-    """Triples → (node, community) rows; community = min member name."""
-    edges = _und_edges(triples_ds).materialize()
-    return detect_communities_from_edges(
-        edges, config, num_buckets=num_buckets,
-        max_component_edges=max_component_edges,
-        emit_local_move=emit_local_move)
-
-
-def detect_communities_from_edges(edges, config: LeidenConfig | None = None,
-                                  num_buckets: int = 64,
-                                  max_component_edges: int = 5_000_000,
-                                  emit_local_move: bool = False,
-                                  small_graph_limit: int = 2_000_000):
-    """Same, from pre-built undirected (a, b) edge rows.  With
-    ``emit_local_move`` the output carries a third column ``lm`` — the
-    sequential local-move community key (``<component>#<local id>``,
-    unique across components) BEFORE the refinement split.  The
-    ``communities`` oracle stages (node, lm) + the edges and re-derives
-    the refinement (per-``lm`` connected components via recursive-CTE
-    reachability) and the min-member labeling in DuckDB, so only the
-    genuinely sequential local move is taken from the staged rows.
-
-    Two paths, identical rows (the CC discipline; the per-component
-    Leiden kernel is the same sequential pass either way — only WHERE it
-    runs differs): ≤ ``small_graph_limit`` edge rows tag components with
-    a driver union-find and run the kernel once on the driver, skipping
-    ~2s of fixed overhead (distributed CC + tag join + grouped agg) that
-    dwarfs the kernel on small graphs; ``small_graph_limit=0`` forces
-    the distributed path (the equality test does)."""
-    config = config or LeidenConfig()
-
-    def run_component(t: pa.Table) -> pa.Table:
-        # t = every edge of one (or a few) components, keyed by component
-        import pandas as pd
-        if t.num_rows > max_component_edges:
-            raise ValueError(
-                f"component exceeds max_component_edges={max_component_edges}; "
-                "pre-partition the graph (confidence filter / per-shard run)")
-        df = t.to_pandas()
-        out_node, out_comm, out_lm = [], [], []
-        for comp_key, g in df.groupby("component", sort=True):
-            pairs = list(zip(g["a"], g["b"]))
-            nodes = sorted({v for e in pairs for v in e})
-            lm = leiden_local_move(nodes, pairs, config)
-            adj = _build_adjacency(nodes, pairs)
-            final = _refine_split(adj, lm)
-            # label each community by its smallest member
-            comm_min: dict[int, str] = {}
-            for i, v in enumerate(nodes):        # sorted ⇒ first hit is min
-                comm_min.setdefault(final[i], v)
-            for i, v in enumerate(nodes):
-                out_node.append(v)
-                out_comm.append(comm_min[final[i]])
-                out_lm.append(f"{comp_key}#{lm[i]}")
-        cols = {"node": pa.array(out_node, pa.string()),
-                "community": pa.array(out_comm, pa.string())}
-        if emit_local_move:
-            cols["lm"] = pa.array(out_lm, pa.string())
-        return pa.table(cols)
-
-    if edges.count() <= small_graph_limit:
-        import ray.data as rd
-
-        # driver-local twin: union-find component labels (min member,
-        # same rule as the distributed propagation), then the identical
-        # kernel over ALL edge rows at once (multiset preserved — the
-        # local move depends on edge multiplicity, never row order)
-        from ..functions.unionfind import union_find_labels
-
-        a_all: list[str] = []
-        b_all: list[str] = []
-        for t in edges.iter_batches(batch_format="pyarrow"):
-            a_all.extend(t.column("a").to_pylist())
-            b_all.extend(t.column("b").to_pylist())
-        labels = union_find_labels(zip(a_all, b_all))
-        tagged_tbl = pa.table({
-            "a": pa.array(a_all, pa.string()),
-            "b": pa.array(b_all, pa.string()),
-            "component": pa.array([labels[a] for a in a_all],
-                                  pa.string())})
-        return rd.from_arrow(run_component(tagged_tbl))
-
-    comp = connected_components(edges, num_buckets=num_buckets)
-    comp_a = comp.map_batches(
-        lambda t: pa.table({"a": t.column("node"),
-                            "component": t.column("component")}),
-        batch_format="pyarrow")
-    tagged = bucketed_join(edges, comp_a, on=["a"], num_buckets=num_buckets)
-    return hash_grouped_aggregate(tagged, ["component"], run_component,
-                                  num_buckets=num_buckets)
-
-
-def community_summaries(entities_ds, assignment_ds, max_length: int = 500,
-                        num_buckets: int = 64):
-    """Extractive community summaries — port of
-    ``leiden.rs:139-230`` ``generate_community_summary``: a header, the
-    entity count, then one line per entity type listing up to 5 member
-    names (`` and N more`` overflow), truncated to ``max_length`` with
-    ``...``.  The reference iterates HashMaps (nondeterministic order);
-    this port sorts types ascending and entities by (mention_count desc,
-    name) so summaries are reproducible.
-
-    ``assignment_ds`` is (node=entity_id, community) from
-    ``detect_communities``; entity metadata joins in via ``bucketed_join``
-    (no driver-side entity map, unlike the reference's
-    ``build_entity_mapping``)."""
-
-    ents = entities_ds.map_batches(
-        lambda t: pa.table({"node": t.column("entity_id"),
-                            "name": t.column("name"),
-                            "type": t.column("type"),
-                            "mention_count": t.column("mention_count")}),
-        batch_format="pyarrow")
-    joined = bucketed_join(assignment_ds, ents, on=["node"],
-                           num_buckets=num_buckets)
-    return community_summaries_from_joined(joined, max_length, num_buckets)
-
-
-def community_summaries_from_joined(joined, max_length: int = 500,
-                                    num_buckets: int = 64):
-    """Summary assembly over pre-joined (node, community, name, type,
-    mention_count) rows — split out so the oracle query can stage the
-    joined rows and DuckDB can re-assemble every summary string."""
-
-    def summarize(t: pa.Table) -> pa.Table:
-        df = t.to_pandas()
-        comms, counts, summaries = [], [], []
-        for comm, g in df.groupby("community", sort=True):
-            parts = [f"Community {comm} (Level 0)",
-                     f"Contains {len(g)} entities:"]
-            for typ, tg in g.groupby("type", sort=True):
-                tg = tg.sort_values(["mention_count", "name"],
-                                    ascending=[False, True])
-                names = tg["name"].head(5).tolist()
-                more = f" and {len(tg) - 5} more" if len(tg) > 5 else ""
-                parts.append(f"- {typ}: {', '.join(names)}{more}")
-            s = "\n".join(parts)
-            if len(s) > max_length:
-                s = s[:max(max_length - 3, 0)] + "..."
-            comms.append(comm); counts.append(len(g)); summaries.append(s)
-        return pa.table({"community": pa.array(comms, pa.string()),
-                         "n_entities": pa.array(counts, pa.int64()),
-                         "summary": pa.array(summaries, pa.string())})
-
-    return hash_grouped_aggregate(joined, ["community"], summarize,
-                                  num_buckets=num_buckets)
-
-
-def modularity_ds(triples_ds, assignment_ds, resolution: float = 1.0,
-                  num_buckets: int = 64) -> float:
-    """Global Newman modularity of a (node, community) assignment over the
-    undirected relationship multigraph — two bucketed joins tag each edge
-    with both endpoint communities; per-community sums reduce; the driver
-    sees only the per-community aggregate table."""
-    edges = _und_edges(triples_ds)
-    lab_a = assignment_ds.map_batches(
-        lambda t: pa.table({"a": t.column("node"),
-                            "comm_a": t.column("community")}),
-        batch_format="pyarrow")
-    lab_b = assignment_ds.map_batches(
-        lambda t: pa.table({"b": t.column("node"),
-                            "comm_b": t.column("community")}),
-        batch_format="pyarrow")
-    tagged = bucketed_join(bucketed_join(edges, lab_a, on=["a"],
-                                         num_buckets=num_buckets),
-                           lab_b, on=["b"], num_buckets=num_buckets)
-
-    def per_edge(t: pa.Table) -> pa.Table:
-        same = pc.cast(pc.equal(t.column("comm_a"), t.column("comm_b")),
-                       pa.int64())
-        return pa.concat_tables([
-            pa.table({"community": t.column("comm_a"),
-                      "deg": pa.array([1] * t.num_rows, pa.int64()),
-                      "within": same}),
-            pa.table({"community": t.column("comm_b"),
-                      "deg": pa.array([1] * t.num_rows, pa.int64()),
-                      "within": pa.array([0] * t.num_rows, pa.int64())}),
-        ])
-
-    per_comm = hash_grouped_aggregate(
-        tagged.map_batches(per_edge, batch_format="pyarrow"), ["community"],
-        grouped_arrow_agg(["community"], [("deg", "sum"), ("within", "sum")],
-                          rename=["community", "deg", "within"]),
-        num_buckets=num_buckets).to_pandas()
-    m = float(per_comm["deg"].sum()) / 2.0
-    if m == 0:
-        return 0.0
-    q = (per_comm["within"] / m
-         - resolution * (per_comm["deg"] / (2.0 * m)) ** 2).sum()
-    return float(q)

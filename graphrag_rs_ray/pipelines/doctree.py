@@ -23,6 +23,7 @@ from __future__ import annotations
 import pyarrow as pa
 
 from ..functions.keywords import summarize
+from ..functions.textstats import extract_keywords
 from ..stages.hashagg import hash_grouped_aggregate
 
 MERGE_SIZE = 5              # HierarchicalConfig::default merge_size (mod.rs:119)
@@ -133,7 +134,7 @@ def build_document_trees(chunks_ds, merge_size: int = MERGE_SIZE,
                                   num_buckets=num_buckets)
 
 
-# ------------------------------------------------- tree query path --
+# ------------------------------------------------------ tree keywords --
 
 def node_keywords(content: str, is_leaf: bool,
                   child_keywords: list[list[str]] | None = None
@@ -143,7 +144,6 @@ def node_keywords(content: str, is_leaf: bool,
     pinned first-occurrence variant is used, documented).  Merged:
     child keywords concatenated → sort → dedup → truncate(10)
     (``:693-712``)."""
-    from ..functions.generation import extract_keywords
     if is_leaf:
         return extract_keywords(content, 5)
     merged: list[str] = []
@@ -155,61 +155,6 @@ def node_keywords(content: str, is_leaf: bool,
         if not out or out[-1] != k:
             out.append(k)
     return out[:10]
-
-
-def tree_relevance_score(summary: str, keywords: list[str], level: int,
-                         query: str, query_keywords: list[str]) -> float:
-    """``mod.rs:893-930`` — +1 per query keyword contained in the
-    lowercased "summary + keywords" text, + 2·(query-word overlap
-    ratio, duplicates counted), + 0.5/(level+1)."""
-    node_text = f"{summary} {' '.join(keywords)}".lower()
-    score = 0.0
-    for kw in query_keywords:
-        if kw.lower() in node_text:
-            score += 1.0
-    query_words = query.split()
-    node_words = node_text.split()
-    overlap = sum(1 for w in query_words
-                  if w.lower() in node_words)
-    if query_words:
-        score += (overlap / len(query_words)) * 2.0
-    score += (1.0 / (level + 1)) * 0.5
-    return score
-
-
-def tree_query_stage(nodes_ds, query: str, max_results: int = 5,
-                     min_score: float = 0.1):
-    """Batch ``DocumentTree::query`` (``mod.rs:867-891``) across every
-    document's tree: stateless scoring map over the node rows, then a
-    per-document (score desc, node_id asc — the reference's tie order
-    is HashMap-nondeterministic, pinned) top-``max_results``."""
-    from ..functions.generation import extract_keywords
-    query_keywords = extract_keywords(query, 5)
-
-    def score_nodes(t: pa.Table) -> pa.Table:
-        scores = [round(tree_relevance_score(
-            s or "", (k or "").split(",") if k else [], int(lv), query,
-            query_keywords), 12)
-            for s, k, lv in zip(t.column("summary").to_pylist(),
-                                t.column("keywords_csv").to_pylist(),
-                                t.column("level").to_pylist())]
-        return pa.table({"doc_id": t.column("doc_id"),
-                         "node_id": t.column("node_id"),
-                         "level": t.column("level"),
-                         "score": pa.array(scores, pa.float64())})
-
-    scored = nodes_ds.map_batches(score_nodes, batch_format="pyarrow")
-
-    def topk(t: pa.Table) -> pa.Table:
-        import pandas as pd
-        df = t.to_pandas()
-        df = df[df["score"] > min_score]
-        df = df.sort_values(["doc_id", "score", "node_id"],
-                            ascending=[True, False, True])
-        df = df.groupby("doc_id", sort=False).head(max_results)
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    return hash_grouped_aggregate(scored, ["doc_id"], topk)
 
 
 def get_ancestors(nodes: dict[str, dict], node_id: str) -> list[str]:

@@ -3629,9 +3629,9 @@ def semdedup(sf_dir: str, threshold: float = 0.35,
     Centroids broadcast once via ``ray.put``; union-find runs inside the
     bucket, never driver-side.
 
-    Driver bound (same guard discipline as ``node2vec_embeddings``): the
-    centroid build is driver-side k-means at O(k · sample · dim · iters),
-    so the widened sample is CAPPED at ``_SEMDEDUP_SAMPLE_CAP`` rows
+    Driver bound: the centroid build is driver-side k-means at
+    O(k · sample · dim · iters), so the widened sample is CAPPED at
+    ``_SEMDEDUP_SAMPLE_CAP`` rows
     (never ~n_vecs/128 — the uncapped widening re-grew driver footprint
     with the corpus) and auto-k REFUSES loudly past
     ``_SEMDEDUP_MAX_DRIVER_K`` centroids (~16M vecs at the default

@@ -1,14 +1,9 @@
-"""API facade (``api/easy.rs`` / ``api/simple.rs`` / ``lib.rs``
-orchestrator / ``builder/mod.rs`` stub) over the repo dataflows."""
+"""Build facade (``lib.rs`` orchestrator / ``builder/mod.rs`` stub)
+over the repo dataflows."""
 
 import pytest
 
-from graphrag_rs_ray.api import (
-    GraphRAG,
-    GraphRAGBuilder,
-    SimpleGraphRAG,
-    answer,
-)
+from graphrag_rs_ray.api import GraphRAG, GraphRAGBuilder
 
 DOC = ("John Smith founded Acme Corp in Boston. "
        "Acme Corp builds fast database engines. "
@@ -16,35 +11,18 @@ DOC = ("John Smith founded Acme Corp in Boston. "
        "The Boston office grew quickly under Mary Jones.")
 
 
-def test_quick_answer_formats_scored_lines(ray_session):
-    out = answer(DOC, "Who founded Acme Corp?")
-    assert out
-    lines = out.split("\n")
-    # lib.rs:678-682 — "{content} (score: {x.xx})" lines
-    assert all(line.rstrip(")").rsplit("(score: ", 1)[1]
-               for line in lines)
-    assert any("Acme" in line for line in lines)
-
-
-def test_simple_graphrag_lifecycle(ray_session):
-    s = SimpleGraphRAG.from_text(DOC)
-    assert s.is_ready()
-    first = s.ask("Where is the Boston office?")
-    assert "score:" in first
-    # adding text invalidates the graph; next ask rebuilds lazily
-    s.add_text("Zanzibar Research Lab opened a new campus.")
-    assert not s.inner.has_graph()
-    second = s.ask("Zanzibar Research campus?")
-    assert "score:" in second
-
-
 def test_graphrag_lazy_build_and_state(ray_session):
     g = GraphRAG()
     assert not g.is_initialized() and not g.has_documents()
     g.add_document_from_text(DOC)
     assert g.has_documents() and not g.has_graph()
-    g.ask("Acme?")
+    assert g.get_knowledge_graph() is None
+    g.ensure_initialized()
+    g.build_graph()
     assert g.is_initialized() and g.has_graph()
+    kg = g.get_knowledge_graph()
+    assert any(e["name"] == "Acme Corp" for e in kg["entities"])
+    assert kg["relationships"] and len(kg["documents"]) == 1
 
 
 def test_builder_is_reference_stub():

@@ -81,20 +81,6 @@ def test_node_keywords_leaf_and_merge():
     assert len(many) == 10 and many[0] == "k00"
 
 
-def test_tree_relevance_score():
-    # mod.rs:893-930 — contains + overlap + level terms
-    from graphrag_rs_ray.pipelines.doctree import tree_relevance_score
-    s = tree_relevance_score("The river crossing was found",
-                             ["river", "crossing"], 0,
-                             "river crossing", ["river", "crossing"])
-    # 2 keyword hits + full word overlap (2/2)*2 + 0.5/(0+1)
-    assert s == 2.0 + 2.0 + 0.5
-    deeper = tree_relevance_score("The river crossing was found",
-                                  ["river"], 3, "river crossing",
-                                  ["river", "crossing"])
-    assert deeper < s                    # level damping
-
-
 def test_ancestors_descendants_statistics():
     from graphrag_rs_ray.pipelines.doctree import (
         get_ancestors, get_descendants, tree_statistics)

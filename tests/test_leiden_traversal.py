@@ -1,5 +1,5 @@
-"""Leiden kernel (reference test expectations), distributed communities,
-k-hop traversal, degree stats."""
+"""Graph operators: k-hop traversal, degree stats, connected components,
+triangles, centrality, empty-graph edges, and the union-find kernel."""
 
 import pyarrow as pa
 import pytest
@@ -12,127 +12,6 @@ def _triples_ds(edges):
         "pred": pa.array(["RELATED_TO"] * len(edges), pa.string()),
         "obj": pa.array([e[1] for e in edges], pa.string()),
     }))
-
-
-# ---- kernel (port of leiden.rs tests:779-839) ---------------------------
-
-REF_EDGES = [("A", "B"), ("B", "C"), ("C", "A"), ("C", "D")]
-REF_NODES = ["A", "B", "C", "D"]
-
-
-def test_leiden_basic():
-    """leiden.rs test_leiden_basic: detection succeeds, non-empty result."""
-    from graphrag_rs_ray.functions.leiden import LeidenConfig, leiden_communities
-    out = leiden_communities(REF_NODES, REF_EDGES, LeidenConfig())
-    assert set(out) == set(REF_NODES)
-    # deterministic partition of the triangle + appendage
-    assert out["A"] == out["B"]
-    assert out["C"] == out["D"]
-    assert out["A"] != out["C"]
-
-
-def test_leiden_config_defaults():
-    """leiden.rs test_config_defaults."""
-    from graphrag_rs_ray.functions.leiden import LeidenConfig
-    cfg = LeidenConfig()
-    assert cfg.max_cluster_size == 10
-    assert cfg.resolution == 1.0
-    assert cfg.max_levels == 5
-    assert cfg.use_lcc is True
-
-
-def test_leiden_refinement_splits_disconnected():
-    """A community that is internally disconnected must be split into its
-    connected components (the reference's refine_partition semantics)."""
-    from graphrag_rs_ray.functions.leiden import leiden_communities
-    # two disjoint triangles: local move keeps them separate communities,
-    # and refinement must never merge disconnected nodes
-    edges = [("a1", "a2"), ("a2", "a3"), ("a3", "a1"),
-             ("b1", "b2"), ("b2", "b3"), ("b3", "b1")]
-    out = leiden_communities(["a1", "a2", "a3", "b1", "b2", "b3"], edges)
-    assert out["a1"] == out["a2"] == out["a3"]
-    assert out["b1"] == out["b2"] == out["b3"]
-    assert out["a1"] != out["b1"]
-
-
-def test_leiden_modularity_positive():
-    from graphrag_rs_ray.functions.leiden import leiden_communities, modularity
-    out = leiden_communities(REF_NODES, REF_EDGES)
-    q = modularity(REF_NODES, REF_EDGES, out)
-    singleton = modularity(REF_NODES, REF_EDGES, {v: i for i, v in enumerate(REF_NODES)})
-    assert q > singleton
-
-
-# ---- distributed pipeline ----------------------------------------------
-
-def test_detect_communities_matches_kernel(ray_session):
-    """Per-component distribution must reproduce the sequential kernel."""
-    from graphrag_rs_ray.functions.leiden import leiden_communities
-    from graphrag_rs_ray.pipelines.communities import detect_communities
-
-    edges = [("a1", "a2"), ("a2", "a3"), ("a3", "a1"),
-             ("b1", "b2"), ("b2", "b3"), ("b3", "b1"),
-             ("a3", "x"), ("x", "y")]
-    nodes = sorted({v for e in edges for v in e})
-    expected = leiden_communities(nodes, edges)
-    # relabel by min member (the pipeline's community key)
-    comm_min = {}
-    for v in nodes:
-        c = expected[v]
-        comm_min[c] = min(comm_min.get(c, v), v)
-    exp_map = {v: comm_min[expected[v]] for v in nodes}
-
-    got = detect_communities(_triples_ds(edges), num_buckets=4).to_pandas()
-    got_map = dict(zip(got["node"], got["community"]))
-    assert got_map == exp_map
-
-
-def test_community_summaries_format(ray_session):
-    """Summary format per leiden.rs generate_community_summary: header,
-    entity count, per-type top-5 lines, deterministic ordering."""
-    import ray.data as rd
-    from graphrag_rs_ray.pipelines.communities import (
-        community_summaries, detect_communities)
-
-    edges = [("PERSON_a", "ORG_x"), ("ORG_x", "PERSON_b"),
-             ("PERSON_b", "PERSON_a")]
-    triples = _triples_ds(edges)
-    assign = detect_communities(triples, num_buckets=4)
-    ents = rd.from_arrow(pa.table({
-        "entity_id": pa.array(["PERSON_a", "PERSON_b", "ORG_x"], pa.string()),
-        "name": pa.array(["Alice", "Bob", "Xcorp"], pa.string()),
-        "type": pa.array(["PERSON", "PERSON", "ORGANIZATION"], pa.string()),
-        "conf": pa.array([0.9, 0.8, 0.7], pa.float32()),
-        "mention_count": pa.array([5, 3, 2], pa.int64()),
-    }))
-    df = community_summaries(ents, assign, num_buckets=4).to_pandas()
-    assert len(df) == 1                       # one triangle community
-    s = df.iloc[0]["summary"]
-    assert df.iloc[0]["n_entities"] == 3
-    assert s.splitlines()[1] == "Contains 3 entities:"
-    assert "- ORGANIZATION: Xcorp" in s
-    assert "- PERSON: Alice, Bob" in s        # mention_count desc
-    # deterministic across runs
-    df2 = community_summaries(ents, assign, num_buckets=4).to_pandas()
-    assert df.equals(df2)
-
-
-def test_modularity_ds_matches_kernel(ray_session):
-    from graphrag_rs_ray.functions.leiden import leiden_communities, modularity
-    from graphrag_rs_ray.pipelines.communities import detect_communities, modularity_ds
-    import ray.data as rd
-
-    edges = [("a1", "a2"), ("a2", "a3"), ("a3", "a1"),
-             ("b1", "b2"), ("b2", "b3"), ("b3", "b1"), ("a1", "b1")]
-    nodes = sorted({v for e in edges for v in e})
-    assign = leiden_communities(nodes, edges)
-    q_kernel = modularity(nodes, edges, assign)
-
-    assign_ds = rd.from_arrow(pa.table({
-        "node": pa.array(nodes, pa.string()),
-        "community": pa.array([str(assign[v]) for v in nodes], pa.string())}))
-    q_ds = modularity_ds(_triples_ds(edges), assign_ds, num_buckets=4)
-    assert abs(q_ds - q_kernel) < 1e-12
 
 
 # ---- k-hop traversal ----------------------------------------------------
@@ -292,33 +171,6 @@ def test_centrality_paths_agree(ray_session):
     assert abs(m.loc["c", "degree_centrality"] - 3 / 6) < 1e-12
     assert m.loc["d", "betweenness"] == 0.0
     assert m.loc["y", "betweenness"] > 0.0
-
-
-def test_communities_paths_agree(ray_session):
-    """Driver-local Leiden fast path (union-find tag + one kernel call)
-    == distributed per-component path (forced with small_graph_limit=0),
-    including the staged ``lm`` column the oracle consumes."""
-    import pyarrow as pa
-    import ray.data as rd
-    from graphrag_rs_ray.pipelines.communities import (
-        detect_communities_from_edges)
-
-    # two K3s joined by a bridge + a separate path component + dup edges
-    pairs = [("a", "b"), ("b", "c"), ("c", "a"),
-             ("d", "e"), ("e", "f"), ("f", "d"), ("c", "d"),
-             ("a", "b"),                                   # duplicate
-             ("p", "q"), ("q", "r")]
-    eds = rd.from_arrow(pa.table({
-        "a": pa.array([p[0] for p in pairs], pa.string()),
-        "b": pa.array([p[1] for p in pairs], pa.string())}))
-    for emit in (False, True):
-        fast = detect_communities_from_edges(eds, emit_local_move=emit) \
-            .to_pandas().sort_values("node").reset_index(drop=True)
-        dist = detect_communities_from_edges(
-            eds, num_buckets=4, emit_local_move=emit, small_graph_limit=0) \
-            .to_pandas().sort_values("node").reset_index(drop=True)
-        assert fast.equals(dist)
-    assert set(fast.columns) == {"node", "community", "lm"}
 
 
 def test_union_find_labels_property():

@@ -110,9 +110,6 @@ SQL_CHECKED = [
     "query_routing", "query_rewrite",
     # LightRAG dual-level keywords (fallback path) + retrieval merges
     "dual_keywords", "dual_retrieval",
-    # batch agent-tool execution (search/expand/context/validation)
-    "tool_graph_search", "tool_entity_expand", "tool_entity_context",
-    "tool_validation",
     # ROGRAG quality metrics (per-response scoring + corpus report)
     "response_quality", "quality_report",
     # logic-form execution against the KG (bindings + answer)
@@ -122,8 +119,6 @@ SQL_CHECKED = [
     # real RDF/Turtle/GraphML import (SQL re-parses the same staged raw
     # lines; the turtle oracle re-derives the prefix expansion too)
     "rdf_import", "turtle_import", "graphml_import",
-    # fast-GraphRAG PageRank retrieval (vector sim → PPR → expansion)
-    "pagerank_retrieval",
     # rule-based query optimizer (cost model + join reordering)
     "query_plans",
     # hybrid retrieval: 4 fusion methods over sem+kw shortlists
@@ -144,8 +139,6 @@ SQL_CHECKED = [
     "generated_answers",
     # LazyGraphRAG pipeline (chunker arithmetic; end-to-end stats)
     "lazy_chunks", "lazy_pipeline_stats",
-    # function-calling agent planner + query analyzer
-    "agent_plans", "query_analysis",
     # ROGRAG response synthesis/templates (full string replay)
     "rograg_responses",
     # concept extraction replayed in SQL from staged chunk texts
@@ -153,13 +146,8 @@ SQL_CHECKED = [
     # rule-engine NER replayed in SQL (dictionary/regex positions via
     # split-cumsum, contextual windows, recursive-CTE greedy overlaps)
     "ner_mentions",
-    # DocumentTree::query relevance scoring over staged tree nodes
-    "doc_tree_search",
     # text analysis (TextStats; section-number extraction + roman eval)
     "text_statistics", "section_numbers",
-    # community summary strings re-assembled from staged (node, community,
-    # entity-metadata) rows
-    "community_summaries",
     # RAPTOR trees incl. summaries: structure arithmetic + node content
     # re-joined from staged leaf texts + the FULL extractive-summarizer
     # replay (_summarizer_sql: scoring + recursive-CTE greedy selection)
@@ -186,11 +174,6 @@ SQL_CHECKED = [
     # recursive CTEs over word indices, org/location scans, dedup +
     # mention counts
     "kg_mentions",
-    # the WHOLE infer_relationships tool: 3-phase resolution (fuzzy
-    # quirks incl. byte-maxlen levenshtein), word-distance proximity,
-    # 44 pattern weights with context windows, family damper,
-    # normalization + threshold + top-10 (round-8 confidence device)
-    "tool_infer",
 ]
 
 
@@ -219,9 +202,7 @@ def test_query_matches_oracle(ray_session, name):
                 f"{name}.{c}: value mismatch"
 
 
-ROWS_ONLY = ["agent_sessions",
-             "chunk_embeddings",
-             "communities"]
+ROWS_ONLY = ["chunk_embeddings"]
 
 
 @pytest.mark.parametrize("name", ROWS_ONLY)
