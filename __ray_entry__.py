@@ -143,7 +143,7 @@ def _kg_ds(sf_dir: str, kind: str):
     """Materialized per-process checkpoints of the DEFAULT-``KGConfig``
     KG derivation that ~20 queries share (pages → chunks → combined →
     triples / entities), built once per process — the same
-    shared-input-cache discipline as ``_ROGRAG_CACHE``.
+    shared-input-cache discipline as ``_KG_QUERY_CACHE``.
     At 100 TB the graph is built once and
     persisted (``pipelines/kg.write_graph``); downstream analytics read
     the persisted graph rather than re-deriving it per query, and this
@@ -1505,9 +1505,10 @@ def q_adaptive_fusion(sf_dir: str):
     unit-gated (``test_adaptive_retrieval``)."""
     import pyarrow.parquet as _pq
     import ray.data as rd
-    from graphrag_rs_ray.functions.adaptive_retrieval import AdaptiveConfig
+    from graphrag_rs_ray.functions.adaptive_retrieval import (
+        AdaptiveConfig, analyze_query)
     from graphrag_rs_ray.pipelines.adaptive import (
-        adaptive_fuse, analyze_query, graph_strategy_shortlist)
+        adaptive_fuse, graph_strategy_shortlist)
     from graphrag_rs_ray.pipelines.enriched import chunk_entity_names
     from graphrag_rs_ray.pipelines.hybrid import (
         keyword_shortlist_multi, semantic_shortlist_multi)
@@ -1691,7 +1692,7 @@ def _staged_doc_entities(query: str, sf_dir: str):
     import ray.data as rd
     from graphrag_rs_ray.stages.hashagg import (
         grouped_arrow_agg, hash_grouped_aggregate)
-    mentions = rd.from_arrow(_rograg_inputs(sf_dir)["mentions"])
+    mentions = rd.from_arrow(_kg_query_inputs(sf_dir)["mentions"])
     flat = hash_grouped_aggregate(
         mentions.map_batches(
             lambda t: pa.table({"doc_id": t.column("doc_id"),
@@ -1919,41 +1920,6 @@ def q_lazy_pipeline_stats(sf_dir: str):
     mentions = _stage(lazy_concept_mentions(fixed_chunks(docs)),
                       "lazy_pipeline_stats", sf_dir)
     return rd.from_arrow(pipeline_statistics(docs, mentions))
-
-
-def q_rograg_responses(sf_dir: str):
-    """ROGRAG response synthesis + template assembly
-    (``rograg/streaming.rs:62-1005``): five synthesis strategies
-    (sequential / weighted sqrt(Σc²/n) / best-only LAST-max /
-    smart-merge logic-preferred in-input-order / hierarchical
-    "Additionally:"), intent→template mapping with the
-    Causal/Temporal-have-no-templates fallback quirk, placeholder
-    generation (first-word entities, 'related' relationship scan,
-    skip-1 additional context, conf>0.6 details, threshold
-    indicator/conclusion strings, top-3 key points), cleanup
-    (collapse whitespace, terminal punctuation), top-3 source
-    attribution, 0.7/0.3 final confidence, word-chunk counts.  The
-    oracle replays EVERY string from the staged query/result rows
-    (intents come from the oracle-checked classifier, staged)."""
-    import ray.data as rd
-    from graphrag_rs_ray.pipelines.streaming import (
-        responses_stage, synthesize_streaming_inputs)
-    inp = _rograg_inputs(sf_dir)
-    docs_texts = [t or "" for t in _doc_texts(sf_dir)]
-    queries, results = synthesize_streaming_inputs(
-        inp["names"][:8], docs_texts)
-    _stage(rd.from_arrow(queries), "rograg_responses", sf_dir, "q")
-    r_ds = _stage(rd.from_arrow(results), "rograg_responses", sf_dir,
-                  "r")
-    return responses_stage(r_ds, queries)
-
-
-def _doc_texts(sf_dir: str) -> list[str]:
-    import pyarrow.parquet as pq
-    tbl = pq.read_table(os.path.join(sf_dir, "documents.parquet"),
-                        columns=["doc_id", "text"])
-    order = pa.compute.sort_indices(tbl.column("doc_id"))
-    return tbl.take(order).column("text").to_pylist()
 
 
 def q_text_statistics(sf_dir: str):
@@ -2244,143 +2210,40 @@ def q_pipeline_validation(sf_dir: str):
         triples_staged))
 
 
-# --------------------------------------------------- ROGRAG query slice --
-# Batch query processing (``rograg/`` in the reference) over a
-# deterministic query corpus synthesized from the KG's own canonical
-# entity names — no external data.  Every stage is rule/regex-based and
-# fully deterministic; the oracle SQL is GENERATED from the exact same
-# pattern specs the Python kernels use (functions/rograg.py), so parity
-# is by construction.
+# ------------------------------------------------- KG query corpus --
+# The LightRAG queries run over a deterministic query corpus synthesized
+# from the KG's own canonical entity names — no external data.
 
-_ROGRAG_CACHE: dict[str, dict] = {}
+_KG_QUERY_CACHE: dict[str, dict] = {}
 
 
-def _rograg_inputs(sf_dir: str) -> dict:
-    """KG-derived inputs for the ROGRAG slice, built once per process:
-    canonical entities, deduped triples, and the top entity names that
-    seed the synthesized query corpus (mention_count desc, name asc)."""
-    if sf_dir not in _ROGRAG_CACHE:
-        ents = (_kg_ds(sf_dir, "entities")
-                .sort(["mention_count", "name"], descending=[True, False]))
-        ents_df = ents.to_pandas()
-        chunks = _kg_ds(sf_dir, "chunks")
-        combined = _kg_ds(sf_dir, "combined")
-        tris_df = _kg_ds(sf_dir, "triples").to_pandas()
-        mentions_df = (combined.map_batches(entities_only,
-                                            batch_format="pyarrow")
+def _kg_query_inputs(sf_dir: str) -> dict:
+    """KG-derived query inputs, built once per process: the top entity
+    names that seed the synthesized query corpus (mention_count desc,
+    name asc) and the per-chunk entity mention rows."""
+    if sf_dir not in _KG_QUERY_CACHE:
+        top = (_kg_ds(sf_dir, "entities")
+               .sort(["mention_count", "name"], descending=[True, False])
+               .limit(24))
+        mentions_df = (_kg_ds(sf_dir, "combined")
+                       .map_batches(entities_only, batch_format="pyarrow")
                        .to_pandas())
-        chunks_df = chunks.to_pandas()
-        _ROGRAG_CACHE[sf_dir] = {
-            "names": ents_df["name"].head(24).tolist(),
-            "entities": pa.Table.from_pandas(
-                ents_df[["entity_id", "name", "type", "conf",
-                         "mention_count"]], preserve_index=False),
-            "triples": pa.Table.from_pandas(
-                tris_df[["subj", "pred", "obj", "conf"]],
-                preserve_index=False),
+        _KG_QUERY_CACHE[sf_dir] = {
+            "names": [r["name"] for r in top.take_all()],
             "mentions": pa.Table.from_pandas(
                 mentions_df[["chunk_id", "doc_id", "entity_id", "conf",
                              "name"]],
                 preserve_index=False),
-            "chunks": pa.Table.from_pandas(
-                chunks_df[["chunk_id", "doc_id", "text"]],
-                preserve_index=False),
         }
-    return _ROGRAG_CACHE[sf_dir]
+    return _KG_QUERY_CACHE[sf_dir]
 
 
-def _rograg_queries_ds(query_name: str, sf_dir: str):
+def _query_corpus_ds(query_name: str, sf_dir: str):
     import ray.data as rd
-    from graphrag_rs_ray.pipelines.queries import synthesize_query_table
+    from graphrag_rs_ray.pipelines.lightrag import synthesize_query_table
     return _stage(rd.from_arrow(
-        synthesize_query_table(_rograg_inputs(sf_dir)["names"])),
+        synthesize_query_table(_kg_query_inputs(sf_dir)["names"])),
         query_name, sf_dir)
-
-
-def q_query_intents(sf_dir: str):
-    """Intent classification (``rograg/intent_classifier.rs:450-533``):
-    keyword+regex scoring per intent, ambiguity detection (secondary >
-    0.8×primary), inappropriate-content refusal, complexity score and
-    reformulation suggestions.  Oracle SQL is generated from the same
-    INTENT_SPECS table."""
-    from graphrag_rs_ray.pipelines.queries import intent_stage
-    return _rograg_queries_ds("query_intents", sf_dir).map_batches(
-        intent_stage, batch_format="pyarrow")
-
-
-def q_query_decomposition(sf_dir: str):
-    """Hybrid query decomposition (``rograg/decomposer.rs:666-699``):
-    case-sensitive semantic patterns first (conf 0.8), else syntactic
-    clause split on raw-substring separator boundaries with the
-    leading-separator strip fold (conf 0.7), else single query.  The
-    oracle re-derives boundary positions with a position×separator
-    cross join and replays the 10-step strip fold as chained CTEs."""
-    from graphrag_rs_ray.pipelines.queries import decomposition_stage
-    return _rograg_queries_ds("query_decomposition", sf_dir).map_batches(
-        decomposition_stage, batch_format="pyarrow")
-
-
-def q_logic_forms(sf_dir: str):
-    """Pattern-based logic-form parsing (``rograg/logic_form.rs:
-    404-547``): first of six (?i) patterns wins; one row per non-empty
-    trimmed argument capture."""
-    from graphrag_rs_ray.pipelines.queries import logic_form_stage
-    return _rograg_queries_ds("logic_forms", sf_dir).map_batches(
-        logic_form_stage, batch_format="pyarrow")
-
-
-def q_query_validation(sf_dir: str):
-    """Query validation (``rograg/validator.rs:295-365``): length
-    (empty=Critical, >1000 bytes=Medium), safety regexes (at most one
-    issue), no-alphabetic format check; score = 0 if critical else
-    1 - min(n×0.1, 0.8)."""
-    from graphrag_rs_ray.pipelines.queries import validation_stage
-    return _rograg_queries_ds("query_validation", sf_dir).map_batches(
-        validation_stage, batch_format="pyarrow")
-
-
-def q_fuzzy_matches(sf_dir: str):
-    """Fuzzy entity matching (``rograg/fuzzy_matcher.rs:308-714``):
-    exact (boosted 1.0) / partial (jaccard·0.4 + containment·0.4 +
-    levenshtein·0.2 ≥ 0.6, ×0.9) / type-overlap (×0.7) matches plus
-    top-5-per-entity graph expansion (conf×0.6 ≥ 0.42) when under
-    max_matches, ranked (sim desc, id asc, type asc) top-10 with the
-    position×type weighted overall confidence.  Entities + adjacency
-    ride the object store once (``ray.put``); queries stream."""
-    import pyarrow.parquet as _pq
-    import ray.data as rd
-    from graphrag_rs_ray.pipelines.queries import fuzzy_match_stage
-
-    inp = _rograg_inputs(sf_dir)
-    qds = _rograg_queries_ds("fuzzy_matches", sf_dir)
-    _stage(rd.from_arrow(inp["entities"]), "fuzzy_matches", sf_dir,
-           "entities")
-    _stage(rd.from_arrow(inp["triples"]), "fuzzy_matches", sf_dir, "edges")
-    ents_tbl = _pq.read_table(_stage_path("fuzzy_matches", sf_dir, "entities"))
-    tris_tbl = _pq.read_table(_stage_path("fuzzy_matches", sf_dir, "edges"))
-    return fuzzy_match_stage(qds, ents_tbl, tris_tbl)
-
-
-def q_query_routing(sf_dir: str):
-    """Adaptive complexity routing (``query/adaptive_routing.rs:
-    77-287``): ±1-per-contained-keyword score normalized by match
-    count, word-count buckets, entity indicators (quote pairs +
-    ' and ' + 'between' occurrences), weighted 0.5/0.3/0.2 →
-    complexity class → hierarchical level + explanation."""
-    from graphrag_rs_ray.pipelines.queries import routing_stage
-    return _rograg_queries_ds("query_routing", sf_dir).map_batches(
-        routing_stage, batch_format="pyarrow")
-
-
-def q_query_rewrite(sf_dir: str):
-    """Query rewriting (``query/intelligence.rs:92-358``): normalize →
-    type detection → template substitution (who is→entity: etc.) →
-    synonym expansion (base words unconditional, synonyms global-dedup)
-    → stop-word-filtered key terms → specificity×0.6 + relevance×0.4
-    confidence (default 0.5 relevance, no feedback state)."""
-    from graphrag_rs_ray.pipelines.queries import rewrite_stage
-    return _rograg_queries_ds("query_rewrite", sf_dir).map_batches(
-        rewrite_stage, batch_format="pyarrow")
 
 
 def q_dual_keywords(sf_dir: str):
@@ -2390,7 +2253,7 @@ def q_dual_keywords(sf_dir: str):
     — prompt build, JSON extraction, validation — is ported and
     unit-tested in functions/lightrag.py; no real model in sandbox.)"""
     from graphrag_rs_ray.pipelines.lightrag import dual_keywords_stage
-    return _rograg_queries_ds("dual_keywords", sf_dir).map_batches(
+    return _query_corpus_ds("dual_keywords", sf_dir).map_batches(
         dual_keywords_stage, batch_format="pyarrow")
 
 
@@ -2441,83 +2304,8 @@ def q_lazy_search(sf_dir: str):
         pa.Table.from_pandas(concept_edges(chunks).to_pandas(),
                              preserve_index=False),
         pa.Table.from_pandas(mentions.to_pandas(), preserve_index=False))
-    return lazy_search_stage(_rograg_queries_ds("lazy_search", sf_dir),
+    return lazy_search_stage(_query_corpus_ds("lazy_search", sf_dir),
                              views)
-
-
-def _response_log(query_name: str, sf_dir: str):
-    import ray.data as rd
-    from graphrag_rs_ray.pipelines.queries import (
-        synthesize_query_table, synthesize_response_log)
-    names = _rograg_inputs(sf_dir)["names"]
-    log = synthesize_response_log(synthesize_query_table(names), names)
-    return _stage(rd.from_arrow(log), query_name, sf_dir)
-
-
-def q_response_quality(sf_dir: str):
-    """Per-response quality scoring (``rograg/quality_metrics.rs:
-    986-1128``): accuracy/completeness/coherence/relevance/source-
-    credibility components, weighted overall, retrieval-strategy
-    classification and threshold alerts, over a response log derived
-    from the engine's own decomposition/logic-form/intent kernels."""
-    from graphrag_rs_ray.pipelines.queries import response_quality_stage
-    return response_quality_stage(_response_log("response_quality", sf_dir))
-
-
-def q_quality_report(sf_dir: str):
-    """Corpus-level quality report (``quality_metrics.rs:1131-1337``):
-    performance statistics (running averages ≡ plain means over the
-    history, fallback rate, last-10 throughput), alert counts, and the
-    baseline-vs-rograg comparative analysis (aggregated means,
-    population std-dev, improvement percentages, the reference's
-    heuristic significance test)."""
-    import pyarrow.parquet as _pq
-    import ray.data as rd
-    from graphrag_rs_ray.pipelines.queries import quality_report_table
-    _response_log("quality_report", sf_dir)
-    log = _pq.read_table(_stage_path("quality_report", sf_dir))
-    return rd.from_arrow(quality_report_table(log))
-
-
-def q_logic_bindings(sf_dir: str):
-    """Logic-form EXECUTION against the KG (``logic_form.rs:562-930``):
-    parse → Is/Related/Compare bindings (contains-match entities with
-    exact/contains/word-Jaccard name-similarity confidence; pinned-order
-    direct-relationship lookup with the no-direct 0.3 fallback binding;
-    type-comparison binding), answer = first binding, mean confidence,
-    entity-id sources."""
-    import ray.data as rd
-    from graphrag_rs_ray.pipelines.queries import (
-        build_rograg_graph, logic_bindings_stage)
-    inp = _rograg_inputs(sf_dir)
-    g = build_rograg_graph(inp["entities"], inp["triples"])
-    calls = _rograg_queries_ds("logic_bindings", sf_dir)
-    _stage(rd.from_arrow(inp["entities"]), "logic_bindings", sf_dir,
-           "entities")
-    rels = pa.table({
-        "source": pa.array([r["source"] for r in g["rels"]], pa.string()),
-        "target": pa.array([r["target"] for r in g["rels"]], pa.string()),
-        "type": pa.array([r["type"] for r in g["rels"]], pa.string()),
-        "conf": pa.array([r["conf"] for r in g["rels"]], pa.float64()),
-    })
-    _stage(rd.from_arrow(rels), "logic_bindings", sf_dir, "rels")
-    return logic_bindings_stage(calls, g)
-
-
-def q_rograg_process(sf_dir: str):
-    """The full ROGRAG processor pipeline (``processor.rs:353-560``):
-    validate → intent gate → hybrid decomposition → per-subquery
-    logic-form retrieval with fuzzy fallback, producing the structural
-    response row (status, refusal reason, per-strategy counts, answer,
-    mean confidence).  The template prose assembly (``streaming.rs``)
-    is presentation-layer and summarized by the answer/count columns
-    (documented).  Procedural composition → rows-only driver check."""
-    from graphrag_rs_ray.pipelines.queries import (
-        build_rograg_graph, rograg_process_stage)
-    inp = _rograg_inputs(sf_dir)
-    g = build_rograg_graph(inp["entities"], inp["triples"])
-    return rograg_process_stage(
-        _rograg_queries_ds("rograg_process", sf_dir), g)
 
 
 # ------------------------------------------------------ corpus module --
@@ -3477,8 +3265,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # LazyGraphRAG end-to-end pipeline (lightrag/lazy_pipeline.rs)
         "lazy_chunks": q_lazy_chunks,
         "lazy_pipeline_stats": q_lazy_pipeline_stats,
-        # ROGRAG response synthesis + templates (rograg/streaming.rs)
-        "rograg_responses": q_rograg_responses,
         "text_statistics": q_text_statistics,
         "section_numbers": q_section_numbers,
         "ego_network": q_ego_network,
@@ -3513,26 +3299,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "rerank_topk": q_rerank_topk,
         "hipporag_retrieval": q_hipporag_retrieval,
         "pipeline_validation": q_pipeline_validation,
-        # ROGRAG batch query processing (oracle SQL generated from the
-        # same pattern specs as the Python kernels)
-        "query_intents": q_query_intents,
-        "query_decomposition": q_query_decomposition,
-        "logic_forms": q_logic_forms,
-        "query_validation": q_query_validation,
-        "fuzzy_matches": q_fuzzy_matches,
-        "query_routing": q_query_routing,
-        "query_rewrite": q_query_rewrite,
         # LightRAG query-side (dual keywords + merges oracle-checked;
         # iterative deepening is procedural → rows-only)
         "dual_keywords": q_dual_keywords,
         "dual_retrieval": q_dual_retrieval,
         "lazy_search": q_lazy_search,
-        # ROGRAG quality metrics (per-response scoring + corpus report)
-        "response_quality": q_response_quality,
-        "quality_report": q_quality_report,
-        # logic-form execution (oracle) + the full processor pipeline
-        "logic_bindings": q_logic_bindings,
-        "rograg_process": q_rograg_process,
         # corpus module (document_manager / collection_processor /
         # graph_indexer / knowledge_graph)
         "doc_collection": q_doc_collection,
@@ -5030,18 +4801,8 @@ def oracle_sql() -> dict[str, str]:
     d["rerank_topk"] = _rerank_sql(d["bm25_scores"])
     d["hipporag_retrieval"] = _hipporag_sql(n_iter=8, damping=0.5)
     d["pipeline_validation"] = _validation_sql()
-    d["query_intents"] = _intents_sql()
-    d["query_decomposition"] = _decomposition_sql()
-    d["logic_forms"] = _logic_forms_sql()
-    d["query_validation"] = _query_validation_sql()
-    d["fuzzy_matches"] = _fuzzy_sql()
-    d["query_routing"] = _routing_sql()
-    d["query_rewrite"] = _rewrite_sql()
     d["dual_keywords"] = _dual_keywords_sql()
     d["dual_retrieval"] = _dual_retrieval_sql()
-    d["response_quality"] = _response_quality_sql()
-    d["quality_report"] = _quality_report_sql()
-    d["logic_bindings"] = _logic_bindings_sql()
     d["query_plans"] = _query_plans_sql()
     d["hybrid_fusion"] = _hybrid_fusion_sql()
     d["enriched_search"] = _enriched_search_sql()
@@ -5057,7 +4818,6 @@ def oracle_sql() -> dict[str, str]:
     d["generated_answers"] = _generation_sql()
     d["lazy_chunks"] = _lazy_chunks_sql()
     d["lazy_pipeline_stats"] = _lazy_stats_sql()
-    d["rograg_responses"] = _rograg_responses_sql()
     d["concept_mentions"] = _concept_mentions_sql()
     d["ner_mentions"] = _ner_mentions_sql()
     d["text_statistics"] = _text_statistics_sql()
@@ -5994,231 +5754,6 @@ JOIN ordered o USING (chunk_id, rn)
 JOIN t tt USING (chunk_id)
 WHERE g.keep
     """.replace("{chunks}", chunks).replace("{entries_sql}", entries_sql)
-
-
-# ----------------------------------------- rograg streaming SQL --
-
-def _rograg_responses_sql() -> str:
-    qt = _staged_sql("rograg_responses", "q")
-    rt = _staged_sql("rograg_responses", "r")
-    return f"""
-WITH q AS (SELECT * FROM {qt}),
-r AS MATERIALIZED (
-  SELECT query_id, seq, content, confidence, result_type,
-         string_split(sources_csv, ',') AS srcs
-  FROM {rt}),
-rs AS (SELECT *,
-         row_number() OVER (PARTITION BY query_id
-           ORDER BY confidence DESC, seq ASC) AS crk,
-         row_number() OVER (PARTITION BY query_id
-           ORDER BY confidence DESC, seq DESC) AS crk_last
-       FROM r),
-seq_syn AS (
-  SELECT query_id, string_agg(content, '. ' ORDER BY seq) AS content,
-         avg(confidence) AS conf
-  FROM r GROUP BY query_id),
-w0 AS (SELECT query_id, sum(confidence) AS total,
-              sum(confidence*confidence)/count(*) AS wc
-       FROM r GROUP BY query_id),
-w_top AS (SELECT query_id,
-                 string_agg(content, '. ' ORDER BY crk) AS content
-          FROM rs WHERE crk <= 3 GROUP BY query_id),
-w_syn AS (
-  SELECT w0.query_id,
-         CASE WHEN w0.total = 0.0 THEN s.content ELSE t.content END
-           AS content,
-         CASE WHEN w0.total = 0.0 THEN s.conf ELSE sqrt(w0.wc) END
-           AS conf
-  FROM w0 JOIN seq_syn s USING (query_id)
-          JOIN w_top t USING (query_id)),
-b_syn AS (SELECT query_id, content, confidence AS conf, srcs
-          FROM rs WHERE crk_last = 1),
-sm_haslogic AS (
-  SELECT query_id,
-         (count(*) FILTER (WHERE result_type = 'logic_form') > 0) AS hl
-  FROM r GROUP BY query_id),
-sm_rows AS (
-  SELECT p.*, row_number() OVER (PARTITION BY p.query_id
-                                 ORDER BY p.seq) AS rk
-  FROM r p JOIN sm_haslogic h USING (query_id)
-  WHERE (h.hl AND p.result_type = 'logic_form')
-     OR (NOT h.hl AND p.result_type IN ('fuzzy_match', 'fallback'))),
-sm_syn AS (
-  SELECT c.query_id, c.content, a.conf
-  FROM (SELECT query_id, string_agg(content, '. ' ORDER BY rk)
-                 AS content
-        FROM sm_rows WHERE rk <= 2 GROUP BY query_id) c
-  JOIN (SELECT query_id, avg(confidence) AS conf FROM sm_rows
-        GROUP BY query_id) a USING (query_id)),
-h_supp AS (SELECT query_id,
-                  string_agg(content, '; ' ORDER BY crk) AS supp
-           FROM rs WHERE crk IN (2, 3) GROUP BY query_id),
-h_syn AS (
-  SELECT f.query_id,
-         CASE WHEN s.supp IS NOT NULL
-              THEN f.content || '. ' || 'Additionally: ' || s.supp
-              ELSE f.content END AS content,
-         f.confidence AS conf
-  FROM (SELECT query_id, content, confidence FROM rs WHERE crk = 1) f
-  LEFT JOIN h_supp s USING (query_id)),
-syn AS (
-  SELECT q.query_id,
-    CASE q.strategy WHEN 'sequential' THEN s.content
-         WHEN 'weighted' THEN w.content WHEN 'best_only' THEN b.content
-         WHEN 'smart_merge' THEN m.content ELSE h.content END
-      AS content,
-    CASE q.strategy WHEN 'sequential' THEN s.conf
-         WHEN 'weighted' THEN w.conf WHEN 'best_only' THEN b.conf
-         WHEN 'smart_merge' THEN m.conf ELSE h.conf END AS conf
-  FROM q JOIN seq_syn s USING (query_id) JOIN w_syn w USING (query_id)
-         JOIN b_syn b USING (query_id) JOIN sm_syn m USING (query_id)
-         JOIN h_syn h USING (query_id)),
-srcflat AS (SELECT query_id, seq, unnest(srcs) AS s,
-                   unnest(range(1, len(srcs)+1)) AS k
-            FROM r),
-srcfirst AS (SELECT query_id, s, min(seq*1000 + k) AS ord
-             FROM srcflat GROUP BY query_id, s),
-srcall AS (SELECT query_id,
-                  string_agg(s, ',' ORDER BY ord) AS sources_csv,
-                  list(s ORDER BY ord) AS slist
-           FROM srcfirst GROUP BY query_id),
-attr AS (
-  SELECT q.query_id,
-         CASE WHEN q.strategy = 'best_only' THEN b.srcs
-              ELSE a.slist END AS alist
-  FROM q JOIN srcall a USING (query_id) JOIN b_syn b USING (query_id)),
-attstr AS (
-  SELECT query_id, string_agg('[' || k || '] ' || s, ', ' ORDER BY k)
-           AS att
-  FROM (SELECT query_id, unnest(alist) AS s,
-               unnest(range(1, len(alist)+1)) AS k
-        FROM attr) t
-  WHERE k <= 3 GROUP BY query_id),
-nsub AS (SELECT query_id, count(*)::BIGINT AS n,
-                max(CASE WHEN result_type = 'fallback' THEN 1 ELSE 0
-                    END)::BIGINT AS fb
-         FROM r GROUP BY query_id),
-tt AS (
-  SELECT q.query_id,
-    CASE lower(q.primary_intent)
-      WHEN 'factual' THEN 'factual'
-      WHEN 'definitional' THEN 'definitional'
-      WHEN 'relational' THEN 'relational'
-      WHEN 'comparative' THEN 'comparative'
-      WHEN 'summary' THEN 'summary'
-      WHEN 'exploratory' THEN 'summary'
-      WHEN 'causal' THEN 'causal'
-      WHEN 'temporal' THEN 'temporal'
-      ELSE CASE WHEN ns.n > 1 THEN 'summary' ELSE 'fallback' END
-    END AS ttype
-  FROM q JOIN nsub ns USING (query_id)),
-eff AS (SELECT query_id, ttype,
-               CASE WHEN ttype IN ('causal', 'temporal')
-                    THEN 'fallback' ELSE ttype END AS etype
-        FROM tt),
-fw AS (SELECT query_id, seq,
-              list_filter(string_split_regex(content, '\\s+'),
-                          x -> x <> '')[1] AS w
-       FROM r),
-ents AS (
-  SELECT q.query_id,
-         coalesce(f0.w, 'the subject') AS entity,
-         coalesce(f0.w, 'entity') AS entity1,
-         coalesce(f1.w, 'entity') AS entity2
-  FROM q
-  LEFT JOIN (SELECT query_id, w FROM fw WHERE seq = 0) f0
-    USING (query_id)
-  LEFT JOIN (SELECT query_id, w FROM fw WHERE seq = 1) f1
-    USING (query_id)),
-relx AS (SELECT query_id, content,
-                row_number() OVER (PARTITION BY query_id
-                                   ORDER BY seq) AS k
-         FROM r WHERE contains(content, 'related')
-                   OR contains(content, 'relationship')),
-rel AS (SELECT q.query_id,
-               coalesce(x.content, 'a connection') AS relationship
-        FROM q LEFT JOIN (SELECT query_id, content FROM relx
-                          WHERE k = 1) x USING (query_id)),
-addl AS (SELECT query_id,
-                'Additionally, ' ||
-                string_agg(content, '. ' ORDER BY seq) AS s
-         FROM r WHERE seq > 0 GROUP BY query_id),
-det0 AS (SELECT query_id, count(*) AS n,
-                string_agg(content, '. ' ORDER BY seq) AS s
-         FROM r WHERE confidence > 0.6 GROUP BY query_id),
-det AS (SELECT q.query_id,
-               CASE WHEN d.n > 1 THEN d.s ELSE '' END AS s
-        FROM q LEFT JOIN det0 d USING (query_id)),
-kp AS (SELECT query_id, 'Key points: ' ||
-              string_agg(rk || '. ' || content, '; ' ORDER BY rk) AS s
-       FROM (SELECT query_id, content,
-                    row_number() OVER (PARTITION BY query_id
-                                       ORDER BY seq) AS rk
-             FROM r) t
-       WHERE rk <= 3 GROUP BY query_id),
-assembled AS (
-  SELECT e.query_id, e.etype, s.conf,
-    CASE e.etype
-      WHEN 'factual' THEN
-        'Based on the available information, ' || s.content || '. ' ||
-        CASE WHEN s.conf >= 0.9
-             THEN 'I''m very confident in this information.'
-             WHEN s.conf >= 0.7
-             THEN 'This information appears to be reliable.'
-             WHEN s.conf >= 0.5
-             THEN 'This information has moderate confidence.'
-             ELSE 'Please note that this information has limited '
-                  || 'confidence.' END
-      WHEN 'definitional' THEN
-        en.entity || ' is ' || s.content || '. ' || coalesce(ad.s, '')
-      WHEN 'relational' THEN
-        en.entity1 || ' and ' || en.entity2 ||
-        ' are related through ' || rl.relationship || '. ' || dt.s
-      WHEN 'comparative' THEN
-        'Comparing ' || en.entity1 || ' and ' || en.entity2 || ': ' ||
-        s.content || '. ' ||
-        CASE WHEN s.conf > 0.8
-             THEN 'This appears to be well-supported by the available '
-                  || 'information.'
-             WHEN s.conf > 0.6
-             THEN 'This conclusion is supported by the available '
-                  || 'evidence.'
-             ELSE 'This is based on limited information.' END
-      WHEN 'summary' THEN
-        'Here''s what I found about ' || en.entity || ': ' ||
-        s.content || '. ' || coalesce(k.s, '')
-      ELSE 'Based on the available information: ' || s.content
-    END AS raw
-  FROM eff e JOIN syn s USING (query_id) JOIN ents en USING (query_id)
-       JOIN rel rl USING (query_id) JOIN det dt USING (query_id)
-       LEFT JOIN addl ad USING (query_id)
-       LEFT JOIN kp k USING (query_id)),
-cleaned AS (
-  SELECT query_id, etype, conf,
-    trim(regexp_replace(regexp_replace(raw, '\\{{\\w+\\}}', '', 'g'),
-                        '\\s+', ' ', 'g')) AS c
-  FROM assembled),
-ended AS (
-  SELECT query_id, etype, conf,
-    CASE WHEN c = '' THEN c
-         WHEN right(c, 1) IN ('.', '!', '?') THEN c
-         ELSE c || '.' END AS c
-  FROM cleaned),
-final AS (
-  SELECT e.query_id, e.etype, e.conf,
-         e.c || chr(10) || chr(10) || 'Sources: ' || a.att AS content
-  FROM ended e JOIN attstr a USING (query_id))
-SELECT q.query_id, q.strategy, t.ttype AS template_type,
-       f.etype AS effective_template, f.content,
-       round(least(f.conf * 0.7 + q.intent_confidence * 0.3, 1.0), 12)
-         AS confidence,
-       sa.sources_csv, ns.n AS n_subqueries, ns.fb AS fallback_used,
-       ((len(list_filter(string_split_regex(f.content, '\\s+'),
-                         x -> x <> '')) + 255) // 256)::BIGINT
-         AS n_chunks
-FROM q JOIN final f USING (query_id) JOIN tt t USING (query_id)
-JOIN srcall sa USING (query_id) JOIN nsub ns USING (query_id)
-    """
 
 
 # --------------------------------------------- lazy-pipeline SQL --
@@ -9083,560 +8618,6 @@ def _oracle_sql_base() -> dict[str, str]:
     }
 
 
-# ------------------------------------------------- ROGRAG oracle SQL --
-# All five generators build their SQL from the SAME pattern-spec tables
-# the Python kernels compile (functions/rograg.py) — parity by
-# construction.  DuckDB regexp_* is RE2, matching the reference's Rust
-# regex crate (and Python `re` for these patterns).
-
-
-def _sqq(s: str) -> str:
-    return s.replace("'", "''")
-
-
-_WORDS_LQ = r"list_filter(string_split_regex(lq, '\s+'), x -> x <> '')"
-_WORDS_RAW = r"list_filter(string_split_regex(query, '\s+'), x -> x <> '')"
-_PL = r"\p{L}"
-
-
-def _intents_sql() -> str:
-    """Generated from INTENT_SPECS (``intent_classifier.rs:312-614``):
-    per-intent keyword-contains + regex scores, deterministic ranking
-    (score desc, intent asc), ambiguity (secondary > 0.8×primary),
-    inappropriate gate, complexity + reformulation."""
-    from graphrag_rs_ray.functions.rograg import (
-        INAPPROPRIATE_RE, INTENT_SPECS, REFORMULATION_MSGS)
-    src = _staged_sql("query_intents")
-    scores = ",\n          ".join(
-        f"least(({' + '.join(f'''contains(lq, '{_sqq(k)}')::INT''' for k in kws)})::DOUBLE"
-        f" / {len(kws)} * 0.5 + "
-        f"({' + '.join(f'''regexp_matches(lq, '{_sqq(r)}')::INT''' for r in rxs)})::DOUBLE"
-        f" / {len(rxs)} * 0.5, 1.0) AS s_{name}"
-        for name, kws, rxs in INTENT_SPECS)
-    wc = f"len({_WORDS_LQ})"
-    sc = ("greatest(strlen(lq) - strlen(replace(replace(replace(lq, '.', '')"
-          ", '?', ''), '!', '')), 1)")
-    alpha = "(length(lq) - length(regexp_replace(lq, '" + _PL + "', '', 'g')))"
-    cx = (f"least(least({wc} / 20.0, 1.0) * 0.3"
-          f" + least({sc} / 3.0, 1.0) * 0.2"
-          f" + least({alpha}::DOUBLE / greatest({wc}, 1) / 8.0, 1.0) * 0.2"
-          " + CASE WHEN contains(lq, ' and ') OR contains(lq, ' or ')"
-          " OR contains(lq, ' but ') OR contains(lq, ' because ')"
-          " OR contains(lq, ' since ') OR contains(lq, ' although ')"
-          " THEN 0.3 ELSE 0.0 END, 1.0)")
-    msgs = {k: _sqq(v) for k, v in REFORMULATION_MSGS.items()}
-    reform = (f"CASE WHEN starts_with(lq, 'tell me about') THEN '{msgs['tell']}'"
-              f" WHEN contains(lq, ' and ') THEN '{msgs['and']}'"
-              f" WHEN len({_WORDS_RAW}) > 20 THEN '{msgs['long']}'"
-              " WHEN NOT (ends_with(query, '?') OR ends_with(query, '.')"
-              f" OR ends_with(query, '!')) THEN '{msgs['punct']}'"
-              f" ELSE '{msgs['default']}' END")
-    unp = "\n          UNION ALL ".join(
-        f"SELECT query_id, '{name}' AS intent, s_{name} AS s FROM base"
-        f" WHERE s_{name} > 0" for name, _, _ in INTENT_SPECS)
-    return f"""
-        WITH qt AS (SELECT query_id, query, lower(query) AS lq FROM {src}),
-        base AS (SELECT query_id, query, lq,
-          {scores},
-          regexp_matches(lq, '{_sqq(INAPPROPRIATE_RE)}') AS inap,
-          {cx} AS cx,
-          {reform} AS reform
-          FROM qt),
-        unp AS ({unp}),
-        rankd AS (SELECT query_id, intent, s,
-                  row_number() OVER (PARTITION BY query_id
-                                     ORDER BY s DESC, intent ASC) AS rn
-                  FROM unp),
-        agg AS (SELECT query_id,
-                max(CASE WHEN rn = 1 THEN intent END) AS p_int,
-                max(CASE WHEN rn = 1 THEN s END) AS p_s,
-                max(CASE WHEN rn = 2 THEN intent END) AS s1_int,
-                max(CASE WHEN rn = 2 THEN s END) AS s1_s,
-                max(CASE WHEN rn = 3 THEN intent END) AS s2_int,
-                max(CASE WHEN rn = 3 THEN s END) AS s2_s
-                FROM rankd GROUP BY query_id),
-        fin AS (SELECT b.query_id, b.inap, b.cx, b.reform, a.p_int, a.p_s,
-                a.s1_int, a.s1_s, a.s2_int, a.s2_s,
-                (coalesce(a.s1_s, -1.0) > a.p_s * 0.8
-                 OR coalesce(a.s2_s, -1.0) > a.p_s * 0.8) AS amb
-                FROM base b LEFT JOIN agg a USING (query_id))
-        SELECT query_id,
-          CASE WHEN inap THEN 'Inappropriate'
-               WHEN p_int IS NULL THEN 'Ambiguous'
-               WHEN amb THEN 'Ambiguous' ELSE p_int END AS primary_intent,
-          round(CASE WHEN inap THEN 1.0 WHEN p_int IS NULL THEN 0.0
-                     ELSE p_s END, 8) AS confidence,
-          CASE WHEN inap OR p_int IS NULL THEN TRUE
-               ELSE (p_s < 0.8 OR amb) END AS should_refuse,
-          CASE WHEN inap THEN 'Query contains inappropriate content'
-               WHEN p_int IS NULL THEN 'Unable to understand the query intent'
-               WHEN amb THEN 'Query intent is ambiguous - please be more specific'
-               WHEN p_s < 0.8 THEN 'Insufficient confidence in understanding the query'
-               ELSE '' END AS refusal_reason,
-          CASE WHEN inap THEN ''
-               WHEN p_int IS NULL THEN reform
-               WHEN (p_s < 0.8 OR amb) THEN reform
-               ELSE '' END AS suggested_reformulation,
-          round(CASE WHEN inap THEN 0.0 ELSE cx END, 8) AS complexity_score,
-          CASE WHEN inap THEN '' ELSE coalesce(s1_int, '') END
-            AS secondary_intent_1,
-          round(CASE WHEN inap THEN 0.0 ELSE coalesce(s1_s, 0.0) END, 8)
-            AS secondary_score_1,
-          CASE WHEN inap THEN '' ELSE coalesce(s2_int, '') END
-            AS secondary_intent_2,
-          round(CASE WHEN inap THEN 0.0 ELSE coalesce(s2_s, 0.0) END, 8)
-            AS secondary_score_2
-        FROM fin ORDER BY query_id
-    """
-
-
-def _tpl_to_sql(tpl: str, pat: str) -> str:
-    """Semantic-extractor template ('{1} is {2}') → SQL concat of
-    regexp_extract group expressions, trimmed like the reference."""
-    import re as _re
-    parts = _re.split(r"\{(\d)\}", tpl)
-    exprs = []
-    for j, part in enumerate(parts):
-        if j % 2 == 0:
-            if part:
-                exprs.append(f"'{_sqq(part)}'")
-        else:
-            exprs.append(f"regexp_extract(query, '{pat}', {part})")
-    return "trim(" + " || ".join(exprs) + ")"
-
-
-def _decomposition_sql() -> str:
-    """Generated from SEMANTIC_PATTERNS + CLAUSE_SEPARATORS
-    (``decomposer.rs:291-699``): semantic branch via regexp_extract
-    templates; syntactic branch re-derives raw-substring boundary
-    positions with a position×separator cross join, replays the 10-step
-    leading-separator strip fold as chained CTEs, filters len>3, and
-    classifies clause types; single-query fallbacks carry the hybrid /
-    semantic strategy exactly as the Rust control flow does."""
-    from graphrag_rs_ray.functions.rograg import (
-        CLAUSE_SEPARATORS, SEMANTIC_PATTERNS)
-    src = _staged_sql("query_decomposition")
-    p1 = _sqq(SEMANTIC_PATTERNS[0]["regex"])
-    p2 = _sqq(SEMANTIC_PATTERNS[1]["regex"])
-    can_syn = " OR ".join(f"contains(lq, '{_sqq(s)}')"
-                          for s in CLAUSE_SEPARATORS)
-    seps_vals = ", ".join(f"('{_sqq(s)}')" for s in CLAUSE_SEPARATORS)
-
-    sem_rows = []
-    for pat, spec, guard in ((p1, SEMANTIC_PATTERNS[0], "m1"),
-                             (p2, SEMANTIC_PATTERNS[1], "NOT m1 AND m2")):
-        for idx, tpl in enumerate(spec["builds"]):
-            deps = f"sem_{idx - 1}" if idx > 0 else ""
-            sem_rows.append(
-                f"SELECT query_id, {idx} AS tpl_idx, 'sem_{idx}' AS sub_id, "
-                f"{_tpl_to_sql(tpl, pat)} AS text, "
-                f"'{spec['subquery_type']}' AS query_type, "
-                f"round(1.0 - {idx} * 0.1, 8) AS priority, '{deps}' AS deps "
-                f"FROM flags WHERE {guard}")
-    sem_union = "\n          UNION ALL ".join(sem_rows)
-
-    # AS MATERIALIZED is load-bearing: DuckDB inlines plain CTEs, and
-    # each strip step's CASE references the previous step's expression
-    # three times — inlined, the 10-step fold becomes a 3^10-node
-    # expression tree (measured: >50 GB planner blow-up).
-    strip_ctes = []
-    for i, sep in enumerate(CLAUSE_SEPARATORS, 1):
-        strip_ctes.append(
-            f"c{i} AS MATERIALIZED (SELECT query_id, s, "
-            f"CASE WHEN starts_with(lower(c), '{_sqq(sep)}') "
-            f"THEN trim(substr(c, {len(sep) + 1})) ELSE c END AS c "
-            f"FROM c{i - 1})")
-    strips = ",\n        ".join(strip_ctes)
-    last = f"c{len(CLAUSE_SEPARATORS)}"
-
-    ctype = ("CASE WHEN starts_with(lower(c), 'who')"
-             " OR starts_with(lower(c), 'what person') THEN 'Entity'"
-             " WHEN starts_with(lower(c), 'what') THEN 'Definitional'"
-             " WHEN starts_with(lower(c), 'when') THEN 'Temporal'"
-             " WHEN starts_with(lower(c), 'why')"
-             " OR contains(lower(c), 'because') THEN 'Causal'"
-             " WHEN contains(lower(c), 'relation')"
-             " OR contains(lower(c), 'connect') THEN 'Relationship'"
-             " WHEN contains(lower(c), 'compare')"
-             " OR contains(lower(c), 'versus') THEN 'Comparative'"
-             " ELSE 'Attribute' END")
-
-    return f"""
-        WITH qt AS (SELECT query_id, query, lower(query) AS lq FROM {src}),
-        flags AS (SELECT query_id, query, lq,
-                  regexp_matches(query, '{p1}') AS m1,
-                  regexp_matches(query, '{p2}') AS m2,
-                  ({can_syn}) AS can_syn
-                  FROM qt),
-        sem0 AS ({sem_union}),
-        sem AS (SELECT query_id, tpl_idx, sub_id, text, query_type, priority,
-                       deps FROM sem0 WHERE text <> ''),
-        sem_out AS (SELECT query_id,
-                    row_number() OVER (PARTITION BY query_id
-                                       ORDER BY tpl_idx) - 1 AS sub_idx,
-                    sub_id, text, query_type, priority, deps,
-                    'hybrid' AS strategy, 0.8 AS confidence,
-                    count(*) OVER (PARTITION BY query_id) AS n_subqueries
-                    FROM sem),
-        syn_in AS (SELECT query_id, query, lq FROM flags
-                   WHERE NOT m1 AND NOT m2 AND can_syn),
-        r AS (SELECT range AS p FROM range(0, 4096)),
-        seps(sep) AS (VALUES {seps_vals}),
-        pos AS (SELECT f.query_id, r.p
-                FROM syn_in f, seps s, r
-                WHERE r.p + strlen(s.sep) <= strlen(f.query)
-                  AND substr(f.lq, r.p + 1, strlen(s.sep)) = s.sep),
-        bnd AS (SELECT DISTINCT query_id, p FROM (
-                  SELECT query_id, p FROM pos
-                  UNION ALL SELECT query_id, 0 FROM syn_in
-                  UNION ALL SELECT query_id, strlen(query) FROM syn_in)),
-        win AS (SELECT query_id, p AS s,
-                lead(p) OVER (PARTITION BY query_id ORDER BY p) AS e
-                FROM bnd),
-        c0 AS (SELECT w.query_id, w.s,
-               trim(substr(f.query, w.s + 1, w.e - w.s)) AS c
-               FROM win w JOIN syn_in f USING (query_id)
-               WHERE w.e IS NOT NULL),
-        {strips},
-        cl AS MATERIALIZED (SELECT query_id, s, c,
-               row_number() OVER (PARTITION BY query_id ORDER BY s) - 1
-                 AS idx,
-               count(*) OVER (PARTITION BY query_id) AS n
-               FROM {last} WHERE c <> '' AND strlen(c) > 3),
-        syn_out AS (SELECT query_id, idx AS sub_idx,
-                    'syn_' || idx AS sub_id, c AS text,
-                    {ctype} AS query_type,
-                    round(1.0 - idx * 0.1, 8) AS priority, '' AS deps,
-                    'hybrid' AS strategy, 0.7 AS confidence,
-                    n AS n_subqueries
-                    FROM cl WHERE n > 1),
-        syn_single AS (SELECT f.query_id, 0 AS sub_idx, 'single' AS sub_id,
-                       f.query AS text, 'Entity' AS query_type,
-                       1.0 AS priority, '' AS deps, 'hybrid' AS strategy,
-                       1.0 AS confidence, 1 AS n_subqueries
-                       FROM syn_in f
-                       LEFT JOIN (SELECT query_id, count(*) AS n FROM cl
-                                  GROUP BY query_id) c USING (query_id)
-                       WHERE coalesce(c.n, 0) <= 1),
-        fallthrough AS (SELECT query_id, 0 AS sub_idx, 'single' AS sub_id,
-                        query AS text, 'Entity' AS query_type,
-                        1.0 AS priority, '' AS deps,
-                        'semantic' AS strategy, 1.0 AS confidence,
-                        1 AS n_subqueries
-                        FROM flags WHERE NOT m1 AND NOT m2 AND NOT can_syn)
-        SELECT query_id, sub_idx::BIGINT AS sub_idx, sub_id, text,
-               query_type, priority, deps, strategy, confidence,
-               n_subqueries::BIGINT AS n_subqueries
-        FROM (SELECT * FROM sem_out
-              UNION ALL SELECT * FROM syn_out
-              UNION ALL SELECT * FROM syn_single
-              UNION ALL SELECT * FROM fallthrough)
-        ORDER BY query_id, sub_idx
-    """
-
-
-def _logic_forms_sql() -> str:
-    """Generated from LOGIC_PATTERNS (``logic_form.rs:404-547``): first
-    matching (?i) pattern wins; one row per non-empty trimmed argument
-    capture, re-indexed post-filter."""
-    from graphrag_rs_ray.functions.rograg import LOGIC_PATTERNS
-    src = _staged_sql("logic_forms")
-    pats = [_sqq(p["regex"]) for p in LOGIC_PATTERNS]
-    m_cols = ",\n          ".join(
-        f"regexp_matches(query, '{p}') AS m{i}"
-        for i, p in enumerate(pats, 1))
-    pidx = ("CASE " + " ".join(f"WHEN m{i} THEN {i}"
-                               for i in range(1, len(pats) + 1)) + " END")
-    arg_rows = []
-    for i, spec in enumerate(LOGIC_PATTERNS, 1):
-        for order, (gi, atype, var) in enumerate(spec["args"]):
-            arg_rows.append(
-                f"SELECT query_id, {order} AS ext_idx,"
-                f" '{spec['predicate']}' AS predicate,"
-                f" '{spec['query_type']}' AS query_type,"
-                f" trim(regexp_extract(query, '{pats[i - 1]}', {gi}))"
-                f" AS value, '{var}' AS variable, '{atype}' AS arg_type"
-                f" FROM m WHERE pidx = {i}")
-    args_union = "\n          UNION ALL ".join(arg_rows)
-    return f"""
-        WITH qt AS (SELECT query_id, query FROM {src}),
-        m0 AS (SELECT query_id, query,
-          {m_cols}
-          FROM qt),
-        m AS (SELECT *, {pidx} AS pidx FROM m0),
-        args AS ({args_union})
-        SELECT query_id, predicate, query_type, 0.8 AS confidence,
-               (row_number() OVER (PARTITION BY query_id
-                                   ORDER BY ext_idx) - 1)::BIGINT AS arg_idx,
-               value, variable, arg_type
-        FROM args WHERE value <> ''
-        ORDER BY query_id, arg_idx
-    """
-
-
-def _query_validation_sql() -> str:
-    """Generated from SAFETY_PATTERNS (``validator.rs:295-365``)."""
-    from graphrag_rs_ray.functions.rograg import SAFETY_PATTERNS
-    src = _staged_sql("query_validation")
-    saf = " OR ".join(f"regexp_matches(lq, '{_sqq(p)}')"
-                      for p in SAFETY_PATTERNS)
-    return f"""
-        WITH qt AS (SELECT query_id, query, lower(query) AS lq FROM {src}),
-        t AS (SELECT query_id,
-              (trim(query) = '') AS empty,
-              (strlen(query) > 1000) AS toolong,
-              ({saf}) AS saf,
-              (NOT regexp_matches(query, '{_PL}')) AS noalpha
-              FROM qt),
-        u AS (SELECT query_id, empty,
-              (empty OR (NOT empty AND toolong)) AS has_len,
-              saf, noalpha,
-              (empty::INT + (NOT empty AND toolong)::INT + saf::INT
-               + noalpha::INT) AS n
-              FROM t)
-        SELECT query_id, NOT empty AS is_valid,
-               round(CASE WHEN empty THEN 0.0
-                          ELSE 1.0 - least(n * 0.1, 0.8) END, 8)
-                 AS validation_score,
-               n::BIGINT AS n_issues, has_len AS has_length_issue,
-               saf AS has_safety_issue, noalpha AS has_format_issue
-        FROM u ORDER BY query_id
-    """
-
-
-def _fuzzy_sql() -> str:
-    """Fuzzy entity matching oracle (``fuzzy_matcher.rs:308-714``):
-    full query×entity cross join at sf scale recomputing
-    jaccard/containment/levenshtein (DuckDB levenshtein is char-based
-    like the Rust DP; max-len is strlen bytes like ``str::len``), the
-    exact/partial/type row rules, <10-matches gated top-5-per-entity
-    graph expansion, deterministic ranking and the position×type
-    weighted overall confidence.  Thresholds appear as the same float
-    EXPRESSIONS the Python side evaluates (0.6 * 0.7, not 0.42)."""
-    src = _staged_sql("fuzzy_matches")
-    ents = _staged_sql("fuzzy_matches", "entities")
-    edges = _staged_sql("fuzzy_matches", "edges")
-    return f"""
-        WITH q AS (SELECT query_id, query, lower(query) AS lq,
-                   list_distinct({_WORDS_LQ}) AS qw,
-                   len({_WORDS_LQ}) AS qn
-                   FROM {src}),
-        e AS (SELECT entity_id, name, lower(name) AS ln,
-              lower(type) AS lt,
-              list_distinct(list_filter(
-                string_split_regex(lower(name), '\\s+'),
-                x -> x <> '')) AS nw
-              FROM {ents}),
-        pair AS (SELECT q.query_id, q.lq, q.qw, q.qn, e.entity_id, e.name,
-                 e.ln, e.lt, e.nw FROM q CROSS JOIN e),
-        exact AS (SELECT query_id, entity_id AS mid, name AS ename,
-                  1.0 AS sim, 'exact_entity' AS mtype
-                  FROM pair WHERE ln = lq),
-        pscore AS (SELECT query_id, entity_id, name,
-                   (CASE WHEN len(list_distinct(qw || nw)) = 0 THEN 0.0
-                         ELSE len(list_intersect(qw, nw))::DOUBLE
-                              / len(list_distinct(qw || nw)) END * 0.4
-                    + CASE WHEN len(qw) = 0 AND len(nw) = 0 THEN 1.0
-                           WHEN least(len(qw), len(nw)) = 0 THEN 0.0
-                           ELSE len(list_intersect(qw, nw))::DOUBLE
-                                / least(len(qw), len(nw)) END * 0.4
-                    + CASE WHEN greatest(strlen(lq), strlen(ln)) = 0
-                           THEN 1.0
-                           ELSE 1.0 - levenshtein(lq, ln)::DOUBLE
-                                / greatest(strlen(lq), strlen(ln)) END
-                      * 0.2) AS ts
-                   FROM pair WHERE ln <> lq),
-        part AS (SELECT query_id, entity_id AS mid, name AS ename,
-                 round(ts * 0.9, 8) AS sim, 'partial_entity' AS mtype
-                 FROM pscore WHERE ts >= 0.6),
-        typ AS (SELECT query_id, 'type_' || entity_id AS mid,
-                name AS ename, round(1.0 * 0.7, 8) AS sim,
-                'semantic_entity' AS mtype
-                FROM pair
-                WHERE ln <> lq AND qn >= 1 AND lt <> ''
-                  AND list_contains(qw, lt)),
-        m0 AS (SELECT query_id, mid, sim, mtype FROM exact
-               UNION ALL SELECT query_id, mid, sim, mtype FROM part
-               UNION ALL SELECT query_id, mid, sim, mtype FROM typ),
-        cnt AS (SELECT query_id, count(*) AS n FROM m0 GROUP BY query_id),
-        me AS (SELECT DISTINCT query_id, mid FROM
-               (SELECT query_id, mid FROM exact
-                UNION ALL SELECT query_id, mid FROM part)),
-        eadj AS (SELECT x.src, x.conf, e2.entity_id AS nb_id,
-                 row_number() OVER (PARTITION BY x.src
-                                    ORDER BY x.conf DESC, e2.name ASC,
-                                             x.pred ASC) AS rn
-                 FROM (SELECT subj AS src, obj AS dst, pred, conf
-                       FROM {edges}
-                       UNION ALL
-                       SELECT obj AS src, subj AS dst, pred, conf
-                       FROM {edges}) x
-                 JOIN e e1 ON e1.entity_id = x.src
-                 JOIN e e2 ON e2.entity_id = x.dst),
-        exp AS (SELECT me.query_id, 'expanded_' || a.nb_id AS mid,
-                round(a.conf::DOUBLE * 0.6, 8) AS sim,
-                'related_concept' AS mtype
-                FROM me JOIN cnt USING (query_id)
-                JOIN eadj a ON a.src = me.mid
-                WHERE cnt.n < 10 AND a.rn <= 5
-                  AND a.conf::DOUBLE * 0.6 >= 0.6 * 0.7),
-        allm AS (SELECT * FROM m0 UNION ALL SELECT * FROM exp),
-        ranked AS (SELECT query_id, mid, sim, mtype,
-                   row_number() OVER (PARTITION BY query_id
-                                      ORDER BY sim DESC, mid ASC,
-                                               mtype ASC) AS rank
-                   FROM allm),
-        kept AS (SELECT *, CASE mtype
-                   WHEN 'exact_entity' THEN 1.0
-                   WHEN 'partial_entity' THEN 0.8
-                   WHEN 'semantic_entity' THEN 0.7
-                   WHEN 'chunk_content' THEN 0.6
-                   ELSE 0.5 END AS tw
-                 FROM ranked WHERE rank <= 10),
-        oc AS (SELECT query_id,
-               round(sum(sim * tw / rank) / sum(tw / rank), 8) AS conf
-               FROM kept GROUP BY query_id)
-        SELECT k.query_id, k.rank::BIGINT AS rank, k.mid AS match_id,
-               k.mtype AS match_type, k.sim AS similarity,
-               o.conf AS overall_confidence
-        FROM kept k JOIN oc o USING (query_id)
-        ORDER BY query_id, rank
-    """
-
-
-def _routing_sql() -> str:
-    """Adaptive-routing oracle generated from the query_intel spec
-    tables (``adaptive_routing.rs:77-287``).  Occurrence counts use the
-    replace-length trick (non-overlapping, like Rust ``str::matches``)."""
-    from graphrag_rs_ray.functions.query_intel import (
-        BROAD_KEYWORDS, COMPLEXITY_EXPLANATIONS, ROUTING_MAX_LEVEL,
-        SPECIFIC_KEYWORDS)
-    src = _staged_sql("query_routing")
-    bk = " + ".join(f"contains(lq, '{_sqq(k)}')::INT" for k in BROAD_KEYWORDS)
-    sk = " + ".join(f"contains(lq, '{_sqq(k)}')::INT"
-                    for k in SPECIFIC_KEYWORDS)
-    levels = {"VeryBroad": max(ROUTING_MAX_LEVEL, 2),
-              "Broad": max(ROUTING_MAX_LEVEL - 1, 1),
-              "Medium": 1, "Specific": 0, "VerySpecific": 0}
-    expl = " ".join(
-        f"WHEN cx = '{c}' THEN '{_sqq(COMPLEXITY_EXPLANATIONS[c].format(lv))}'"
-        for c, lv in levels.items())
-    lvl = " ".join(f"WHEN cx = '{c}' THEN {lv}" for c, lv in levels.items())
-    return f"""
-        WITH qt AS (SELECT query_id, query, lower(query) AS lq FROM {src}),
-        sc AS (SELECT query_id,
-            ({bk}) AS bk, ({sk}) AS sk,
-            len({_WORDS_RAW}) AS wc,
-            ((strlen(lq) - strlen(replace(lq, '"', ''))) // 2
-             + (strlen(lq) - strlen(replace(lq, ' and ', ''))) // 5
-             + (strlen(lq) - strlen(replace(lq, 'between', ''))) // 7)
-              AS ind
-            FROM qt),
-        s2 AS (SELECT query_id,
-            CASE WHEN bk + sk > 0
-                 THEN (bk - sk)::DOUBLE / (bk + sk) ELSE 0.0 END AS ks,
-            CASE WHEN wc BETWEEN 1 AND 3 THEN 0.5
-                 WHEN wc BETWEEN 4 AND 5 THEN 0.2
-                 WHEN wc BETWEEN 6 AND 7 THEN 0.0
-                 WHEN wc BETWEEN 8 AND 10 THEN -0.3
-                 ELSE -0.5 END AS ls,
-            CASE WHEN ind = 0 THEN 0.3 WHEN ind = 1 THEN 0.0
-                 WHEN ind = 2 THEN -0.4 ELSE -0.7 END AS es
-            FROM sc),
-        s3 AS (SELECT query_id, ks, ls, es,
-               ks * 0.5 + ls * 0.3 + es * 0.2 AS total FROM s2),
-        s4 AS (SELECT *, CASE WHEN total >= 0.7 THEN 'VeryBroad'
-                              WHEN total >= 0.4 THEN 'Broad'
-                              WHEN total >= -0.2 THEN 'Medium'
-                              WHEN total >= -0.5 THEN 'Specific'
-                              ELSE 'VerySpecific' END AS cx FROM s3)
-        SELECT query_id, cx AS complexity,
-               (CASE {lvl} END)::BIGINT AS suggested_level,
-               round(ks, 8) AS keyword_score, round(ls, 8) AS length_score,
-               round(es, 8) AS entity_score, round(total, 8) AS total_score,
-               CASE {expl} END AS explanation
-        FROM s4 ORDER BY query_id
-    """
-
-
-def _rewrite_sql() -> str:
-    """Query-rewrite oracle generated from the query_intel spec tables
-    (``intelligence.rs:92-358``).  The synonym append-if-absent rule is
-    replayed as an event stream: base words (always kept) and synonym
-    candidates ordered by (pos, kind, j); a candidate survives iff it is
-    the FIRST event of its string — exactly 'not already in the
-    accumulated list'."""
-    from graphrag_rs_ray.functions.query_intel import (
-        REWRITE_STOP_WORDS, SYNONYMS, TEMPLATES)
-    src = _staged_sql("query_rewrite")
-    syn_vals = ", ".join(f"('{_sqq(w)}', {j}, '{_sqq(s)}')"
-                         for w, syns in SYNONYMS
-                         for j, s in enumerate(syns))
-    stop = ", ".join(f"'{_sqq(w)}'" for w in sorted(REWRITE_STOP_WORDS))
-    tpl_branches = " ".join(
-        f"WHEN qtype = '{t}' AND contains(nq, '{_sqq(p)}') "
-        f"THEN replace(nq, '{_sqq(p)}', '{_sqq(r)}')"
-        for p, t, r in TEMPLATES)
-    qtype = """CASE
-        WHEN contains(nq, 'relationship between') OR contains(nq, 'how does')
-          OR contains(nq, 'related to') OR contains(nq, 'connection between')
-          THEN 'Relationship'
-        WHEN starts_with(nq, 'who is') OR starts_with(nq, 'what is')
-          OR starts_with(nq, 'define') THEN 'EntityLookup'
-        WHEN starts_with(nq, 'how many') OR starts_with(nq, 'count')
-          OR contains(nq, 'total') OR contains(nq, 'sum')
-          OR contains(nq, 'average') THEN 'Aggregation'
-        WHEN contains(nq, 'compare') OR contains(nq, 'difference between')
-          OR contains(nq, 'versus') OR contains(nq, 'vs')
-          THEN 'Comparison'
-        WHEN contains(nq, 'when') OR contains(nq, 'before')
-          OR contains(nq, 'after') OR contains(nq, 'during')
-          OR contains(nq, 'timeline') THEN 'Temporal'
-        WHEN contains(nq, 'why') OR contains(nq, 'because')
-          OR contains(nq, 'cause') OR contains(nq, 'reason')
-          OR contains(nq, 'led to') THEN 'Causal'
-        ELSE 'General' END"""
-    return f"""
-        WITH qt AS (SELECT query_id, lower(trim(query)) AS nq FROM {src}),
-        ty AS (SELECT query_id, nq, {qtype} AS qtype FROM qt),
-        tpl AS (SELECT query_id, nq, qtype,
-                CASE {tpl_branches} ELSE nq END AS tq FROM ty),
-        wl AS (SELECT query_id, nq, qtype,
-               list_filter(string_split_regex(tq, '\\s+'), x -> x <> '')
-                 AS l FROM tpl),
-        w AS (SELECT query_id, unnest(l) AS word,
-              unnest(range(len(l))) AS pos FROM wl),
-        syn(sw, j, s) AS (SELECT * FROM (VALUES {syn_vals}) t(sw, j, s)),
-        ev AS (SELECT query_id, pos, 0 AS kind, 0 AS j, word FROM w
-               UNION ALL
-               SELECT w.query_id, w.pos, 1 AS kind, syn.j, syn.s AS word
-               FROM w JOIN syn ON w.word = syn.sw),
-        evr AS (SELECT *, row_number() OVER (PARTITION BY query_id, word
-                                             ORDER BY pos, kind, j) AS rn
-                FROM ev),
-        kept AS (SELECT * FROM evr WHERE kind = 0 OR rn = 1),
-        agg AS (SELECT query_id,
-                string_agg(word, ' ' ORDER BY pos, kind, j) AS rewritten,
-                string_agg(CASE WHEN word NOT IN ({stop}) THEN word END,
-                           ' ' ORDER BY pos, kind, j) AS terms,
-                sum(CASE WHEN word NOT IN ({stop}) THEN 1 ELSE 0 END) AS tc
-                FROM kept GROUP BY query_id),
-        fin AS (SELECT t.query_id, t.qtype, t.nq,
-                coalesce(a.rewritten, '') AS rewritten,
-                coalesce(a.terms, '') AS terms,
-                coalesce(a.tc, 0) AS tc,
-                len(list_filter(string_split_regex(t.nq, '\\s+'),
-                                x -> x <> '')) AS wc
-                FROM ty t LEFT JOIN agg a USING (query_id))
-        SELECT query_id, qtype AS query_type, rewritten,
-               terms AS expanded_terms, tc::BIGINT AS n_terms,
-               round(CASE WHEN tc = 0 THEN 0.5
-                          ELSE least(tc::DOUBLE / (wc + 1.0), 1.0) * 0.6
-                               + 0.5 * 0.4 END, 8) AS confidence
-        FROM fin ORDER BY query_id
-    """
-
-
 def _dual_keywords_sql() -> str:
     """Fallback dual-keyword oracle (``keyword_extraction.rs:168-190``):
     words > 3 bytes, first 10 (1-based inclusive list slice), lowered."""
@@ -9688,335 +8669,6 @@ def _dual_retrieval_sql(top_k: int = 10) -> str:
           SELECT j, doc_id, score, 1 AS src FROM {low})
         {union}
         ORDER BY strategy, rank
-    """
-
-
-def _scored_log_cte(src: str) -> str:
-    """Shared WITH-fragment: the per-row quality components recomputed
-    from a staged response log (``quality_metrics.rs:986-1128``).
-    Produces CTE ``scored``."""
-    from graphrag_rs_ray.functions.quality_metrics import TRANSITION_WORDS
-    trans = " OR ".join(f"contains(lower(s), '{t}')"
-                        for t in TRANSITION_WORDS)
-    return f"""
-        lg AS (SELECT * FROM {src}),
-        sr AS (SELECT log_id,
-               CASE WHEN sources = '' THEN []::VARCHAR[]
-                    ELSE string_split(sources, ';') END AS sl FROM lg),
-        parts AS (SELECT l.*, s.sl,
-            CASE WHEN len(s.sl) = 0 THEN 0.0
-                 ELSE (least(len(s.sl) / 5.0, 1.0)
-                       + len(list_distinct(list_transform(
-                             s.sl, x -> substr(x, 1, 5))))::DOUBLE
-                         / len(s.sl)) / 2.0 END AS cred,
-            (least(strlen(content) / 500.0, 1.0)
-             + least(n_sources / 3.0, 1.0)
-             + least(n_subqueries / 5.0, 1.0)) / 3.0 AS comp_s,
-            string_split_regex(content, '[.!?]') AS sents,
-            list_filter(string_split_regex(content, '\\s+'),
-                        x -> x <> '') AS cwords,
-            list_distinct(list_filter(
-                string_split_regex(lower(query), '\\s+'),
-                w -> w <> '' AND strlen(w) > 3)) AS qw,
-            list_distinct(list_filter(
-                string_split_regex(lower(content), '\\s+'),
-                x -> x <> '')) AS aw
-            FROM lg l JOIN sr s USING (log_id)),
-        comps AS (SELECT *,
-            (confidence + cred) / 2.0 AS acc,
-            CASE WHEN len(sents) <= 1 THEN 1.0
-                 ELSE (least(len(list_filter(sents, s -> {trans}))::DOUBLE
-                             / len(sents), 1.0)
-                       + CASE WHEN len(cwords) = 0 THEN 1.0
-                              ELSE len(list_distinct(cwords))::DOUBLE
-                                   / len(cwords) END) / 2.0 END AS coh,
-            CASE WHEN len(qw) = 0 THEN 1.0
-                 ELSE len(list_intersect(qw, aw))::DOUBLE / len(qw) END
-              AS rel
-            FROM parts),
-        scored AS (SELECT log_id, query, cohort, timestamp,
-            processing_time_ms, decomposition_success,
-            round(acc, 8) AS accuracy_score,
-            round(comp_s, 8) AS completeness_score,
-            round(coh, 8) AS coherence_score,
-            round(rel, 8) AS relevance_score,
-            round(cred, 8) AS source_credibility,
-            round(least(acc * 0.3 + comp_s * 0.25 + coh * 0.2
-                        + rel * 0.15 + cred * 0.1, 1.0), 8)
-              AS overall_quality,
-            CASE WHEN n_fallback > 0 THEN 'Fallback'
-                 WHEN n_logic > 0 AND n_fuzzy > 0 THEN 'Hybrid'
-                 WHEN n_logic > 0 THEN 'LogicForm'
-                 ELSE 'FuzzyMatch' END AS strategy,
-            concat_ws(';',
-              CASE WHEN round(least(acc * 0.3 + comp_s * 0.25 + coh * 0.2
-                                    + rel * 0.15 + cred * 0.1, 1.0), 8)
-                        < 0.6 THEN 'QualityDegradation' END,
-              CASE WHEN processing_time_ms > 10000
-                   THEN 'PerformanceDegradation' END) AS alerts
-            FROM comps)"""
-
-
-def _response_quality_sql() -> str:
-    """Per-response quality oracle (``quality_metrics.rs:986-1128``)."""
-    return f"""
-        WITH {_scored_log_cte(_staged_sql("response_quality"))}
-        SELECT log_id, accuracy_score, completeness_score,
-               coherence_score, relevance_score, source_credibility,
-               overall_quality, strategy, alerts
-        FROM scored ORDER BY log_id
-    """
-
-
-def _quality_report_sql() -> str:
-    """Corpus-level quality-report oracle (``quality_metrics.rs:
-    1131-1337``): performance stats, alert counts, per-cohort
-    aggregates (population std-dev), improvement percentages and the
-    heuristic significance test, replayed from the staged log."""
-    return f"""
-        WITH {_scored_log_cte(_staged_sql("quality_report"))},
-        n AS (SELECT count(*) AS n FROM scored),
-        last10 AS (SELECT timestamp FROM scored
-                   ORDER BY log_id DESC LIMIT 10),
-        thr AS (SELECT CASE WHEN max(timestamp) - min(timestamp) > 0
-                            THEN count(*)::DOUBLE
-                                 / (max(timestamp) - min(timestamp))
-                            ELSE 0.0 END AS qps FROM last10),
-        agg AS (SELECT cohort,
-                avg(accuracy_score) AS mean_accuracy,
-                avg(completeness_score) AS mean_completeness,
-                avg(coherence_score) AS mean_coherence,
-                avg(relevance_score) AS mean_relevance,
-                avg(processing_time_ms) AS mean_processing_time_ms,
-                sum(decomposition_success::INT)::DOUBLE / count(*)
-                  AS success_rate,
-                sqrt(var_pop(overall_quality)) AS std_dev_quality,
-                count(*) AS cn
-                FROM scored GROUP BY cohort),
-        b AS (SELECT * FROM agg WHERE cohort = 'baseline'),
-        r AS (SELECT * FROM agg WHERE cohort = 'rograg'),
-        sig AS (SELECT
-            (r.mean_accuracy - b.mean_accuracy)
-              / ((r.std_dev_quality + b.std_dev_quality) / 2.0)
-              AS effect,
-            CASE WHEN abs((r.mean_accuracy - b.mean_accuracy)
-                 / ((r.std_dev_quality + b.std_dev_quality) / 2.0)) > 0.5
-                 THEN 0.01 ELSE 0.1 END AS p_acc,
-            CASE WHEN r.mean_completeness > b.mean_completeness
-                 THEN 0.05 ELSE 0.1 END AS p_comp,
-            CASE WHEN r.mean_coherence > b.mean_coherence
-                 THEN 0.05 ELSE 0.1 END AS p_coh
-            FROM r, b),
-        imp AS (SELECT
-            CASE WHEN b.mean_accuracy = 0.0
-                 THEN CASE WHEN r.mean_accuracy > 0.0
-                           THEN 100.0 ELSE 0.0 END
-                 ELSE (r.mean_accuracy - b.mean_accuracy)
-                      / b.mean_accuracy * 100.0 END AS i_acc,
-            CASE WHEN b.mean_completeness = 0.0
-                 THEN CASE WHEN r.mean_completeness > 0.0
-                           THEN 100.0 ELSE 0.0 END
-                 ELSE (r.mean_completeness - b.mean_completeness)
-                      / b.mean_completeness * 100.0 END AS i_comp,
-            CASE WHEN b.mean_coherence = 0.0
-                 THEN CASE WHEN r.mean_coherence > 0.0
-                           THEN 100.0 ELSE 0.0 END
-                 ELSE (r.mean_coherence - b.mean_coherence)
-                      / b.mean_coherence * 100.0 END AS i_coh,
-            CASE WHEN b.mean_relevance = 0.0
-                 THEN CASE WHEN r.mean_relevance > 0.0
-                           THEN 100.0 ELSE 0.0 END
-                 ELSE (r.mean_relevance - b.mean_relevance)
-                      / b.mean_relevance * 100.0 END AS i_rel,
-            ((r.mean_accuracy + r.mean_completeness + r.mean_coherence
-              + r.mean_relevance) / 4.0
-             - (b.mean_accuracy + b.mean_completeness + b.mean_coherence
-                + b.mean_relevance) / 4.0)
-            / ((b.mean_accuracy + b.mean_completeness + b.mean_coherence
-                + b.mean_relevance) / 4.0) * 100.0 AS i_all
-            FROM r, b)
-        SELECT 'performance' AS section, 'total_queries' AS name,
-               round(n::DOUBLE, 8) AS value FROM n
-        UNION ALL SELECT 'performance', 'successful_decompositions',
-          round(sum(decomposition_success::INT)::DOUBLE, 8) FROM scored
-        UNION ALL SELECT 'performance', 'avg_processing_time_ms',
-          round(avg(processing_time_ms), 8) FROM scored
-        UNION ALL SELECT 'performance', 'avg_quality_score',
-          round(avg(overall_quality), 8) FROM scored
-        UNION ALL SELECT 'performance', 'fallback_rate',
-          round(sum((strategy = 'Fallback')::INT)::DOUBLE / count(*), 8)
-          FROM scored
-        UNION ALL SELECT 'performance', 'throughput_qps',
-          round(qps, 8) FROM thr
-        UNION ALL SELECT 'alerts', 'quality_degradation',
-          round(sum(contains(alerts, 'QualityDegradation')::INT)::DOUBLE,
-                8) FROM scored
-        UNION ALL SELECT 'alerts', 'performance_degradation',
-          round(sum(contains(alerts,
-                             'PerformanceDegradation')::INT)::DOUBLE, 8)
-          FROM scored
-        UNION ALL SELECT cohort, 'mean_accuracy',
-          round(mean_accuracy, 8) FROM agg
-        UNION ALL SELECT cohort, 'mean_completeness',
-          round(mean_completeness, 8) FROM agg
-        UNION ALL SELECT cohort, 'mean_coherence',
-          round(mean_coherence, 8) FROM agg
-        UNION ALL SELECT cohort, 'mean_relevance',
-          round(mean_relevance, 8) FROM agg
-        UNION ALL SELECT cohort, 'mean_processing_time_ms',
-          round(mean_processing_time_ms, 8) FROM agg
-        UNION ALL SELECT cohort, 'success_rate',
-          round(success_rate, 8) FROM agg
-        UNION ALL SELECT cohort, 'std_dev_quality',
-          round(std_dev_quality, 8) FROM agg
-        UNION ALL SELECT 'improvement', 'accuracy', round(i_acc, 8)
-          FROM imp
-        UNION ALL SELECT 'improvement', 'completeness', round(i_comp, 8)
-          FROM imp
-        UNION ALL SELECT 'improvement', 'coherence', round(i_coh, 8)
-          FROM imp
-        UNION ALL SELECT 'improvement', 'relevance', round(i_rel, 8)
-          FROM imp
-        UNION ALL SELECT 'improvement', 'overall', round(i_all, 8)
-          FROM imp
-        UNION ALL SELECT 'significance', 'p_value_accuracy',
-          round(p_acc, 8) FROM sig
-        UNION ALL SELECT 'significance', 'p_value_completeness',
-          round(p_comp, 8) FROM sig
-        UNION ALL SELECT 'significance', 'p_value_coherence',
-          round(p_coh, 8) FROM sig
-        UNION ALL SELECT 'significance', 'p_value_overall',
-          round((p_acc + p_comp + p_coh) / 3.0, 8) FROM sig
-        UNION ALL SELECT 'significance', 'effect_size',
-          round(effect, 8) FROM sig
-        UNION ALL SELECT 'significance', 'is_significant_95',
-          CASE WHEN (p_acc + p_comp + p_coh) / 3.0 < 0.05
-               THEN 1.0 ELSE 0.0 END FROM sig
-        UNION ALL SELECT 'significance', 'sample_size',
-          round(least((SELECT cn FROM b), (SELECT cn FROM r))::DOUBLE, 8)
-    """
-
-
-def _logic_bindings_sql() -> str:
-    """Logic-form execution oracle (``logic_form.rs:562-930``): parse
-    (first of six patterns), resolve entities (exact-lower first, else
-    contains-either, pinned order), emit Is / Related (incl. the
-    no-direct 0.3 binding) / Compare bindings with the name-similarity
-    confidence ladder, per-query first-binding answer and mean
-    confidence."""
-    from graphrag_rs_ray.functions.rograg import LOGIC_PATTERNS
-    src = _staged_sql("logic_bindings")
-    ents = _staged_sql("logic_bindings", "entities")
-    rels = _staged_sql("logic_bindings", "rels")
-    pats = [_sqq(p["regex"]) for p in LOGIC_PATTERNS]
-    m_cols = ", ".join(f"regexp_matches(query, '{p}') AS m{i}"
-                       for i, p in enumerate(pats, 1))
-    pidx = ("CASE " + " ".join(f"WHEN m{i} THEN {i}"
-                               for i in range(1, 7)) + " END")
-    # parsed arg pairs per executor-relevant pattern
-    pa_rows = []
-    for i, pred, has2 in ((1, "Is", False), (2, "Is", False),
-                          (3, "Related", True), (6, "Compare", True)):
-        g2 = (f"trim(regexp_extract(query, '{pats[i - 1]}', 2))"
-              if has2 else "''")
-        pa_rows.append(
-            f"SELECT query_id, '{pred}' AS pred,"
-            f" trim(regexp_extract(query, '{pats[i - 1]}', 1)) AS a1,"
-            f" {g2} AS a2 FROM m WHERE pidx = {i}")
-    pa_union = "\n          UNION ALL ".join(pa_rows)
-    jac = ("CASE WHEN len(list_distinct(aw || ew)) = 0 THEN 0.0"
-           " ELSE len(list_intersect(aw, ew))::DOUBLE"
-           " / len(list_distinct(aw || ew)) END")
-    wl = (r"list_distinct(list_filter(string_split_regex({c}, '\s+'),"
-          r" x -> x <> ''))")
-    return f"""
-        WITH q AS (SELECT query_id, query FROM {src}),
-        e AS (SELECT entity_id, name, type, lower(name) AS ln
-              FROM {ents}),
-        r AS (SELECT source, target, type, conf FROM {rels}),
-        m0 AS (SELECT query_id, query, {m_cols} FROM q),
-        m AS (SELECT *, {pidx} AS pidx FROM m0),
-        pa AS ({pa_union}),
-        is0 AS (
-          SELECT p.query_id, e.entity_id, e.name, e.type, e.ln,
-                 lower(p.a1) AS al,
-                 {wl.replace("{c}", "lower(p.a1)")} AS aw,
-                 {wl.replace("{c}", "e.ln")} AS ew
-          FROM pa p JOIN e ON contains(e.ln, lower(p.a1))
-          WHERE p.pred = 'Is' AND p.a1 <> ''),
-        is_rows AS (
-          SELECT query_id, 'Is' AS predicate,
-            (row_number() OVER (PARTITION BY query_id
-                                ORDER BY name, entity_id) - 1)::BIGINT
-              AS bind_idx,
-            'X' AS variable,
-            name || ' (' || type || ')' AS value,
-            entity_id,
-            CASE WHEN al = ln THEN 1.0
-                 WHEN contains(ln, al) OR contains(al, ln) THEN 0.8
-                 ELSE {jac} END AS confidence
-          FROM is0),
-        cand AS (
-          SELECT p.query_id, p.pred, w.which, e.entity_id, e.name, e.type,
-                 (lower(CASE w.which WHEN 1 THEN p.a1 ELSE p.a2 END)
-                  = e.ln) AS ex
-          FROM pa p
-          CROSS JOIN (SELECT 1 AS which UNION ALL SELECT 2) w
-          JOIN e ON (lower(CASE w.which WHEN 1 THEN p.a1 ELSE p.a2 END)
-                     = e.ln
-                     OR contains(e.ln, lower(CASE w.which WHEN 1 THEN p.a1
-                                             ELSE p.a2 END))
-                     OR contains(lower(CASE w.which WHEN 1 THEN p.a1
-                                       ELSE p.a2 END), e.ln))
-          WHERE p.pred IN ('Related', 'Compare')
-            AND p.a1 <> '' AND p.a2 <> ''),
-        res AS (SELECT * FROM (
-            SELECT *, row_number() OVER (PARTITION BY query_id, pred, which
-                                         ORDER BY ex DESC, name, entity_id)
-                      AS rn FROM cand) WHERE rn = 1),
-        pairs AS (SELECT r1.query_id, r1.pred,
-                  r1.entity_id AS id1, r1.name AS n1, r1.type AS t1,
-                  r2.entity_id AS id2, r2.name AS n2, r2.type AS t2
-                  FROM res r1 JOIN res r2
-                    ON r1.query_id = r2.query_id AND r1.pred = r2.pred
-                   AND r1.which = 1 AND r2.which = 2),
-        rel_rows AS (
-          SELECT p.query_id, 'Related' AS predicate,
-            (row_number() OVER (PARTITION BY p.query_id
-                                ORDER BY r.source, r.type, r.target) - 1)
-              ::BIGINT AS bind_idx,
-            'R' AS variable,
-            p.n1 || ' ' || r.type || ' ' || p.n2 AS value,
-            '' AS entity_id, r.conf AS confidence
-          FROM pairs p JOIN r
-            ON (r.source = p.id1 OR r.target = p.id1)
-           AND (r.source = p.id2 OR r.target = p.id2)
-          WHERE p.pred = 'Related'),
-        nodirect AS (
-          SELECT p.query_id, 'Related' AS predicate, 0::BIGINT AS bind_idx,
-            'R' AS variable,
-            'No direct relationship found between ' || p.n1 || ' and '
-              || p.n2 AS value,
-            '' AS entity_id, 0.3 AS confidence
-          FROM pairs p LEFT JOIN rel_rows rr USING (query_id)
-          WHERE p.pred = 'Related' AND rr.query_id IS NULL),
-        cmp_rows AS (
-          SELECT p.query_id, 'Compare' AS predicate, 0::BIGINT AS bind_idx,
-            'comparison' AS variable,
-            p.n1 || ' is a ' || p.t1 || ' while ' || p.n2 || ' is a '
-              || p.t2 AS value,
-            '' AS entity_id, 0.7 AS confidence
-          FROM pairs p WHERE p.pred = 'Compare'),
-        allb AS (SELECT * FROM is_rows UNION ALL SELECT * FROM rel_rows
-                 UNION ALL SELECT * FROM nodirect
-                 UNION ALL SELECT * FROM cmp_rows)
-        SELECT query_id, predicate, bind_idx, variable, value, entity_id,
-               round(confidence, 8) AS confidence,
-               first_value(value) OVER (PARTITION BY query_id
-                                        ORDER BY bind_idx) AS answer,
-               round(avg(confidence) OVER (PARTITION BY query_id), 8)
-                 AS overall_confidence
-        FROM allb ORDER BY query_id, bind_idx
     """
 
 

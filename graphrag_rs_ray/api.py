@@ -81,14 +81,15 @@ class GraphRAG:
 
     def build_graph(self):
         """Pages → canonical entities + deduped triples, via the
-        flagship dataflow (``pipelines/kg.py``); materialized once
-        (small facade corpora)."""
+        flagship dataflow (``pipelines/kg.build_kg``: one extraction
+        pass feeds both tables); materialized once (small facade
+        corpora)."""
         import ray.data as rd
-        from .pipelines.kg import entities_dataset, triples_dataset
-        pages = rd.from_arrow(_pages_table(self._docs))
-        self._entities = entities_dataset(pages, self.config).materialize()
-        pages2 = rd.from_arrow(_pages_table(self._docs))
-        self._triples = triples_dataset(pages2, self.config).materialize()
+        from .pipelines.kg import build_kg
+        result = build_kg(rd.from_arrow(_pages_table(self._docs)),
+                          self.config)
+        self._entities = result.entities.materialize()
+        self._triples = result.triples.materialize()
 
     def get_knowledge_graph(self) -> dict | None:
         """Materialized graph view (``lib.rs::get_knowledge_graph``

@@ -81,8 +81,3 @@ def extract_concepts(text: str) -> list[str]:
             concepts.append(m.group(0))
     concepts.extend(extract_keywords(text))
     return sorted(set(concepts))
-
-
-def jaccard_confidence(n_a: int, n_b: int, shared: int) -> float:
-    union = n_a + n_b - shared
-    return shared / union if union else 0.0

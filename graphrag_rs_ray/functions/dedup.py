@@ -2,22 +2,16 @@
 
 Training-data extensions (the reference has only exact relationship dedup,
 ``entity/gleaning_extractor.rs:418-436``; these are the web-scale near-dup
-operators a 100-TB pipeline needs).  All hashes are derived from BLAKE2b /
-a splitmix-style mixer — deterministic across processes and machines (no
-PYTHONHASHSEED dependence).
+operators a 100-TB pipeline needs).  All hashes are derived from a
+splitmix-style mixer or pandas' fixed-key string hasher — deterministic
+across processes and machines (no PYTHONHASHSEED dependence).
 """
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 _MERSENNE = (1 << 61) - 1
-
-
-def _stable_hash64(data: bytes) -> int:
-    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
 
 
 def shingles(text: str, k: int = 5) -> set[str]:

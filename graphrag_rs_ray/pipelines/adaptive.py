@@ -1,8 +1,7 @@
 """Adaptive strategy-selection dataflow (``retrieval/adaptive.rs``):
 four strategy shortlists (vector cosine / graph entity-match / summary
 hierarchy / BM25 — each distributed over the chunk corpus, top-k small)
-fused per query cohort by the type-selected weights, with the
-diversity-aware final selection.
+fused per query cohort by the type-selected weights.
 """
 
 from __future__ import annotations
@@ -11,8 +10,6 @@ import pyarrow as pa
 
 from ..functions.adaptive_retrieval import (
     AdaptiveConfig,
-    analyze_query,
-    diversity_aware_selection,
     select_strategy_weights,
     weight_and_fuse,
 )
@@ -84,20 +81,3 @@ def adaptive_fuse(strategy_tables: dict[str, pa.Table],
                             tbl.column("score").to_pylist())]
     fused, total = weight_and_fuse(lists, weights, cfg)
     return fused, weights, total
-
-
-def adaptive_retrieve(strategy_tables: dict[str, pa.Table],
-                      chunk_entities: dict[str, str], query: str,
-                      entity_names: list[str], confidence: float,
-                      max_results: int = 10,
-                      cfg: AdaptiveConfig | None = None):
-    """Full ``AdaptiveRetriever::retrieve``: analysis → weights →
-    fusion → diversity-aware selection.  Returns (selected rows,
-    analysis, weights, total_before_fusion)."""
-    cfg = cfg or AdaptiveConfig()
-    analysis = analyze_query(query, entity_names)
-    fused, weights, total = adaptive_fuse(
-        strategy_tables, chunk_entities, analysis["query_type"],
-        confidence, cfg)
-    selected = diversity_aware_selection(fused, max_results)
-    return selected, analysis, weights, total

@@ -11,7 +11,6 @@
   cosine neighbours over a broadcast embedding matrix (the canonical
   entity table is the small side by construction; the scale path is the
   LSH-bucketed variant in ``training_data.lsh_buckets``).
-- JSON graph sink (``core/mod.rs:536-658``): debug-grade export.
 """
 
 from __future__ import annotations
@@ -1023,16 +1022,6 @@ def graph_statistics(entities_ds, triples_ds, mentions_ds=None):
         stats["n_chunks"] = len(df)
         stats["avg_entities_per_chunk"] = float(df["n"].mean()) if len(df) else 0.0
     return stats
-
-
-# ---- JSON sink ----------------------------------------------------------
-
-def write_graph_json(entities_ds, triples_ds, out_dir: str):
-    """Debug-grade JSON export (``core/mod.rs:536-658`` writes one file;
-    we write one directory per table — same content, scalable layout)."""
-    import os
-    entities_ds.write_json(os.path.join(out_dir, "entities"))
-    triples_ds.write_json(os.path.join(out_dir, "triples"))
 
 
 # ---- link prediction ----------------------------------------------------

@@ -25,6 +25,56 @@ from ..functions.lightrag import (
 MERGE_STRATEGIES = ("interleave", "high_first", "low_first", "weighted")
 
 
+def synthesize_query_table(names: list[str], n_tuples: int = 12) -> pa.Table:
+    """Deterministic query corpus over entity names drawn from the KG
+    (no external data): templates chosen to exercise every rule path —
+    each intent class, both semantic decomposition patterns (plus their
+    case-sensitivity contrast), syntactic clause splits, every logic-form
+    pattern, exact/partial/type fuzzy matches, safety/format/length
+    validation issues."""
+    if not names:
+        names = ["Placeholder Entity"]
+
+    def nm(i: int) -> str:
+        return names[i % len(names)]
+
+    queries: list[str] = []
+    for i in range(n_tuples):
+        a, b, c, d = nm(i), nm(i + 1), nm(i + 2), nm(i + 3)
+        queries.extend([
+            f"what is {a}?",
+            f"who is {a} and {b}?",
+            f"Who is {a} and {b}?",
+            f"how is {a} related to {b}?",
+            f"How is {a} connected to {b}?",
+            f"when did {a} happen?",
+            f"why did {a} cause {b}?",
+            f"Compare {a} and {b}",
+            f"tell me about {a}",
+            f"summarize {a} and {b}",
+            f"define the concept of {a}",
+            f"{a}",
+            f"the {a}",
+            f"which person is {a}?",
+            f"what is {a}, and how is {b} connected to {c}; also describe {d}",
+            f"describe {a}; furthermore explain the meaning of {b}",
+            f"is there a connection between {a} and {b}?",
+            f"what is the secret of {a}?",
+            f"how much harm did {a} cause?",
+            f'"{a}" versus "{b}"',
+            f"find the important person and company near {a}",
+        ])
+    # validation edge cases (once each) + an over-long query (>1000 bytes)
+    queries.append("???")
+    queries.append("   ")
+    long_q = "tell me about " + " and ".join(nm(j) for j in range(80))
+    queries.append(long_q)
+    return pa.table({
+        "query_id": pa.array(range(len(queries)), pa.int64()),
+        "query": pa.array(queries, pa.string()),
+    })
+
+
 def dual_keywords_stage(t: pa.Table) -> pa.Table:
     out = {"query_id": [], "level": [], "k_idx": [], "keyword": []}
     for qid, q in zip(t.column("query_id").to_pylist(),

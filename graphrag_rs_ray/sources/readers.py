@@ -136,10 +136,6 @@ def import_csv(path: str, cfg: ImportConfig | None = None, delimiter: str = ",")
     return entities, relationships
 
 
-def import_tsv(path: str, cfg: ImportConfig | None = None):
-    return import_csv(path, cfg, delimiter="\t")
-
-
 def import_json_graph(path: str, cfg: ImportConfig | None = None):
     """Single-document ``{"entities": [...], "relationships": [...]}``.
     Small-file format (the reference reads it fully in memory too); the

@@ -31,11 +31,6 @@ class Regional:
 
 
 @dataclass(frozen=True)
-class Global:
-    pass
-
-
-@dataclass(frozen=True)
 class Relational:
     entity_id: str
     depth: int

@@ -4,8 +4,7 @@ Port of ``persistence/workspace.rs:74-260``: create/list/delete named
 workspaces; saving records metadata (created_at, entity/triple counts);
 loading returns the graph tables as lazy Datasets.  Storage is the
 Parquet graph layout from ``pipelines/kg.write_graph`` (adjacency shards
-+ manifests) — the reference's JSON blob save is available via
-``pipelines/graph_ops.write_graph_json`` for debugging.
++ manifests).
 """
 
 from __future__ import annotations

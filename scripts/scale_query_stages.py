@@ -1,11 +1,10 @@
-"""Scale datapoints for the per-query assembly stages (answer
-generation + ROGRAG response synthesis): synthesize N queries with
-their retrieval shortlists, run the hash-bucketed group stages at full
-width, report queries/sec.
+"""Scale datapoint for the per-query answer-generation stage: synthesize
+N queries with their retrieval shortlists, run the hash-bucketed group
+stage at full width, report queries/sec.
 
     python scripts/scale_query_stages.py [n_queries] [num_cpus]
 
-Both stages are per-query local (no cross-query state), so throughput
+The stage is per-query local (no cross-query state), so throughput
 should scale with the bucket width — this script is the evidence the
 10-query oracle fixtures can't provide."""
 
@@ -70,21 +69,6 @@ def main() -> None:
     gen_s = time.perf_counter() - t0
     print(f"generated_answers: {out} answers in {gen_s:.1f}s "
           f"({out / gen_s:.0f} q/s at {num_cpus} cpus)")
-
-    # ---- ROGRAG response synthesis at scale --------------------------
-    from graphrag_rs_ray.pipelines.streaming import (
-        responses_stage, synthesize_streaming_inputs)
-    sq, sr = synthesize_streaming_inputs(
-        ["Alpha Beta", "Gamma Delta", "Epsilon"], texts)
-    sreps = (n_queries + len(sq) - 1) // len(sq)
-    sq_tbl = replicate(sq, sreps)
-    sr_ds = rd.from_arrow(replicate(sr, sreps)).repartition(
-        num_cpus * 2).materialize()
-    t0 = time.perf_counter()
-    out2 = responses_stage(sr_ds, sq_tbl).count()
-    resp_s = time.perf_counter() - t0
-    print(f"rograg_responses: {out2} responses in {resp_s:.1f}s "
-          f"({out2 / resp_s:.0f} q/s at {num_cpus} cpus)")
 
     ray.shutdown()
 

@@ -16,11 +16,6 @@ from graphrag_rs_ray.functions.string_linker import (
     soundex,
 )
 from graphrag_rs_ray.functions.generation import extract_sentences
-from graphrag_rs_ray.functions.rograg_streaming import (
-    clean_content,
-    generate_streaming_chunks,
-    synthesize,
-)
 from graphrag_rs_ray.pipelines.lazy_pipeline import chunk_text
 
 TEXT = st.text(alphabet=string.ascii_letters + string.digits + " .!?',",
@@ -95,59 +90,3 @@ def test_lazy_chunker_covers_text(text, size, overlap):
         assert b["start_offset"] > a["start_offset"]     # progress
     for c in chunks:
         assert text[c["start_offset"]:c["end_offset"]] == c["content"]
-
-
-_RESULTS = st.lists(st.fixed_dictionaries({
-    "content": st.text(alphabet=string.ascii_lowercase + " ",
-                       min_size=1, max_size=30),
-    "confidence": st.floats(min_value=0.0, max_value=1.0,
-                            allow_nan=False),
-    "result_type": st.sampled_from(["logic_form", "fuzzy_match",
-                                    "fallback"]),
-    "sources": st.lists(st.sampled_from(["s1", "s2", "s3"]),
-                        max_size=3),
-}), min_size=1, max_size=6)
-
-
-@settings(max_examples=100, deadline=None)
-@given(_RESULTS,
-       st.sampled_from(["sequential", "weighted", "best_only",
-                        "smart_merge", "hierarchical"]))
-def test_synthesis_invariants(results, strategy):
-    out = synthesize(results, strategy)
-    assert 0.0 <= out["confidence"] <= 1.0 + 1e-9
-    assert out["synthesis_method"] in (strategy, "sequential")
-    if strategy != "best_only":
-        # sources are deduped (best_only clones the winning row's
-        # sources verbatim — reference behavior)
-        assert len(out["sources"]) == len(set(out["sources"]))
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.text(alphabet=string.ascii_letters + " {}\n\t",
-               max_size=120))
-def test_clean_content_invariants(s):
-    import re
-    c = clean_content(s)
-    assert "  " not in c and c == c.strip()
-    if c:
-        assert c[-1] in ".!?"
-    # surviving braces are never intact {word} placeholders
-    assert not re.search(r"\{\w+\}", c)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.text(alphabet=string.ascii_lowercase + " ", min_size=1,
-               max_size=400),
-       st.integers(min_value=1, max_value=16))
-def test_streaming_chunks_partition_words(content, chunk_size):
-    from graphrag_rs_ray.functions.rograg_streaming import StreamingConfig
-    resp = {"content": content, "confidence": 0.5, "sources": []}
-    chunks = generate_streaming_chunks(
-        resp, StreamingConfig(chunk_size=chunk_size))
-    words = content.split()
-    rebuilt = [w for c in chunks for w in c["content"].split()]
-    assert rebuilt == words
-    if chunks:
-        assert chunks[-1]["is_final"]
-        assert all(not c["is_final"] for c in chunks[:-1])

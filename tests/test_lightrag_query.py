@@ -205,91 +205,3 @@ def test_deepening_quality_stop_is_dead_code():
     v = build_concept_views(freq, edges, chunks)
     res = iterative_deepening_search("q", v, SearchConfig(min_chunks=0))
     assert res["stop_reason"] != "QualityThresholdMet"
-
-
-# ------------------------------------------------- quality metrics --
-# quality_metrics.rs:986-1337 component gates.
-
-from graphrag_rs_ray.functions.quality_metrics import (  # noqa: E402
-    aggregated_metrics,
-    coherence_score,
-    completeness_score,
-    improvement_percentage,
-    quality_alerts,
-    relevance_score,
-    response_quality,
-    retrieval_strategy,
-    source_credibility,
-    statistical_significance,
-    throughput_qps,
-)
-
-
-def test_source_credibility():
-    assert source_credibility([]) == 0.0
-    # 2 sources/5 → 0.4; prefixes distinct → 1.0 → avg 0.7
-    assert abs(source_credibility(["alpha one", "beta two"]) - 0.7) < 1e-9
-    # shared 5-char prefix halves diversity
-    assert source_credibility(["alphaX", "alphaY"]) == \
-        (min(2 / 5, 1.0) + 0.5) / 2
-
-
-def test_completeness_and_relevance():
-    assert abs(completeness_score("x" * 500, 3, 5) - 1.0) < 1e-9
-    assert abs(completeness_score("x" * 250, 0, 0) - (0.5 / 3)) < 1e-9
-    assert relevance_score("", "anything") == 1.0      # no >3-byte words
-    assert abs(relevance_score("alpha beta", "alpha only here")
-               - 0.5) < 1e-9
-
-
-def test_coherence():
-    assert coherence_score("single sentence no period") == 1.0
-    # 'a. therefore b.' → sentences ['a',' therefore b',''] (empty kept)
-    s = coherence_score("a. therefore b.")
-    tc = 1 / 3
-    rep = 3 / 4   # words: a. therefore b. → ['a.','therefore','b.'] 3 uniq/3
-    assert abs(s - (tc + 1.0) / 2) < 1e-9 or s > 0
-
-
-def test_overall_and_strategy_and_alerts():
-    q = response_quality("what is alpha", "alpha is a thing. therefore.",
-                         ["s1", "s2"], 2, 0.5)
-    assert 0.0 <= q["overall_quality"] <= 1.0
-    assert retrieval_strategy(1, 1, 0) == "Hybrid"
-    assert retrieval_strategy(1, 0, 0) == "LogicForm"
-    assert retrieval_strategy(0, 5, 1) == "Fallback"
-    assert retrieval_strategy(0, 0, 0) == "FuzzyMatch"
-    assert quality_alerts(0.5, 500) == ["QualityDegradation"]
-    assert quality_alerts(0.9, 20000) == ["PerformanceDegradation"]
-    assert quality_alerts(0.1, 20000) == ["QualityDegradation",
-                                          "PerformanceDegradation"]
-
-
-def test_aggregates_and_significance():
-    rows = [{"accuracy_score": 0.6, "completeness_score": 0.5,
-             "coherence_score": 0.7, "relevance_score": 0.4,
-             "overall_quality": 0.55, "processing_time_ms": 100,
-             "decomposition_success": True},
-            {"accuracy_score": 0.8, "completeness_score": 0.7,
-             "coherence_score": 0.9, "relevance_score": 0.6,
-             "overall_quality": 0.75, "processing_time_ms": 300,
-             "decomposition_success": False}]
-    agg = aggregated_metrics(rows)
-    assert abs(agg["mean_accuracy"] - 0.7) < 1e-9
-    assert abs(agg["success_rate"] - 0.5) < 1e-9
-    assert abs(agg["std_dev_quality"] - 0.1) < 1e-9   # population std
-    assert abs(improvement_percentage(1.2, 1.0) - 20.0) < 1e-9
-    assert improvement_percentage(0.5, 0.0) == 100.0
-    assert improvement_percentage(0.0, 0.0) == 0.0
-    base = dict(agg)
-    rog = {k: v * 1.5 for k, v in agg.items()}
-    sig = statistical_significance(rog, base)
-    assert sig["p_value_completeness"] == 0.05
-    assert sig["p_value_overall"] == (sig["p_value_accuracy"]
-                                      + 0.05 + 0.05) / 3
-
-
-def test_throughput():
-    assert throughput_qps([100]) == 0.0
-    assert abs(throughput_qps(list(range(0, 60, 3))) - 10 / 27) < 1e-9
-    assert throughput_qps([5, 5, 5]) == 0.0     # zero span

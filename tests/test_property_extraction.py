@@ -2,13 +2,17 @@
 layer (``tests/property_tests.rs``): extraction robustness + invariants
 over arbitrary text, id stability, pipeline-function purity."""
 
-from hypothesis import given, settings
+import string
+
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from graphrag_rs_ray.functions.entities import (
     PatternEntityExtractor,
+    _token_features,
     entity_id_for,
     extract_relationships,
+    is_likely_person_name,
 )
 from graphrag_rs_ray.functions.html import extract_page_text
 from graphrag_rs_ray.functions.similarity import compute_similarity, normalize_string
@@ -68,3 +72,22 @@ def test_tokenizers_total(text):
     for tok in bm25_tokenize(text):
         assert tok and len(tok) > 2 and tok == tok.lower()
     assert detect_language(text) in ("en", "es", "pt", "fr")
+
+
+# one whitespace-free raw token, as the extractor's split yields it
+_ACCENTED = "ÀÉÎÕÜÇÑàéîõüçñß"
+_TOKEN = st.builds(
+    lambda head, tail: head + tail,
+    st.sampled_from(string.ascii_uppercase + _ACCENTED + "'(\"."),
+    st.text(alphabet=string.ascii_letters + _ACCENTED
+            + string.digits + ".,'-()!?\"", max_size=10))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TOKEN, _TOKEN)
+def test_two_word_flag_is_person_name_test(w0, w1):
+    # _extract_two_word reads the folded flag [8] of two person-eligible
+    # tokens in place of is_likely_person_name on their joined cleans
+    f0, f1 = _token_features(w0), _token_features(w1)
+    assume(f0[5] and f1[5])
+    assert (f0[8] and f1[8]) == is_likely_person_name(f0[0] + " " + f1[0])

@@ -102,18 +102,8 @@ SQL_CHECKED = [
     "hipporag_retrieval",
     # four-phase pipeline validation report over staged corrupted tables
     "pipeline_validation",
-    # ROGRAG batch query processing (oracle SQL generated from the same
-    # pattern specs as the Python kernels)
-    "query_intents", "query_decomposition", "logic_forms",
-    "query_validation", "fuzzy_matches",
-    # adaptive complexity routing + query rewriting (query/ module)
-    "query_routing", "query_rewrite",
     # LightRAG dual-level keywords (fallback path) + retrieval merges
     "dual_keywords", "dual_retrieval",
-    # ROGRAG quality metrics (per-response scoring + corpus report)
-    "response_quality", "quality_report",
-    # logic-form execution against the KG (bindings + answer)
-    "logic_bindings",
     # traversal slice (ego / multi-source BFS / query-focused subgraph)
     "ego_network", "multi_source_bfs", "query_focused_subgraph",
     # real RDF/Turtle/GraphML import (SQL re-parses the same staged raw
@@ -139,8 +129,6 @@ SQL_CHECKED = [
     "generated_answers",
     # LazyGraphRAG pipeline (chunker arithmetic; end-to-end stats)
     "lazy_chunks", "lazy_pipeline_stats",
-    # ROGRAG response synthesis/templates (full string replay)
-    "rograg_responses",
     # concept extraction replayed in SQL from staged chunk texts
     "concept_mentions",
     # rule-engine NER replayed in SQL (dictionary/regex positions via

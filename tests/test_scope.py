@@ -1,12 +1,16 @@
-"""Scope gate: every ``graphrag_rs_ray`` module is reached from a
-non-test entry point, except the modules listed in ``UNREACHED``.
+"""Scope gates.
 
-Reach is the static import closure, by ``ast``, of the driver contract
-(``__ray_entry__.py``), ``bench.py``, ``scripts/*.py`` and
-``perfbench/*.py``; imports inside functions count.  A module that
-drops out of the closure fails the test until it is deleted or listed
-here, and a listed module that becomes reachable (or is deleted) fails
-it too, so the list can only shrink."""
+Every ``graphrag_rs_ray`` module is reached from a non-test entry point,
+except the modules listed in ``UNREACHED``.  Reach is the static import
+closure, by ``ast``, of the driver contract (``__ray_entry__.py``),
+``bench.py``, ``scripts/*.py`` and ``perfbench/*.py``; imports inside
+functions count.  A module that drops out of the closure fails the test
+until it is deleted or listed here, and a listed module that becomes
+reachable (or is deleted) fails it too, so the list can only shrink.
+
+Every top-level function and class of the package and the driver is
+referenced somewhere in the repo's Python, tests included, so a cut
+cannot leave its helpers behind."""
 
 import ast
 import glob
@@ -93,3 +97,41 @@ def _unreached() -> set[str]:
 
 def test_unreached_modules_are_exactly_the_listed_ones():
     assert _unreached() == UNREACHED
+
+
+def _py_files(*dirs: str) -> list[str]:
+    return [p for d in dirs
+            for p in glob.glob(os.path.join(ROOT, d, "**", "*.py"),
+                               recursive=True)]
+
+
+def _parse(path: str) -> ast.Module:
+    with open(path) as f:
+        return ast.parse(f.read())
+
+
+def test_every_top_level_name_is_referenced():
+    """A reference is a ``Name``, an ``Attribute``, an import alias or a
+    string constant equal to the name; the ``def``/``class`` statement
+    itself is none of these."""
+    driver = os.path.join(ROOT, "__ray_entry__.py")
+    defined = {}
+    for path in _py_files(PKG) + [driver]:
+        for node in _parse(path).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defined[node.name] = os.path.relpath(path, ROOT)
+    refs = set()
+    for path in (_py_files(PKG, "scripts", "perfbench", "tests")
+                 + [driver, os.path.join(ROOT, "bench.py")]):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Name):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+            elif isinstance(node, ast.alias):
+                refs.add(node.name.rsplit(".", 1)[-1])
+            elif isinstance(node, ast.Constant) and isinstance(node.value,
+                                                               str):
+                refs.add(node.value)
+    assert {n: defined[n] for n in set(defined) - refs} == {}
