@@ -57,7 +57,6 @@ from graphrag_rs_ray.sources.pages import pages_dataset
 from graphrag_rs_ray.stages.extract_text import extract_text_stage
 from graphrag_rs_ray.stages.kg_extract import entities_only
 from graphrag_rs_ray.functions.textstats import STOP_WORDS
-from graphrag_rs_ray.stages.hashagg import auto_pool
 
 _SF_PAGES = {"sf0.001": 200, "sf0.01": 2000, "sf0.1": 100000}
 
@@ -142,8 +141,7 @@ _KG_DS_CACHE: dict[tuple, Any] = {}
 def _kg_ds(sf_dir: str, kind: str):
     """Materialized per-process checkpoints of the DEFAULT-``KGConfig``
     KG derivation that ~20 queries share (pages → chunks → combined →
-    triples / entities), built once per process — the same
-    shared-input-cache discipline as ``_KG_QUERY_CACHE``.
+    triples / entities), built once per process.
     At 100 TB the graph is built once and
     persisted (``pipelines/kg.write_graph``); downstream analytics read
     the persisted graph rather than re-deriving it per query, and this
@@ -1686,13 +1684,14 @@ def q_semantic_merge_groups(sf_dir: str):
 def _staged_doc_entities(query: str, sf_dir: str):
     """Distinct per-document entities (doc_id, local_entity_id, name)
     from the mention rows — the linker's flattened input
-    (``entity_linker.rs:121-134``), staged.  Mention rows come from
-    the shared per-process KG cache (one extraction pass feeds the
-    whole tool/linking slice)."""
-    import ray.data as rd
+    (``entity_linker.rs:121-134``), staged.  Mention rows stream from
+    the shared materialized ``combined`` checkpoint (one extraction
+    pass feeds the whole tool/linking slice, nothing is collected to
+    the driver)."""
     from graphrag_rs_ray.stages.hashagg import (
         grouped_arrow_agg, hash_grouped_aggregate)
-    mentions = rd.from_arrow(_kg_query_inputs(sf_dir)["mentions"])
+    mentions = _kg_ds(sf_dir, "combined").map_batches(
+        entities_only, batch_format="pyarrow")
     flat = hash_grouped_aggregate(
         mentions.map_batches(
             lambda t: pa.table({"doc_id": t.column("doc_id"),
@@ -1853,39 +1852,6 @@ def q_string_links(sf_dir: str):
     assignments, links = links_table(rows)
     _stage(rd.from_arrow(assignments), "string_links", sf_dir, "asg")
     return rd.from_arrow(links)
-
-
-def q_generated_answers(sf_dir: str):
-    """Answer generation (``generation/mod.rs:722-1018`` + the MockLLM
-    ``:24-410``): per-query context assembly (primary ≥ 0.7 ∧ type ∈
-    {chunk,entity} / supporting ≥ 0.3, stable-sorted, max_sources/2
-    truncation, top-3 summaries, 0.5/0.3/0.2 weighted confidence),
-    mode-dispatched MockLLM answering — extractive sentence scoring
-    with the template-suffix-in-question quirk, hybrid <50-char/"No
-    relevant" fallback, insufficient-context short-circuit —
-    confidence adjustments (×0.7 short, ×0.5 negative, entity-mention
-    boost), citation block + quality assessment strings.  Inputs are
-    deterministic retrieval shortlists synthesized from `documents`
-    and staged; the oracle replays the ENTIRE path in SQL (sentence
-    split, per-word scoring, stable ranks, %.1f/%.2f formatting,
-    md5 of the formatted citations)."""
-    import pyarrow.parquet as pq
-    import ray.data as rd
-    from graphrag_rs_ray.pipelines.generation import (
-        generated_answers, synthesize_generation_inputs)
-    docs = pq.read_table(os.path.join(sf_dir, "documents.parquet"),
-                         columns=["doc_id", "text"])
-    order = pa.compute.sort_indices(docs.column("doc_id"))
-    docs = docs.take(order)
-    queries, results, summaries = synthesize_generation_inputs(
-        [str(i) for i in docs.column("doc_id").to_pylist()],
-        docs.column("text").to_pylist())
-    _stage(rd.from_arrow(queries), "generated_answers", sf_dir, "q")
-    r_ds = _stage(rd.from_arrow(results), "generated_answers", sf_dir,
-                  "r")
-    h_ds = _stage(rd.from_arrow(summaries), "generated_answers", sf_dir,
-                  "h")
-    return generated_answers(r_ds, h_ds, queries)
 
 
 def q_lazy_chunks(sf_dir: str):
@@ -2208,104 +2174,6 @@ def q_pipeline_validation(sf_dir: str):
     return rd.from_arrow(pipeline_validation_report(
         docs_staged, chunks_staged, mentions_staged, entities_staged,
         triples_staged))
-
-
-# ------------------------------------------------- KG query corpus --
-# The LightRAG queries run over a deterministic query corpus synthesized
-# from the KG's own canonical entity names — no external data.
-
-_KG_QUERY_CACHE: dict[str, dict] = {}
-
-
-def _kg_query_inputs(sf_dir: str) -> dict:
-    """KG-derived query inputs, built once per process: the top entity
-    names that seed the synthesized query corpus (mention_count desc,
-    name asc) and the per-chunk entity mention rows."""
-    if sf_dir not in _KG_QUERY_CACHE:
-        top = (_kg_ds(sf_dir, "entities")
-               .sort(["mention_count", "name"], descending=[True, False])
-               .limit(24))
-        mentions_df = (_kg_ds(sf_dir, "combined")
-                       .map_batches(entities_only, batch_format="pyarrow")
-                       .to_pandas())
-        _KG_QUERY_CACHE[sf_dir] = {
-            "names": [r["name"] for r in top.take_all()],
-            "mentions": pa.Table.from_pandas(
-                mentions_df[["chunk_id", "doc_id", "entity_id", "conf",
-                             "name"]],
-                preserve_index=False),
-        }
-    return _KG_QUERY_CACHE[sf_dir]
-
-
-def _query_corpus_ds(query_name: str, sf_dir: str):
-    import ray.data as rd
-    from graphrag_rs_ray.pipelines.lightrag import synthesize_query_table
-    return _stage(rd.from_arrow(
-        synthesize_query_table(_kg_query_inputs(sf_dir)["names"])),
-        query_name, sf_dir)
-
-
-def q_dual_keywords(sf_dir: str):
-    """Dual-level keyword extraction, no-LLM fallback path
-    (``lightrag/keyword_extraction.rs:168-190``): query words > 3 bytes,
-    first 10, lowercased, emitted as low-level keywords.  (The LLM path
-    — prompt build, JSON extraction, validation — is ported and
-    unit-tested in functions/lightrag.py; no real model in sandbox.)"""
-    from graphrag_rs_ray.pipelines.lightrag import dual_keywords_stage
-    return _query_corpus_ds("dual_keywords", sf_dir).map_batches(
-        dual_keywords_stage, batch_format="pyarrow")
-
-
-def q_dual_retrieval(sf_dir: str):
-    """Dual-level retrieval merge strategies (``lightrag/dual_retrieval
-    .rs:197-322``): high-level (topic) and low-level (entity) BM25
-    candidate lists merged under interleave / high_first / low_first /
-    weighted (0.6/0.4), dedup first-occurrence, top-10.  Both lists are
-    staged with their positions; the oracle replays all four merges."""
-    import ray.data as rd
-    from graphrag_rs_ray.pipelines.lightrag import dual_retrieval_table
-
-    def staged_list(query: str, sub: str):
-        rows = td.bm25_topk(sf_dir, query=query, k=20).take_all()
-        tbl = pa.table({
-            "j": pa.array(range(len(rows)), pa.int64()),
-            "doc_id": pa.array([r["doc_id"] for r in rows], pa.int64()),
-            "score": pa.array([r["score"] for r in rows], pa.float64())})
-        staged = _stage(rd.from_arrow(tbl), "dual_retrieval", sf_dir, sub)
-        rows = sorted(staged.take_all(), key=lambda r: r["j"])
-        return [{"id": r["doc_id"], "score": r["score"]} for r in rows]
-
-    high = staged_list("fast hash join", "high")
-    low = staged_list("hash join", "low")
-    return rd.from_arrow(dual_retrieval_table(high, low, top_k=10))
-
-
-def q_lazy_search(sf_dir: str):
-    """LazyGraphRAG iterative-deepening search
-    (``lightrag/iterative_deepening.rs:112-315`` +
-    ``query_refinement.rs:104-222``): query → concept extraction →
-    refinement over the concept graph (relevance = (ln f + 1) ×
-    (1 + 0.5·connections), feedback boosts) → depth-limited chunk
-    accumulation with max-chunks / no-more-concepts stops.  Procedural
-    iterative kernel → rows-only driver check; gated by unit tests on a
-    hand-built graph."""
-    from graphrag_rs_ray.pipelines.concepts import (
-        concept_edges, concept_mention_rows, concept_table_from_mentions)
-    from graphrag_rs_ray.pipelines.lightrag import (
-        concept_views_from_tables, lazy_search_stage)
-
-    chunks = _kg_ds(sf_dir, "chunks")
-    mentions = concept_mention_rows(chunks).materialize()
-    views = concept_views_from_tables(
-        pa.Table.from_pandas(
-            concept_table_from_mentions(mentions).to_pandas(),
-            preserve_index=False),
-        pa.Table.from_pandas(concept_edges(chunks).to_pandas(),
-                             preserve_index=False),
-        pa.Table.from_pandas(mentions.to_pandas(), preserve_index=False))
-    return lazy_search_stage(_query_corpus_ds("lazy_search", sf_dir),
-                             views)
 
 
 # ------------------------------------------------------ corpus module --
@@ -3260,8 +3128,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # string-similarity linker (entity/string_similarity_linker.rs)
         "string_sim_pairs": q_string_sim_pairs,
         "string_links": q_string_links,
-        # answer generation (generation/mod.rs, MockLLM + generator)
-        "generated_answers": q_generated_answers,
         # LazyGraphRAG end-to-end pipeline (lightrag/lazy_pipeline.rs)
         "lazy_chunks": q_lazy_chunks,
         "lazy_pipeline_stats": q_lazy_pipeline_stats,
@@ -3299,11 +3165,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "rerank_topk": q_rerank_topk,
         "hipporag_retrieval": q_hipporag_retrieval,
         "pipeline_validation": q_pipeline_validation,
-        # LightRAG query-side (dual keywords + merges oracle-checked;
-        # iterative deepening is procedural → rows-only)
-        "dual_keywords": q_dual_keywords,
-        "dual_retrieval": q_dual_retrieval,
-        "lazy_search": q_lazy_search,
         # corpus module (document_manager / collection_processor /
         # graph_indexer / knowledge_graph)
         "doc_collection": q_doc_collection,
@@ -4801,8 +4662,6 @@ def oracle_sql() -> dict[str, str]:
     d["rerank_topk"] = _rerank_sql(d["bm25_scores"])
     d["hipporag_retrieval"] = _hipporag_sql(n_iter=8, damping=0.5)
     d["pipeline_validation"] = _validation_sql()
-    d["dual_keywords"] = _dual_keywords_sql()
-    d["dual_retrieval"] = _dual_retrieval_sql()
     d["query_plans"] = _query_plans_sql()
     d["hybrid_fusion"] = _hybrid_fusion_sql()
     d["enriched_search"] = _enriched_search_sql()
@@ -4815,7 +4674,6 @@ def oracle_sql() -> dict[str, str]:
     d["entity_linking_stats"] = _entity_linking_stats_sql()
     d["string_sim_pairs"] = _string_sim_pairs_sql()
     d["string_links"] = _string_links_sql()
-    d["generated_answers"] = _generation_sql()
     d["lazy_chunks"] = _lazy_chunks_sql()
     d["lazy_pipeline_stats"] = _lazy_stats_sql()
     d["concept_mentions"] = _concept_mentions_sql()
@@ -5305,287 +5163,6 @@ JOIN verified v ON v.cluster_id = a.cluster_id
               AND v.entity_id = a.entity_id
 WHERE a.entity_id <> c.canonical_id
 ORDER BY a.entity_id
-    """
-
-
-# -------------------------------------------- answer-generation SQL --
-
-_GEN_EXT_SUF = "\n\nRelevant information:"
-_GEN_ABS_SUF = ("\n\nBased on the provided context, please answer the "
-                "question. If the context doesn't contain enough "
-                "information, please say so.")
-_GEN_WS = "' ' || chr(9) || chr(10) || chr(13) || chr(11) || chr(12)"
-_GEN_NAMES = ("['entity','second','third','fourth','fifth','sixth',"
-              "'guardian','companion','friend','character']")
-_GEN_EVENTS = ("['activity','discovery','location','place','action',"
-               "'building','structure','area','water']")
-_GEN_LOCS = ("['settlement','waterway','river','cavern','landmass',"
-             "'town','building','institution','dwelling']")
-
-
-def _sql_lit(s: str) -> str:
-    return "'" + s.replace("'", "''") + "'"
-
-
-def _generation_sql() -> str:
-    """Full replay of ``generation/mod.rs`` over the staged
-    query/result/summary tables — context assembly, both template
-    paths' sentence scoring (suffix-in-question quirk), smart fallback,
-    mode dispatch, confidence arithmetic, citation md5."""
-    qt = _staged_sql("generated_answers", "q")
-    rt = _staged_sql("generated_answers", "r")
-    ht = _staged_sql("generated_answers", "h")
-    ws = _GEN_WS
-    return f"""
-WITH
-q AS (SELECT * FROM {qt}),
-r AS (SELECT * FROM {rt}),
-h AS (SELECT * FROM {ht}),
-cat AS (
-  SELECT query_id, seq, result_id, content, score,
-    CASE WHEN score >= 0.7 AND result_type IN ('chunk','entity') THEN 0
-         WHEN score >= 0.3 THEN 1 ELSE 2 END AS cat
-  FROM r),
-ranked AS (
-  SELECT *, row_number() OVER (PARTITION BY query_id, cat
-             ORDER BY score DESC, seq ASC) AS rn
-  FROM cat WHERE cat < 2),
-kept AS (SELECT * FROM ranked WHERE rn <= 5),
-hkept AS (
-  SELECT * FROM (
-    SELECT query_id, node_id, summary, score,
-           row_number() OVER (PARTITION BY query_id
-             ORDER BY score DESC, seq ASC) AS rn
-    FROM h) t WHERE rn <= 3),
-avgs AS (
-  SELECT q.query_id,
-    round(coalesce(p.a, 0.0), 12) AS avg_p,
-    round(coalesce(s.a, 0.0), 12) AS avg_s,
-    round(coalesce(hh.a, 0.0), 12) AS avg_h
-  FROM q
-  LEFT JOIN (SELECT query_id, avg(score) AS a FROM kept WHERE cat = 0
-             GROUP BY query_id) p USING (query_id)
-  LEFT JOIN (SELECT query_id, avg(score) AS a FROM kept WHERE cat = 1
-             GROUP BY query_id) s USING (query_id)
-  LEFT JOIN (SELECT query_id, avg(score) AS a FROM hkept
-             GROUP BY query_id) hh USING (query_id)),
-cconf AS (SELECT query_id,
-                 least(avg_p*0.5 + avg_s*0.3 + avg_h*0.2, 1.0) AS ctx_conf
-          FROM avgs),
-parts AS (
-  SELECT query_id, cat AS ord1, rn, content AS txt, result_id AS sid,
-         score
-  FROM kept
-  UNION ALL
-  SELECT query_id, 2, rn, summary, node_id, score FROM hkept),
-comb AS (
-  SELECT q.query_id, coalesce(c.combined, '') AS combined
-  FROM q LEFT JOIN (
-    SELECT query_id,
-           string_agg(txt, chr(10)||chr(10) ORDER BY ord1, rn) AS combined
-    FROM parts GROUP BY query_id) c USING (query_id)),
-ctxt AS (SELECT query_id, trim(combined, {ws}) AS ctx FROM comb),
-sents0 AS (
-  SELECT query_id, list_filter(list_transform(
-    regexp_split_to_array(ctx, '[.!?]'), x -> trim(x, {ws})),
-    x -> x <> '') AS sl
-  FROM ctxt),
-sent AS (
-  SELECT query_id, unnest(sl) AS sentence,
-         unnest(range(1, len(sl)+1)) AS sidx
-  FROM sents0),
-paths AS (
-  SELECT query_id, 'ext' AS path,
-         lower(question || {_sql_lit(_GEN_EXT_SUF)}) AS lq FROM q
-  UNION ALL
-  SELECT query_id, 'abs', lower(question || {_sql_lit(_GEN_ABS_SUF)})
-  FROM q),
-qw0 AS (
-  SELECT query_id, path,
-         list_filter(string_split_regex(lq, '\\s+'),
-                     w -> length(w) > 2) AS qws
-  FROM paths),
-qw AS (SELECT query_id, path, unnest(qws) AS w FROM qw0),
-nqw AS (SELECT query_id, path, len(qws) AS nq FROM qw0),
-swords AS (SELECT query_id, sidx, lower(sentence) AS sl,
-                  list_filter(string_split_regex(lower(sentence), '\\s+'),
-                              x -> x <> '') AS sw
-           FROM sent),
-pts AS (
-  SELECT s.query_id, q.path, s.sidx,
-    CASE WHEN contains(s.sl, q.w) THEN 2.0
-         WHEN length(q.w) > 4 AND len(list_filter(s.sw,
-              t -> contains(t, q.w) OR contains(q.w, t))) > 0 THEN 1.0
-         ELSE 0.0 END AS p
-  FROM swords s JOIN qw q USING (query_id)),
-sentsc AS (
-  SELECT query_id, path, sidx, sum(p) AS total,
-         count(*) FILTER (WHERE p > 0.0) AS matches
-  FROM pts GROUP BY query_id, path, sidx),
-fsent AS (
-  SELECT c.query_id, c.path, c.sidx,
-         c.total + (c.matches::DOUBLE / n.nq) * 0.5 AS sc
-  FROM sentsc c JOIN nqw n USING (query_id, path)),
-rsent AS (
-  SELECT f.*, s.sentence,
-         row_number() OVER (PARTITION BY f.query_id, f.path
-           ORDER BY f.sc DESC, f.sidx ASC) AS srn
-  FROM fsent f JOIN sent s USING (query_id, sidx)),
-a5 AS (
-  SELECT query_id, path, string_agg(
-    sentence || ' (relevance: ' || printf('%.1f', sc) || ')',
-    chr(10)||chr(10) ORDER BY srn) AS ans
-  FROM rsent WHERE srn <= 5 AND sc > 0.5 GROUP BY query_id, path),
-a2 AS (
-  SELECT query_id, path, string_agg(
-    sentence || ' (low confidence: ' || printf('%.1f', sc) || ')',
-    chr(10)||chr(10) ORDER BY srn) AS ans
-  FROM rsent WHERE srn <= 2 AND sc > 0.0 GROUP BY query_id, path),
-eans AS (
-  SELECT p.query_id, p.path, p.lq,
-         coalesce(a5.ans, a2.ans,
-           'No directly relevant information found in the context.')
-           AS ans
-  FROM paths p LEFT JOIN a5 USING (query_id, path)
-               LEFT JOIN a2 USING (query_id, path)),
-lists AS (
-  SELECT c.query_id,
-    array_to_string(list_filter({_GEN_NAMES},
-      n -> contains(lower(c.ctx), n)), ', ') AS names,
-    array_to_string(list_transform(list_filter({_GEN_EVENTS},
-      e -> contains(lower(c.ctx), e)),
-      e -> 'events involving ' || e), ', ') AS events,
-    array_to_string(list_filter({_GEN_LOCS},
-      l -> contains(lower(c.ctx), l)), ', ') AS locs,
-    s.sl
-  FROM ctxt c JOIN sents0 s USING (query_id)),
-summ AS (
-  SELECT query_id,
-    CASE WHEN len(sl) = 0 THEN ''
-         WHEN length(sl[1]) > 150 THEN ''
-         WHEN len(sl) < 2 OR length(sl[1]) + length(sl[2]) > 150
-           THEN sl[1]
-         WHEN len(sl) < 3
-              OR (length(sl[1]) + 1 + length(sl[2])) + length(sl[3]) > 150
-           THEN sl[1] || ' ' || sl[2]
-         ELSE sl[1] || ' ' || sl[2] || ' ' || sl[3] END AS s
-  FROM lists),
-cresp AS (
-  SELECT e.query_id, e.path,
-    CASE
-      WHEN contains(e.lq, 'who') AND contains(e.lq, 'friend')
-           AND l.names <> ''
-        THEN 'Based on the context, the main characters mentioned '
-             || 'include: ' || l.names || '. These appear to be friends '
-             || 'and companions in the story.'
-      WHEN contains(e.lq, 'what')
-           AND (contains(e.lq, 'adventure') OR contains(e.lq, 'happen'))
-           AND l.events <> ''
-        THEN 'The context describes several events: ' || l.events
-      WHEN contains(e.lq, 'where') AND l.locs <> ''
-        THEN 'The story takes place in locations such as: ' || l.locs
-      ELSE 'Based on the available context: ' || m.s
-    END AS resp
-  FROM eans e JOIN lists l USING (query_id) JOIN summ m USING (query_id)),
-smart AS (
-  SELECT e.query_id, e.path,
-    CASE WHEN contains(e.ans, 'No relevant')
-              OR contains(e.ans, 'No directly')
-         THEN c.resp ELSE e.ans END AS ans
-  FROM eans e JOIN cresp c USING (query_id, path)),
-trunc0 AS (
-  SELECT query_id, path,
-    CASE WHEN length(ans) > 500 THEN substr(ans, 1, 497) || '...'
-         ELSE ans END AS ans
-  FROM smart),
-modeans AS (
-  SELECT q.query_id, q.mode,
-    CASE WHEN cb.combined = '' THEN 'No relevant content found.'
-         WHEN q.mode = 'extractive' THEN ext.ans
-         WHEN q.mode = 'abstractive' THEN ab.ans
-         WHEN length(ext.ans) < 50 OR contains(ext.ans, 'No relevant')
-           THEN ab.ans
-         ELSE ext.ans END AS answer
-  FROM q
-  JOIN comb cb USING (query_id)
-  JOIN (SELECT query_id, ans FROM trunc0 WHERE path = 'ext') ext
-    USING (query_id)
-  JOIN (SELECT query_id, ans FROM trunc0 WHERE path = 'abs') ab
-    USING (query_id)),
-final0 AS (
-  SELECT m.query_id,
-    CASE WHEN cc.ctx_conf < 0.3
-         THEN 'Insufficient information available to answer this '
-              || 'question.'
-         ELSE m.answer END AS answer,
-    cc.ctx_conf
-  FROM modeans m JOIN cconf cc USING (query_id)),
-ents0 AS (
-  SELECT query_id, list_sort(list_distinct(flatten(list(
-           list_filter(string_split(entities_csv, ','),
-                       x -> x <> ''))))) AS el
-  FROM r GROUP BY query_id),
-ment AS (
-  SELECT f.query_id,
-    len(list_filter(e.el, x -> contains(lower(f.answer), lower(x))))
-      AS nm
-  FROM final0 f JOIN ents0 e USING (query_id)),
-c1 AS (SELECT query_id, answer, ctx_conf,
-         CASE WHEN length(answer) < 20 THEN ctx_conf * 0.7
-              ELSE ctx_conf END AS v
-       FROM final0),
-c2 AS (SELECT query_id, answer, ctx_conf,
-         CASE WHEN contains(answer, 'No relevant')
-                   OR contains(answer, 'insufficient')
-              THEN v * 0.5 ELSE v END AS v
-       FROM c1),
-conf AS (
-  SELECT c2.query_id, c2.answer, c2.ctx_conf,
-    CASE WHEN c2.ctx_conf < 0.3 THEN c2.ctx_conf
-         ELSE least(CASE WHEN m.nm > 0
-                         THEN c2.v + least(m.nm * 0.1, 0.2)
-                         ELSE c2.v END, 1.0) END AS confidence
-  FROM c2 JOIN ment m USING (query_id)),
-srcs AS (
-  SELECT query_id, ord1, rn, sid, score, txt,
-    row_number() OVER (PARTITION BY query_id ORDER BY ord1, rn) AS cid
-  FROM parts),
-cit AS (
-  SELECT query_id,
-    string_agg(chr(10) || '[' || cid || '] ' ||
-      CASE ord1 WHEN 0 THEN 'chunk' WHEN 1 THEN 'supporting_chunk'
-           ELSE 'summary' END ||
-      ' (confidence: ' || printf('%.2f', score) || ') - ' ||
-      CASE WHEN length(txt) <= 100 THEN txt
-           ELSE substr(txt, 1, 100) || '...' END,
-      '' ORDER BY cid) AS cittxt,
-    count(*)::BIGINT AS nsrc
-  FROM srcs GROUP BY query_id),
-fmt AS (
-  SELECT f.query_id,
-    f.answer ||
-    coalesce(chr(10)||chr(10)||'Sources:' || c.cittxt, '') ||
-    CASE WHEN f.confidence > 0.0
-         THEN chr(10)||chr(10)||'Overall confidence: '
-              || printf('%.2f', f.confidence)
-         ELSE '' END AS formatted,
-    coalesce(c.nsrc, 0) AS nsrc
-  FROM conf f LEFT JOIN cit c USING (query_id))
-SELECT cf.query_id, q.mode AS mode_used, cf.answer,
-  round(cf.confidence, 12) AS confidence,
-  round(cf.ctx_conf, 12) AS context_quality,
-  ft.nsrc AS n_sources,
-  array_to_string(e.el, ',') AS entities_csv,
-  md5(ft.formatted) AS citations_md5,
-  'Confidence: ' || CASE WHEN cf.confidence >= 0.8 THEN 'High'
-                         WHEN cf.confidence >= 0.5 THEN 'Medium'
-                         ELSE 'Low' END ||
-  ' | Sources: ' || CASE WHEN ft.nsrc >= 3 THEN 'Well-sourced'
-                         WHEN ft.nsrc > 0 THEN 'Moderately sourced'
-                         ELSE 'Poorly sourced' END ||
-  ' | Context Quality: ' || printf('%.2f', cf.ctx_conf) AS quality
-FROM conf cf JOIN q USING (query_id) JOIN fmt ft USING (query_id)
-JOIN ents0 e USING (query_id)
     """
 
 
@@ -8616,60 +8193,6 @@ def _oracle_sql_base() -> dict[str, str]:
             FROM ranked WHERE rank <= 10
         """.replace("{t}", _staged_sql("semantic_edges")),
     }
-
-
-def _dual_keywords_sql() -> str:
-    """Fallback dual-keyword oracle (``keyword_extraction.rs:168-190``):
-    words > 3 bytes, first 10 (1-based inclusive list slice), lowered."""
-    src = _staged_sql("dual_keywords")
-    return f"""
-        WITH qt AS (SELECT query_id, query FROM {src}),
-        wl AS (SELECT query_id,
-               list_filter(string_split_regex(query, '\\s+'),
-                           x -> x <> '') AS l FROM qt),
-        sl AS (SELECT query_id,
-               (list_filter(l, x -> strlen(x) > 3))[1:10] AS l FROM wl),
-        w AS (SELECT query_id, lower(unnest(l)) AS keyword,
-              unnest(range(len(l))) AS k_idx FROM sl)
-        SELECT query_id, 'low_level' AS level, k_idx::BIGINT AS k_idx,
-               keyword
-        FROM w ORDER BY query_id, k_idx
-    """
-
-
-def _dual_retrieval_sql(top_k: int = 10) -> str:
-    """Merge-strategy oracle (``dual_retrieval.rs:197-322``): replays
-    interleave / high_first / low_first / weighted from the staged
-    positioned candidate lists.  Each strategy = dedup-first-occurrence
-    in its event order, rank ≤ top_k; weighted ties pinned (weighted
-    score desc, source asc, position asc) matching the kernel."""
-    high = _staged_sql("dual_retrieval", "high")
-    low = _staged_sql("dual_retrieval", "low")
-
-    def strat(name: str, order: str) -> str:
-        return f"""
-        SELECT '{name}' AS strategy, rank::BIGINT AS rank, doc_id, score
-        FROM (SELECT *, row_number() OVER (ORDER BY {order}) AS rank
-              FROM (SELECT *, row_number() OVER (PARTITION BY doc_id
-                                                 ORDER BY {order}) AS dup
-                    FROM ev) d WHERE dup = 1) r
-        WHERE rank <= {top_k}"""
-
-    parts = [strat("interleave", "j, src"),
-             strat("high_first", "src, j"),
-             strat("low_first", "1 - src, j"),
-             strat("weighted",
-                   "score * (CASE WHEN src = 0 THEN 0.6 ELSE 0.4 END) DESC,"
-                   " src, j")]
-    union = "\n        UNION ALL".join(parts)
-    return f"""
-        WITH ev AS (
-          SELECT j, doc_id, score, 0 AS src FROM {high}
-          UNION ALL
-          SELECT j, doc_id, score, 1 AS src FROM {low})
-        {union}
-        ORDER BY strategy, rank
-    """
 
 
 def _traversal_sql(query: str, n_seeds: int, k: int, mode: str) -> str:

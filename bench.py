@@ -178,11 +178,10 @@ def run_bench() -> dict:
         return result
 
     # shared KG-derived checkpoints (chunks → combined → triples,
-    # entities), built ONCE untimed — the same shared-input-cache
-    # discipline as the _kg_query_inputs warm below: at scale the KG is
-    # built once and persisted (write_graph, timed as its own entry), so
-    # each graph/query entry times its operator over the persisted
-    # graph, not a per-query rebuild
+    # entities), built ONCE untimed: at scale the KG is built once and
+    # persisted (write_graph, timed as its own entry), so each
+    # graph/query entry times its operator over the persisted graph,
+    # not a per-query rebuild
     e._kg_ds(sf_dir, "triples")
     e._kg_ds(sf_dir, "entities")
 
@@ -404,11 +403,6 @@ def run_bench() -> dict:
     # round-2 late additions: traversal subgraphs, planner, entity
     # linking, text analysis (retrieval fusions' heavy halves — BM25,
     # cosine, extraction — are covered by the entries above).
-    # The shared KG-derived query input cache (query-corpus names,
-    # mentions) is warmed UNTIMED — the same per-process cache the
-    # linking and LightRAG queries reuse — so each entry measures its
-    # operator, not shared input construction.
-    e._kg_query_inputs(sf_dir)
     timed("ego_network", lambda: q["ego_network"](sf_dir).count())
 
     # distributed hybrid linking over the flat mention table; the flat
@@ -429,10 +423,7 @@ def run_bench() -> dict:
     timed("query_plans", lambda: q["query_plans"](sf_dir).count())
     timed("entity_clusters", lambda: q["entity_clusters"](sf_dir).count())
     timed("text_statistics", lambda: q["text_statistics"](sf_dir).count())
-    # answer generation, string-similarity linking, LazyGraphRAG fixed
-    # chunker
-    timed("generated_answers",
-          lambda: q["generated_answers"](sf_dir).count())
+    # string-similarity linking, LazyGraphRAG fixed chunker
     timed("string_sim_pairs",
           lambda: q["string_sim_pairs"](sf_dir).count())
     timed("lazy_chunks", lambda: q["lazy_chunks"](sf_dir).count())

@@ -1,7 +1,6 @@
 """Config loading extensions — ports of
-``graphrag-core/src/config/{loader,json5_loader,schema_validator,
-enhancements}.rs`` (the SetConfig system itself is
-``graphrag_rs_ray/setconfig.py``).
+``graphrag-core/src/config/{loader,json5_loader,schema_validator}.rs``
+(the SetConfig system itself is ``graphrag_rs_ray/setconfig.py``).
 
 Semantics pinned:
 
@@ -24,12 +23,6 @@ Semantics pinned:
   minimum/maximum, additionalProperties pass-through), error paths
   formatted ``path: message``, ValidationResult success/failure/
   format_errors.
-- ``enhancements.rs``: the 7-component enhancement config with every
-  default verbatim, has_any_enabled, get_enabled_enhancements (fixed
-  display-name order), disable_all (master flag only), enable_only
-  (aliases query/adaptive/benchmark/registry/dual_level/communities/
-  reranking; unknown components warn), summary with per-component
-  feature tuples and enabled percentage.
 """
 
 from __future__ import annotations
@@ -308,164 +301,9 @@ class ValidationResult:
                          for e in self.errors)
 
 
-# ----------------------------------------------------- enhancements --
-
-def _dc(**kw):
-    return field(default_factory=lambda: dict(kw))
-
-
-@dataclass
-class EnhancementsConfig:
-    """``enhancements.rs:7-313`` with every default verbatim (all three
-    feature gates compiled in, as the repo ships those slices)."""
-    enabled: bool = True
-    query_analysis: dict = _dc(
-        enabled=True, min_confidence=0.6, enable_strategy_suggestion=True,
-        enable_keyword_analysis=True, enable_complexity_scoring=True)
-    adaptive_retrieval: dict = _dc(
-        enabled=True, use_query_analysis=True,
-        enable_cross_strategy_fusion=True, diversity_threshold=0.8,
-        enable_diversity_selection=True, enable_confidence_weighting=True)
-    performance_benchmarking: dict = _dc(
-        enabled=False, auto_recommendations=True,
-        comprehensive_testing=False, iterations=3, include_parallel=True,
-        enable_memory_profiling=False)
-    enhanced_function_registry: dict = _dc(
-        enabled=True, categorization=True, usage_statistics=True,
-        dynamic_registration=True, performance_monitoring=False,
-        recommendation_system=True)
-    lightrag: dict = _dc(
-        enabled=True, max_keywords=20, high_level_weight=0.6,
-        low_level_weight=0.4, merge_strategy="weighted",
-        language="English", enable_cache=True)
-    leiden: dict = _dc(
-        enabled=True, max_cluster_size=10, use_lcc=True, seed=None,
-        resolution=1.0, max_levels=5, min_improvement=0.001,
-        enable_hierarchical=True, generate_summaries=True,
-        max_summary_length=5, use_extractive_summary=True,
-        adaptive_routing={"enabled": True, "default_level": 1,
-                          "keyword_weight": 0.5, "length_weight": 0.3,
-                          "entity_weight": 0.2})
-    cross_encoder: dict = _dc(
-        enabled=True, model_name="cross-encoder/ms-marco-MiniLM-L-6-v2",
-        max_length=512, batch_size=32, top_k=10, min_confidence=0.0,
-        normalize_scores=True)
-
-    _COMPONENTS = [
-        ("query_analysis", "Query Analysis"),
-        ("adaptive_retrieval", "Adaptive Retrieval"),
-        ("performance_benchmarking", "Performance Benchmarking"),
-        ("enhanced_function_registry", "Enhanced Function Registry"),
-        ("lightrag", "LightRAG Dual-Level Retrieval"),
-        ("leiden", "Leiden Community Detection"),
-        ("cross_encoder", "Cross-Encoder Reranking"),
-    ]
-
-    _ALIASES = {
-        "query_analysis": "query_analysis", "query": "query_analysis",
-        "adaptive_retrieval": "adaptive_retrieval",
-        "adaptive": "adaptive_retrieval",
-        "performance_benchmarking": "performance_benchmarking",
-        "benchmark": "performance_benchmarking",
-        "enhanced_function_registry": "enhanced_function_registry",
-        "registry": "enhanced_function_registry",
-        "lightrag": "lightrag", "dual_level": "lightrag",
-        "leiden": "leiden", "communities": "leiden",
-        "cross_encoder": "cross_encoder", "reranking": "cross_encoder",
-    }
-
-    def _component(self, attr: str) -> dict:
-        return getattr(self, attr)
-
-    def has_any_enabled(self) -> bool:
-        return self.enabled and any(
-            self._component(a)["enabled"] for a, _ in self._COMPONENTS)
-
-    def get_enabled_enhancements(self) -> list[str]:
-        if not self.enabled:
-            return []
-        return [name for attr, name in self._COMPONENTS
-                if self._component(attr)["enabled"]]
-
-    def disable_all(self):
-        self.enabled = False
-
-    def enable_only(self, components: list[str]):
-        for attr, _ in self._COMPONENTS:
-            self._component(attr)["enabled"] = False
-        for component in components:
-            attr = self._ALIASES.get(component.lower())
-            if attr is None:
-                continue       # reference eprintln!s and moves on
-            self._component(attr)["enabled"] = True
-        self.enabled = True
-
-    def get_summary(self) -> dict:
-        qa, ar = self.query_analysis, self.adaptive_retrieval
-        pb = self.performance_benchmarking
-        fr = self.enhanced_function_registry
-        components = [
-            {"name": "Query Analysis", "enabled": qa["enabled"],
-             "features": [
-                 ("Strategy Suggestion", qa["enable_strategy_suggestion"]),
-                 ("Keyword Analysis", qa["enable_keyword_analysis"]),
-                 ("Complexity Scoring", qa["enable_complexity_scoring"])]},
-            {"name": "Adaptive Retrieval", "enabled": ar["enabled"],
-             "features": [
-                 ("Cross-Strategy Fusion",
-                  ar["enable_cross_strategy_fusion"]),
-                 ("Diversity Selection",
-                  ar["enable_diversity_selection"]),
-                 ("Confidence Weighting",
-                  ar["enable_confidence_weighting"])]},
-            {"name": "Performance Benchmarking",
-             "enabled": pb["enabled"],
-             "features": [
-                 ("Auto Recommendations", pb["auto_recommendations"]),
-                 ("Comprehensive Testing", pb["comprehensive_testing"]),
-                 ("Memory Profiling", pb["enable_memory_profiling"])]},
-            {"name": "Enhanced Function Registry",
-             "enabled": fr["enabled"],
-             "features": [
-                 ("Categorization", fr["categorization"]),
-                 ("Usage Statistics", fr["usage_statistics"]),
-                 ("Dynamic Registration", fr["dynamic_registration"])]},
-            {"name": "LightRAG Dual-Level Retrieval",
-             "enabled": self.lightrag["enabled"],
-             "features": [
-                 ("Dual-Level Keywords", True),
-                 (f"Max Keywords: {self.lightrag['max_keywords']}", True),
-                 (f"Merge: {self.lightrag['merge_strategy']}", True)]},
-            {"name": "Leiden Community Detection",
-             "enabled": self.leiden["enabled"],
-             "features": [
-                 (f"Max Cluster Size: {self.leiden['max_cluster_size']}",
-                  True),
-                 (f"Resolution: {self.leiden['resolution']}", True),
-                 ("Hierarchical", self.leiden["enable_hierarchical"])]},
-            {"name": "Cross-Encoder Reranking",
-             "enabled": self.cross_encoder["enabled"],
-             "features": [
-                 (f"Top-K: {self.cross_encoder['top_k']}", True),
-                 (f"Batch: {self.cross_encoder['batch_size']}", True),
-                 ("Normalize Scores",
-                  self.cross_encoder["normalize_scores"])]},
-        ]
-        return {"master_enabled": self.enabled, "total_components": 7,
-                "enabled_components": len(self.get_enabled_enhancements()),
-                "components": components}
-
-    def get_enabled_percentage(self) -> float:
-        s = self.get_summary()
-        if s["total_components"] == 0:
-            return 0.0
-        return s["enabled_components"] / s["total_components"] * 100.0
-
-
 __all__ = ["config_format_from_extension", "LegacyConfig",
            "convert_raw_config", "load_config", "json5_to_json",
            "parse_json5_str", "load_json5_config", "save_json5_config",
            "detect_config_format", "format_extension",
            "format_mime_type", "validate_config",
-           "validate_config_file", "ValidationResult",
-           "EnhancementsConfig"]
+           "validate_config_file", "ValidationResult"]

@@ -13,7 +13,7 @@ from ..functions.adaptive_retrieval import (
     select_strategy_weights,
     weight_and_fuse,
 )
-from ..stages.hashagg import grouped_arrow_agg, hash_grouped_aggregate
+from ..stages.hashagg import hash_grouped_aggregate
 
 
 def graph_strategy_shortlist(mentions_ds, query: str, top_n: int = 10,

@@ -15,11 +15,7 @@ from ..functions.enriched_retrieval import (
     metadata_boost,
     query_words,
 )
-from ..stages.hashagg import (
-    bucketed_join,
-    grouped_arrow_agg,
-    hash_grouped_aggregate,
-)
+from ..stages.hashagg import bucketed_join, hash_grouped_aggregate
 
 _META_COLS = ["chunk_id", "chapter", "section", "subsection", "keywords",
               "summary", "structural_level", "position_in_document"]

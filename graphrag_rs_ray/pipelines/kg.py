@@ -41,7 +41,7 @@ from ..stages.hashagg import (
 from ..stages.chunk import ChunkStage
 from ..stages.disk_exchange import reduce_shards, stage_parquet
 from ..stages.extract_text import extract_text_stage
-from ..stages.kg_extract import ExtractKG, entities_only, make_extract_fn, triples_only
+from ..stages.kg_extract import entities_only, make_extract_fn, triples_only
 from ..stages.linking import (
     compute_links_ds,
     links_ds_to_dict,

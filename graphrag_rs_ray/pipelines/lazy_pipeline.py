@@ -1,9 +1,8 @@
 """LazyGraphRAG end-to-end pipeline — port of
 ``lightrag/lazy_pipeline.rs`` (fixed-size overlap chunking → no-LLM
 concept extraction → co-occurrence concept graph → bidirectional
-concept↔chunk index → iterative-deepening query), composed from the
-already-ported stages (``pipelines/concepts.py``,
-``functions/lightrag.py``).
+concept↔chunk index), the build half only, composed from the
+already-ported stages in ``pipelines/concepts.py``.
 
 Semantics pinned:
 

@@ -15,7 +15,6 @@ import math
 import os
 
 from ..stages.disk_exchange import reduce_shards, stage_parquet
-from ..stages.hashagg import auto_pool
 from ..state.manifests import (fingerprint_config, read_manifest,
                                stage_complete, write_manifest)
 
@@ -25,7 +24,6 @@ import pyarrow.compute as pc
 
 from ..functions.dedup import MinHasher, SimHasher
 from ..functions.textstats import (
-    STOP_WORDS,
     bm25_tokenize,
     detect_language,
     fingerprint,

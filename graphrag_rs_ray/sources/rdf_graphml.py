@@ -52,8 +52,7 @@ import re
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .readers import (ENTITY_IMPORT_SCHEMA, REL_IMPORT_SCHEMA,
-                      ImportAborted, ImportConfig)
+from .readers import ImportAborted, ImportConfig
 
 RDF_TYPE_IRI = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 

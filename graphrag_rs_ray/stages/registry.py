@@ -15,7 +15,7 @@ from __future__ import annotations
 import pyarrow as pa
 
 from ..config import KGConfig
-from .kg_extract import COMBINED_SCHEMA, ExtractKG
+from .kg_extract import ExtractKG
 
 
 class GleaningCombinedStage:

@@ -811,8 +811,8 @@ class _TTLCache:
 
 
 class CachedLLMClient:
-    """``client.rs:16-320`` over any object with
-    ``generate_response(prompt) -> str`` (the MockLLM contract)."""
+    """``client.rs:16-320`` over any object with a
+    ``generate_response(prompt) -> str`` method (duck-typed)."""
 
     def __init__(self, inner, config: CacheConfig | None = None,
                  warming_config: "WarmingConfig | None" = None,

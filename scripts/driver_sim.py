@@ -7,7 +7,7 @@ Run: python scripts/driver_sim.py [query ...]
           are printed so any drift is attributable."""
 import os, sys, json
 import duckdb
-import numpy as np, pandas as pd
+import numpy as np
 import ray
 ray.init(address="local", num_cpus=32, include_dashboard=False, logging_level="ERROR")
 from ray.data import DataContext

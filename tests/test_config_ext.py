@@ -1,10 +1,9 @@
 """Config loader family vs the reference's own tests
-(``config/{loader,json5_loader,schema_validator,enhancements}.rs``)."""
+(``config/{loader,json5_loader,schema_validator}.rs``)."""
 
 import pytest
 
 from graphrag_rs_ray.config_ext import (
-    EnhancementsConfig,
     ValidationResult,
     config_format_from_extension,
     convert_raw_config,
@@ -132,45 +131,3 @@ def test_validation_result():
         [{"path": "/a", "message": "boom"}])
     assert not bad.valid and "- /a: boom" in bad.format_errors()
 
-
-def test_enhancements_default_config():
-    # enhancements.rs:684-692
-    cfg = EnhancementsConfig()
-    assert cfg.enabled and cfg.has_any_enabled()
-    names = cfg.get_enabled_enhancements()
-    # benchmarking is disabled by default
-    assert "Performance Benchmarking" not in names
-    assert names[0] == "Query Analysis"
-    assert cfg.query_analysis["min_confidence"] == 0.6
-    assert cfg.leiden["max_cluster_size"] == 10
-    assert cfg.lightrag["max_keywords"] == 20
-    assert cfg.cross_encoder["model_name"] == \
-        "cross-encoder/ms-marco-MiniLM-L-6-v2"
-
-
-def test_enhancements_enable_only():
-    # :694-703 — aliases, unknown components skipped
-    cfg = EnhancementsConfig()
-    cfg.enable_only(["query", "reranking", "nonsense"])
-    assert cfg.get_enabled_enhancements() == [
-        "Query Analysis", "Cross-Encoder Reranking"]
-    assert cfg.enabled
-
-
-def test_enhancements_disable_all():
-    # :705-712 — master flag only; components keep their state
-    cfg = EnhancementsConfig()
-    cfg.disable_all()
-    assert not cfg.has_any_enabled()
-    assert cfg.get_enabled_enhancements() == []
-    assert cfg.query_analysis["enabled"]    # untouched
-
-
-def test_enhancements_summary():
-    # :714-725
-    cfg = EnhancementsConfig()
-    s = cfg.get_summary()
-    assert s["total_components"] == 7
-    assert s["enabled_components"] == 6     # all but benchmarking
-    assert len(s["components"]) == 7
-    assert cfg.get_enabled_percentage() == pytest.approx(6 / 7 * 100)

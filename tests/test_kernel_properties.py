@@ -15,7 +15,7 @@ from graphrag_rs_ray.functions.string_linker import (
     normalize_string,
     soundex,
 )
-from graphrag_rs_ray.functions.generation import extract_sentences
+from graphrag_rs_ray.functions.textstats import extract_sentences
 from graphrag_rs_ray.pipelines.lazy_pipeline import chunk_text
 
 TEXT = st.text(alphabet=string.ascii_letters + string.digits + " .!?',",

@@ -102,8 +102,6 @@ SQL_CHECKED = [
     "hipporag_retrieval",
     # four-phase pipeline validation report over staged corrupted tables
     "pipeline_validation",
-    # LightRAG dual-level keywords (fallback path) + retrieval merges
-    "dual_keywords", "dual_retrieval",
     # traversal slice (ego / multi-source BFS / query-focused subgraph)
     "ego_network", "multi_source_bfs", "query_focused_subgraph",
     # real RDF/Turtle/GraphML import (SQL re-parses the same staged raw
@@ -124,9 +122,6 @@ SQL_CHECKED = [
     # string-similarity linker (pair metrics incl. recursive-CTE Jaro
     # replay; greedy links re-verified + canonical re-derived)
     "string_sim_pairs", "string_links",
-    # answer generation (full MockLLM + generator replay incl. citation
-    # md5)
-    "generated_answers",
     # LazyGraphRAG pipeline (chunker arithmetic; end-to-end stats)
     "lazy_chunks", "lazy_pipeline_stats",
     # concept extraction replayed in SQL from staged chunk texts
@@ -209,3 +204,24 @@ def test_entry_runs(ray_session):
     df = _to_pandas(ds)
     assert len(df) > 0
     assert {"subj", "pred", "obj", "conf"} <= set(df.columns)
+
+
+def test_staged_doc_entities_collects_nothing(ray_session, monkeypatch):
+    """The linker's flat input streams from the materialized ``combined``
+    checkpoint: no mention table is collected to the driver and wrapped
+    back into a Dataset, however large the corpus."""
+    import ray.data as rd
+    import __ray_entry__ as e
+    e._kg_ds(SF_DIR, "combined")     # the shared checkpoint, built first
+
+    def driver_collect(*args, **kwargs):
+        raise AssertionError("driver-side collect of the mention rows")
+
+    monkeypatch.setattr(rd.Dataset, "to_pandas", driver_collect)
+    monkeypatch.setattr(rd, "from_arrow", driver_collect)
+    flat = e._staged_doc_entities("entity_clusters", SF_DIR)
+    monkeypatch.undo()
+    df = flat.to_pandas()
+    assert list(df.columns) == ["doc_id", "local_entity_id", "name"]
+    assert len(df) > 0
+    assert not df.duplicated(["doc_id", "local_entity_id"]).any()

@@ -10,7 +10,8 @@ reachable (or is deleted) fails it too, so the list can only shrink.
 
 Every top-level function and class of the package and the driver is
 referenced somewhere in the repo's Python, tests included, so a cut
-cannot leave its helpers behind."""
+cannot leave its helpers behind, and every module-level import of the
+package, the driver, ``bench.py`` and ``scripts/*.py`` is read."""
 
 import ast
 import glob
@@ -37,37 +38,49 @@ UNREACHED = {
 }
 
 
+def _module_name(path: str) -> str:
+    parts = os.path.relpath(path, ROOT)[:-3].split(os.sep)
+    if parts[-1] == "__init__":
+        parts.pop()
+    return ".".join(parts)
+
+
 def _package_modules() -> dict[str, str]:
-    mods = {}
-    for path in glob.glob(os.path.join(ROOT, PKG, "**", "*.py"),
-                          recursive=True):
-        parts = os.path.relpath(path, ROOT)[:-3].split(os.sep)
-        if parts[-1] == "__init__":
-            parts.pop()
-        mods[".".join(parts)] = path
-    return mods
+    return {_module_name(path): path
+            for path in glob.glob(os.path.join(ROOT, PKG, "**", "*.py"),
+                                  recursive=True)}
 
 
-def _imports(path: str, name: str, mods: dict[str, str]) -> set[str]:
-    """Package modules that ``path`` (module ``name``) imports, with
-    their parent packages."""
-    with open(path) as f:
-        tree = ast.parse(f.read())
-    pkg = name.split(".")
+def _bindings(nodes, path: str):
+    """``(bound name, module, imported name)`` for every import among
+    ``nodes``: ``module`` is absolute (relative imports resolved) and
+    ``imported name`` is None for ``import a.b`` (which binds ``a``)."""
+    pkg = _module_name(path).split(".")
     if not path.endswith("__init__.py"):
         pkg = pkg[:-1]
-    found = set()
-    for node in ast.walk(tree):
+    out = []
+    for node in nodes:
         if isinstance(node, ast.Import):
-            found.update(a.name for a in node.names)
+            out += [(a.asname or a.name.split(".")[0], a.name, None)
+                    for a in node.names]
         elif isinstance(node, ast.ImportFrom):
+            mod = node.module
             if node.level:
-                base = pkg[:len(pkg) - node.level + 1]
-                mod = ".".join(base + ([node.module] if node.module else []))
-            else:
-                mod = node.module
-            found.add(mod)
-            found.update(f"{mod}.{a.name}" for a in node.names)
+                mod = ".".join(pkg[:len(pkg) - node.level + 1]
+                               + ([mod] if mod else []))
+            out += [(a.asname or a.name, mod, a.name)
+                    for a in node.names if a.name != "*"]
+    return out
+
+
+def _imports(path: str, mods: dict[str, str]) -> set[str]:
+    """Package modules that ``path`` imports, with their parent
+    packages."""
+    found = set()
+    for _, mod, name in _bindings(ast.walk(_parse(path)), path):
+        found.add(mod)
+        if name:
+            found.add(f"{mod}.{name}")
     out = set()
     for mod in found:
         parts = mod.split(".")
@@ -85,13 +98,13 @@ def _unreached() -> set[str]:
                + glob.glob(os.path.join(ROOT, "perfbench", "*.py")))
     todo = set()
     for path in entries:
-        todo |= _imports(path, os.path.basename(path)[:-3], mods)
+        todo |= _imports(path, mods)
     seen = set()
     while todo:
         mod = todo.pop()
         if mod not in seen:
             seen.add(mod)
-            todo |= _imports(mods[mod], mod, mods)
+            todo |= _imports(mods[mod], mods)
     return set(mods) - seen
 
 
@@ -135,3 +148,67 @@ def test_every_top_level_name_is_referenced():
                                                                str):
                 refs.add(node.value)
     assert {n: defined[n] for n in set(defined) - refs} == {}
+
+
+def _top_level(tree: ast.Module) -> list:
+    """Statements outside functions and classes."""
+    todo, out = list(tree.body), []
+    while todo:
+        node = todo.pop()
+        out.append(node)
+        if isinstance(node, (ast.If, ast.Try)):
+            todo += node.body + node.orelse
+            todo += getattr(node, "finalbody", [])
+            todo += [s for h in getattr(node, "handlers", []) for s in h.body]
+    return out
+
+
+def test_every_module_level_import_is_read():
+    """Each name a module binds by a module-level import is read in
+    that module (a load of the name, or a string in its ``__all__``),
+    or read from it by another file: ``from <module> import name`` or
+    ``<module>.name``.  Package ``__init__`` re-exports are exempt."""
+    driver = os.path.join(ROOT, "__ray_entry__.py")
+    bench = os.path.join(ROOT, "bench.py")
+    checked = ([p for p in _py_files(PKG)
+                if os.path.basename(p) != "__init__.py"]
+               + [driver, bench]
+               + glob.glob(os.path.join(ROOT, "scripts", "*.py")))
+    external = set()            # (module, name) read by some file
+    trees = {}
+    for path in (_py_files(PKG, "scripts", "perfbench", "tests")
+                 + [driver, bench]):
+        tree = trees[path] = _parse(path)
+        imports = _bindings(ast.walk(tree), path)
+        external.update((m, n) for _, m, n in imports if n)
+        aliases = {}
+        for b, m, n in imports:
+            # ``import a.b`` binds ``a``; ``import a.b as x`` binds ``a.b``
+            aliases[b] = f"{m}.{n}" if n else (
+                b if m.split(".")[0] == b else m)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                chain, v = [], node.value
+                while isinstance(v, ast.Attribute):
+                    chain.insert(0, v.attr)
+                    v = v.value
+                if isinstance(v, ast.Name) and v.id in aliases:
+                    external.add((".".join([aliases[v.id]] + chain),
+                                  node.attr))
+    unread = []
+    for path in checked:
+        tree = trees[path]
+        loads = {n.id for n in ast.walk(tree)
+                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__"
+                            for t in node.targets)):
+                loads |= {c.value for c in ast.walk(node.value)
+                          if isinstance(c, ast.Constant)}
+        mod = _module_name(path)
+        unread += [f"{os.path.relpath(path, ROOT)}: {b}"
+                   for b, m, n in _bindings(_top_level(tree), path)
+                   if m != "__future__" and b not in loads
+                   and (mod, b) not in external]
+    assert sorted(unread) == []
