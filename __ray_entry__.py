@@ -718,81 +718,6 @@ def q_all_paths(sf_dir: str):
     return all_paths(edges, start, end, max_depth=4)
 
 
-def _synth_conf(t: pa.Table) -> pa.Table:
-    """Deterministic synthetic confidence in [0.05, 0.95) from a triple's
-    blake2b digest (the extractor emits a constant 0.8, which would make
-    strength gates / weighted PPR no-ops; the column feeds BOTH sides so
-    only determinism matters — same device as ``_pair_weight``)."""
-    import hashlib
-    cs = []
-    for s, p, o in zip(t.column("subj").to_pylist(),
-                       t.column("pred").to_pylist(),
-                       t.column("obj").to_pylist()):
-        h = int.from_bytes(hashlib.blake2b(
-            f"{s}\x1f{p}\x1f{o}".encode(), digest_size=8).digest(), "big")
-        cs.append(0.05 + (h % 900) / 1000.0)
-    return pa.table({"subj": t.column("subj"), "pred": t.column("pred"),
-                     "obj": t.column("obj"),
-                     "conf": pa.array(cs, pa.float64())})
-
-
-def _staged_conf_triples(query: str, sf_dir: str):
-    """Deduped KG triples + ``_synth_conf`` confidences, staged."""
-    tri = _kg_ds(sf_dir, "triples")
-    return _stage(tri.map_batches(_synth_conf, batch_format="pyarrow"),
-                  query, sf_dir)
-
-
-def _first_subjects(query: str, sf_dir: str, n: int) -> list[str]:
-    """The n lexicographically-first distinct subjects of an
-    already-staged table — harness-side seed choice (not an operator),
-    read straight from the staged Parquet with DuckDB so it costs
-    milliseconds instead of a Dataset shuffle, and matches the oracle's
-    seed rule by construction."""
-    import duckdb
-    path = os.path.join(_stage_path(query, sf_dir), "*.parquet")
-    rows = duckdb.execute(
-        f"SELECT DISTINCT subj FROM read_parquet('{path}') "
-        f"ORDER BY subj LIMIT {n}").fetchall()
-    return [r[0] for r in rows]
-
-
-def q_ego_network(sf_dir: str):
-    """2-hop ego network around the lexicographically-first subject over
-    the confidence-gated graph (``traversal.rs:248-309``): node rows with
-    min hop + relationship rows with the reference's duplicate-push
-    occurrence counts.  Oracle: recursive-CTE distances + endpoint-
-    indicator occurrence sum."""
-    from graphrag_rs_ray.pipelines.traversal import ego_network
-    tri = _staged_conf_triples("ego_network", sf_dir)
-    seed = _first_subjects("ego_network", sf_dir, 1)[0]
-    return ego_network(tri, seed, k_hops=2, min_strength=0.5,
-                       num_buckets=16)
-
-
-def q_multi_source_bfs(sf_dir: str):
-    """Simultaneous BFS from the 3 lexicographically-first subjects
-    (``traversal.rs:322-374``): min hop from any source ≤ 3 plus the
-    in_entities flag (nodes popped before the depth gate)."""
-    from graphrag_rs_ray.pipelines.traversal import multi_source_bfs
-    tri = _staged_conf_triples("multi_source_bfs", sf_dir)
-    return multi_source_bfs(tri, _first_subjects("multi_source_bfs", sf_dir, 3),
-                            max_depth=3,
-                            min_strength=0.5, num_buckets=16)
-
-
-def q_query_focused_subgraph(sf_dir: str):
-    """Query-focused subgraph = union of per-seed ego networks with
-    entity / (source, target, type)-key relationship dedup and
-    min-over-seeds distances (``traversal.rs:521-566``)."""
-    from graphrag_rs_ray.pipelines.traversal import query_focused_subgraph
-    tri = _staged_conf_triples("query_focused_subgraph", sf_dir)
-    return query_focused_subgraph(
-        tri, _first_subjects("query_focused_subgraph", sf_dir, 3),
-                                  expansion_hops=2, min_strength=0.5,
-                                  num_buckets=16)
-
-
 def q_triangle_counts(sf_dir: str):
     """Per-node triangles + local clustering coefficient
     (``analytics.rs:452-484``); oracle = DuckDB 3-way self-join over the
@@ -1334,300 +1259,10 @@ def q_hnsw_topk(sf_dir: str):
     return td.hnsw_topk(sf_dir, cand_ds=cand)
 
 
-def q_hybrid_search(sf_dir: str):
-    """RRF fusion of the BM25 + dense rankings; the (ranker, rank,
-    doc_id) lists are staged so the fusion arithmetic is oracle-checked."""
-    import ray.data as rd
-    rankings = _stage(rd.from_arrow(td.hybrid_rankings(sf_dir)),
-                      "hybrid_search", sf_dir)
-    return td.hybrid_search(sf_dir, rankings=rankings)
-
-
-def q_rerank_topk(sf_dir: str):
-    """Confidence cross-encoder rerank (``reranking/cross_encoder.rs:
-    93-196``) of the BM25 top-50: Jaccard-overlap × length-factor
-    relevance, sigmoid-normalized, re-ranked top-10.  Fully
-    SQL-expressible — the oracle recomputes BM25, the candidate cut AND
-    the relevance arithmetic straight from ``documents`` (no staging)."""
-    from graphrag_rs_ray.pipelines.retrieval import rerank_candidates
-    cand = {r["doc_id"]: r["score"]
-            for r in td.bm25_topk(sf_dir, k=50).take_all()}
-    import ray.data as rd
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "text"])
-    return rerank_candidates(docs, cand, "fast hash join")
-
-
-def q_hipporag_retrieval(sf_dir: str):
-    """HippoRAG PPR retrieval (``retrieval/hipporag_ppr.rs:87-305``) over
-    the synthetic KG: facts = deduped triples scored by query-fact
-    hash-embedding cosine (top-100); dense passage shortlist = chunk
-    embeddings vs the query (top-20); entity reset weights downweighted
-    by passage frequency; personalized PageRank (damping 0.5, FIXED 8
-    iterations) over the entity+passage graph; passages ranked by PPR.
-    The top-k facts, entity-passage pairs, dense scores and the edge
-    table are staged — DuckDB re-derives weights → reset distribution →
-    the full PPR recurrence → the final ranking."""
-    import pyarrow.parquet as _pq
-    import ray.data as rd
-    from graphrag_rs_ray.pipelines import retrieval as rtr
-    from graphrag_rs_ray.pipelines.kg import dedup_triples
-    from graphrag_rs_ray.stages.kg_extract import triples_only
-
-    cfg = KGConfig()
-    query = "research university professor"
-    chunks = _kg_ds(sf_dir, "chunks")
-    combined = _kg_ds(sf_dir, "combined")
-    mentions = combined.map_batches(entities_only, batch_format="pyarrow")
-    triples = _kg_ds(sf_dir, "triples")
-
-    facts_ds = (rtr.fact_scores(triples, query)
-                .sort(["score", "subj", "pred", "obj"],
-                      descending=[True, False, False, False]).limit(100))
-    _stage(facts_ds, "hipporag_retrieval", sf_dir, "facts")
-    facts_topk = _pq.read_table(
-        _stage_path("hipporag_retrieval", sf_dir, "facts"))
-
-    ep = _stage(rtr.entity_passage_pairs(mentions),
-                "hipporag_retrieval", sf_dir, "ep")
-
-    ps_ds = rtr.passage_dense_scores(chunks, query, top_n=20)
-    _stage(ps_ds, "hipporag_retrieval", sf_dir, "ps")
-    ps_tbl = _pq.read_table(_stage_path("hipporag_retrieval", sf_dir, "ps"))
-
-    tri_edges = triples.map_batches(
-        lambda t: pa.table({"src": t.column("subj"), "dst": t.column("obj")}),
-        batch_format="pyarrow")
-    ep_fwd = ep.map_batches(
-        lambda t: pa.table({"src": t.column("entity"),
-                            "dst": t.column("passage")}),
-        batch_format="pyarrow")
-    ep_rev = ep.map_batches(
-        lambda t: pa.table({"src": t.column("passage"),
-                            "dst": t.column("entity")}),
-        batch_format="pyarrow")
-    edges = _stage(tri_edges.union(ep_fwd).union(ep_rev),
-                   "hipporag_retrieval", sf_dir, "edges")
-
-    return rtr.hipporag_retrieve(facts_topk, ep, ps_tbl, edges,
-                                 ppr_iterations=8)
-
-
-def _planner_specs():
-    """Deterministic optimizer workload over the KG's three entity
-    types — every ``QueryOp`` variant, both swap directions, the 3-leaf
-    greedy multi-way case, and nested compositions
-    (``query/optimizer.rs`` test shapes, widened)."""
-    p = ("scan", "PERSON")
-    o = ("scan", "ORGANIZATION")
-    loc = ("scan", "LOCATION")
-    return [
-        ("q01_scan", p),
-        ("q02_filter", ("filter", "name", "alice")),
-        ("q03_join_swap", ("join", p, loc, "inner")),
-        ("q04_join_noswap", ("join", loc, p, "inner")),
-        ("q05_multiway", ("join", ("join", p, o, "inner"), loc, "inner")),
-        ("q06_neighbors2", ("neighbors", p, "related_to", 2)),
-        ("q07_union", ("union", o, loc)),
-        ("q08_limit", ("limit", ("join", p, o, "inner"), 10)),
-        ("q09_cross", ("join", o, loc, "cross")),
-        ("q10_leftouter", ("join", p, loc, "leftouter")),
-        ("q11_nbr_filter", ("neighbors", ("filter", "type", "PERSON"),
-                            None, 1)),
-        ("q12_union_joins", ("union", ("join", p, loc, "inner"),
-                             ("limit", o, 5))),
-    ]
-
-
-def q_hybrid_fusion(sf_dir: str):
-    """Hybrid KG retrieval (``retrieval/hybrid.rs``): the entity+chunk
-    corpus (namespaced ids, "name type" entity content) scored two ways
-    — hash-embedding cosine and BM25 — then ALL FOUR fusion methods
-    (RRF / Weighted / CombSUM / MaxScore) over the staged shortlists,
-    one ``method`` cohort each.  RRF runs with threshold 0 (the
-    reference DEFAULT threshold 0.1 exceeds RRF's maximum possible
-    score (0.7+0.3)/61 — zero-result quirk pinned in unit tests); the
-    other three keep the 0.1 default."""
-    import pyarrow.parquet as _pq
-    import ray.data as rd
-    from graphrag_rs_ray.functions.hybrid_fusion import (
-        FUSION_METHODS, HybridFusionConfig)
-    from graphrag_rs_ray.pipelines.hybrid import (
-        fuse_tables, keyword_shortlist, kg_corpus, semantic_shortlist)
-    from graphrag_rs_ray.stages.canonicalize import (
-        entity_bucket_merge, partial_entity_agg)
-    from graphrag_rs_ray.stages.hashagg import hash_grouped_aggregate
-
-    cfg = KGConfig()
-    query = "university professor research"
-    chunks = _kg_ds(sf_dir, "chunks")
-    ents = _kg_ds(sf_dir, "entities")
-    corpus = kg_corpus(ents, chunks).materialize()
-
-    _stage(semantic_shortlist(corpus, query), "hybrid_fusion", sf_dir,
-           "sem")
-    _stage(keyword_shortlist(corpus, query), "hybrid_fusion", sf_dir, "kw")
-    sem_tbl = _pq.read_table(_stage_path("hybrid_fusion", sf_dir, "sem"))
-    kw_tbl = _pq.read_table(_stage_path("hybrid_fusion", sf_dir, "kw"))
-
-    cfgs = [HybridFusionConfig(min_score_threshold=0.0)
-            if m == "rrf" else HybridFusionConfig()
-            for m in FUSION_METHODS]
-    return rd.from_arrow(fuse_tables(sem_tbl, kw_tbl, FUSION_METHODS,
-                                     cfgs))
-
-
-_ADAPTIVE_QUERIES = [
-    ("q1", "connections between berlin and tokyo"),
-    ("q2", "the theory of knowledge and meaning"),
-    ("q3", "quarterly revenue growth figures"),
-]
-_ADAPTIVE_COHORTS = [
-    ("q1c08", "q1", 0.8), ("q2c08", "q2", 0.8), ("q3c08", "q3", 0.8),
-    ("q1c03", "q1", 0.3),          # below-0.6 → balanced complex weights
-]
-
-
-def q_adaptive_fusion(sf_dir: str):
-    """Adaptive strategy selection (``retrieval/adaptive.rs:129-254``
-    + the analyzer ``retrieval/mod.rs:600-650``): four distributed
-    strategy shortlists per query (hash-cosine vector, entity-match
-    graph signal, summary-BM25 hierarchical, text-BM25), fused by the
-    weights the analyzer's query type selects — trunc(10·w) truncation,
-    ×w weighting, keep-max dedup, score-desc ranking.  Four cohorts:
-    three high-confidence query types + one low-confidence cohort
-    proving the balanced-weights fallback.  Entities, per-chunk entity
-    strings and all four shortlists are staged; the oracle re-derives
-    the query type (mutual-substring key-entity rule) and the whole
-    fusion from them.  The stateful diversity-aware selection pass is
-    unit-gated (``test_adaptive_retrieval``)."""
-    import pyarrow.parquet as _pq
-    import ray.data as rd
-    from graphrag_rs_ray.functions.adaptive_retrieval import (
-        AdaptiveConfig, analyze_query)
-    from graphrag_rs_ray.pipelines.adaptive import (
-        adaptive_fuse, graph_strategy_shortlist)
-    from graphrag_rs_ray.pipelines.enriched import chunk_entity_names
-    from graphrag_rs_ray.pipelines.hybrid import (
-        keyword_shortlist_multi, semantic_shortlist_multi)
-    from graphrag_rs_ray.stages.canonicalize import (
-        entity_bucket_merge, partial_entity_agg)
-    from graphrag_rs_ray.stages.enrich import EnrichedChunkStage
-    from graphrag_rs_ray.stages.hashagg import hash_grouped_aggregate
-
-    cfg = KGConfig()
-    pages = _kg_pages(sf_dir)
-    chunks = _kg_ds(sf_dir, "chunks")
-    combined = _kg_ds(sf_dir, "combined")
-    mentions = combined.map_batches(entities_only, batch_format="pyarrow")
-
-    ents = _kg_ds(sf_dir, "entities")
-    _stage(ents.map_batches(lambda t: t.select(["name"]),
-                            batch_format="pyarrow"),
-           "adaptive_fusion", sf_dir, "ents")
-    _stage(chunk_entity_names(mentions).materialize(),
-           "adaptive_fusion", sf_dir, "chunkents")
-
-    corpus_text = chunks.map_batches(
-        lambda t: pa.table({"id": t.column("chunk_id"),
-                            "content": t.column("text")}),
-        batch_format="pyarrow").materialize()
-    summaries = (pages.map_batches(extract_text_stage,
-                                   batch_format="pyarrow")
-                 .map_batches(EnrichedChunkStage(cfg),
-                              batch_format="pyarrow")
-                 .map_batches(lambda t: pa.table({
-                     "id": t.column("chunk_id"),
-                     "content": t.column("summary")}),
-                     batch_format="pyarrow")).materialize()
-
-    def tag(ds, qid):
-        return ds.map_batches(
-            lambda t, _q=qid: t.append_column(
-                "query_id", pa.array([_q] * t.num_rows, pa.string())),
-            batch_format="pyarrow")
-
-    per_strategy = {"vec": [], "grf": [], "hier": [], "bm": []}
-    # round_digits=6: staged score × ≤2-decimal strategy weight stays
-    # exactly 8-decimal → round(ws, 8) can never hit a Python/DuckDB
-    # midpoint tie (oracle-parity rule).  Batched variants: ONE
-    # embedding pass and ONE BM25 df/len/score pass per corpus cover
-    # all three queries (12 shortlist jobs → 3 corpus passes).
-    qmap = dict(_ADAPTIVE_QUERIES)
-    vec_m = semantic_shortlist_multi(corpus_text, qmap, top_n=10)
-    bm_m = keyword_shortlist_multi(corpus_text, qmap, top_n=10)
-    hier_m = keyword_shortlist_multi(summaries, qmap, top_n=10)
-    for qid, qtext in _ADAPTIVE_QUERIES:
-        per_strategy["vec"].append(tag(vec_m[qid], qid))
-        per_strategy["grf"].append(tag(
-            graph_strategy_shortlist(mentions, qtext, top_n=10), qid))
-        per_strategy["hier"].append(tag(hier_m[qid], qid))
-        per_strategy["bm"].append(tag(bm_m[qid], qid))
-    staged = {}
-    for key, parts in per_strategy.items():
-        ds = parts[0]
-        for p in parts[1:]:
-            ds = ds.union(p)
-        _stage(ds, "adaptive_fusion", sf_dir, key)
-        staged[key] = _pq.read_table(
-            _stage_path("adaptive_fusion", sf_dir, key))
-
-    names = sorted(r["name"] for r in _pq.read_table(
-        _stage_path("adaptive_fusion", sf_dir, "ents")).to_pylist())
-    ce_tbl = _pq.read_table(_stage_path("adaptive_fusion", sf_dir,
-                                        "chunkents"))
-    chunk_ents = dict(zip(ce_tbl.column("chunk_id").to_pylist(),
-                          ce_tbl.column("entities").to_pylist()))
-    qtexts = dict(_ADAPTIVE_QUERIES)
-    acfg = AdaptiveConfig()
-    strategy_of = {"vec": "vector", "grf": "graph", "hier": "hierarchical",
-                   "bm": "bm25"}
-    cols = {k: [] for k in ("cohort", "rank", "id", "score", "entities",
-                            "query_type", "confidence", "vw", "gw", "hw",
-                            "bw", "total_before_fusion")}
-    for cohort, qid, conf in _ADAPTIVE_COHORTS:
-        analysis = analyze_query(qtexts[qid], names)
-        tables = {}
-        for key, tbl in staged.items():
-            m = pa.compute.equal(tbl.column("query_id"), qid)
-            sub = tbl.filter(m).sort_by("rank")
-            tables[strategy_of[key]] = sub
-        fused, weights, total = adaptive_fuse(
-            tables, chunk_ents, analysis["query_type"], conf, acfg)
-        for rank, (cid, score, ent) in enumerate(fused, 1):
-            cols["cohort"].append(cohort)
-            cols["rank"].append(rank)
-            cols["id"].append(cid)
-            cols["score"].append(score)
-            cols["entities"].append(ent)
-            cols["query_type"].append(analysis["query_type"])
-            cols["confidence"].append(conf)
-            cols["vw"].append(weights.vector_weight)
-            cols["gw"].append(weights.graph_weight)
-            cols["hw"].append(weights.hierarchical_weight)
-            cols["bw"].append(weights.bm25_weight)
-            cols["total_before_fusion"].append(total)
-    return rd.from_arrow(pa.table({
-        "cohort": pa.array(cols["cohort"], pa.string()),
-        "rank": pa.array(cols["rank"], pa.int64()),
-        "id": pa.array(cols["id"], pa.string()),
-        "score": pa.array(cols["score"], pa.float64()),
-        "entities": pa.array(cols["entities"], pa.string()),
-        "query_type": pa.array(cols["query_type"], pa.string()),
-        "confidence": pa.array(cols["confidence"], pa.float64()),
-        "vw": pa.array(cols["vw"], pa.float64()),
-        "gw": pa.array(cols["gw"], pa.float64()),
-        "hw": pa.array(cols["hw"], pa.float64()),
-        "bw": pa.array(cols["bw"], pa.float64()),
-        "total_before_fusion": pa.array(cols["total_before_fusion"],
-                                        pa.int64())}))
-
-
 def _staged_conf_entities(query: str, sf_dir: str):
     """Canonical entities with a deterministic synthetic confidence
     (blake2b of the entity_id — the extractor's constant 0.8 would make
-    confidence tie-breaks and averages degenerate; same device as
-    ``_synth_conf``)."""
+    confidence tie-breaks and averages degenerate)."""
     import hashlib
     from graphrag_rs_ray.pipelines.kg import entities_dataset
 
@@ -1985,106 +1620,6 @@ def q_section_numbers(sf_dir: str):
                          "components": pa.array(comps, pa.string())})
 
     return staged.map_batches(extract, batch_format="pyarrow")
-
-
-_ENRICHED_QUERY = "customer market segment analysis in chapter 2 section 2.1"
-
-
-def q_enriched_search(sf_dir: str):
-    """Enriched metadata-aware retrieval
-    (``retrieval/enriched.rs:57-143`` metadata_search): documents get
-    deterministic markdown chapter/section headers, the enricher fills
-    chapter/section/keywords/summary/position, extraction supplies
-    chunk entities, BM25 supplies the base shortlist; the boost stack
-    (keyword / structure / summary / completeness) re-scores every
-    gated chunk.  Chunk metadata, mention names and base scores are
-    staged; the oracle replays gate + boosts + min-1 clamp in SQL."""
-    import ray.data as rd
-    from graphrag_rs_ray.pipelines.enriched import metadata_search
-    from graphrag_rs_ray.pipelines.hybrid import keyword_shortlist
-    from graphrag_rs_ray.stages.enrich import EnrichedChunkStage
-
-    cfg = KGConfig(chunk_size=400, chunk_overlap=50)
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "text"])
-
-    def prep(t: pa.Table) -> pa.Table:
-        ids = t.column("doc_id").to_pylist()
-        texts = t.column("text").to_pylist()
-        return pa.table({
-            "doc_id": pa.array([f"doc{i}" for i in ids], pa.string()),
-            "text": pa.array(
-                [f"# Chapter {i % 4}\n\n## Section {i % 4}.{i % 3}\n\n"
-                 f"{x or ''}" for i, x in zip(ids, texts)], pa.string())})
-
-    enriched = docs.map_batches(prep, batch_format="pyarrow").map_batches(
-        EnrichedChunkStage(cfg, fmt="markdown"),
-        batch_format="pyarrow").materialize()
-
-    # chunk entities via the gazetteer NER engine (the pattern extractor
-    # needs capitalized names — the documents table is lowercase prose,
-    # so the term gazetteer is the right extractor here)
-    from graphrag_rs_ray.stages.memo import memoized_stage
-    from graphrag_rs_ray.stages.ner import NERStage
-    term_types = [{"name": "TERM", "dictionary": [
-        "spark", "hash join", "customer", "vector", "stream", "query"]}]
-    term_rules = [{"name": "term_gazetteer", "entity_type": "TERM",
-                   "rule_type": "dictionary", "pattern": "",
-                   "priority": 5}]
-    ner = memoized_stage("enriched-term-ner",
-                         lambda: NERStage(term_types, term_rules))
-    men_st = _stage(
-        enriched.map_batches(ner, batch_format="pyarrow", batch_size=None)
-        .map_batches(lambda t: pa.table({"chunk_id": t.column("chunk_id"),
-                                         "name": t.column("surface")}),
-                     batch_format="pyarrow"),
-        "enriched_search", sf_dir, "mentions")
-
-    corpus = enriched.map_batches(
-        lambda t: pa.table({"id": t.column("chunk_id"),
-                            "content": t.column("text")}),
-        batch_format="pyarrow")
-    base_st = _stage(
-        keyword_shortlist(corpus, _ENRICHED_QUERY, top_n=50).map_batches(
-            lambda t: t.select(["id", "score"]), batch_format="pyarrow"),
-        "enriched_search", sf_dir, "base")
-    base = {r["id"]: r["score"] for r in base_st.take_all()}
-
-    ch_st = _stage(enriched.map_batches(
-        lambda t: t.select(["chunk_id", "chapter", "section", "subsection",
-                            "keywords", "summary", "structural_level",
-                            "position_in_document"]),
-        batch_format="pyarrow"), "enriched_search", sf_dir, "chunks")
-
-    return metadata_search(ch_st, men_st, base, _ENRICHED_QUERY)
-
-
-def q_query_plans(sf_dir: str):
-    """Rule-based query optimizer (``query/optimizer.rs``): graph
-    statistics aggregated distributed (entity-type / relationship-type
-    histograms, staged), then rewrite (smaller-side-first joins) →
-    greedy multi-way join ordering → cost/cardinality/selectivity
-    estimation over the fixed workload.  The oracle re-derives every
-    decision (swap predicates, greedy pair choice) and every cost
-    formula from the staged histograms in SQL."""
-    import ray.data as rd
-    from graphrag_rs_ray.pipelines.kg import dedup_triples
-    from graphrag_rs_ray.pipelines.planner import (
-        entity_type_counts, optimize_workload, rel_type_counts,
-        stats_from_counts)
-    from graphrag_rs_ray.stages.canonicalize import (
-        entity_bucket_merge, partial_entity_agg)
-    from graphrag_rs_ray.stages.hashagg import hash_grouped_aggregate
-    from graphrag_rs_ray.stages.kg_extract import triples_only
-
-    ents = _kg_ds(sf_dir, "entities")
-    tri = _kg_ds(sf_dir, "triples")
-    et = _stage(entity_type_counts(ents), "query_plans", sf_dir, "etypes")
-    rt = _stage(rel_type_counts(tri), "query_plans", sf_dir, "rtypes")
-    stats = stats_from_counts(
-        [(r["type"], int(r["cnt"])) for r in et.take_all()],
-        [(r["pred"], int(r["cnt"])) for r in rt.take_all()])
-    return rd.from_arrow(optimize_workload(_planner_specs(), stats))
 
 
 def q_pipeline_validation(sf_dir: str):
@@ -2551,177 +2086,6 @@ def q_doc_structure_stats(sf_dir: str):
     return docs.map_batches(stats_rows, batch_format="pyarrow")
 
 
-# ------------------------------------------------------ LLM evaluation --
-# evaluation/mod.rs — prompt generation over EvaluableQueryResults,
-# deterministic fake-LLM scoring, JSON parse, threshold/weakest/report.
-
-
-def _eval_components(i: int, text: str) -> tuple[dict, str]:
-    """Deterministic EvaluableQueryResult synthesized from a document
-    row, exercising every formatter branch: empty lists (counts 0 →
-    the 'No ... retrieved.' strings), take-10 entity/relationship
-    truncation (up to 12/11), take-5 chunk truncation (up to 7) and
-    the 200-char chunk preview ellipsis."""
-    from graphrag_rs_ray.functions.evaluation import build_result
-    strategy = ("semantic", "keyword", "hybrid")[i % 3]
-    ents = [{"name": f"Entity {i % 50}_{j}",
-             "entity_type": ("person", "organization", "location",
-                             "concept")[j % 4],
-             "confidence": 0.5 + 0.05 * (j % 10)}
-            for j in range(i % 13)]
-    rels = [{"source": f"Entity {i % 50}_{j}",
-             "target": f"Entity {i % 50}_{j + 1}",
-             "relation_type": ("knows", "works_at", "located_in")[j % 3],
-             "confidence": 0.6 + 0.05 * (j % 8)}
-            for j in range(i % 12)]
-    chunks = [text[j * 40:j * 40 + 230] for j in range(i % 8)]
-    res = build_result(
-        query=f"What is the subject of document {i}?",
-        answer=text[:160] if text else "(empty document)",
-        entities=ents, relationships=rels, chunks=chunks,
-        retrieval_strategy=strategy)
-    return res, strategy
-
-
-def q_llm_evaluation(sf_dir: str):
-    """LLM evaluation loop (``evaluation/mod.rs:164-318``): prompt
-    assembly (sequential placeholder .replace, top-10/10/5 formatter
-    truncations, 200-char chunk previews), a deterministic fake-LLM
-    response in the reference's demanded JSON format, strict parse,
-    overall/threshold/weakest-dimension and the byte-exact report.
-    The oracle re-assembles the prompt from the staged normalized
-    tables, re-derives every score from length(prompt) and rebuilds
-    prompt AND report md5s — prompt parity is load-bearing for all
-    downstream columns.  Per-result map, bounded list sizes: scale-safe."""
-    import hashlib
-
-    import ray.data as rd
-    from graphrag_rs_ray.functions.evaluation import (
-        fake_llm_evaluation_response, generate_prompt, parse_evaluation,
-        passes_threshold, report, weakest_dimension)
-
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "text"])
-
-    def gen_results(t: pa.Table) -> pa.Table:
-        c = {k: [] for k in ("doc_id", "query", "answer", "strategy",
-                             "n_entities", "n_relationships", "n_chunks")}
-        for did, text in zip(t.column("doc_id").to_pylist(),
-                             t.column("text").to_pylist()):
-            res, strategy = _eval_components(int(did), text)
-            c["doc_id"].append(int(did))
-            c["query"].append(res["query"])
-            c["answer"].append(res["answer"])
-            c["strategy"].append(strategy)
-            c["n_entities"].append(res["metadata"]["entities_count"])
-            c["n_relationships"].append(
-                res["metadata"]["relationships_count"])
-            c["n_chunks"].append(res["metadata"]["chunks_count"])
-        return pa.table({
-            "doc_id": pa.array(c["doc_id"], pa.int64()),
-            "query": pa.array(c["query"], pa.string()),
-            "answer": pa.array(c["answer"], pa.string()),
-            "strategy": pa.array(c["strategy"], pa.string()),
-            "n_entities": pa.array(c["n_entities"], pa.int64()),
-            "n_relationships": pa.array(c["n_relationships"], pa.int64()),
-            "n_chunks": pa.array(c["n_chunks"], pa.int64())})
-
-    def gen_lists(t: pa.Table) -> pa.Table:
-        c: dict[str, list] = {k: [] for k in (
-            "doc_id", "kind", "ord", "name", "etype", "source", "rtype",
-            "target", "conf", "ctext")}
-        for did, text in zip(t.column("doc_id").to_pylist(),
-                             t.column("text").to_pylist()):
-            res, _ = _eval_components(int(did), text)
-            for j, e in enumerate(res["retrieved_entities"]):
-                c["doc_id"].append(int(did)); c["kind"].append("ent")
-                c["ord"].append(j); c["name"].append(e["name"])
-                c["etype"].append(e["entity_type"])
-                c["source"].append(None); c["rtype"].append(None)
-                c["target"].append(None)
-                c["conf"].append(e["confidence"]); c["ctext"].append(None)
-            for j, r in enumerate(res["retrieved_relationships"]):
-                c["doc_id"].append(int(did)); c["kind"].append("rel")
-                c["ord"].append(j); c["name"].append(None)
-                c["etype"].append(None); c["source"].append(r["source"])
-                c["rtype"].append(r["relation_type"])
-                c["target"].append(r["target"])
-                c["conf"].append(r["confidence"]); c["ctext"].append(None)
-            for j, ch in enumerate(res["context_chunks"]):
-                c["doc_id"].append(int(did)); c["kind"].append("chunk")
-                c["ord"].append(j); c["name"].append(None)
-                c["etype"].append(None); c["source"].append(None)
-                c["rtype"].append(None); c["target"].append(None)
-                c["conf"].append(None); c["ctext"].append(ch)
-        return pa.table({
-            "doc_id": pa.array(c["doc_id"], pa.int64()),
-            "kind": pa.array(c["kind"], pa.string()),
-            "ord": pa.array(c["ord"], pa.int64()),
-            "name": pa.array(c["name"], pa.string()),
-            "etype": pa.array(c["etype"], pa.string()),
-            "source": pa.array(c["source"], pa.string()),
-            "rtype": pa.array(c["rtype"], pa.string()),
-            "target": pa.array(c["target"], pa.string()),
-            "conf": pa.array(c["conf"], pa.float64()),
-            "ctext": pa.array(c["ctext"], pa.string())})
-
-    _stage(docs.map_batches(gen_results, batch_format="pyarrow"),
-           "llm_evaluation", sf_dir, "results")
-    _stage(docs.map_batches(gen_lists, batch_format="pyarrow"),
-           "llm_evaluation", sf_dir, "lists")
-
-    def eval_rows(t: pa.Table) -> pa.Table:
-        c: dict[str, list] = {k: [] for k in (
-            "doc_id", "strategy", "prompt_chars", "prompt_md5",
-            "score_relevance", "score_faithfulness", "score_completeness",
-            "score_coherence", "score_groundedness", "overall_score",
-            "passes_3", "weakest_dimension", "weakest_score", "summary",
-            "report_md5")}
-        for did, text in zip(t.column("doc_id").to_pylist(),
-                             t.column("text").to_pylist()):
-            res, strategy = _eval_components(int(did), text)
-            prompt = generate_prompt(res)
-            ev = parse_evaluation(
-                fake_llm_evaluation_response(prompt, strategy))
-            wname, wsc = weakest_dimension(ev)
-            c["doc_id"].append(int(did))
-            c["strategy"].append(strategy)
-            c["prompt_chars"].append(len(prompt))
-            c["prompt_md5"].append(
-                hashlib.md5(prompt.encode("utf-8")).hexdigest())
-            for dim in ("relevance", "faithfulness", "completeness",
-                        "coherence", "groundedness"):
-                c[f"score_{dim}"].append(ev[dim]["score"])
-            c["overall_score"].append(ev["overall_score"])
-            c["passes_3"].append(passes_threshold(ev, 3.0))
-            c["weakest_dimension"].append(wname)
-            c["weakest_score"].append(wsc["score"])
-            c["summary"].append(ev["summary"])
-            c["report_md5"].append(
-                hashlib.md5(report(ev).encode("utf-8")).hexdigest())
-        out = {"doc_id": pa.array(c["doc_id"], pa.int64()),
-               "strategy": pa.array(c["strategy"], pa.string()),
-               "prompt_chars": pa.array(c["prompt_chars"], pa.int64()),
-               "prompt_md5": pa.array(c["prompt_md5"], pa.string())}
-        for dim in ("relevance", "faithfulness", "completeness",
-                    "coherence", "groundedness"):
-            out[f"score_{dim}"] = pa.array(c[f"score_{dim}"], pa.int64())
-        out["overall_score"] = pa.array(c["overall_score"], pa.float64())
-        out["passes_3"] = pa.array(c["passes_3"], pa.bool_())
-        out["weakest_dimension"] = pa.array(c["weakest_dimension"],
-                                            pa.string())
-        out["weakest_score"] = pa.array(c["weakest_score"], pa.int64())
-        out["summary"] = pa.array(c["summary"], pa.string())
-        out["report_md5"] = pa.array(c["report_md5"], pa.string())
-        return pa.table(out)
-
-    return docs.map_batches(eval_rows, batch_format="pyarrow")
-
-
-# ------------------------------------------------ graph embeddings --
-# graph/embeddings.rs — Node2Vec + GraphSAGE over a bounded KG subgraph.
-
-
 # ------------------------------------------------ vector store actor --
 # vector/voy_store.rs — shared mutable vector index as a Ray actor.
 
@@ -2991,7 +2355,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "purchases_asof_click": td.purchases_asof_click,
         "shipped_within_window": td.shipped_within_window,
         "customers_with_orders": td.customers_semi_anti,
-        "hybrid_search": q_hybrid_search,
         "tfidf_topk": td.tfidf_topk,
         # near-dup family (staged-input oracles: band rows / vocab hashes /
         # candidate pairs / plane matrix; the raw hashing stays unit-gated)
@@ -3116,10 +2479,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "triangle_counts": q_triangle_counts,
         "shortest_paths": q_shortest_paths,
         "all_paths": q_all_paths,
-        "query_plans": q_query_plans,
-        "hybrid_fusion": q_hybrid_fusion,
-        "enriched_search": q_enriched_search,
-        "adaptive_fusion": q_adaptive_fusion,
         "semantic_merge_pairs": q_semantic_merge_pairs,
         "semantic_merge_groups": q_semantic_merge_groups,
         "entity_clusters": q_entity_clusters,
@@ -3133,9 +2492,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "lazy_pipeline_stats": q_lazy_pipeline_stats,
         "text_statistics": q_text_statistics,
         "section_numbers": q_section_numbers,
-        "ego_network": q_ego_network,
-        "multi_source_bfs": q_multi_source_bfs,
-        "query_focused_subgraph": q_query_focused_subgraph,
         "graph_statistics": q_graph_statistics,
         "centrality": q_centrality,
         "chunk_embeddings": q_chunk_embeddings,
@@ -3159,11 +2515,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "ner_mentions": q_ner_mentions,
         # mock-LLM gleaning path (rows-only)
         "gleaning_triples": q_gleaning_triples,
-        # query-side bonus slice: cross-encoder rerank (pure SQL oracle),
-        # HippoRAG PPR retrieval (staged weights/edges → replayed
-        # recurrence), pipeline validation report (staged tables)
-        "rerank_topk": q_rerank_topk,
-        "hipporag_retrieval": q_hipporag_retrieval,
+        # pipeline validation report (staged tables)
         "pipeline_validation": q_pipeline_validation,
         # corpus module (document_manager / collection_processor /
         # graph_indexer / knowledge_graph)
@@ -3179,8 +2531,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # document structure (text/document_structure.rs + layout parsers)
         "doc_structure": q_doc_structure,
         "doc_structure_stats": q_doc_structure_stats,
-        # LLM evaluation framework (evaluation/mod.rs)
-        "llm_evaluation": q_llm_evaluation,
         # shared vector-store actor (vector/voy_store.rs)
         "vector_store_topk": q_vector_store_topk,
         "vector_store_stats": q_vector_store_stats,
@@ -4659,13 +4009,7 @@ def oracle_sql() -> dict[str, str]:
     d["kg_chunks"] = _kg_chunks_sql()
     d["kg_mentions"] = _kg_mentions_sql()
     d["shortest_paths"] = _sssp_sql(n_rounds=64)
-    d["rerank_topk"] = _rerank_sql(d["bm25_scores"])
-    d["hipporag_retrieval"] = _hipporag_sql(n_iter=8, damping=0.5)
     d["pipeline_validation"] = _validation_sql()
-    d["query_plans"] = _query_plans_sql()
-    d["hybrid_fusion"] = _hybrid_fusion_sql()
-    d["enriched_search"] = _enriched_search_sql()
-    d["adaptive_fusion"] = _adaptive_fusion_sql()
     d["semantic_merge_pairs"] = _semantic_merge_pairs_sql()
     d["semantic_merge_groups"] = _semantic_merge_groups_sql()
     d["entity_clusters"] = _entity_clusters_sql()
@@ -4690,7 +4034,6 @@ def oracle_sql() -> dict[str, str]:
     d["corpus_search"] = _corpus_search_sql()
     d["doc_structure"] = _doc_structure_sql()
     d["doc_structure_stats"] = _doc_structure_stats_sql()
-    d["llm_evaluation"] = _llm_evaluation_sql()
     d["vector_store_topk"] = """
         WITH q AS (
           SELECT vec_id AS query_id, embedding AS qe
@@ -4718,127 +4061,7 @@ def oracle_sql() -> dict[str, str]:
                round(avg(nm), 8) AS avg_norm
         FROM n
     """
-    d["ego_network"] = _traversal_sql("ego_network", n_seeds=1, k=2,
-                                      mode="ego")
-    d["multi_source_bfs"] = _traversal_sql("multi_source_bfs", n_seeds=3,
-                                           k=3, mode="msbfs")
-    d["query_focused_subgraph"] = _traversal_sql("query_focused_subgraph",
-                                                 n_seeds=3, k=2, mode="qfs")
     return d
-
-
-def _rerank_sql(bm25_sql: str, query: str = "fast hash join",
-                n_cand: int = 50, top_k: int = 10) -> str:
-    """Cross-encoder rerank oracle (``cross_encoder.rs:104-146``): BM25
-    top-``n_cand`` (reusing the oracle-exact bm25_scores SQL), then
-    case-sensitive whitespace-token Jaccard × 0.7 + min(len/100, 1) × 0.3
-    through 1/(1+exp(-5·(raw-0.5))), rounded to 8 on both sides (libm exp
-    may differ in the last ulp between engines)."""
-    q_toks = sorted(set(query.split()))
-    qset = "[" + ",".join(f"'{t}'" for t in q_toks) + "]"
-    return f"""
-        WITH bm AS ({bm25_sql}),
-        cand AS (SELECT doc_id, score FROM bm
-                 ORDER BY score DESC, doc_id ASC LIMIT {n_cand}),
-        toks AS (
-          SELECT c.doc_id, c.score AS original_score,
-                 list_filter(regexp_split_to_array(d.text, '\\s+'),
-                             x -> x <> '') AS dtoks
-          FROM cand c JOIN documents d USING (doc_id)),
-        rel AS (
-          SELECT doc_id, original_score,
-                 CASE WHEN len(dtoks) = 0 THEN 0.0
-                      ELSE round(1.0 / (1.0 + exp(-5.0 * (
-                        (len(list_intersect({qset}::VARCHAR[],
-                                            list_distinct(dtoks)))::DOUBLE
-                         / (len({qset}::VARCHAR[]) + len(list_distinct(dtoks))
-                            - len(list_intersect({qset}::VARCHAR[],
-                                                 list_distinct(dtoks))))) * 0.7
-                        + least(len(dtoks)::DOUBLE / 100.0, 1.0) * 0.3
-                        - 0.5))), 8) END AS relevance_score
-          FROM toks)
-        SELECT row_number() OVER (ORDER BY relevance_score DESC, doc_id ASC)
-                 AS rank,
-               doc_id, relevance_score, original_score,
-               round(relevance_score - original_score, 8) AS score_delta
-        FROM rel
-        ORDER BY relevance_score DESC, doc_id ASC
-        LIMIT {top_k}
-    """
-
-
-def _hipporag_sql(n_iter: int, damping: float,
-                  passage_node_weight: float = 0.05,
-                  top_k_results: int = 10) -> str:
-    """HippoRAG oracle (``hipporag_ppr.rs:142-305``): entity weights
-    (fact score / passage frequency, averaged per entity, min-max
-    normalized), passage weights (dense × {pnw}, min-max normalized),
-    combined mass normalized to 1, reset re-normalized over graph nodes
-    (mirroring ``pagerank``'s known-mass normalization), then the fixed
-    ``n_iter`` personalized-PageRank recurrence replayed as generated
-    join+aggregate CTEs, and the dense-shortlist passages ranked by the
-    rounded final score."""
-    facts = _staged_sql("hipporag_retrieval", "facts")
-    ep = _staged_sql("hipporag_retrieval", "ep")
-    ps = _staged_sql("hipporag_retrieval", "ps")
-    edges = _staged_sql("hipporag_retrieval", "edges")
-    parts = [f"""
-        WITH e AS MATERIALIZED (SELECT src, dst FROM {edges}),
-        ps AS (SELECT passage, score FROM {ps}),
-        pcnt AS (SELECT entity, count(*)::DOUBLE AS np FROM {ep}
-                 GROUP BY entity),
-        fe AS (SELECT fx.entity, fx.score / p.np AS wgt
-               FROM (SELECT subj AS entity, score FROM {facts}
-                     UNION ALL SELECT obj AS entity, score FROM {facts}) fx
-               JOIN pcnt p USING (entity)),
-        ew0 AS (SELECT entity, sum(wgt) / count(*) AS w FROM fe
-                GROUP BY entity),
-        ewmm AS (SELECT min(w) AS lo, max(w) AS hi FROM ew0),
-        ew AS (SELECT entity, CASE WHEN abs(hi - lo) > 1e-10
-                                   THEN (w - lo) / (hi - lo) ELSE w END AS w
-               FROM ew0, ewmm),
-        pw0 AS (SELECT passage AS entity, score * {passage_node_weight} AS w
-                FROM ps),
-        pwmm AS (SELECT min(w) AS lo, max(w) AS hi FROM pw0),
-        pw AS (SELECT entity, CASE WHEN abs(hi - lo) > 1e-10
-                                   THEN (w - lo) / (hi - lo) ELSE w END AS w
-               FROM pw0, pwmm),
-        comb0 AS (SELECT entity, sum(w) AS w FROM
-                  (SELECT * FROM ew UNION ALL SELECT * FROM pw)
-                  GROUP BY entity),
-        comb AS (SELECT entity, w / (SELECT sum(w) FROM comb0) AS w
-                 FROM comb0),
-        nodes AS (SELECT DISTINCT node FROM
-                  (SELECT src AS node FROM e UNION ALL SELECT dst FROM e)),
-        known AS (SELECT sum(c.w) AS mass
-                  FROM comb c JOIN nodes n ON c.entity = n.node),
-        reset AS MATERIALIZED (
-            SELECT n.node, coalesce(c.w, 0.0) / (SELECT mass FROM known) AS r
-            FROM nodes n LEFT JOIN comb c ON c.entity = n.node),
-        deg AS (SELECT src AS node, count(*)::DOUBLE AS out_deg FROM e
-                GROUP BY src),
-        s0 AS (SELECT node, r AS score FROM reset)"""]
-    for i in range(1, n_iter + 1):
-        parts.append(f""",
-        s{i} AS MATERIALIZED (
-          SELECT nd.node, (1.0 - {damping}) * nd.r + coalesce(c.csum, 0.0)
-                   AS score
-          FROM reset nd LEFT JOIN (
-            SELECT e.dst AS node,
-                   sum(({damping} * s.score) / greatest(d.out_deg, 1.0))
-                     AS csum
-            FROM e JOIN s{i - 1} s ON e.src = s.node
-                   JOIN deg d ON e.src = d.node
-            GROUP BY e.dst) c ON nd.node = c.node)""")
-    parts.append(f"""
-        SELECT row_number() OVER (ORDER BY score DESC, passage_id ASC)
-                 AS rank,
-               passage_id, score
-        FROM (SELECT s.node AS passage_id, round(s.score, 8) AS score
-              FROM s{n_iter} s JOIN ps ON s.node = ps.passage)
-        ORDER BY score DESC, passage_id ASC
-        LIMIT {top_k_results}""")
-    return "\n".join(parts)
 
 
 def _text_statistics_sql() -> str:
@@ -5832,120 +5055,6 @@ def _doc_structure_stats_sql() -> str:
     """
 
 
-# ------------------------------------------------- LLM-evaluation SQL --
-
-
-def _llm_evaluation_sql() -> str:
-    """Evaluation oracle (``evaluation/mod.rs:164-318``): re-assembles
-    the prompt from the staged results + normalized list rows (same
-    sequential placeholder replaces, same top-10/10/5 truncations and
-    200-char previews), re-derives the deterministic fake-LLM scores
-    from length(prompt), and rebuilds the report string — md5s of both
-    strings prove byte parity."""
-    from graphrag_rs_ray.functions.evaluation import DEFAULT_TEMPLATE
-    results = _staged_sql("llm_evaluation", "results")
-    lists = _staged_sql("llm_evaluation", "lists")
-    # report template with distinct tokens; literal newlines preserved
-    rpt = ("## LLM Evaluation Report\n\n"
-           "**Overall Score**: {o}/5.0\n\n"
-           "### Dimension Scores\n"
-           "- Relevance:     {s0}/5 - {r0}\n"
-           "- Faithfulness:  {s1}/5 - {r1}\n"
-           "- Completeness:  {s2}/5 - {r2}\n"
-           "- Coherence:     {s3}/5 - {r3}\n"
-           "- Groundedness:  {s4}/5 - {r4}\n\n"
-           "### Summary\n{sm}\n\n"
-           "### Weakest Dimension\n{wn}: {wr} (score {ws}/5)\n")
-    rexpr = "$RPT${r}$RPT$".replace("{r}", rpt)
-    for tok, val in (
-            ("{o}", "printf('%.2f', overall)"),
-            ("{s0}", "s0::VARCHAR"), ("{r0}", "r0"),
-            ("{s1}", "s1::VARCHAR"), ("{r1}", "r1"),
-            ("{s2}", "s2::VARCHAR"), ("{r2}", "r2"),
-            ("{s3}", "s3::VARCHAR"), ("{r3}", "r3"),
-            ("{s4}", "s4::VARCHAR"), ("{r4}", "r4"),
-            ("{sm}", "summary"), ("{wn}", "wname"), ("{wr}", "wreason"),
-            ("{ws}", "wscore::VARCHAR")):
-        rexpr = f"replace({rexpr}, '{tok}', {val})"
-    pexpr = "$TPL${t}$TPL$".replace("{t}", DEFAULT_TEMPLATE)
-    for tok, val in (
-            ("{query}", "r.query"), ("{answer}", "r.answer"),
-            ("{entities_count}", "r.n_entities::VARCHAR"),
-            ("{relationships_count}", "r.n_relationships::VARCHAR"),
-            ("{chunks_count}", "r.n_chunks::VARCHAR"),
-            ("{entities}", "coalesce(el.s, 'No entities retrieved.')"),
-            ("{relationships}",
-             "coalesce(rl.s, 'No relationships retrieved.')"),
-            ("{chunks}", "coalesce(cl.s, 'No context chunks retrieved.')")):
-        pexpr = f"replace({pexpr}, '{tok}', {val})"
-    reasons = ",\n            ".join(
-        f"'deterministic {dim} assessment (' || s{d}::VARCHAR || '/5)'"
-        f" AS r{d}"
-        for d, dim in enumerate(("relevance", "faithfulness",
-                                 "completeness", "coherence",
-                                 "groundedness")))
-    return f"""
-        WITH res AS MATERIALIZED (SELECT * FROM {results}),
-        lst AS MATERIALIZED (SELECT * FROM {lists}),
-        el AS (SELECT doc_id, string_agg(
-                 '- ' || name || ' (type: ' || etype || ', confidence: '
-                 || printf('%.2f', conf) || ')', chr(10) ORDER BY ord) AS s
-               FROM lst WHERE kind = 'ent' AND ord < 10 GROUP BY doc_id),
-        rl AS (SELECT doc_id, string_agg(
-                 '- ' || source || ' --[' || rtype || ']--> ' || target
-                 || ' (confidence: ' || printf('%.2f', conf) || ')',
-                 chr(10) ORDER BY ord) AS s
-               FROM lst WHERE kind = 'rel' AND ord < 10 GROUP BY doc_id),
-        cl AS (SELECT doc_id, string_agg(
-                 'Chunk ' || (ord + 1)::VARCHAR || ':' || chr(10)
-                 || CASE WHEN length(ctext) > 200
-                    THEN substring(ctext, 1, 200) || '...' ELSE ctext END
-                 || chr(10), chr(10) ORDER BY ord) AS s
-               FROM lst WHERE kind = 'chunk' AND ord < 5 GROUP BY doc_id),
-        p AS (SELECT r.doc_id, r.strategy, {pexpr} AS prompt
-              FROM res r
-              LEFT JOIN el ON el.doc_id = r.doc_id
-              LEFT JOIN rl ON rl.doc_id = r.doc_id
-              LEFT JOIN cl ON cl.doc_id = r.doc_id),
-        sc AS (SELECT doc_id, strategy, prompt, length(prompt) AS plen,
-                 (1 + ((length(prompt) * 3 + 0) % 5))::BIGINT AS s0,
-                 (1 + ((length(prompt) * 4 + 1) % 5))::BIGINT AS s1,
-                 (1 + ((length(prompt) * 5 + 4) % 5))::BIGINT AS s2,
-                 (1 + ((length(prompt) * 6 + 9) % 5))::BIGINT AS s3,
-                 (1 + ((length(prompt) * 7 + 16) % 5))::BIGINT AS s4
-               FROM p),
-        ag AS (SELECT *,
-                 (s0 + s1 + s2 + s3 + s4) / 5.0 AS overall,
-                 CASE WHEN s0<=s1 AND s0<=s2 AND s0<=s3 AND s0<=s4
-                        THEN 'relevance'
-                      WHEN s1<=s2 AND s1<=s3 AND s1<=s4
-                        THEN 'faithfulness'
-                      WHEN s2<=s3 AND s2<=s4 THEN 'completeness'
-                      WHEN s3<=s4 THEN 'coherence'
-                      ELSE 'groundedness' END AS wname,
-                 least(s0, s1, s2, s3, s4)::BIGINT AS wscore,
-                 {reasons},
-                 'Automated sandbox evaluation via ' || strategy
-                   || ' retrieval.' AS summary
-               FROM sc),
-        fin AS (SELECT *,
-                  CASE wname WHEN 'relevance' THEN r0
-                    WHEN 'faithfulness' THEN r1
-                    WHEN 'completeness' THEN r2
-                    WHEN 'coherence' THEN r3 ELSE r4 END AS wreason
-                FROM ag)
-        SELECT doc_id, strategy, plen::BIGINT AS prompt_chars,
-               md5(prompt) AS prompt_md5,
-               s0 AS score_relevance, s1 AS score_faithfulness,
-               s2 AS score_completeness, s3 AS score_coherence,
-               s4 AS score_groundedness,
-               overall AS overall_score, overall >= 3.0 AS passes_3,
-               wname AS weakest_dimension, wscore AS weakest_score,
-               summary, md5({rexpr}) AS report_md5
-        FROM fin
-    """
-
-
 _NS_SQL = """CASE
     WHEN lower(x.name) = lower(y.name) THEN 1.0
     WHEN contains(lower(x.name), lower(y.name))
@@ -6040,390 +5149,6 @@ def _semantic_merge_groups_sql() -> str:
                 END)::BIGINT AS merged_mentions
         FROM gt g JOIN gsim s USING (group_id)
              JOIN best b USING (group_id) JOIN descr d USING (group_id)
-    """
-
-
-def _adaptive_fusion_sql(rps: int = 10) -> str:
-    """Adaptive-fusion oracle (``adaptive.rs:56-254`` +
-    ``retrieval/mod.rs:600-650``): the query type re-derived from the
-    staged entity names (mutual-substring key-entity rule; the
-    abstract/question predicates fold to literals — the word lists are
-    query constants), weights CASE-selected per cohort with the
-    below-0.6 balanced fallback, then trunc(10·w) truncation, ×w
-    weighting, keep-max dedup and score-desc ranking replayed from the
-    four staged shortlists."""
-    from graphrag_rs_ray.functions.adaptive_retrieval import (
-        ABSTRACT_INDICATORS, QUESTION_WORDS)
-
-    ents = _staged_sql("adaptive_fusion", "ents")
-    ce = _staged_sql("adaptive_fusion", "chunkents")
-    tabs = {k: _staged_sql("adaptive_fusion", k)
-            for k in ("vec", "grf", "hier", "bm")}
-    wcase = {"vw": ("0.2", "0.2", "0.6", "0.2"),
-             "gw": ("0.6", "0.5", "0.1", "0.1"),
-             "hw": ("0.1", "0.2", "0.3", "0.1"),
-             "bw": ("0.1", "0.1", "0.0", "0.6")}
-
-    parts = [f"""
-        WITH ents AS MATERIALIZED (SELECT name FROM {ents}),
-        ce AS MATERIALIZED (SELECT chunk_id, entities FROM {ce}),
-        vec AS (SELECT * FROM {tabs['vec']}),
-        grf AS (SELECT * FROM {tabs['grf']}),
-        hier AS (SELECT * FROM {tabs['hier']}),
-        bm AS (SELECT * FROM {tabs['bm']})"""]
-    for qid, qtext in _ADAPTIVE_QUERIES:
-        words = qtext.lower().split()
-        wl = "[" + ", ".join(f"'{w}'" for w in words) + "]"
-        has_abs = any(w in ABSTRACT_INDICATORS for w in words)
-        has_q = any(w in QUESTION_WORDS for w in words)
-        fallback = ("'conceptual'" if has_abs
-                    else ("'exploratory'" if has_q else "'factual'"))
-        parts.append(f""",
-        kent_{qid} AS MATERIALIZED (
-          SELECT count(*)::BIGINT AS n FROM ents e
-          WHERE len(list_filter({wl},
-                w -> contains(lower(e.name), w)
-                     OR contains(w, lower(e.name)))) > 0),
-        qt_{qid} AS MATERIALIZED (SELECT CASE
-            WHEN (SELECT n FROM kent_{qid}) > 1 THEN 'relationship'
-            WHEN (SELECT n FROM kent_{qid}) = 1 THEN 'entity_focused'
-            ELSE {fallback} END AS qt)""")
-    outs = []
-    for cohort, qid, conf in _ADAPTIVE_COHORTS:
-        wexprs = {}
-        for wname, (rel, ent, con, fac) in wcase.items():
-            wexprs[wname] = (
-                f"CASE WHEN {conf} < 0.6 THEN 0.25 ELSE "
-                f"CASE (SELECT qt FROM qt_{qid}) "
-                f"WHEN 'relationship' THEN {rel} "
-                f"WHEN 'entity_focused' THEN {ent} "
-                f"WHEN 'conceptual' THEN {con} "
-                f"WHEN 'factual' THEN {fac} ELSE 0.25 END END")
-        parts.append(f""",
-        wts_{cohort} AS MATERIALIZED (
-                        SELECT {wexprs['vw']} AS vw,
-                                {wexprs['gw']} AS gw,
-                                {wexprs['hw']} AS hw,
-                                {wexprs['bw']} AS bw),
-        sel_{cohort} AS MATERIALIZED (
-          SELECT id, score * (SELECT vw FROM wts_{cohort}) AS ws
-          FROM vec WHERE query_id = '{qid}'
-            AND rank < trunc({rps}.0 * (SELECT vw FROM wts_{cohort}))
-          UNION ALL
-          SELECT id, score * (SELECT gw FROM wts_{cohort})
-          FROM grf WHERE query_id = '{qid}'
-            AND rank < trunc({rps}.0 * (SELECT gw FROM wts_{cohort}))
-          UNION ALL
-          SELECT id, score * (SELECT hw FROM wts_{cohort})
-          FROM hier WHERE query_id = '{qid}'
-            AND rank < trunc({rps}.0 * (SELECT hw FROM wts_{cohort}))
-          UNION ALL
-          SELECT id, score * (SELECT bw FROM wts_{cohort})
-          FROM bm WHERE query_id = '{qid}'
-            AND rank < trunc({rps}.0 * (SELECT bw FROM wts_{cohort}))),
-        ded_{cohort} AS (SELECT id, max(ws) AS ws FROM sel_{cohort}
-                         GROUP BY id)""")
-        outs.append(f"""
-        SELECT '{cohort}' AS cohort,
-               row_number() OVER (ORDER BY d.ws DESC, d.id) AS rank,
-               d.id, round(d.ws, 8) AS score,
-               coalesce(c.entities, '') AS entities,
-               (SELECT qt FROM qt_{qid}) AS query_type,
-               {conf} AS confidence,
-               (SELECT vw FROM wts_{cohort}) AS vw,
-               (SELECT gw FROM wts_{cohort}) AS gw,
-               (SELECT hw FROM wts_{cohort}) AS hw,
-               (SELECT bw FROM wts_{cohort}) AS bw,
-               (SELECT count(*)::BIGINT FROM sel_{cohort})
-                 AS total_before_fusion
-        FROM ded_{cohort} d LEFT JOIN ce c ON d.id = c.chunk_id""")
-    return "".join(parts) + "\n        UNION ALL\n".join(outs)
-
-
-def _enriched_search_sql(kw_w: float = 0.3, st_w: float = 0.2,
-                         sum_w: float = 0.15, min_m: int = 1) -> str:
-    """Enriched-retrieval oracle (``enriched.rs:85-143`` +
-    ``core/metadata.rs:166-200``): gate (entities OR keywords), keyword
-    / structure / summary / completeness boosts and the min-1 clamp
-    replayed from the staged chunk-metadata, mention and base tables;
-    query words and structure refs are constant-folded from the fixed
-    query (their extraction is unit-gated)."""
-    from graphrag_rs_ray.functions.enriched_retrieval import (
-        extract_structure_references, query_words)
-
-    ch = _staged_sql("enriched_search", "chunks")
-    men = _staged_sql("enriched_search", "mentions")
-    base = _staged_sql("enriched_search", "base")
-    qw = sorted(query_words(_ENRICHED_QUERY))
-    refs = extract_structure_references(_ENRICHED_QUERY.lower())
-    qset = "[" + ", ".join(f"'{w}'" for w in qw) + "]"
-    maxqw = float(max(len(qw), 1))
-    sumthr = max(len(qw) // 2, 1)
-    sparts = []
-    for ref in refs:
-        for field, pts in (("chapter", 0.5), ("section", 0.3),
-                           ("subsection", 0.2)):
-            sparts.append(f"(CASE WHEN c.{field} IS NOT NULL AND "
-                          f"contains(lower(c.{field}), '{ref}') "
-                          f"THEN {pts} ELSE 0.0 END)")
-    sraw = " + ".join(sparts) if sparts else "0.0"
-    return f"""
-        WITH ch AS MATERIALIZED (SELECT * FROM {ch}),
-        ent AS (SELECT chunk_id,
-                       string_agg(DISTINCT name, ',' ORDER BY name)
-                         AS entities
-                FROM {men} GROUP BY chunk_id),
-        b AS (SELECT id AS chunk_id, score FROM {base}),
-        scored AS (
-          SELECT c.chunk_id, coalesce(b.score, 0.5) AS base_score,
-                 coalesce(e.entities, '') AS entities,
-                 len(list_filter(c.keywords,
-                     k -> list_contains({qset}, lower(k)))) AS kmatch,
-                 {sraw} AS sraw,
-                 CASE WHEN c.summary IS NOT NULL AND
-                      len(list_filter({qset},
-                          w -> contains(lower(c.summary), w)))
-                        >= {sumthr}
-                      THEN 1 ELSE 0 END AS summ,
-                 (CASE WHEN c.chapter IS NOT NULL THEN 2.0 ELSE 0.0 END
-                  + CASE WHEN c.section IS NOT NULL THEN 1.0
-                         ELSE 0.0 END
-                  + CASE WHEN c.subsection IS NOT NULL THEN 1.0
-                         ELSE 0.0 END
-                  + CASE WHEN len(c.keywords) > 0 THEN 1.0 ELSE 0.0 END
-                  + CASE WHEN c.summary IS NOT NULL THEN 1.0
-                         ELSE 0.0 END
-                  + CASE WHEN c.structural_level IS NOT NULL THEN 1.0
-                         ELSE 0.0 END
-                  + CASE WHEN c.position_in_document IS NOT NULL
-                         THEN 1.0 ELSE 0.0 END) / 9.0 AS comp
-          FROM ch c LEFT JOIN b USING (chunk_id)
-                    LEFT JOIN ent e ON c.chunk_id = e.chunk_id
-          WHERE e.entities IS NOT NULL OR len(c.keywords) > 0),
-        boosted AS (
-          SELECT chunk_id, base_score, entities,
-                 (CASE WHEN kmatch >= {min_m}
-                       THEN (kmatch::DOUBLE / {maxqw}) * {kw_w}
-                       ELSE 0.0 END
-                  + CASE WHEN sraw > 0.0 THEN sraw * {st_w}
-                         ELSE 0.0 END
-                  + CASE WHEN summ = 1 THEN {sum_w} ELSE 0.0 END
-                  + CASE WHEN comp > 0.7 THEN 0.05 ELSE 0.0 END)
-                   AS boost
-          FROM scored)
-        SELECT chunk_id, round(least(base_score + boost, 1.0), 8)
-                 AS score,
-               base_score, round(boost, 8) AS boost, entities
-        FROM boosted WHERE boost > 0.05
-    """
-
-
-def _hybrid_fusion_sql(sw: float = 0.7, kw_w: float = 0.3,
-                       rrf_k: float = 60.0, thr: float = 0.1,
-                       limit: int = 15) -> str:
-    """Hybrid-fusion oracle (``hybrid.rs:230-427``): each method
-    replayed as a FULL JOIN of the staged shortlists — RRF from the
-    staged 0-based ranks, Weighted from per-list MAX normalization,
-    CombSUM raw sums, MaxScore with the 0.0-default max quirk;
-    threshold on the UNROUNDED combined score (mirroring the kernel),
-    round-8 outputs, score-desc/id-asc truncation per method."""
-    sem = _staged_sql("hybrid_fusion", "sem")
-    kw = _staged_sql("hybrid_fusion", "kw")
-    base = f"""
-        WITH sem AS MATERIALIZED (SELECT id, score, content, rank
-                                  FROM {sem}),
-        kw AS MATERIALIZED (SELECT id, score, content, rank FROM {kw}),
-        mx AS (SELECT (SELECT max(score) FROM sem) AS ms,
-                      (SELECT max(score) FROM kw) AS mk)
-    """
-    combined = {
-        "rrf": (f"coalesce((1.0 / ({rrf_k} + s.rank + 1.0)) * {sw}, 0.0)"
-                f" + coalesce((1.0 / ({rrf_k} + k.rank + 1.0)) * {kw_w},"
-                f" 0.0)"),
-        "weighted": (
-            f"coalesce((CASE WHEN (SELECT ms FROM mx) > 0.0 THEN"
-            f" s.score / (SELECT ms FROM mx) ELSE 0.0 END) * {sw}, 0.0)"
-            f" + coalesce((CASE WHEN (SELECT mk FROM mx) > 0.0 THEN"
-            f" k.score / (SELECT mk FROM mx) ELSE 0.0 END) * {kw_w},"
-            f" 0.0)"),
-        "combsum": "coalesce(s.score, 0.0) + coalesce(k.score, 0.0)",
-        "maxscore": ("CASE WHEN s.id IS NULL THEN greatest(0.0, k.score) "
-                     "WHEN k.id IS NULL THEN s.score "
-                     "ELSE greatest(s.score, k.score) END"),
-    }
-    blocks = []
-    for method, expr in combined.items():
-        t = 0.0 if method == "rrf" else thr
-        blocks.append(f"""
-        (SELECT '{method}' AS method, id, content,
-                round(raw, 8) AS score,
-                round(semantic_score, 8) AS semantic_score,
-                round(keyword_score, 8) AS keyword_score,
-                CASE WHEN id LIKE 'entity:%' THEN 'entity'
-                     WHEN id LIKE 'chunk:%' THEN 'chunk'
-                     ELSE 'hybrid' END AS result_type,
-                CASE WHEN id LIKE 'entity:%' THEN content
-                     ELSE '' END AS entities,
-                id AS source_chunks
-         FROM (SELECT coalesce(s.id, k.id) AS id,
-                      coalesce(k.content, s.content) AS content,
-                      {expr} AS raw,
-                      coalesce(s.score, 0.0) AS semantic_score,
-                      coalesce(k.score, 0.0) AS keyword_score
-               FROM sem s FULL JOIN kw k ON s.id = k.id)
-         WHERE raw >= {t}
-         ORDER BY round(raw, 8) DESC, id ASC
-         LIMIT {limit})""")
-    return base + "\n        " + "\n        UNION ALL\n".join(blocks)
-
-
-def _query_plans_sql() -> str:
-    """Query-optimizer oracle (``query/optimizer.rs:100-484``): the two
-    staged type histograms → scalar counts → every cost formula
-    (trunc = the reference's ``as usize``, integer ×9//10 union
-    arithmetic, powi as repeated multiply) and every optimizer decision
-    (strict-> swap; greedy strict-< first-found pair choice) re-derived
-    as SQL predicates; plan strings are CASE-selected literals."""
-    et = _staged_sql("query_plans", "etypes")
-    rt = _staged_sql("query_plans", "rtypes")
-
-    lits = {"P": "EntityScan(PERSON)", "O": "EntityScan(ORGANIZATION)",
-            "L": "EntityScan(LOCATION)"}
-    cards = {"P": "np", "O": "no_", "L": "nl"}
-
-    # ---- q05 branch enumeration (rewrite swaps × greedy pair choice) --
-    ci_in = "trunc(sqrt(np*no_))"
-    q05 = []          # (predicate, ci, cj, ck, plan_literal)
-    for sp1 in (False, True):
-        inner = ("O", "P") if sp1 else ("P", "O")
-        p1 = "np > no_" if sp1 else "NOT (np > no_)"
-        for sp2 in (False, True):
-            order = (["L", *inner] if sp2 else [*inner, "L"])
-            p2 = f"{ci_in} > nl" if sp2 else f"NOT ({ci_in} > nl)"
-            cx, cy, cz = (cards[t] for t in order)
-            p01, p02, p12 = f"{cx}*{cy}", f"{cx}*{cz}", f"{cy}*{cz}"
-            for choice, cpred in (
-                    ((1, 2), f"{p12} < least({p01}, {p02})"),
-                    ((0, 2), f"NOT ({p12} < least({p01}, {p02})) "
-                             f"AND {p02} < {p01}"),
-                    ((0, 1), f"NOT ({p12} < least({p01}, {p02})) "
-                             f"AND NOT ({p02} < {p01})")):
-                i, j = choice
-                k = ({0, 1, 2} - {i, j}).pop()
-                plan = (f"Join[Inner]({lits[order[k]]},"
-                        f"Join[Inner]({lits[order[i]]},{lits[order[j]]}))")
-                q05.append((f"({p1}) AND ({p2}) AND ({cpred})",
-                            cards[order[i]], cards[order[j]],
-                            cards[order[k]], plan))
-
-    def case(branches, expr_of):
-        return ("CASE " + " ".join(
-            f"WHEN {pred} THEN {expr_of(b)}" for b in branches
-            for pred in [b[0]]) + " END")
-
-    q05_plan = case(q05, lambda b: f"'{b[4]}'")
-    q05_ci = case(q05, lambda b: b[1])
-    q05_cj = case(q05, lambda b: b[2])
-    q05_ck = case(q05, lambda b: b[3])
-
-    jsw = (f"CASE WHEN np > nl THEN "
-           f"'Join[Inner]({lits['L']},{lits['P']})' ELSE "
-           f"'Join[Inner]({lits['P']},{lits['L']})' END")
-    losw = (f"CASE WHEN np > nl THEN "
-            f"'Join[LeftOuter]({lits['L']},{lits['P']})' ELSE "
-            f"'Join[LeftOuter]({lits['P']},{lits['L']})' END")
-    u12 = (f"CASE WHEN np > nl THEN "
-           f"'Union(Join[Inner]({lits['L']},{lits['P']}),"
-           f"Limit(5)({lits['O']}))' ELSE "
-           f"'Union(Join[Inner]({lits['P']},{lits['L']}),"
-           f"Limit(5)({lits['O']}))' END")
-
-    return f"""
-        WITH et AS (SELECT type, cnt FROM {et}),
-        rt AS (SELECT pred, cnt FROM {rt}),
-        sc AS (SELECT
-          coalesce((SELECT cnt FROM et WHERE type = 'PERSON'), 0)::DOUBLE
-            AS np,
-          coalesce((SELECT cnt FROM et
-                    WHERE type = 'ORGANIZATION'), 0)::DOUBLE AS no_,
-          coalesce((SELECT cnt FROM et WHERE type = 'LOCATION'), 0)::DOUBLE
-            AS nl,
-          (SELECT sum(cnt) FROM et)::DOUBLE AS te,
-          (SELECT sum(cnt) FROM rt)::DOUBLE * 2.0
-            / (SELECT sum(cnt) FROM et)::DOUBLE AS dg)
-
-        SELECT 'q01_scan' AS query_id, 'EntityScan(PERSON)' AS plan,
-               round(np, 8) AS cost, np::BIGINT AS cardinality,
-               round(np / te, 8) AS selectivity FROM sc
-        UNION ALL
-        SELECT 'q02_filter', 'Filter(name=alice)', round(te, 8),
-               trunc(te * 0.1)::BIGINT, 0.1 FROM sc
-        UNION ALL
-        SELECT 'q03_join_swap', {jsw}, round(np + nl + np * nl, 8),
-               trunc(sqrt(np * nl))::BIGINT,
-               round((np / te) * (nl / te), 8) FROM sc
-        UNION ALL
-        SELECT 'q04_join_noswap',
-               CASE WHEN nl > np THEN
-                 'Join[Inner]({lits["P"]},{lits["L"]})' ELSE
-                 'Join[Inner]({lits["L"]},{lits["P"]})' END,
-               round(nl + np + nl * np, 8), trunc(sqrt(nl * np))::BIGINT,
-               round((nl / te) * (np / te), 8) FROM sc
-        UNION ALL
-        SELECT 'q05_multiway', {q05_plan},
-               round(ck + (ci + cj + ci * cj)
-                     + ck * trunc(sqrt(ci * cj)), 8),
-               trunc(sqrt(ck * trunc(sqrt(ci * cj))))::BIGINT,
-               round((ck / te) * ((ci / te) * (cj / te)), 8)
-        FROM (SELECT {q05_ci} AS ci, {q05_cj} AS cj, {q05_ck} AS ck,
-                     np, no_, nl, te
-              FROM sc)
-        UNION ALL
-        SELECT 'q06_neighbors2',
-               'Neighbors(related_to,hops=2)(EntityScan(PERSON))',
-               round(np + trunc(least(np * (dg * dg), te)), 8),
-               trunc(least(np * (dg * dg), te))::BIGINT,
-               round(trunc(least(np * (dg * dg), te)) / te, 8) FROM sc
-        UNION ALL
-        SELECT 'q07_union', 'Union({lits["O"]},{lits["L"]})',
-               round(no_ + nl, 8),
-               (no_::BIGINT + nl::BIGINT) * 9 // 10,
-               round(least(no_ / te + nl / te, 1.0), 8) FROM sc
-        UNION ALL
-        SELECT 'q08_limit',
-               CASE WHEN np > no_ THEN
-                 'Limit(10)(Join[Inner]({lits["O"]},{lits["P"]}))' ELSE
-                 'Limit(10)(Join[Inner]({lits["P"]},{lits["O"]}))' END,
-               round(np + no_ + np * no_, 8),
-               least(10, trunc(sqrt(np * no_))::BIGINT),
-               round(least(10.0 / te, 1.0), 8) FROM sc
-        UNION ALL
-        SELECT 'q09_cross',
-               CASE WHEN no_ > nl THEN
-                 'Join[Cross]({lits["L"]},{lits["O"]})' ELSE
-                 'Join[Cross]({lits["O"]},{lits["L"]})' END,
-               round(no_ + nl + no_ * nl, 8),
-               no_::BIGINT * nl::BIGINT,
-               round((no_ / te) * (nl / te), 8) FROM sc
-        UNION ALL
-        SELECT 'q10_leftouter', {losw}, round(np + nl + np * nl, 8),
-               CASE WHEN np > nl THEN nl::BIGINT ELSE np::BIGINT END,
-               round((np / te) * (nl / te), 8) FROM sc
-        UNION ALL
-        SELECT 'q11_nbr_filter',
-               'Neighbors(*,hops=1)(Filter(type=PERSON))',
-               round(te + trunc(least(trunc(te * 0.1) * dg, te)), 8),
-               trunc(least(trunc(te * 0.1) * dg, te))::BIGINT,
-               round(trunc(least(trunc(te * 0.1) * dg, te)) / te, 8)
-        FROM sc
-        UNION ALL
-        SELECT 'q12_union_joins', {u12},
-               round((np + nl + np * nl) + no_, 8),
-               (trunc(sqrt(np * nl))::BIGINT
-                + least(5, no_::BIGINT)) * 9 // 10,
-               round(least((np / te) * (nl / te)
-                           + least(5.0 / te, 1.0), 1.0), 8) FROM sc
-        ORDER BY query_id
     """
 
 
@@ -7519,16 +6244,6 @@ def _oracle_sql_base() -> dict[str, str]:
              AND a.doc_id < b.doc_id
             GROUP BY a.doc_id, b.doc_id
         """.replace("{t}", _staged_sql("minhash_lsh_candidates")),
-        "hybrid_search": """
-            WITH s AS (
-              SELECT doc_id, sum(1.0 / (60 + rank)) AS score
-              FROM {t} GROUP BY doc_id),
-            r AS (
-              SELECT doc_id, round(score, 8) AS rrf_score,
-                     row_number() OVER (ORDER BY score DESC, doc_id ASC) AS rank
-              FROM s)
-            SELECT rank, doc_id, rrf_score FROM r WHERE rank <= 10
-        """.replace("{t}", _staged_sql("hybrid_search")),
         "k_hop": """
             WITH RECURSIVE und AS (
               SELECT subj AS src, obj AS dst FROM {t}
@@ -8195,46 +6910,3 @@ def _oracle_sql_base() -> dict[str, str]:
     }
 
 
-def _traversal_sql(query: str, n_seeds: int, k: int, mode: str) -> str:
-    """Traversal oracles (``traversal.rs:248-374,521-566``): recursive-CTE
-    min-hop distances over the confidence-gated symmetric edge multiset,
-    then mode-specific projection — 'ego'/'qfs' emit the tagged node∪rel
-    union table (occurrence counts / deduped keys), 'msbfs' the
-    (node, dist, in_entities) distances map."""
-    t = _staged_sql(query)
-    base = """
-        WITH RECURSIVE rels AS (
-          SELECT subj, pred, obj FROM {t} WHERE conf >= 0.5),
-        sym AS (SELECT subj AS src, obj AS dst FROM rels
-                UNION ALL SELECT obj, subj FROM rels),
-        seeds AS (SELECT node FROM (SELECT DISTINCT subj AS node FROM {t})
-                  ORDER BY node LIMIT {n}),
-        walk(node, hop) AS (
-          SELECT node, 0 FROM seeds
-          UNION
-          SELECT s.dst, w.hop + 1 FROM walk w JOIN sym s ON s.src = w.node
-          WHERE w.hop < {k}),
-        dist AS (SELECT node, min(hop)::BIGINT AS hop FROM walk
-                 GROUP BY node)
-    """.replace("{t}", t).replace("{n}", str(n_seeds)).replace("{k}", str(k))
-    if mode == "msbfs":
-        return base + """
-        SELECT node, hop AS dist,
-               (CASE WHEN hop < {k} THEN 1 ELSE 0 END)::BIGINT AS in_entities
-        FROM dist
-        """.replace("{k}", str(k))
-    occ_val = "n" if mode == "ego" else "1::BIGINT"
-    return base + """
-        , occ AS (
-          SELECT r.subj, r.pred, r.obj,
-                 ((CASE WHEN ds.hop <= {km1} THEN 1 ELSE 0 END)
-                + (CASE WHEN dd.hop <= {km1} THEN 1 ELSE 0 END))::BIGINT AS n
-          FROM rels r
-          LEFT JOIN dist ds ON ds.node = r.subj
-          LEFT JOIN dist dd ON dd.node = r.obj)
-        SELECT 'node' AS kind, node AS a, '' AS b, '' AS rel_type,
-               hop AS val
-        FROM dist
-        UNION ALL
-        SELECT 'rel', subj, obj, pred, {v} FROM occ WHERE n > 0
-    """.replace("{km1}", str(k - 1)).replace("{v}", occ_val)

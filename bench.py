@@ -400,11 +400,7 @@ def run_bench() -> dict:
     timed("consistency_report",
           lambda: q["consistency_report"](sf_dir).count())
     timed("centrality", lambda: q["centrality"](sf_dir).count())
-    # round-2 late additions: traversal subgraphs, planner, entity
-    # linking, text analysis (retrieval fusions' heavy halves — BM25,
-    # cosine, extraction — are covered by the entries above).
-    timed("ego_network", lambda: q["ego_network"](sf_dir).count())
-
+    # round-2 late additions: entity linking, text analysis.
     # distributed hybrid linking over the flat mention table; the flat
     # extraction is staged UNTIMED (input construction, shared shape with
     # entity_clusters) so the entry times the linking operator itself
@@ -420,7 +416,6 @@ def run_bench() -> dict:
         return clusters_ds.count() + asg_ds.count()
 
     timed("entity_clusters_grouped", linking_grouped_unstaged)
-    timed("query_plans", lambda: q["query_plans"](sf_dir).count())
     timed("entity_clusters", lambda: q["entity_clusters"](sf_dir).count())
     timed("text_statistics", lambda: q["text_statistics"](sf_dir).count())
     # string-similarity linking, LazyGraphRAG fixed chunker

@@ -1,4 +1,4 @@
-"""LLM extraction response parsing kernels — port of
+r"""LLM extraction response parsing kernels — port of
 ``entity/llm_extractor.rs`` (the structured-JSON half of the LLM
 extractor; the Ollama transport itself is network-only and out of
 sandbox scope — ``stages/gleaning.py`` drives the same loop against the

@@ -92,29 +92,6 @@ def all_paths(adj, start: str, end: str, max_depth: int):
     return out
 
 
-def dfs_first_visit_depths(adj, source: str, max_depth: int):
-    """Depth-gated DFS first-visit depths (``traversal.rs:154-234``):
-    a node at depth ≥ max_depth is not visited (no distance entry); a
-    visited node is never revisited, so the recorded depth is the depth
-    along the FIRST discovery path, not the minimum.  The reference
-    descends in relationship-iteration order, which makes both the
-    visited set and the depths order-dependent there; here neighbours
-    are visited in sorted (name, weight) order — documented
-    deterministic deviation (same device as ``shortest_path``)."""
-    dist: dict[str, int] = {}
-
-    def rec(u: str, d: int):
-        if d >= max_depth or u in dist:
-            return
-        dist[u] = d
-        for v, _ in sorted(adj.get(u, [])):
-            if v not in dist:
-                rec(v, d + 1)
-
-    rec(source, 0)
-    return dist
-
-
 def top_degree_nodes(adj, top_k: int):
     """(node, degree_centrality) sorted desc, deterministic ties by name
     (:416-434; centrality = degree / (n-1) with parallel-edge degree)."""

@@ -900,7 +900,7 @@ def k_hop(triples_ds, seeds: list[str], k: int = 3, direction: str = "both",
     ``bucketed_join(frontier, edges)`` + a min-hop re-aggregate of
     (reached ∪ candidates) — per-round dedup keeps cyclic graphs from
     exploding the frontier.  The driver never holds the reached set.
-    Equality pinned in ``test_traversal`` / ``test_graph_ops``."""
+    Equality pinned in ``test_leiden_traversal::test_k_hop_matches_bfs``."""
     import ray.data as rd
 
     def edge_rows(t: pa.Table) -> pa.Table:

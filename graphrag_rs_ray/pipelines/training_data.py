@@ -2779,91 +2779,6 @@ def customers_semi_anti(sf_dir: str, anti: bool = False):
     return cust.map_batches(fltr, batch_format="pyarrow")
 
 
-def rrf_fuse(rankings: list[list], k: int = 60) -> list[tuple]:
-    """Reciprocal Rank Fusion: score(d) = Σ 1/(k + rank_i(d)) over the
-    rankers that returned d (``HOW_IT_WORKS.md:880-905``, k=60).
-    Deterministic tie-break by id."""
-    scores: dict = {}
-    for ranking in rankings:
-        for rank, doc in enumerate(ranking, 1):
-            scores[doc] = scores.get(doc, 0.0) + 1.0 / (k + rank)
-    return sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-
-
-def hybrid_rankings(sf_dir: str, query: str = "fast hash join",
-                    depth: int = 50) -> pa.Table:
-    """The two ranker outputs as (ranker, rank, doc_id) rows — BM25 and
-    the deterministic hash-embedding cosine ranking, top-``depth`` each.
-    Both rankers run distributed; only the tiny top lists materialize."""
-    import ray
-    import numpy as np
-    from ..functions.embedding import HashEmbedder
-
-    def _topk_ranking(scores_ds) -> list:
-        # distributed top-k: per-batch partial top-`depth` (global top-k
-        # is contained in the union of per-batch top-ks), driver merges
-        # blocks×depth rows — never the full N-doc score table
-        def part(t: pa.Table) -> pa.Table:
-            df = (t.select(["doc_id", "score"]).to_pandas()
-                  .sort_values(["score", "doc_id"],
-                               ascending=[False, True]).head(depth))
-            return pa.Table.from_pandas(df, preserve_index=False)
-
-        parts = [b for b in scores_ds
-                 .map_batches(part, batch_format="pyarrow")
-                 .iter_batches(batch_format="pyarrow")]
-        if not parts:
-            return []
-        merged = pa.concat_tables(parts).to_pandas()
-        return (merged.sort_values(["score", "doc_id"],
-                                   ascending=[False, True])
-                ["doc_id"].head(depth).tolist())
-
-    bm25_rank = _topk_ranking(bm25_scores(sf_dir, query=query))
-
-    embedder = HashEmbedder(dim=64)
-    qv = embedder.embed(query)
-    qref = ray.put(qv)
-
-    def cos(batch: pa.Table) -> pa.Table:
-        e = HashEmbedder(dim=64)
-        qvec = ray.get(qref)
-        sims = [float(np.dot(e.embed(t), qvec))
-                for t in batch.column("text").to_pylist()]
-        return pa.table({"doc_id": batch.column("doc_id"),
-                         "score": pa.array(sims, pa.float64())})
-
-    vec_rank = _topk_ranking(
-        _docs(sf_dir).map_batches(cos, batch_format="pyarrow"))
-
-    rows = [("bm25", r, d) for r, d in enumerate(bm25_rank, 1)] + \
-           [("dense", r, d) for r, d in enumerate(vec_rank, 1)]
-    return pa.table({
-        "ranker": pa.array([x[0] for x in rows], pa.string()),
-        "rank": pa.array([x[1] for x in rows], pa.int64()),
-        "doc_id": pa.array([x[2] for x in rows], pa.int64()),
-    })
-
-
-def hybrid_search(sf_dir: str, query: str = "fast hash join", top_k: int = 10,
-                  rankings=None):
-    """Hybrid retrieval (bonus beyond the indexing scope): BM25 + dense
-    rankings fused with RRF k=60.  ``rankings`` (optional) supplies the
-    (ranker, rank, doc_id) rows — the query layer stages them so the
-    fusion arithmetic is DuckDB-oracle-checked."""
-    if rankings is None:
-        rankings = hybrid_rankings(sf_dir, query)
-    df = rankings.to_pandas()        # pa.Table and rd.Dataset both support it
-    lists = [df[df["ranker"] == r].sort_values("rank")["doc_id"].tolist()
-             for r in sorted(df["ranker"].unique())]
-    fused = rrf_fuse(lists)[:top_k]
-    return pa.table({
-        "rank": pa.array(range(1, len(fused) + 1), pa.int64()),
-        "doc_id": pa.array([d for d, _ in fused], pa.int64()),
-        "rrf_score": pa.array([round(s, 8) for _, s in fused], pa.float64()),
-    })
-
-
 # ------------------------------------------------- windowed aggregates --
 
 def temporal_edges(sf_dir: str):

@@ -9,10 +9,12 @@ import os, sys, json
 import duckdb
 import numpy as np
 import ray
-ray.init(address="local", num_cpus=32, include_dashboard=False, logging_level="ERROR")
+# Ray workers import the package from the driver's working directory at init.
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT); os.chdir(ROOT)
+ray.init(address="local", include_dashboard=False, logging_level="ERROR")
 from ray.data import DataContext
 ctx = DataContext.get_current(); ctx.enable_progress_bars = False; ctx.op_resource_reservation_enabled = False
-sys.path.insert(0, "/root/repo"); os.chdir("/root/repo")
 import __ray_entry__ as e
 
 SF = "/root/testdata/sf0.01"

@@ -1,141 +1,7 @@
-"""Cross-encoder rerank, HippoRAG PPR weights, and pipeline validation —
-unit tests ported from the reference
-(``reranking/cross_encoder.rs:268-388``, ``retrieval/hipporag_ppr.rs:
-326-410``, ``evaluation/pipeline_validation.rs:595-680``)."""
+"""Pipeline validation — unit tests ported from the reference
+(``evaluation/pipeline_validation.rs:595-680``)."""
 
 import pyarrow as pa
-import pytest
-
-from graphrag_rs_ray.functions.hipporag import (
-    HippoRAGConfig,
-    combine_weights,
-    entity_weights,
-    passage_weights,
-)
-from graphrag_rs_ray.functions.rerank import (
-    CrossEncoderConfig,
-    relevance_score,
-    reranking_stats,
-)
-
-# ------------------------------------------------- cross-encoder kernel --
-
-
-def test_score_pair_range():
-    # cross_encoder.rs:346-359
-    s = relevance_score("artificial intelligence",
-                        "AI and machine learning are related fields")
-    assert 0.0 <= s <= 1.0
-
-
-def test_relevance_empty_inputs():
-    # cross_encoder.rs:109-111 — empty side scores 0 before normalization
-    assert relevance_score("query", "") == 0.0
-    assert relevance_score("", "document text") == 0.0
-
-
-def test_relevance_overlap_ordering():
-    # cross_encoder.rs:283-320 test_rerank_basic — result 3 has best overlap
-    q = "machine learning algorithms"
-    s1 = relevance_score(q, "Machine learning is a subset of artificial intelligence")
-    s2 = relevance_score(q, "The weather today is sunny")
-    s3 = relevance_score(q, "Neural networks are machine learning algorithms "
-                            "used for pattern recognition")
-    assert s3 > s1 > s2
-
-
-def test_reranking_stats():
-    # cross_encoder.rs:362-387
-    stats = reranking_stats(5, [0.3, 0.1])
-    assert stats["candidates_count"] == 5
-    assert stats["results_count"] == 2
-    assert abs(stats["filter_rate"] - 60.0) < 1e-3
-    assert stats["avg_score_improvement"] > 0.0
-    assert abs(stats["max_score_improvement"] - 0.3) < 1e-12
-    assert reranking_stats(0, [])["filter_rate"] == 0.0
-
-
-def test_rerank_candidates_filter_and_order(ray_session):
-    # cross_encoder.rs:322-344 test_confidence_filtering + ordering
-    import ray.data as rd
-
-    from graphrag_rs_ray.pipelines.retrieval import rerank_candidates
-
-    docs = rd.from_arrow(pa.table({
-        "doc_id": pa.array([1, 2, 3], pa.int64()),
-        "text": pa.array([
-            "highly relevant technical content about the specific technical query",
-            "somewhat relevant",
-            "not relevant at all",
-        ], pa.string())}))
-    out = rerank_candidates(docs, {1: 0.3, 2: 0.4, 3: 0.5},
-                            "specific technical query",
-                            CrossEncoderConfig(top_k=10, min_confidence=0.5))
-    rel = out.column("relevance_score").to_pylist()
-    assert all(r >= 0.5 for r in rel)
-    assert rel == sorted(rel, reverse=True)
-    assert out.column("rank").to_pylist() == list(range(1, out.num_rows + 1))
-    deltas = out.column("score_delta").to_pylist()
-    origs = out.column("original_score").to_pylist()
-    for r, o, d in zip(rel, origs, deltas):
-        assert abs(d - round(r - o, 8)) < 1e-12
-
-
-# ----------------------------------------------------- hipporag kernels --
-
-
-def test_entity_weight_calculation():
-    # hipporag_ppr.rs:330-361 — Alice (1 passage) outweighs Company (2)
-    cfg = HippoRAGConfig()
-    facts = [("Alice", "Company", 0.9), ("Bob", "Company", 0.8)]
-    counts = {"Alice": 1, "Company": 2}
-    w = entity_weights(facts, counts, cfg)
-    assert w["Alice"] > w["Company"]
-    assert "Bob" not in w  # zero passages < min_entity_frequency=1
-
-
-def test_passage_weight_calculation():
-    # hipporag_ppr.rs:363-387 — scaled by passage_node_weight, no normalize
-    cfg = HippoRAGConfig(passage_node_weight=0.05, normalize_scores=False)
-    w = passage_weights({"doc1": 0.9, "doc2": 0.5}, cfg)
-    assert abs(w["doc1"] - 0.9 * 0.05) < 1e-3
-    assert w["doc1"] > w["doc2"]
-
-
-def test_weight_combining():
-    # hipporag_ppr.rs:389-410 — overlap summed, total mass 1
-    combined = combine_weights({"entity1": 0.8},
-                               {"doc1": 0.04, "entity1": 0.01})
-    assert combined["entity1"] > 0.0
-    assert abs(sum(combined.values()) - 1.0) < 1e-3
-
-
-def test_hipporag_retrieve_end_to_end(ray_session):
-    import ray.data as rd
-
-    from graphrag_rs_ray.pipelines.retrieval import hipporag_retrieve
-
-    facts = pa.table({
-        "subj": pa.array(["Alice", "Bob"], pa.string()),
-        "obj": pa.array(["Stanford", "Stanford"], pa.string()),
-        "score": pa.array([0.9, 0.7], pa.float64())})
-    ep = rd.from_arrow(pa.table({
-        "entity": pa.array(["Alice", "Stanford", "Stanford", "Bob"]),
-        "passage": pa.array(["p1", "p1", "p2", "p2"])}))
-    ps = pa.table({"passage": pa.array(["p1", "p2"], pa.string()),
-                   "score": pa.array([0.8, 0.6], pa.float64())})
-    edges = rd.from_arrow(pa.table({
-        "src": pa.array(["Alice", "Bob", "Alice", "p1", "Stanford", "p1",
-                         "Stanford", "p2", "Bob", "p2"]),
-        "dst": pa.array(["Stanford", "Stanford", "p1", "Alice", "p1",
-                         "Stanford", "p2", "Stanford", "p2", "Bob"])}))
-    out = hipporag_retrieve(facts, ep, ps, edges).take_all()
-    assert {r["passage_id"] for r in out} <= {"p1", "p2"}
-    assert [r["rank"] for r in out] == list(range(1, len(out) + 1))
-    scores = [r["score"] for r in out]
-    assert scores == sorted(scores, reverse=True)
-    assert len(out) == 2
-
 
 # -------------------------------------------------- pipeline validation --
 

@@ -60,8 +60,8 @@ SQL_CHECKED = [
     "cosine_dup_pairs_bucketed",
     # graph ops over staged triples
     "k_hop", "degree_stats",
-    # staged band rows / ranking lists
-    "minhash_lsh_candidates", "hybrid_search",
+    # staged band rows
+    "minhash_lsh_candidates",
     # temporal validity-interval snapshot (plain view oracle)
     "temporal_snapshot",
     # fuzzy remap+merge over staged exact entities + links
@@ -95,26 +95,11 @@ SQL_CHECKED = [
     "shortest_paths", "all_paths",
     # video frame-sampling explosion structure (staged media rows)
     "frame_samples",
-    # cross-encoder rerank (pure-SQL relevance arithmetic over documents)
-    "rerank_topk",
-    # HippoRAG PPR retrieval (staged facts/pairs/scores/edges → replayed
-    # weight + personalized-PageRank recurrence)
-    "hipporag_retrieval",
     # four-phase pipeline validation report over staged corrupted tables
     "pipeline_validation",
-    # traversal slice (ego / multi-source BFS / query-focused subgraph)
-    "ego_network", "multi_source_bfs", "query_focused_subgraph",
     # real RDF/Turtle/GraphML import (SQL re-parses the same staged raw
     # lines; the turtle oracle re-derives the prefix expansion too)
     "rdf_import", "turtle_import", "graphml_import",
-    # rule-based query optimizer (cost model + join reordering)
-    "query_plans",
-    # hybrid retrieval: 4 fusion methods over sem+kw shortlists
-    "hybrid_fusion",
-    # enriched metadata-aware retrieval (boost stack over chunk metadata)
-    "enriched_search",
-    # adaptive strategy selection (type-weighted cross-strategy fusion)
-    "adaptive_fusion",
     # semantic entity merging (pair sims; group decisions + merged rows)
     "semantic_merge_pairs", "semantic_merge_groups",
     # cross-document entity linking (hybrid clusters + stats)

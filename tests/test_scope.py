@@ -11,11 +11,14 @@ reachable (or is deleted) fails it too, so the list can only shrink.
 Every top-level function and class of the package and the driver is
 referenced somewhere in the repo's Python, tests included, so a cut
 cannot leave its helpers behind, and every module-level import of the
-package, the driver, ``bench.py`` and ``scripts/*.py`` is read."""
+package, the driver, ``bench.py`` and ``scripts/*.py`` is read.  Every
+file these gates parse compiles without a syntax or deprecation
+warning."""
 
 import ast
 import glob
 import os
+import warnings
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PKG = "graphrag_rs_ray"
@@ -212,3 +215,23 @@ def test_every_module_level_import_is_read():
                    if m != "__future__" and b not in loads
                    and (mod, b) not in external]
     assert sorted(unread) == []
+
+
+def test_every_file_compiles_without_warnings():
+    """``SyntaxWarning`` and ``DeprecationWarning`` raised as errors
+    (an invalid escape sequence in a non-raw string is either one,
+    depending on the Python version) make ``compile`` fail."""
+    failed = {}
+    for path in (_py_files(PKG, "scripts", "perfbench", "tests")
+                 + [os.path.join(ROOT, "__ray_entry__.py"),
+                    os.path.join(ROOT, "bench.py")]):
+        with open(path) as f:
+            src = f.read()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", SyntaxWarning)
+            warnings.simplefilter("error", DeprecationWarning)
+            try:
+                compile(src, path, "exec")
+            except SyntaxError as ex:
+                failed[os.path.relpath(path, ROOT)] = str(ex)
+    assert failed == {}
