@@ -2343,18 +2343,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "bm25_corpus_stats": td.bm25_corpus_stats,
         "knn_bruteforce": td.knn_bruteforce,
         "cosine_dup_pairs": lambda sf: td.cosine_dup_pairs(sf, threshold=0.35),
-        "windowed_event_counts": td.windowed_event_counts,
         "temporal_edges": td.temporal_edges,
         "temporal_snapshot": td.temporal_snapshot,
         "temporal_evolution": td.temporal_evolution,
         "temporal_node_churn": td.temporal_node_churn,
         "temporal_top_growing": td.temporal_top_growing,
         "temporal_centrality": td.temporal_centrality,
-        "session_windows": td.session_windows,
-        "sliding_window_counts": td.sliding_window_counts,
-        "purchases_asof_click": td.purchases_asof_click,
-        "shipped_within_window": td.shipped_within_window,
-        "customers_with_orders": td.customers_semi_anti,
         "tfidf_topk": td.tfidf_topk,
         # near-dup family (staged-input oracles: band rows / vocab hashes /
         # candidate pairs / plane matrix; the raw hashing stays unit-gated)
@@ -2423,28 +2417,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "boilerplate_blocks": q_boilerplate_blocks,
         # neighborhood-overlap link prediction (CN/Jaccard/Adamic-Adar)
         "link_prediction": q_link_prediction,
-        # HyperLogLog distinct-token sketch: registers + estimate
-        "hll_registers": td.hll_registers,
-        "hll_estimate": td.hll_estimate,
-        # Count-Min sketch: registers + heavy-hitter point queries
-        "cms_registers": td.cms_registers,
-        "cms_heavy_hitters": td.cms_heavy_hitters,
-        # Bloom filter: set-bit table + membership probes
-        "bloom_bits": td.bloom_bits,
-        "bloom_membership": td.bloom_membership,
-        # unicode NFC audit + exact no-sort word-count quantiles
-        "unicode_audit": td.unicode_audit,
-        "length_quantiles": td.length_quantiles,
         # cross-snapshot corpus diff (added/removed/changed/same)
         "corpus_diff": td.corpus_diff,
-        # reproducible uniform hash-rate subsample
-        "corpus_sample": td.corpus_sample,
-        # schema-on-read JSON extraction over events.props
-        "event_props_stats": td.event_props_stats,
-        # ordered funnel analysis (first-touch subsequence depth)
-        "event_funnel": td.event_funnel,
-        # cohort retention triangle (first-event-day cohorts)
-        "event_retention": td.event_retention,
         "corpus_curation": q_corpus_curation,
         "lsh_buckets": q_lsh_buckets,
         # bucketed (LSH-blocked) scale path for embedding near-dup —
@@ -2500,10 +2474,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "bm25_scores": td.bm25_scores,
         "bm25_topk": td.bm25_topk,
         "sentence_stats": td.sentence_stats,
-        # relational patterns (broadcast join, global top-k) — oracle-checked
-        "orders_by_segment": td.orders_by_segment,
-        "order_priority_revenue": td.order_priority_revenue,
-        "top_parts_by_size": td.top_parts_by_size,
         # incremental delta ingest (rows-only)
         "incremental_update": q_incremental_update,
         # real RDF/GraphML import (TODO stubs in the reference) — oracle
@@ -3378,179 +3348,6 @@ def oracle_sql() -> dict[str, str]:
         FROM edges GROUP BY src_host, dst_host""")
     d["host_rank"] = _pagerank_sql(n_iter=8, damping=0.85, round_digits=8,
                                    query="host_rank")
-    _hll_regs_cte = r"""
-        toks0 AS (
-          SELECT doc_id, list_filter(list_transform(
-                   regexp_split_to_array(trim(text), '\s+'),
-                   x -> regexp_replace(lower(x), '[^\p{L}\p{N}]', '', 'g')),
-                   x -> length(x) > 0) AS l
-          FROM documents),
-        dt AS (SELECT DISTINCT unnest(l) AS token FROM toks0),
-        hr AS (SELECT __BUCKET__::BIGINT AS bucket, __V__::BIGINT AS v
-               FROM dt),
-        rk AS (SELECT bucket,
-                      CASE WHEN v = 0 THEN 41
-                           ELSE 41 - length(bin(v)) END AS rank
-               FROM hr),
-        reg AS (SELECT bucket, max(rank)::BIGINT AS reg
-                FROM rk GROUP BY bucket)""".replace(
-        "__BUCKET__", _hex2int_sql("md5(token)", 3)).replace(
-        "__V__", _hex2int_sql("substr(md5(token), 4, 10)", 10))
-    d["hll_registers"] = ("WITH " + _hll_regs_cte
-                          + "\n        SELECT bucket, reg FROM reg")
-    d["hll_estimate"] = ("WITH " + _hll_regs_cte + r""",
-        agg AS (SELECT count(*)::BIGINT AS observed,
-                       sum((2::BIGINT) ^ (41 - reg))::BIGINT AS s_obs
-                FROM reg),
-        fin AS (SELECT observed, 4096 - observed AS v_zero,
-                       ((4096 - observed) * (2::BIGINT ^ 41)::BIGINT
-                        + s_obs) AS s_scaled
-                FROM agg),
-        est0 AS (SELECT observed, v_zero,
-                        0.7213 / (1 + 1.079 / 4096.0) * 4096.0 * 4096.0
-                          * (2::BIGINT ^ 41)::DOUBLE
-                          / s_scaled::DOUBLE AS raw
-                 FROM fin)
-        SELECT 4096::BIGINT AS m, observed AS n_buckets_used, v_zero,
-               floor((CASE WHEN raw <= 2.5 * 4096.0 AND v_zero > 0
-                      THEN 4096.0 * ln(4096.0 / v_zero::DOUBLE)
-                      ELSE raw END) * 10000.0)::BIGINT AS est_x10k
-        FROM est0""")
-    def _cms_cell(i: int) -> str:
-        return ("(" + _hex2int_sql(f"md5('{i}:' || token)", 4)
-                + ") % 16384")
-
-    _cms_cte = (r"""
-        toks0 AS (
-          SELECT doc_id, list_filter(list_transform(
-                   regexp_split_to_array(trim(text), '\s+'),
-                   x -> regexp_replace(lower(x), '[^\p{L}\p{N}]', '', 'g')),
-                   x -> length(x) > 0) AS l
-          FROM documents),
-        ti AS (SELECT unnest(l) AS token FROM toks0),
-        tc AS MATERIALIZED (SELECT token, count(*)::BIGINT AS n
-                            FROM ti GROUP BY token),
-        cc AS MATERIALIZED (SELECT token, n, __C0__ AS c0, __C1__ AS c1,
-                                   __C2__ AS c2, __C3__ AS c3
-                            FROM tc),
-        reg AS MATERIALIZED (
-          SELECT row, cell, sum(n)::BIGINT AS cnt FROM (
-            SELECT 0 AS row, c0 AS cell, n FROM cc
-            UNION ALL SELECT 1, c1, n FROM cc
-            UNION ALL SELECT 2, c2, n FROM cc
-            UNION ALL SELECT 3, c3, n FROM cc)
-          GROUP BY row, cell)"""
-        .replace("__C0__", _cms_cell(0)).replace("__C1__", _cms_cell(1))
-        .replace("__C2__", _cms_cell(2)).replace("__C3__", _cms_cell(3)))
-    d["cms_registers"] = ("WITH " + _cms_cte
-                          + "\n        SELECT row, cell, cnt FROM reg")
-    d["cms_heavy_hitters"] = ("WITH " + _cms_cte + """,
-        top AS (SELECT token, n, c0, c1, c2, c3 FROM cc
-                ORDER BY n DESC, token ASC LIMIT 20),
-        est AS (SELECT t.token, t.n AS n_exact,
-                       least(r0.cnt, r1.cnt, r2.cnt, r3.cnt) AS est
-                FROM top t
-                JOIN reg r0 ON r0.row = 0 AND r0.cell = t.c0
-                JOIN reg r1 ON r1.row = 1 AND r1.cell = t.c1
-                JOIN reg r2 ON r2.row = 2 AND r2.cell = t.c2
-                JOIN reg r3 ON r3.row = 3 AND r3.cell = t.c3)
-        SELECT token, n_exact, est,
-               (est - n_exact)::BIGINT AS overestimate
-        FROM est""")
-    def _bloom_bit(i: int, var: str = "token") -> str:
-        return ("(" + _hex2int_sql(f"md5('{i}:' || {var})", 5)
-                + ") % 262144")
-
-    _bloom_cte = (r"""
-        toks0 AS (
-          SELECT doc_id, list_filter(list_transform(
-                   regexp_split_to_array(trim(text), '\s+'),
-                   x -> regexp_replace(lower(x), '[^\p{L}\p{N}]', '', 'g')),
-                   x -> length(x) > 0) AS l
-          FROM documents),
-        dt AS MATERIALIZED (SELECT DISTINCT unnest(l) AS token
-                            FROM toks0),
-        bits AS MATERIALIZED (SELECT DISTINCT bit FROM ("""
-        + "\n            UNION ALL ".join(
-            f"SELECT {_bloom_bit(i)} AS bit FROM dt" for i in range(7))
-        + "))")
-    d["bloom_bits"] = ("WITH " + _bloom_cte
-                       + "\n        SELECT bit FROM bits")
-    d["bloom_membership"] = ("WITH " + _bloom_cte + """,
-        pr AS (SELECT token FROM dt
-               WHERE substr(md5(token), 1, 1) = 'a'),
-        probes AS MATERIALIZED (
-          SELECT token AS probe, true AS in_corpus FROM pr
-          UNION ALL
-          SELECT '__absent_' || token, false FROM pr),
-        pb AS (SELECT probe, in_corpus, unnest(["""
-        + ", ".join(_bloom_bit(i, "probe") for i in range(7))
-        + """]) AS bit
-               FROM probes)
-        SELECT pb.probe, pb.in_corpus,
-               (count(bits.bit) = 7) AS hit
-        FROM pb LEFT JOIN bits ON bits.bit = pb.bit
-        GROUP BY pb.probe, pb.in_corpus""")
-    d["corpus_sample"] = ("""
-        SELECT doc_id, (__H__ < """
-        + str(100_000 * (1 << 32) // 1_000_000)
-        + """) AS sampled
-        FROM documents""").replace(
-        "__H__", _hex2int_sql("md5('sample:' || doc_id::VARCHAR)", 8))
-    d["event_retention"] = r"""
-        WITH ud AS (SELECT DISTINCT user_id,
-                           date_trunc('day', ts) AS day
-                    FROM events),
-        c AS (SELECT user_id, min(day) AS cohort_day FROM ud
-              GROUP BY user_id)
-        SELECT c.cohort_day,
-               date_diff('day', c.cohort_day, ud.day)::BIGINT
-                 AS day_offset,
-               count(*)::BIGINT AS n_users
-        FROM ud JOIN c ON c.user_id = ud.user_id
-        GROUP BY c.cohort_day, day_offset"""
-    d["event_funnel"] = r"""
-        WITH st AS (SELECT event_type,
-                           row_number() OVER (ORDER BY event_type) AS i
-                    FROM (SELECT DISTINCT event_type FROM events)),
-        r AS (SELECT user_id, event_type,
-                     row_number() OVER (PARTITION BY user_id
-                                        ORDER BY ts, event_id) AS rn
-              FROM events),
-        t1 AS (SELECT user_id, min(rn) AS r1 FROM r
-               WHERE event_type = (SELECT event_type FROM st WHERE i = 1)
-               GROUP BY user_id),
-        t2 AS (SELECT r.user_id, min(r.rn) AS r2
-               FROM r JOIN t1 ON t1.user_id = r.user_id
-               WHERE r.event_type = (SELECT event_type FROM st WHERE i = 2)
-                 AND r.rn > t1.r1
-               GROUP BY r.user_id),
-        t3 AS (SELECT r.user_id, min(r.rn) AS r3
-               FROM r JOIN t2 ON t2.user_id = r.user_id
-               WHERE r.event_type = (SELECT event_type FROM st WHERE i = 3)
-                 AND r.rn > t2.r2
-               GROUP BY r.user_id)
-        SELECT u.user_id,
-               (CASE WHEN t3.user_id IS NOT NULL THEN 3
-                     WHEN t2.user_id IS NOT NULL THEN 2
-                     WHEN t1.user_id IS NOT NULL THEN 1
-                     ELSE 0 END)::BIGINT AS reached
-        FROM (SELECT DISTINCT user_id FROM events) u
-        LEFT JOIN t1 ON t1.user_id = u.user_id
-        LEFT JOIN t2 ON t2.user_id = u.user_id
-        LEFT JOIN t3 ON t3.user_id = u.user_id"""
-    d["event_props_stats"] = r"""
-        WITH e AS (SELECT event_type,
-                          TRY_CAST(props->>'k' AS BIGINT) AS v
-                   FROM events)
-        SELECT event_type,
-               count(*)::BIGINT AS n_events,
-               count(v)::BIGINT AS n_with_key,
-               coalesce(sum(v), -1)::BIGINT AS sum_v,
-               coalesce(min(v), -1)::BIGINT AS min_v,
-               coalesce(max(v), -1)::BIGINT AS max_v,
-               count(DISTINCT v)::BIGINT AS n_distinct_v
-        FROM e GROUP BY event_type"""
     d["corpus_diff"] = r"""
         WITH cur AS (SELECT doc_id, md5(text) AS fp FROM documents),
         prev AS (
@@ -3568,27 +3365,6 @@ def oracle_sql() -> dict[str, str]:
                     WHEN c.fp = p.fp THEN 'same'
                     ELSE 'changed' END AS status
         FROM cur c FULL OUTER JOIN prev p ON c.doc_id = p.doc_id"""
-    d["unicode_audit"] = r"""
-        SELECT doc_id, length(text)::BIGINT AS n_chars,
-               length(regexp_replace(text, '[[:ascii:]]', '', 'g')
-                 )::BIGINT AS n_nonascii,
-               (nfc_normalize(text) <> text) AS nfc_changed,
-               length(nfc_normalize(text))::BIGINT AS n_chars_nfc
-        FROM documents"""
-    d["length_quantiles"] = r"""
-        WITH w AS (SELECT len(list_filter(
-                     regexp_split_to_array(trim(text), '\s+'),
-                     x -> length(x) > 0))::BIGINT AS v
-                   FROM documents),
-        h AS (SELECT v, count(*)::BIGINT AS c FROM w GROUP BY v),
-        cum AS (SELECT v, sum(c) OVER (ORDER BY v) AS cum FROM h),
-        nn AS (SELECT count(*)::BIGINT AS n FROM w),
-        qs AS (SELECT unnest([500, 900, 990, 999]) AS q_mille)
-        SELECT q_mille::BIGINT AS q_mille,
-               (SELECT min(v) FROM cum
-                WHERE cum >= ((SELECT n FROM nn) * q_mille + 999) // 1000
-               )::BIGINT AS value
-        FROM qs"""
     d["link_prediction"] = r"""
         WITH tri AS (SELECT subj, obj FROM __TRI__),
         e AS (SELECT DISTINCT a, b FROM (
@@ -5769,24 +5545,6 @@ def _oracle_sql_base() -> dict[str, str]:
               FROM embeddings a JOIN embeddings b ON a.vec_id < b.vec_id)
             WHERE sim >= 0.35
         """,
-        "orders_by_segment": """
-            SELECT c.c_mktsegment AS segment,
-                   count(*) AS n_orders,
-                   sum(round(o.o_totalprice * 100)::BIGINT)::BIGINT AS total_cents
-            FROM orders o JOIN customer c ON o.o_custkey = c.c_custkey
-            GROUP BY c.c_mktsegment
-        """,
-        "order_priority_revenue": """
-            SELECT o.o_orderpriority,
-                   count(*) AS n_items,
-                   sum(round(l.l_extendedprice * 100)::BIGINT)::BIGINT AS total_cents
-            FROM lineitem l JOIN orders o ON l.l_orderkey = o.o_orderkey
-            GROUP BY o.o_orderpriority
-        """,
-        "top_parts_by_size": """
-            SELECT p_partkey, p_name, p_size FROM part
-            ORDER BY p_size DESC, p_partkey ASC LIMIT 10
-        """,
         "sentence_stats": """
             SELECT doc_id,
                    len(list_filter(regexp_split_to_array(text, '[.!?]'),
@@ -5849,52 +5607,6 @@ def _oracle_sql_base() -> dict[str, str]:
               FROM scored)
             SELECT doc_id, rank::BIGINT AS rank, term FROM ranked WHERE rank <= 5
         """.replace("{tfstop}", _TFIDF_STOPLIST_SQL),
-        "customers_with_orders": """
-            SELECT c_custkey, c_name FROM customer c
-            WHERE EXISTS (SELECT 1 FROM orders o
-                          WHERE o.o_custkey = c.c_custkey)
-        """,
-        "shipped_within_window": """
-            SELECT l.l_returnflag, count(*) AS n_items
-            FROM lineitem l JOIN orders o ON l.l_orderkey = o.o_orderkey
-            WHERE l.l_shipdate >= o.o_orderdate
-              AND l.l_shipdate < o.o_orderdate + INTERVAL 30 DAY
-            GROUP BY l.l_returnflag
-        """,
-        "purchases_asof_click": """
-            SELECT p.event_id, p.user_id, p.ts AS purchase_ts,
-                   c.ts AS last_click_ts
-            FROM (SELECT * FROM events WHERE event_type = 'purchase') p
-            ASOF LEFT JOIN (SELECT * FROM events WHERE event_type = 'click') c
-              ON p.user_id = c.user_id AND p.ts > c.ts
-        """,
-        "sliding_window_counts": """
-            WITH exploded AS (
-              SELECT event_type,
-                     to_timestamp(((epoch_us(ts) // 900000000) - k) * 900)::TIMESTAMP
-                       AS window_start
-              FROM events, (SELECT unnest([0, 1, 2, 3]) AS k))
-            SELECT event_type, window_start, count(*) AS n_events
-            FROM exploded GROUP BY event_type, window_start
-        """,
-        "session_windows": """
-            WITH marked AS (
-              SELECT user_id, ts,
-                     CASE WHEN lag(ts) OVER w IS NULL
-                            OR ts - lag(ts) OVER w > INTERVAL 30 MINUTE
-                          THEN 1 ELSE 0 END AS new_session
-              FROM events
-              WINDOW w AS (PARTITION BY user_id ORDER BY ts)),
-            numbered AS (
-              SELECT user_id, ts,
-                     sum(new_session) OVER (PARTITION BY user_id ORDER BY ts
-                       ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW) AS session_id
-              FROM marked)
-            SELECT user_id, session_id::BIGINT AS session_id,
-                   min(ts) AS session_start, max(ts) AS session_end,
-                   count(*) AS n_events
-            FROM numbered GROUP BY user_id, session_id
-        """,
         "temporal_edges": """
             SELECT user_id, event_type,
                    min(ts) AS first_seen, max(ts) AS last_seen,
@@ -6028,14 +5740,6 @@ def _oracle_sql_base() -> dict[str, str]:
                         THEN deg.deg::DOUBLE / (nc.nc - 1)
                         ELSE 0.0 END AS centrality
             FROM deg JOIN nc ON deg.w = nc.w
-        """,
-        "windowed_event_counts": """
-            SELECT event_type,
-                   to_timestamp((epoch_us(ts) // 3600000000) * 3600)::TIMESTAMP AS window_start,
-                   count(*) AS n_events,
-                   sum(round(value * 100)::BIGINT)::BIGINT AS sum_value_cents
-            FROM events
-            GROUP BY event_type, window_start
         """,
         # ---- staged-input oracles (procedural rows staged to Parquet by
         # the query fn; SQL checks the derivation) ------------------------

@@ -341,10 +341,6 @@ def run_bench() -> dict:
     timed("shuffle_shards", lambda: q["shuffle_shards"](sf_dir).count())
     timed("web_link_graph", lambda: q["web_link_graph"](sf_dir).count())
     timed("host_rank", lambda: q["host_rank"](sf_dir).count())
-    timed("hll_estimate", lambda: len(q["hll_estimate"](sf_dir)))
-    timed("event_funnel", lambda: q["event_funnel"](sf_dir).count())
-    timed("event_retention",
-          lambda: q["event_retention"](sf_dir).count())
     # link_prediction is NOT benched at sf0.1: the saturated synthetic KG
     # (~900 entities, ~300k triples) puts every node over the hub cap, so
     # the result is degenerate there; sf0.01 (avg degree ~15) is the
@@ -352,7 +348,6 @@ def run_bench() -> dict:
     timed("bm25_df", lambda: q["bm25_df"](sf_dir).count())
     timed("knn_bruteforce", lambda: q["knn_bruteforce"](sf_dir).count())
     timed("quality_scores", lambda: q["quality_scores"](sf_dir).count())
-    timed("windowed_event_counts", lambda: q["windowed_event_counts"](sf_dir).count())
     timed("temporal_evolution", lambda: q["temporal_evolution"](sf_dir).num_rows)
     timed("temporal_centrality", lambda: q["temporal_centrality"](sf_dir).count())
     # round-2 additions: graph analytics, Dataset-native pagerank, ANN

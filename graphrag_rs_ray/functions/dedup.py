@@ -162,12 +162,14 @@ class MinHasher:
         rows = self.num_perm // num_bands
         n = sigs.shape[0]
         out = np.empty((n, num_bands), dtype=np.uint64)
+        # array product: wraps mod 2^64 without numpy's scalar overflow warning
+        salts = np.arange(num_bands, dtype=np.uint64) * _SHINGLE_MIX[-1]
         for b in range(num_bands):
             seg = sigs[:, b * rows:(b + 1) * rows]
             acc = seg[:, 0] * _SHINGLE_MIX[0]
             for j in range(1, rows):
                 acc = acc ^ (seg[:, j] * _SHINGLE_MIX[j % len(_SHINGLE_MIX)])
-            out[:, b] = _mix64(acc ^ (np.uint64(b) * _SHINGLE_MIX[-1]))
+            out[:, b] = _mix64(acc ^ salts[b])
         return out
 
 

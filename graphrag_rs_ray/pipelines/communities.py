@@ -10,6 +10,8 @@ centrality / statistics operators.
 
 from __future__ import annotations
 
+import logging
+
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -18,6 +20,8 @@ from ..stages.hashagg import (
     grouped_arrow_agg,
     hash_grouped_aggregate,
 )
+
+logger = logging.getLogger(__name__)
 
 
 def _und_edges(triples_ds):
@@ -62,13 +66,11 @@ def connected_components(edges_ds, num_buckets: int = 64, max_rounds: int = 50,
 
     import os as _os
     import shutil as _shutil
-    import sys as _sys
     import tempfile as _tempfile
     import time as _time
 
     import ray.data as rd
 
-    _dbg = _os.environ.get("GRAFT_CC_DEBUG") == "1"
     work_dir = _tempfile.mkdtemp(prefix="graphrag_cc_")
     # Per-round structure (each round = 2 joins + 1 aggregate):
     #   merged  = min(neighbour labels ∪ own) with the OLD label carried
@@ -109,10 +111,8 @@ def connected_components(edges_ds, num_buckets: int = 64, max_rounds: int = 50,
                 t.column("label"), t.column("old_label"))), pa.int64())}),
             batch_format="pyarrow").sum("chg")
         if not n_changed:
-            if _dbg:
-                print(f"# cc round {_rnd}: converged "
-                      f"({_time.perf_counter() - _t0:.1f}s)",
-                      file=_sys.stderr, flush=True)
+            logger.debug("cc round %d: converged (%.1fs)", _rnd,
+                         _time.perf_counter() - _t0)
             break
 
         new_labels = merged.map_batches(
@@ -139,9 +139,8 @@ def connected_components(edges_ds, num_buckets: int = 64, max_rounds: int = 50,
         # one file per upstream block → coalesce on read (same tiny-
         # block sort hazard as above)
         labels = rd.read_parquet(ck).repartition(num_buckets)
-        if _dbg:
-            print(f"# cc round {_rnd}: {_time.perf_counter() - _t0:.1f}s "
-                  f"changed={n_changed}", file=_sys.stderr, flush=True)
+        logger.debug("cc round %d: %.1fs changed=%d", _rnd,
+                     _time.perf_counter() - _t0, n_changed)
 
     out = labels.map_batches(
         lambda t: pa.table({"node": t.column("node"),

@@ -1,6 +1,6 @@
 """Training-data operators over the local test tables (documents /
 embeddings / events) — the web-scale data-prep extensions: dedup families,
-similarity search, text analysis, windowed aggregates.
+similarity search, text analysis, temporal graph tables.
 
 Every operator takes ``sf_dir`` and returns a lazy ``ray.data.Dataset``
 (aggregates are small; heavy stages are vectorized map_batches).  Operators
@@ -2608,178 +2608,7 @@ def enriched_chunks(sf_dir: str):
               .map_batches(EnrichedChunkStage(cfg), batch_format="pyarrow"))
 
 
-# ------------------------------------------------ relational patterns --
-
-def orders_by_segment(sf_dir: str):
-    """Broadcast hash join (orders ⋈ customer on custkey) + grouped
-    aggregate — the canonical small-side join pattern (SURVEY §2.4 /
-    ray_guide joins): the dimension table is ``ray.put`` once, looked up
-    per batch with a vectorized pandas map; money sums in exact cents."""
-    import ray
-    import ray.data as rd
-    import pyarrow.parquet as _pq
-    from ..stages.hashagg import grouped_arrow_agg, hash_grouped_aggregate
-
-    cust = _pq.read_table(os.path.join(sf_dir, "customer.parquet"),
-                          columns=["c_custkey", "c_mktsegment"])
-    seg_map = dict(zip(cust.column("c_custkey").to_pylist(),
-                       cust.column("c_mktsegment").to_pylist()))
-    ref = ray.put(seg_map)
-
-    orders = rd.read_parquet(os.path.join(sf_dir, "orders.parquet"),
-                             columns=["o_custkey", "o_totalprice"])
-
-    def join(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-        m = ray.get(ref)
-        df = batch.to_pandas()
-        seg = df["o_custkey"].map(m)
-        cents = (df["o_totalprice"] * 100).round().astype("int64")
-        return pa.table({"segment": pa.array(seg.astype(str), pa.string()),
-                         "cents": pa.array(cents, pa.int64())})
-
-    return hash_grouped_aggregate(
-        orders.map_batches(join, batch_format="pyarrow"), ["segment"],
-        grouped_arrow_agg(["segment"], [("cents", "count"), ("cents", "sum")],
-                          rename=["segment", "n_orders", "total_cents"]))
-
-
-def top_parts_by_size(sf_dir: str, k: int = 10):
-    """Global top-k via sort+limit (SURVEY §2.7): k largest parts by
-    (p_size desc, p_partkey asc) — deterministic tie-break."""
-    import ray.data as rd
-    ds = rd.read_parquet(os.path.join(sf_dir, "part.parquet"),
-                         columns=["p_partkey", "p_name", "p_size"])
-    return (ds.sort(["p_size", "p_partkey"], descending=[True, False]).limit(k))
-
-
-def order_priority_revenue(sf_dir: str):
-    """LARGE×LARGE partitioned hash join (lineitem ⋈ orders on orderkey,
-    no broadcast — `stages/hashagg.bucketed_join`) + grouped aggregate:
-    item count and exact-cent revenue per order priority."""
-    import ray.data as rd
-    from ..stages.hashagg import bucketed_join, grouped_arrow_agg, hash_grouped_aggregate
-
-    lineitem = rd.read_parquet(os.path.join(sf_dir, "lineitem.parquet"),
-                               columns=["l_orderkey", "l_extendedprice"])
-
-    def li_cents(batch: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.round(pc.multiply(batch.column("l_extendedprice"), 100)),
-                        pa.int64())
-        return pa.table({"l_orderkey": batch.column("l_orderkey"),
-                         "cents": cents})
-
-    orders = rd.read_parquet(os.path.join(sf_dir, "orders.parquet"),
-                             columns=["o_orderkey", "o_orderpriority"])
-    orders = orders.map_batches(
-        lambda t: t.rename_columns(["l_orderkey", "o_orderpriority"]),
-        batch_format="pyarrow")
-
-    joined = bucketed_join(lineitem.map_batches(li_cents, batch_format="pyarrow"),
-                           orders, on=["l_orderkey"])
-    return hash_grouped_aggregate(
-        joined, ["o_orderpriority"],
-        grouped_arrow_agg(["o_orderpriority"], [("cents", "count"), ("cents", "sum")],
-                          rename=["o_orderpriority", "n_items", "total_cents"]))
-
-
-def purchases_asof_click(sf_dir: str):
-    """AS-OF join (a custom operator Ray Data lacks): each purchase event
-    joined to the user's most recent STRICTLY-PRIOR click.  Implemented as
-    the documented composition (ray_guide joins): hash-partition by key,
-    sort within partition, ``pd.merge_asof`` per bucket.  Oracle: DuckDB
-    ``ASOF LEFT JOIN``."""
-    import ray.data as rd
-    import pandas as pd
-    from ..stages.hashagg import hash_grouped_aggregate
-
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["event_id", "user_id", "event_type", "ts"])
-    ds = ds.map_batches(
-        lambda t: t.filter(pc.is_in(t.column("event_type"),
-                                    value_set=pa.array(["purchase", "click"]))),
-        batch_format="pyarrow")
-
-    def asof_bucket(t: pa.Table) -> pa.Table:
-        df = t.to_pandas()
-        p = df[df["event_type"] == "purchase"].sort_values("ts")
-        c = df[df["event_type"] == "click"].sort_values("ts")
-        out = pd.merge_asof(
-            p[["event_id", "user_id", "ts"]],
-            c[["user_id", "ts"]].rename(columns={"ts": "last_click_ts"}),
-            left_on="ts", right_on="last_click_ts", by="user_id",
-            direction="backward", allow_exact_matches=False)
-        return pa.table({
-            "event_id": pa.array(out["event_id"], pa.int64()),
-            "user_id": pa.array(out["user_id"], pa.int64()),
-            "purchase_ts": pa.array(out["ts"], pa.timestamp("us")),
-            "last_click_ts": pa.array(out["last_click_ts"], pa.timestamp("us")),
-        })
-
-    return hash_grouped_aggregate(ds, ["user_id"], asof_bucket)
-
-
-def shipped_within_window(sf_dir: str, days: int = 30):
-    """Equi+range join: lineitems shipped within ``days`` of their order's
-    date (partitioned hash join on orderkey, vectorized interval filter,
-    grouped count by return flag) — the range-join pattern on top of
-    ``bucketed_join``."""
-    import ray.data as rd
-    from ..stages.hashagg import bucketed_join, grouped_arrow_agg, hash_grouped_aggregate
-
-    li = rd.read_parquet(os.path.join(sf_dir, "lineitem.parquet"),
-                         columns=["l_orderkey", "l_returnflag", "l_shipdate"])
-    orders = rd.read_parquet(os.path.join(sf_dir, "orders.parquet"),
-                             columns=["o_orderkey", "o_orderdate"])
-    orders = orders.map_batches(
-        lambda t: t.rename_columns(["l_orderkey", "o_orderdate"]),
-        batch_format="pyarrow")
-
-    joined = bucketed_join(li, orders, on=["l_orderkey"])
-    window_us = days * 86400 * 1_000_000
-
-    def in_window(t: pa.Table) -> pa.Table:
-        ship = pc.cast(t.column("l_shipdate"), pa.int64())
-        odate = pc.cast(t.column("o_orderdate"), pa.int64())
-        delta = pc.subtract(ship, odate)
-        mask = pc.and_(pc.greater_equal(delta, 0), pc.less(delta, window_us))
-        return t.filter(mask)
-
-    return hash_grouped_aggregate(
-        joined.map_batches(in_window, batch_format="pyarrow"),
-        ["l_returnflag"],
-        grouped_arrow_agg(["l_returnflag"], [("l_orderkey", "count")],
-                          rename=["l_returnflag", "n_items"]))
-
-
-def customers_semi_anti(sf_dir: str, anti: bool = False):
-    """SEMI (default) / ANTI join via broadcast key set (ray_guide:
-    "broadcast the key set (or a Bloom filter of it) and filter inside
-    map_batches"): customers with (semi) / without (anti) orders.  The
-    distinct order-custkey set is the small side."""
-    import ray
-    import ray.data as rd
-    import pyarrow.parquet as _pq
-
-    keys = _pq.read_table(os.path.join(sf_dir, "orders.parquet"),
-                          columns=["o_custkey"]).column("o_custkey") \
-        .combine_chunks().unique()
-    ref = ray.put(keys)           # broadcast the Arrow key array itself
-
-    cust = rd.read_parquet(os.path.join(sf_dir, "customer.parquet"),
-                           columns=["c_custkey", "c_name"])
-
-    def fltr(batch: pa.Table) -> pa.Table:
-        k = ray.get(ref)
-        mask = pc.is_in(batch.column("c_custkey"), value_set=k)
-        if anti:
-            mask = pc.invert(mask)
-        return batch.filter(mask)
-
-    return cust.map_batches(fltr, batch_format="pyarrow")
-
-
-# ------------------------------------------------- windowed aggregates --
+# ------------------------------------------------------ temporal graph --
 
 def temporal_edges(sf_dir: str):
     """Timestamped graph edges from the event stream: one edge per
@@ -3094,107 +2923,6 @@ def temporal_centrality(sf_dir: str, granularity: int | None = None,
                          "centrality": pa.array(c, pa.float64())})
 
     return deg.map_batches(cent, batch_format="pyarrow")
-
-
-def session_windows(sf_dir: str, gap_minutes: int = 30):
-    """Gap-based session windows per user: a new session starts when the
-    gap to the previous event exceeds ``gap_minutes``.  Ray Data has no
-    event-time sessions; the documented batch equivalent (ray_guide
-    streaming section) is hash-partition by key + per-key ts-sorted
-    sessionization — implemented vectorized (pandas diff/cumsum) inside
-    hash buckets.  Session ids are per-user ordinals (1-based), so output
-    is deterministic and oracle-checkable with window functions."""
-    import ray.data as rd
-    import pandas as pd
-    from ..stages.hashagg import hash_grouped_aggregate
-
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["user_id", "ts"])
-    gap = pd.Timedelta(minutes=gap_minutes)
-
-    def sessionize(t: pa.Table) -> pa.Table:
-        df = t.to_pandas().sort_values(["user_id", "ts"])
-        new_sess = (df.groupby("user_id")["ts"].diff() > gap) | \
-                   df.groupby("user_id")["ts"].diff().isna()
-        df["session_id"] = new_sess.groupby(df["user_id"]).cumsum().astype("int64")
-        out = (df.groupby(["user_id", "session_id"], as_index=False)
-                 .agg(session_start=("ts", "min"), session_end=("ts", "max"),
-                      n_events=("ts", "count")))
-        return pa.table({
-            "user_id": pa.array(out["user_id"], pa.int64()),
-            "session_id": pa.array(out["session_id"], pa.int64()),
-            "session_start": pa.array(out["session_start"], pa.timestamp("us")),
-            "session_end": pa.array(out["session_end"], pa.timestamp("us")),
-            "n_events": pa.array(out["n_events"], pa.int64()),
-        })
-
-    return hash_grouped_aggregate(ds, ["user_id"], sessionize)
-
-
-def sliding_window_counts(sf_dir: str, window_minutes: int = 60, slide_minutes: int = 15):
-    """SLIDING windows (size 60 min, slide 15 min): each event lands in
-    size/slide windows — emitted by a vectorized flat map (one row per
-    covering window), counted with the hash-bucketed aggregate.  The
-    batch-mode equivalent of a sliding event-time window."""
-    import ray.data as rd
-    import numpy as np
-    from ..stages.hashagg import grouped_arrow_agg, hash_grouped_aggregate
-
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["ts", "event_type"])
-    slide_us = slide_minutes * 60 * 1_000_000
-    k = window_minutes // slide_minutes
-
-    def explode(batch: pa.Table) -> pa.Table:
-        ts = batch.column("ts").cast(pa.int64()).to_numpy()
-        et = np.asarray(batch.column("event_type").to_pylist(), dtype=object)
-        base = ts // slide_us                          # last slide boundary ≤ ts
-        offs = np.arange(k, dtype=np.int64)
-        starts = ((base[:, None] - offs[None, :]) * slide_us).ravel()
-        types = np.repeat(et, k)
-        return pa.table({
-            "event_type": pa.array(types, pa.string()),
-            "window_start": pa.array(starts, pa.int64()).cast(pa.timestamp("us")),
-        })
-
-    return hash_grouped_aggregate(
-        ds.map_batches(explode, batch_format="pyarrow"),
-        ["event_type", "window_start"],
-        grouped_arrow_agg(["event_type", "window_start"],
-                          [("window_start", "count")],
-                          rename=["event_type", "window_start", "n_events"]))
-
-
-def windowed_event_counts(sf_dir: str, window_minutes: int = 60):
-    """Tumbling-window aggregate over the events stream: per (event_type,
-    window) count + sum(value).  Ray Data has no event-time windows; the
-    window key is computed per batch (epoch floor) and the aggregate is a
-    plain groupby — the documented batch equivalent (ray_guide streaming
-    section)."""
-    import ray.data as rd
-    from ray.data.aggregate import Count, Sum
-
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["ts", "event_type", "value"])
-    w_us = window_minutes * 60 * 1_000_000
-
-    def add_window(batch: pa.Table) -> pa.Table:
-        ts = pc.cast(batch.column("ts"), pa.int64())     # µs since epoch
-        win = pc.multiply(pc.divide(ts, w_us), w_us)     # integer floor
-        # exact integer cents: float sums are order-dependent in the last
-        # ulp across engines, which breaks value-hash comparison; values
-        # carry 2 decimals, so cents are exact in int64
-        cents = pc.cast(pc.round(pc.multiply(batch.column("value"), 100)), pa.int64())
-        return pa.table({
-            "event_type": batch.column("event_type"),
-            "window_start": pc.cast(win, pa.timestamp("us")),
-            "cents": cents,
-        })
-
-    return (ds.map_batches(add_window, batch_format="pyarrow")
-              .groupby(["event_type", "window_start"])
-              .aggregate(Count(alias_name="n_events"),
-                         Sum("cents", alias_name="sum_value_cents")))
 
 
 # ------------------------------------------------------ web cleaning --
@@ -3942,310 +3670,6 @@ def write_corpus_shards(curated_dir: str, out_dir: str,
                                                 in shard_rows.items()}})
 
 
-# --------------------------------------------- HyperLogLog sketch --
-
-HLL_M = 4096          # 2^12 buckets (first 3 md5 hex chars)
-HLL_W = 40            # rank window: next 10 hex chars
-_HLL_RMAX = HLL_W + 1
-
-
-def _hll_bucket_rank(token: str) -> tuple[int, int]:
-    hx = hashlib.md5(token.encode()).hexdigest()
-    v = int(hx[3:13], 16)
-    return int(hx[:3], 16), (_HLL_RMAX if v == 0
-                             else _HLL_RMAX - v.bit_length())
-
-
-def hll_registers(sf_dir: str, docs_ds=None):
-    """Distributed HyperLogLog registers for the corpus's distinct-token
-    cardinality (Flajolet+ 2007): bucket = 12 md5 bits, rank = leading
-    zeros in the next 40 bits + 1, register = max rank per bucket.
-
-    The sketch IS the scale story: each block reduces to ≤ 4096 integer
-    rows regardless of input size, merge = max per bucket (associative,
-    order-free), so a 100-TB distinct count moves only
-    blocks × 4096 ints through the exchange.  Zero-staging oracle — the
-    whole derivation (tokenize, md5 bucket/remainder, bit_length rank,
-    max) replays in SQL (``bin()`` gives bit_length exactly)."""
-    from ..stages.hashagg import grouped_arrow_agg, hash_grouped_aggregate
-
-    def partial(batch: pa.Table) -> pa.Table:
-        regs: dict[int, int] = {}
-        seen: set[str] = set()
-        for t in batch.column("text").to_pylist():
-            for tok in lm_tokenize(t):
-                if tok in seen:
-                    continue
-                seen.add(tok)
-                b, r = _hll_bucket_rank(tok)
-                if regs.get(b, 0) < r:
-                    regs[b] = r
-        return pa.table({"bucket": pa.array(list(regs), pa.int64()),
-                         "reg": pa.array(list(regs.values()), pa.int64())})
-
-    docs = docs_ds if docs_ds is not None else _docs(sf_dir)
-    parts = docs.map_batches(partial, batch_format="pyarrow")
-    return hash_grouped_aggregate(
-        parts, ["bucket"],
-        grouped_arrow_agg(["bucket"], [("reg", "max")],
-                          rename=["bucket", "reg"]))
-
-
-def hll_estimate(sf_dir: str, docs_ds=None):
-    """One-row HLL cardinality estimate from the registers: the harmonic
-    mean is summed as EXACT dyadic rationals (Σ 2^(RMAX−reg) over a
-    common 2^RMAX denominator — pure BIGINT, order-free), then the
-    float epilogue (alpha·m²·2^RMAX / S, linear-counting correction when
-    est ≤ 2.5 m with empty buckets) runs in one pinned op order on both
-    sides, so the floor-quantized micro value matches exactly."""
-    import pandas as pd
-
-    regs = hll_registers(sf_dir, docs_ds=docs_ds).to_pandas()
-    if "reg" not in regs.columns:       # empty corpus: no registers
-        regs = regs.reindex(columns=["bucket", "reg"])
-    observed = len(regs)
-    v_zero = HLL_M - observed
-    s_scaled = (int(v_zero) << _HLL_RMAX) + int(
-        sum(1 << (_HLL_RMAX - int(r)) for r in regs["reg"]))
-    alpha = 0.7213 / (1 + 1.079 / 4096.0)
-    est = alpha * 4096.0 * 4096.0 * float(1 << _HLL_RMAX) / float(s_scaled)
-    if est <= 2.5 * 4096.0 and v_zero > 0:
-        est = 4096.0 * math.log(4096.0 / float(v_zero))
-    return pd.DataFrame({"m": [HLL_M],
-                         "n_buckets_used": [observed],
-                         "v_zero": [v_zero],
-                         "est_x10k": [math.floor(est * 10000.0)]}).astype(
-        "int64")
-
-
-# --------------------------------------------- Count-Min sketch --
-
-CMS_D = 4             # hash rows
-CMS_W = 16384         # cells per row (first 4 md5 hex chars of "i:tok")
-
-
-def _cms_cells(token: str) -> list[int]:
-    return [int(hashlib.md5(f"{i}:{token}".encode()).hexdigest()[:4], 16)
-            % CMS_W for i in range(CMS_D)]
-
-
-def cms_registers(sf_dir: str, docs_ds=None):
-    """Distributed Count-Min sketch over token INSTANCES (Cormode &
-    Muthukrishnan 2005): d=4 independent md5 rows × 16384 cells; cell
-    value = Σ counts of tokens hashing there.  Pure integer counters,
-    merge = sum (associative) — each block reduces to ≤ 65536 rows no
-    matter the input size, the same bounded-exchange shape as the HLL
-    sketch.  Zero-staging oracle (md5 cell arithmetic replayed in SQL)."""
-    from ..stages.hashagg import grouped_arrow_agg, hash_grouped_aggregate
-
-    def partial(batch: pa.Table) -> pa.Table:
-        from collections import Counter
-        tok_n: Counter = Counter()
-        for t in batch.column("text").to_pylist():
-            tok_n.update(lm_tokenize(t))
-        # hash once per DISTINCT token (Zipf: distinct << instances),
-        # then add the token's block count to its 4 cells
-        cnt: Counter = Counter()
-        for tok, n in tok_n.items():
-            for i, c in enumerate(_cms_cells(tok)):
-                cnt[(i, c)] += n
-        keys = list(cnt)
-        return pa.table({"row": pa.array([k[0] for k in keys], pa.int64()),
-                         "cell": pa.array([k[1] for k in keys], pa.int64()),
-                         "cnt": pa.array([cnt[k] for k in keys],
-                                         pa.int64())})
-
-    docs = docs_ds if docs_ds is not None else _docs(sf_dir)
-    return hash_grouped_aggregate(
-        docs.map_batches(partial, batch_format="pyarrow"), ["row", "cell"],
-        grouped_arrow_agg(["row", "cell"], [("cnt", "sum")],
-                          rename=["row", "cell", "cnt"]))
-
-
-def cms_heavy_hitters(sf_dir: str, k: int = 20, docs_ds=None):
-    """Heavy-hitter point queries against the sketch: for the exact
-    global top-k tokens, the CMS estimate (min over the d row cells) next
-    to the true count — ``overestimate = est − n_exact ≥ 0`` is the CMS
-    guarantee, gated in tests and visible to the oracle.  The exact side
-    reuses the vocab machinery (per-block partials, never a raw token
-    shuffle); the sketch side is a driver lookup into the ≤65536-row
-    register table."""
-    import pandas as pd
-
-    docs = docs_ds if docs_ds is not None else _docs(sf_dir)
-    docs = docs.materialize()
-    top = vocab_topk(sf_dir, k=k, docs_ds=docs)
-    if "token" not in top.columns or len(top) == 0:   # empty corpus
-        return pd.DataFrame({"token": pd.array([], dtype="str"),
-                             "n_exact": pd.array([], dtype="int64"),
-                             "est": pd.array([], dtype="int64"),
-                             "overestimate": pd.array([], dtype="int64")})
-    regs = cms_registers(sf_dir, docs_ds=docs).to_pandas()
-    lut = {(int(r), int(c)): int(n) for r, c, n in
-           zip(regs["row"], regs["cell"], regs["cnt"])}
-    toks = list(top["token"])
-    est = [min(lut.get((i, c), 0)
-               for i, c in enumerate(_cms_cells(t))) for t in toks]
-    exact = [int(n) for n in top["n"]]
-    return pd.DataFrame({
-        "token": toks,
-        "n_exact": pd.array(exact, dtype="int64"),
-        "est": pd.array(est, dtype="int64"),
-        "overestimate": pd.array([e - x for e, x in zip(est, exact)],
-                                 dtype="int64")})
-
-
-# ------------------------------------------------ Bloom filter --
-
-BLOOM_M = 1 << 18     # bits
-BLOOM_K = 7           # hash functions (md5 of "i:tok", first 5 hex)
-
-
-def _bloom_bits(token: str) -> list[int]:
-    return [int(hashlib.md5(f"{i}:{token}".encode()).hexdigest()[:5], 16)
-            % BLOOM_M for i in range(BLOOM_K)]
-
-
-def bloom_bits(sf_dir: str, docs_ds=None):
-    """Distributed Bloom filter over the corpus's distinct tokens (the
-    Dolma-style membership structure for cross-shard dedup): k=7 md5
-    hashes into 2^18 bits; the filter is the DISTINCT set-bit table, so
-    merge = set union (a distinct groupby) and each block contributes at
-    most its distinct-bit count — the same bounded-exchange contract as
-    the HLL/CMS sketches.  Zero-staging oracle."""
-    from ..stages.hashagg import grouped_arrow_agg, hash_grouped_aggregate
-
-    def partial(batch: pa.Table) -> pa.Table:
-        bits: set[int] = set()
-        seen: set[str] = set()
-        for t in batch.column("text").to_pylist():
-            for tok in lm_tokenize(t):
-                if tok in seen:
-                    continue
-                seen.add(tok)
-                bits.update(_bloom_bits(tok))
-        out = sorted(bits)
-        return pa.table({"bit": pa.array(out, pa.int64()),
-                         "one": pa.array([1] * len(out), pa.int64())})
-
-    docs = docs_ds if docs_ds is not None else _docs(sf_dir)
-    dedup = hash_grouped_aggregate(
-        docs.map_batches(partial, batch_format="pyarrow"), ["bit"],
-        grouped_arrow_agg(["bit"], [("one", "max")], rename=["bit", "one"]))
-    return dedup.map_batches(lambda t: t.select(["bit"]),
-                             batch_format="pyarrow")
-
-
-def bloom_membership(sf_dir: str, docs_ds=None):
-    """Membership probes against the Bloom filter: a deterministic probe
-    set — every corpus token with md5 starting 'a' (present) plus its
-    '__absent_<token>' twin (absent by construction) — each probed for
-    all-bits-set.  The Bloom guarantee surfaces as columns: present
-    tokens are ALWAYS hits (no false negatives); absent twins may rarely
-    hit (false positives, rate ~(1−e^{−kn/m})^k)."""
-    import pandas as pd
-
-    docs = docs_ds if docs_ds is not None else _docs(sf_dir)
-    docs = docs.materialize()
-    bits_df = bloom_bits(sf_dir, docs_ds=docs).to_pandas()
-    bits = set(bits_df["bit"]) if "bit" in bits_df.columns else set()
-
-    def probes(batch: pa.Table) -> pa.Table:
-        out: set[str] = set()
-        for t in batch.column("text").to_pylist():
-            for tok in lm_tokenize(t):
-                if hashlib.md5(tok.encode()).hexdigest()[0] == "a":
-                    out.add(tok)
-        out_l = sorted(out)
-        return pa.table({"token": pa.array(out_l, pa.string()),
-                         "one": pa.array([1] * len(out_l), pa.int64())})
-
-    from ..stages.hashagg import grouped_arrow_agg, hash_grouped_aggregate
-    probe_ds = hash_grouped_aggregate(
-        docs.map_batches(probes, batch_format="pyarrow"), ["token"],
-        grouped_arrow_agg(["token"], [("one", "max")],
-                          rename=["token", "one"]))
-    probe_df = probe_ds.to_pandas()
-    toks = (sorted(probe_df["token"])
-            if "token" in probe_df.columns else [])
-
-    rows = []
-    for tok in toks:
-        for probe, present in ((tok, True), ("__absent_" + tok, False)):
-            hit = all(b in bits for b in _bloom_bits(probe))
-            rows.append((probe, present, hit))
-    return pd.DataFrame({
-        "probe": [r[0] for r in rows],
-        "in_corpus": pd.array([r[1] for r in rows], dtype="boolean"),
-        "hit": pd.array([r[2] for r in rows], dtype="boolean")}).astype(
-        {"in_corpus": "bool", "hit": "bool"})
-
-
-# ------------------------------------------ unicode + quantiles --
-
-def unicode_audit(sf_dir: str, docs_ds=None):
-    """Unicode normalization audit (the CC-pipeline NFC pass): per doc —
-    char count, non-ASCII char count, whether NFC normalization changes
-    the text, and the NFC length.  Stateless map; DuckDB
-    ``nfc_normalize`` ≡ Python ``unicodedata.normalize('NFC', ·)`` and
-    RE2's ``[[:ascii:]]`` ≡ ``ord(c) <= 127``, so the oracle is
-    zero-staging."""
-    import unicodedata
-
-    def audit(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_pylist()
-        nch, nna, chg, nnf = [], [], [], []
-        for t in batch.column("text").to_pylist():
-            nfc = unicodedata.normalize("NFC", t)
-            nch.append(len(t))
-            nna.append(sum(1 for c in t if ord(c) > 127))
-            chg.append(nfc != t)
-            nnf.append(len(nfc))
-        return pa.table({"doc_id": pa.array(ids, pa.int64()),
-                         "n_chars": pa.array(nch, pa.int64()),
-                         "n_nonascii": pa.array(nna, pa.int64()),
-                         "nfc_changed": pa.array(chg, pa.bool_()),
-                         "n_chars_nfc": pa.array(nnf, pa.int64())})
-
-    docs = docs_ds if docs_ds is not None else _docs(sf_dir)
-    return docs.map_batches(audit, batch_format="pyarrow")
-
-
-def length_quantiles(sf_dir: str, q_milles=(500, 900, 990, 999),
-                     docs_ds=None):
-    """Exact distributed word-count quantiles WITHOUT a global sort (the
-    corpus-report percentile table): per-doc word counts collapse to a
-    value histogram (one grouped exchange over ≤ distinct-length rows),
-    the driver walks the cumulative histogram, and quantile q‰ = the
-    smallest value whose cumulative count reaches ceil(n·q/1000) — the
-    same order-statistic discipline as ``domain_mixture``."""
-    import pandas as pd
-
-    def words(batch: pa.Table) -> pa.Table:
-        nw = [len(t.split()) for t in batch.column("text").to_pylist()]
-        return pa.table({"v": pa.array(nw, pa.int64()),
-                         "c": pa.array([1] * len(nw), pa.int64())})
-
-    from ..stages.hashagg import grouped_arrow_agg, hash_grouped_aggregate
-    docs = docs_ds if docs_ds is not None else _docs(sf_dir)
-    hist = hash_grouped_aggregate(
-        docs.map_batches(words, batch_format="pyarrow"), ["v"],
-        grouped_arrow_agg(["v"], [("c", "sum")], rename=["v", "c"]))
-    df = hist.to_pandas()
-    if "v" not in df.columns or len(df) == 0:   # empty corpus
-        return pd.DataFrame({"q_mille": pd.array([], dtype="int64"),
-                             "value": pd.array([], dtype="int64")})
-    df = df.sort_values("v").reset_index(drop=True)
-    cum = df["c"].cumsum()
-    n = int(df["c"].sum())
-    vals = []
-    for q in q_milles:
-        thr = (n * q + 999) // 1000
-        vals.append(int(df["v"][cum >= thr].iloc[0]))
-    return pd.DataFrame({"q_mille": pd.array(q_milles, dtype="int64"),
-                         "value": pd.array(vals, dtype="int64")})
-
-
 # ------------------------------------------------ corpus snapshot diff --
 
 def corpus_diff(sf_dir: str, docs_ds=None, prev_ds=None):
@@ -4316,208 +3740,3 @@ def corpus_diff(sf_dir: str, docs_ds=None, prev_ds=None):
 
     both = cur.union(prev)
     return hash_grouped_aggregate(both, ["doc_id"], verdict)
-
-
-# ------------------------------------------------ deterministic sample --
-
-def corpus_sample(sf_dir: str, rate_ppm: int = 100_000,
-                  seed: str = "sample", docs_ds=None):
-    """Reproducible uniform subsample (the debug-slice / ablation-corpus
-    step): keep a doc iff the first 8 md5 hex digits of ``seed:doc_id``
-    fall under ``rate_ppm`` parts-per-million of 2^32 — stateless,
-    rerun/reshard-invariant, growth-stable (new docs never flip old
-    verdicts), integer threshold arithmetic end to end."""
-    thr = rate_ppm * (1 << 32) // 1_000_000
-
-    def flag(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_pylist()
-        keep = [int(hashlib.md5(f"{seed}:{d}".encode()).hexdigest()[:8],
-                    16) < thr for d in ids]
-        return pa.table({"doc_id": pa.array(ids, pa.int64()),
-                         "sampled": pa.array(keep, pa.bool_())})
-
-    docs = docs_ds if docs_ds is not None else _docs(sf_dir,
-                                                     columns=("doc_id",))
-    return docs.map_batches(flag, batch_format="pyarrow")
-
-
-# -------------------------------------------- schema-on-read JSON --
-
-def event_props_stats(sf_dir: str, key: str = "k", events_ds=None):
-    """Schema-on-read extraction over the events table's JSON ``props``
-    column (the semi-structured-log workload): parse per row, pull one
-    integer key, aggregate per event_type — n_events, rows carrying the
-    key, sum/min/max, and distinct value count.
-
-    Scale shape: a two-level rollup — blocks group locally by
-    (event_type, value) so the exchange carries only distinct pairs
-    (bounded by the value domain, not the event count), then a tiny
-    per-type reduce.  -1 sentinels for types where no row carries the
-    key (house no-NULL-numerics rule)."""
-    import json as _json
-
-    import pandas as pd
-
-    def parse(batch: pa.Table) -> pa.Table:
-        ets, vals, ns = [], [], []
-        agg: dict[tuple[str, int], int] = {}
-        miss: dict[str, int] = {}
-        for et, pr in zip(batch.column("event_type").to_pylist(),
-                          batch.column("props").to_pylist()):
-            v = None
-            if pr:
-                try:
-                    v = _json.loads(pr).get(key)
-                except ValueError:
-                    v = None
-            if isinstance(v, bool) or not isinstance(v, int):
-                miss[et] = miss.get(et, 0) + 1
-            else:
-                agg[(et, v)] = agg.get((et, v), 0) + 1
-        has = []
-        for (et, v), n in agg.items():
-            ets.append(et)
-            vals.append(v)
-            has.append(1)
-            ns.append(n)
-        # keyless rows: integer sentinel + has_key=0 — never a NULL in
-        # the group key (a null v makes to_pandas yield float64 for
-        # some batches and int64 for others, so the same (type, v)
-        # value hash-buckets differently and a group splits)
-        for et, n in miss.items():
-            ets.append(et)
-            vals.append(0)
-            has.append(0)
-            ns.append(n)
-        return pa.table({"event_type": pa.array(ets, pa.string()),
-                         "v": pa.array(vals, pa.int64()),
-                         "has_key": pa.array(has, pa.int64()),
-                         "n": pa.array(ns, pa.int64())})
-
-    if events_ds is None:
-        import ray.data as rd
-        events_ds = rd.read_parquet(
-            os.path.join(sf_dir, "events.parquet"),
-            columns=["event_type", "props"])
-    from ..stages.hashagg import grouped_arrow_agg, hash_grouped_aggregate
-    pairs = hash_grouped_aggregate(
-        events_ds.map_batches(parse, batch_format="pyarrow"),
-        ["event_type", "v", "has_key"],
-        grouped_arrow_agg(["event_type", "v", "has_key"], [("n", "sum")],
-                          rename=["event_type", "v", "has_key", "n"]))
-    df = pairs.to_pandas()
-    if "event_type" not in df.columns or len(df) == 0:
-        return pd.DataFrame({c: pd.array([], dtype=t) for c, t in [
-            ("event_type", "str"), ("n_events", "int64"),
-            ("n_with_key", "int64"), ("sum_v", "int64"),
-            ("min_v", "int64"), ("max_v", "int64"),
-            ("n_distinct_v", "int64")]})
-    rows = []
-    for et, g in df.groupby("event_type"):
-        has = g[g["has_key"] == 1]
-        n_with = int(has["n"].sum())
-        rows.append({
-            "event_type": et,
-            "n_events": int(g["n"].sum()),
-            "n_with_key": n_with,
-            "sum_v": int((has["v"] * has["n"]).sum()) if n_with else -1,
-            "min_v": int(has["v"].min()) if n_with else -1,
-            "max_v": int(has["v"].max()) if n_with else -1,
-            "n_distinct_v": int(len(has)),
-        })
-    out = pd.DataFrame(rows).sort_values("event_type").reset_index(
-        drop=True)
-    for c in out.columns[1:]:
-        out[c] = out[c].astype("int64")
-    return out
-
-
-# ------------------------------------------------ event funnels --
-
-def event_funnel(sf_dir: str, steps: list[str] | None = None,
-                 events_ds=None):
-    """Ordered funnel analysis over the events table (the product-log
-    workload): per user, how deep the step sequence was completed —
-    step k counts only when it occurs strictly AFTER the first match of
-    step k-1 (first-touch semantics; event order = (ts, event_id), a
-    total order).  ``steps`` defaults to the three alphabetically-first
-    event types, derived identically by the oracle.
-
-    Scale shape: one hash-bucketed exchange on user_id; each bucket
-    sorts its own users' events and walks the subsequence in one pass —
-    no window function over the global stream, no cross-user state."""
-    import ray.data as rd
-
-    from ..stages.hashagg import hash_grouped_aggregate
-
-    if events_ds is None:
-        events_ds = rd.read_parquet(
-            os.path.join(sf_dir, "events.parquet"),
-            columns=["event_id", "user_id", "event_type", "ts"])
-    ev = events_ds.materialize()
-
-    if steps is None:
-        types = sorted(set(
-            t for b in ev.map_batches(
-                lambda t: pa.table({"event_type":
-                                    pc.unique(t.column("event_type"))}),
-                batch_format="pyarrow").iter_batches(batch_format="pyarrow")
-            for t in b.column("event_type").to_pylist()))
-        steps = types[:3]
-
-    def per_bucket(t: pa.Table) -> pa.Table:
-        df = t.to_pandas().sort_values(["user_id", "ts", "event_id"])
-        out_u, out_r = [], []
-        for uid, g in df.groupby("user_id", sort=False):
-            depth = 0
-            for et in g["event_type"]:
-                if depth < len(steps) and et == steps[depth]:
-                    depth += 1
-            out_u.append(int(uid))
-            out_r.append(depth)
-        return pa.table({"user_id": pa.array(out_u, pa.int64()),
-                         "reached": pa.array(out_r, pa.int64())})
-
-    return hash_grouped_aggregate(ev, ["user_id"], per_bucket)
-
-
-def event_retention(sf_dir: str, events_ds=None):
-    """Cohort retention over the events table: users cohort by the DAY
-    of their first event; a cohort is "retained at offset k" by every
-    user with any activity exactly k days after their cohort day.
-    Output: (cohort_day, day_offset, n_users) — the classic retention
-    triangle.
-
-    Scale shape: one user_id-bucketed exchange; each bucket computes its
-    users' (cohort, offset) pairs locally and emits DISTINCT-per-user
-    integer partials, so the second exchange carries at most
-    users × active-days rows pre-collapsed to triangle cells per block."""
-    import ray.data as rd
-
-    from ..stages.hashagg import grouped_arrow_agg, hash_grouped_aggregate
-
-    if events_ds is None:
-        events_ds = rd.read_parquet(
-            os.path.join(sf_dir, "events.parquet"),
-            columns=["user_id", "ts"])
-
-    def per_user(t: pa.Table) -> pa.Table:
-        df = t.to_pandas()
-        df["day"] = df["ts"].dt.floor("D")
-        cells: dict[tuple, int] = {}
-        for _uid, g in df.groupby("user_id", sort=False):
-            days = sorted(set(g["day"]))
-            c0 = days[0]
-            for d in days:
-                key = (c0, (d - c0).days)
-                cells[key] = cells.get(key, 0) + 1
-        return pa.table({
-            "cohort_day": pa.array([k[0] for k in cells], pa.timestamp("us")),
-            "day_offset": pa.array([k[1] for k in cells], pa.int64()),
-            "n": pa.array(list(cells.values()), pa.int64())})
-
-    cells = hash_grouped_aggregate(events_ds, ["user_id"], per_user)
-    return hash_grouped_aggregate(
-        cells, ["cohort_day", "day_offset"],
-        grouped_arrow_agg(["cohort_day", "day_offset"], [("n", "sum")],
-                          rename=["cohort_day", "day_offset", "n_users"]))

@@ -38,26 +38,22 @@ ENRICHED_SCHEMA = pa.schema([
 
 
 class EnrichedChunkStage:
-    """doc rows (doc_id, text[, fmt]) → enriched chunk rows."""
+    """doc rows (doc_id, text) → enriched chunk rows."""
 
-    def __init__(self, cfg: KGConfig | None = None, fmt: str = "plaintext",
+    def __init__(self, cfg: KGConfig | None = None,
                  df: dict | None = None, total_docs: int = 1):
         self.cfg = cfg or KGConfig()
-        self.fmt = fmt
         self.df = df or {}
         self.total_docs = total_docs
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         cfg = self.cfg
         cols = {name: [] for name in ENRICHED_SCHEMA.names}
-        fmts = (batch.column("fmt").to_pylist()
-                if "fmt" in batch.column_names else None)
-        for row_i, (doc_id, text) in enumerate(zip(batch.column("doc_id").to_pylist(),
-                                                   batch.column("text").to_pylist())):
+        for doc_id, text in zip(batch.column("doc_id").to_pylist(),
+                                batch.column("text").to_pylist()):
             if not text:
                 continue
-            fmt = fmts[row_i] if fmts else self.fmt
-            _, sections, _ = parse_layout(text, fmt)
+            _, sections, _ = parse_layout(text, "plaintext")
             doc_len = max(len(text), 1)
             for i, (content, s, e) in enumerate(
                     chunk_text(text, cfg.chunk_size, cfg.chunk_overlap, cfg.min_chunk_size)):

@@ -103,6 +103,26 @@ def test_minhash_similarity_ordering():
     assert mh.bands(sa) == mh.bands(mh.signature(a))
 
 
+def test_minhash_band_hashes_pinned_without_overflow_warning():
+    """Band salts wrap mod 2^64 on purpose; the wraparound must stay
+    warning-free and the hashes must not move."""
+    import hashlib
+    import warnings
+
+    sigs = (np.arange(3 * 128, dtype=np.uint64).reshape(3, 128)
+            * np.uint64(0x9E3779B97F4A7C15))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = MinHasher().bands_batch(sigs, 16)
+    assert out.dtype == np.uint64 and out.shape == (3, 16)
+    assert [int(x) for x in out[0, :4]] == [
+        13614554154153225369, 14634763696054161140,
+        6874736259939019928, 5215323665966077738]
+    assert int(out[2, 15]) == 11008755995708596026
+    assert hashlib.sha256(out.astype("<u8").tobytes()).hexdigest() == (
+        "01ae1eeaaddc7eba4d2ee06492326f32923496fb298f3800d698f77537bb75a1")
+
+
 def test_simhash():
     sh = SimHasher()
     a = sh.signature("the quick brown fox jumps over the lazy dog")

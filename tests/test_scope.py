@@ -13,7 +13,7 @@ referenced somewhere in the repo's Python, tests included, so a cut
 cannot leave its helpers behind, and every module-level import of the
 package, the driver, ``bench.py`` and ``scripts/*.py`` is read.  Every
 file these gates parse compiles without a syntax or deprecation
-warning."""
+warning, and no package module calls ``print``."""
 
 import ast
 import glob
@@ -235,3 +235,13 @@ def test_every_file_compiles_without_warnings():
             except SyntaxError as ex:
                 failed[os.path.relpath(path, ROOT)] = str(ex)
     assert failed == {}
+
+
+def test_package_has_no_print_calls():
+    """Package diagnostics go through ``logging``, never ``print``."""
+    calls = [f"{os.path.relpath(path, ROOT)}:{node.lineno}"
+             for path in _py_files(PKG)
+             for node in ast.walk(_parse(path))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "print"]
+    assert calls == []

@@ -94,44 +94,6 @@ def test_mixture_weights_hand_computed(ray_session):
     assert int(out["share_micro"].sum()) <= 1_000_000
 
 
-def test_unicode_audit(ray_session):
-    import ray.data as rd
-
-    from graphrag_rs_ray.pipelines.training_data import unicode_audit
-
-    docs = pa.table({
-        "doc_id": pa.array([1, 2, 3], pa.int64()),
-        # NFD e + combining acute -> NFC composes; plain ascii; composed
-        "text": pa.array(["café", "plain ascii", "café"],
-                         pa.string()),
-    })
-    out = (unicode_audit("", docs_ds=rd.from_arrow(docs))
-           .to_pandas().set_index("doc_id"))
-    assert bool(out.loc[1, "nfc_changed"]) is True
-    assert out.loc[1, "n_chars"] == 5 and out.loc[1, "n_chars_nfc"] == 4
-    assert out.loc[1, "n_nonascii"] == 1        # the combining mark
-    assert bool(out.loc[2, "nfc_changed"]) is False
-    assert out.loc[2, "n_nonascii"] == 0
-    assert bool(out.loc[3, "nfc_changed"]) is False
-    assert out.loc[3, "n_nonascii"] == 1
-
-
-def test_length_quantiles(ray_session):
-    import ray.data as rd
-
-    from graphrag_rs_ray.pipelines.training_data import length_quantiles
-
-    # 100 docs with word counts 1..100 -> q-mille 500 = 50, 999 = 100
-    docs = pa.table({
-        "doc_id": pa.array(range(1, 101), pa.int64()),
-        "text": pa.array([("w " * i).strip() for i in range(1, 101)],
-                         pa.string()),
-    })
-    out = length_quantiles("", docs_ds=rd.from_arrow(docs).repartition(7))
-    got = dict(zip(out["q_mille"], out["value"]))
-    assert got == {500: 50, 900: 90, 990: 99, 999: 100}
-
-
 def test_corpus_diff(ray_session):
     import ray.data as rd
 
@@ -184,150 +146,6 @@ def test_empty_corpus_epilogues(ray_session):
         "doc_id": pa.array([], pa.int64()),
         "text": pa.array([], pa.string()),
         "source": pa.array([], pa.string())}))
-    assert len(td.hll_estimate("", docs_ds=empty)) == 1      # lc(0) row
-    assert len(td.cms_heavy_hitters("", docs_ds=empty)) == 0
-    assert len(td.bloom_membership("", docs_ds=empty)) == 0
     assert len(td.mixture_weights("", docs_ds=empty)) == 0
-    assert len(td.length_quantiles("", docs_ds=empty)) == 0
     assert len(td.vocab_topk("", docs_ds=empty)) == 0
     assert td.corpus_diff("", docs_ds=empty).count() == 0
-    assert td.unicode_audit("", docs_ds=empty).count() == 0
-
-
-def test_corpus_sample(ray_session):
-    import hashlib as _h
-
-    import ray.data as rd
-
-    from graphrag_rs_ray.pipelines.training_data import corpus_sample
-
-    docs = _docs_table(5000)
-    out = (corpus_sample("", rate_ppm=100_000,
-                         docs_ds=rd.from_arrow(docs).repartition(9))
-           .to_pandas().set_index("doc_id")["sampled"])
-    # exact per-id determinism vs the kernel formula
-    thr = 100_000 * (1 << 32) // 1_000_000
-    for d in (0, 1, 4999):
-        assert out[d] == (int(_h.md5(f"sample:{d}".encode())
-                              .hexdigest()[:8], 16) < thr)
-    # rate lands near 10% (binomial 3-sigma for n=5000 is ~1.3%)
-    assert abs(out.mean() - 0.1) < 0.015
-    # growth stability: a bigger corpus never flips earlier verdicts
-    out2 = (corpus_sample("", rate_ppm=100_000,
-                          docs_ds=rd.from_arrow(_docs_table(6000)))
-            .to_pandas().set_index("doc_id")["sampled"])
-    assert (out2.loc[out.index] == out).all()
-
-
-def test_event_props_stats(ray_session):
-    import ray.data as rd
-
-    from graphrag_rs_ray.pipelines.training_data import event_props_stats
-
-    ev = pa.table({
-        "event_type": ["a", "a", "a", "b", "b", "c"],
-        "props": ['{"k": 5}', '{"k": 5}', '{"k": 7}',
-                  '{"other": 1}', 'not json', '{"k": true}'],
-    })
-    out = (event_props_stats("", events_ds=rd.from_arrow(ev).repartition(3))
-           .set_index("event_type"))
-    assert out.loc["a", "n_events"] == 3 and out.loc["a", "n_with_key"] == 3
-    assert out.loc["a", "sum_v"] == 17 and out.loc["a", "n_distinct_v"] == 2
-    assert out.loc["a", "min_v"] == 5 and out.loc["a", "max_v"] == 7
-    # no parsable key anywhere in b (bad json + missing key) or c (bool)
-    for et in ("b", "c"):
-        assert out.loc[et, "n_with_key"] == 0
-        assert out.loc[et, "sum_v"] == -1 and out.loc[et, "min_v"] == -1
-
-    # the same (type, value) group must not split across buckets when
-    # one batch also carries keyless rows (mixed dtype hazard: a null
-    # in the group key made to_pandas float64 for that batch only)
-    t_mixed = pa.table({"event_type": ["a", "a", "b"],
-                        "props": ['{"k": 5}', '{"k": 5}', '{"x": 1}']})
-    t_clean = pa.table({"event_type": ["a"], "props": ['{"k": 5}']})
-    out2 = (event_props_stats("", events_ds=rd.from_arrow([t_mixed,
-                                                           t_clean]))
-            .set_index("event_type"))
-    assert out2.loc["a", "n_distinct_v"] == 1
-    assert out2.loc["a", "sum_v"] == 15 and out2.loc["a", "n_with_key"] == 3
-    # a real value equal to the sentinel (0) in a batch with misses of
-    # the SAME type stays a distinct keyed group
-    t3 = pa.table({"event_type": ["d", "d"],
-                   "props": ['{"k": 0}', '{"y": 1}']})
-    out3 = (event_props_stats("", events_ds=rd.from_arrow([t3]))
-            .set_index("event_type"))
-    assert out3.loc["d", "n_with_key"] == 1
-    assert out3.loc["d", "n_distinct_v"] == 1
-    assert out3.loc["d", "sum_v"] == 0 and out3.loc["d", "n_events"] == 2
-
-
-def test_event_funnel(ray_session):
-    import ray.data as rd
-
-    from graphrag_rs_ray.pipelines.training_data import event_funnel
-
-    import datetime as dt
-    t0 = dt.datetime(2024, 1, 1)
-    rows = [
-        # user 1: full a->b->c in order (with noise between)
-        (1, 1, "a"), (2, 1, "x"), (3, 1, "b"), (4, 1, "c"),
-        # user 2: b before a -> only reaches a (depth 1)
-        (5, 2, "b"), (6, 2, "a"),
-        # user 3: a then c (no b) -> depth 1
-        (7, 3, "a"), (8, 3, "c"),
-        # user 4: never does a -> depth 0
-        (9, 4, "c"), (10, 4, "b"),
-        # user 5: a, b, then b again, c out of order BEFORE b -> a,b only?
-        (11, 5, "c"), (12, 5, "a"), (13, 5, "b"), (14, 5, "c"),
-    ]
-    ev = pa.table({
-        "event_id": pa.array([r[0] for r in rows], pa.int64()),
-        "user_id": pa.array([r[1] for r in rows], pa.int64()),
-        "event_type": pa.array([r[2] for r in rows], pa.string()),
-        "ts": pa.array([t0 + dt.timedelta(seconds=r[0]) for r in rows],
-                       pa.timestamp("us")),
-    })
-    out = (event_funnel("", events_ds=rd.from_arrow(ev).repartition(3))
-           .to_pandas().set_index("user_id")["reached"])
-    assert out[1] == 3
-    assert out[2] == 1      # b-before-a does not count
-    assert out[3] == 1
-    assert out[4] == 0
-    assert out[5] == 3      # c AFTER b counts; earlier c ignored
-    # explicit steps: x appears only for user 1
-    out2 = (event_funnel("", steps=["x"],
-                         events_ds=rd.from_arrow(ev))
-            .to_pandas().set_index("user_id")["reached"])
-    assert out2[1] == 1 and out2[2] == 0
-
-
-def test_event_retention(ray_session):
-    import datetime as dt
-
-    import ray.data as rd
-
-    from graphrag_rs_ray.pipelines.training_data import event_retention
-
-    d0 = dt.datetime(2024, 3, 1, 10, 0)
-    rows = [
-        # user 1: day0 twice (counts once), day2
-        (1, d0), (1, d0 + dt.timedelta(hours=3)),
-        (1, d0 + dt.timedelta(days=2)),
-        # user 2: joins day1, active day1 + day3
-        (2, d0 + dt.timedelta(days=1)),
-        (2, d0 + dt.timedelta(days=3, hours=5)),
-        # user 3: single event on day0
-        (3, d0 + dt.timedelta(minutes=7)),
-    ]
-    ev = pa.table({
-        "user_id": pa.array([r[0] for r in rows], pa.int64()),
-        "ts": pa.array([r[1] for r in rows], pa.timestamp("us")),
-    })
-    out = (event_retention("", events_ds=rd.from_arrow(ev).repartition(2))
-           .to_pandas())
-    tri = {(r["cohort_day"].day, int(r["day_offset"])): int(r["n_users"])
-           for _, r in out.iterrows()}
-    assert tri == {(1, 0): 2,    # users 1 and 3 cohort day0, active day0
-                   (1, 2): 1,    # user 1 back on offset 2
-                   (2, 0): 1,    # user 2 cohort day1
-                   (2, 2): 1}    # user 2 back on offset 2
