@@ -113,14 +113,15 @@ def _concept_edges_bucketed(lists_ds, co_occurrence_threshold: int):
     table can exceed driver memory.  Same arithmetic as the broadcast
     path (float64 ``n / (na + nb - n)``), so the two paths are
     bit-equal."""
-    from ..stages.hashagg import bucketed_join
+    from ..stages.hashagg import bucketed_join, exchange_blocks
 
     # materialize + coalesce: counts_ds has TWO consumers (a diamond —
     # the CLAUDE.md materialize-before-diamond rule) and feeds two
     # bucketed joins whose schema probes would otherwise re-run its
     # aggregate; coalescing avoids the tiny-block sort fan
-    counts_ds = concept_table_from_mentions(
-        mentions_from_lists(lists_ds)).repartition(64).materialize()
+    counts_ds = concept_table_from_mentions(mentions_from_lists(lists_ds))
+    counts_ds = counts_ds.repartition(
+        exchange_blocks(counts_ds, 64)).materialize()
 
     def string_pairs(batch: pa.Table) -> pa.Table:
         col = batch.column("concepts")
@@ -175,7 +176,8 @@ def _concept_edges_bucketed(lists_ds, co_occurrence_threshold: int):
     j = bucketed_join(pairs_thr,
                       counts_ds.map_batches(_renamed("concept_a"),
                                             batch_format="pyarrow"),
-                      ["concept_a"]).repartition(64).materialize()
+                      ["concept_a"])
+    j = j.repartition(exchange_blocks(j, 64)).materialize()
     j = bucketed_join(j,
                       counts_ds.map_batches(_renamed("concept_b"),
                                             batch_format="pyarrow"),

@@ -17,6 +17,17 @@ Single-consumption variants (``triples_dataset``) stay fully lazy — one
 streaming pass, no materialization.  ``build_kg`` consumes the combined
 extraction stream twice (entities + triples), so it stages it to Parquet
 (resumable) or the object store first.
+
+The Parquet checkpoint is read split-free (``read_staged``: never more
+blocks than files), so each branch reads it in the same task as its
+level-1 combine and only combined partials cross the object store.  Two
+Ray 2.49 fusion rules decide this (``logical/rules/operator_fusion.py``):
+a read whose output is split (``SplitBlocks``, Ray's default for a small
+read) fuses with nothing (``_can_fuse``), and a read never fuses into a
+map that asks for a minimum batch of rows (``_can_fuse_map_ops``).
+Fusion walks from the sink upstream, so ``write_graph``'s level-2 window
+(a 2M-row batch map) would take in the level-1 maps and leave the read
+alone; a streaming repartition in front of the window keeps it apart.
 """
 
 from __future__ import annotations
@@ -39,7 +50,7 @@ from ..stages.hashagg import (
     hash_grouped_aggregate,
 )
 from ..stages.chunk import ChunkStage
-from ..stages.disk_exchange import reduce_shards, stage_parquet
+from ..stages.disk_exchange import read_staged, reduce_shards, stage_parquet
 from ..stages.extract_text import extract_text_stage
 from ..stages.kg_extract import entities_only, make_extract_fn, triples_only
 from ..stages.linking import (
@@ -88,14 +99,12 @@ def chunks_to_combined(chunks_ds, cfg: KGConfig):
     if cfg.extractor == "pattern" and cfg.extract_concurrency is None:
         return chunks_ds.map_batches(make_extract_fn(cfg), batch_format="pyarrow",
                                      batch_size=cfg.batch_size)
-    import ray
-    from ..stages.hashagg import auto_pool
-    cpus = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
+    from ..stages.hashagg import _cluster_cpus, auto_pool
     conc = cfg.extract_concurrency
     if conc is None:
         conc = auto_pool()
     elif isinstance(conc, int):
-        conc = min(conc, max(1, cpus - 2))
+        conc = min(conc, max(1, _cluster_cpus() - 2))
     return chunks_ds.map_batches(RegistryStage, fn_constructor_args=(cfg,),
                                  batch_format="pyarrow", batch_size=cfg.batch_size,
                                  concurrency=conc)
@@ -117,29 +126,14 @@ def dedup_triples(triples_rows_ds, cfg: KGConfig):
         num_buckets=cfg.num_shards * 4)
 
 
-def triples_partial(triples_rows_ds, coalesce_rows: int | None = None):
+def triples_partial(triples_rows_ds):
     """The pre-exchange combine stage of triple dedup (shared by the
-    in-store path above and the disk-shuffle path in ``write_graph``).
-
-    ``coalesce_rows`` adds a SECOND combine level: windows of that many
-    partial rows re-combined across blocks with the final aggregate's
-    associative ops (conf max / n_contexts sum / context_sample min —
-    ``triple_final_agg``, so the semantics are shared by construction).
-    The disk-shuffle sink passes it (at 16M pages single-level combining
-    still emitted 197.6M partial rows / 22.6 GB because every block
-    re-emits the saturated vocabulary; windowing cut the 64M stage to
-    9.1 GB).  The DEFAULT in-store path must NOT: bundling partial
-    blocks into multi-million-row batches serializes the streaming
-    pipeline (measured: the sf0.1 headline went 1.6 s → 21 s when level
-    2 ran before the in-store exchange)."""
-    partial = triples_rows_ds.map_batches(partial_triple_agg,
-                                          batch_format="pyarrow",
-                                          batch_size=None)
-    if not coalesce_rows:
-        return partial
-    return partial.map_batches(triple_final_agg(),
-                               batch_format="pyarrow",
-                               batch_size=coalesce_rows)
+    in-store path above and the disk-shuffle path in ``write_graph``):
+    one combine per block, so a block's output never waits for another
+    block."""
+    return triples_rows_ds.map_batches(partial_triple_agg,
+                                       batch_format="pyarrow",
+                                       batch_size=None)
 
 
 def triple_final_agg():
@@ -211,7 +205,6 @@ def build_kg(pages_ds, cfg: KGConfig | None = None, work_dir: str | None = None)
     without recomputing the extractor and (b) a rerun with the same config
     resumes from it (manifest fingerprint)."""
     import ray
-    import ray.data as rd
 
     cfg = cfg or KGConfig()
     if work_dir:
@@ -219,7 +212,7 @@ def build_kg(pages_ds, cfg: KGConfig | None = None, work_dir: str | None = None)
         stage_parquet(combined_dir, fingerprint_config("combined", cfg),
                       lambda: chunks_to_combined(pages_to_chunks(pages_ds, cfg),
                                                  cfg))
-        combined = rd.read_parquet(combined_dir)
+        combined = read_staged(combined_dir)
     else:
         combined = chunks_to_combined(pages_to_chunks(pages_ds, cfg), cfg).materialize()
 
@@ -355,7 +348,11 @@ def write_graph(result: KGResult, out_dir: str, num_shards: int = 16,
     ``group_by`` with EXACTLY the in-store path's aggregate —
     ``triple_final_agg``) into its final adjacency shard; both steps are
     ``stages/disk_exchange.py``.  Peak memory per reduce = one shard
-    (total/num_shards — num_shards is the memory knob)."""
+    (total/num_shards — num_shards is the memory knob).  On a staged
+    build the map-only pass reads the checkpoint split-free in the same
+    task as the level-1 combine, and the level-2 window sits behind a
+    streaming repartition (module docstring), so only level-1 partials
+    cross the object store."""
     import glob
     import shutil
 
@@ -397,15 +394,23 @@ def write_graph(result: KGResult, out_dir: str, num_shards: int = 16,
 
     if missing and disk_shuffle:
         stage_dir = os.path.join(out_dir, "_shuffle")
-        # level-2 window combine before the disk write (see
-        # triples_partial: 22.6 GB → 9.1 GB of stage volume); safe HERE
-        # because the sink is a terminal write, not a streaming exchange
+        # Level-2 combine: windows of 2M level-1 partial rows re-combined
+        # across blocks with the final aggregate's associative ops.  At
+        # 16M pages one combine per block still emitted 197.6M partial
+        # rows / 22.6 GB (every block re-emits the saturated vocabulary);
+        # the window cut the 64M stage to 9.1 GB.  Safe here because the
+        # sink is a terminal write: before the in-store exchange it
+        # serialized the stream (sf0.1 headline 1.6 s → 21 s).  The
+        # streaming repartition keeps the window from fusing with the
+        # level-1 maps, which then fuse with the read (module docstring).
+        window = 2_000_000
         stage_parquet(
             stage_dir,
             fingerprint_config("graph-shuffle", num_shards, input_token),
-            lambda: result.t_partial.map_batches(
-                triple_final_agg(), batch_format="pyarrow",
-                batch_size=2_000_000),
+            lambda: result.t_partial
+            .repartition(target_num_rows_per_block=window)
+            .map_batches(triple_final_agg(), batch_format="pyarrow",
+                         batch_size=window),
             shard_of)
 
         def reduce_triples(k: int, files: list[list[str]]):

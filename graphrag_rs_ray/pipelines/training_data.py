@@ -945,8 +945,8 @@ def dedup_clusters(sf_dir: str, threshold: float = 0.8, n: int = 3,
     BIGINT per the no-NULL/no-bool oracle column discipline)."""
     import ray
 
-    from ..stages.hashagg import (bucketed_join, grouped_arrow_agg,
-                                  hash_grouped_aggregate)
+    from ..stages.hashagg import (bucketed_join, exchange_blocks,
+                                  grouped_arrow_agg, hash_grouped_aggregate)
     from .communities import connected_components
 
     # ``verified_ds`` lets a pipeline that already ran the Jaccard
@@ -1027,10 +1027,11 @@ def dedup_clusters(sf_dir: str, threshold: float = 0.8, n: int = 3,
     sizes_ds = hash_grouped_aggregate(
         assign, ["cluster"],
         grouped_arrow_agg(["cluster"], [("doc_id", "count")],
-                          rename=["cluster", "cluster_size"]),
-    ).repartition(64).materialize()
-    with_size = bucketed_join(assign, sizes_ds,
-                              on=["cluster"]).repartition(64).materialize()
+                          rename=["cluster", "cluster_size"]))
+    sizes_ds = sizes_ds.repartition(exchange_blocks(sizes_ds, 64)).materialize()
+    with_size = bucketed_join(assign, sizes_ds, on=["cluster"])
+    with_size = with_size.repartition(
+        exchange_blocks(with_size, 64)).materialize()
     joined = bucketed_join(docs, with_size, on=["doc_id"], how="left")
 
     def finish(t: pa.Table) -> pa.Table:

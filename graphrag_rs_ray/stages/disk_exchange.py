@@ -14,6 +14,7 @@ written, so a crash never leaves a matching manifest over partial data.
 from __future__ import annotations
 
 import glob
+import math
 import os
 import shutil
 from collections.abc import Callable
@@ -49,10 +50,48 @@ def stage_parquet(out_dir: str, fingerprint: str, make_ds: Callable,
          .write_parquet(tmp_dir, partition_cols=["shard"]))
 
     atomic_write_dir(write, out_dir)
-    rows = sum(pq.read_metadata(f).num_rows for f in glob.glob(
-        os.path.join(out_dir, "**", "*.parquet"), recursive=True))
+    rows = sum(pq.read_metadata(f).num_rows for f in _parquet_files(out_dir))
     return write_manifest(out_dir, os.path.basename(out_dir), fingerprint,
                           rows=rows)
+
+
+def _parquet_files(d: str) -> list[str]:
+    return glob.glob(os.path.join(d, "**", "*.parquet"), recursive=True)
+
+
+def read_staged(path: str, columns: list[str] | None = None):
+    """Read a staged directory in blocks sized from its input:
+    ``min(#files, max(cluster CPUs, ceil(size / target_max_block_size)))``,
+    where ``size`` is the in-memory size the read's plan metadata states
+    (``hashagg._plan_size_bytes``; footer byte counts would give a
+    dictionary-encoded extraction checkpoint as 2.1 MB, not its 51 MB).
+
+    The count never exceeds the file count, so Ray plans no
+    ``SplitBlocks`` behind the read, and a read Ray does not split fuses
+    with the maps after it: each staged file is read and combined in the
+    same task instead of crossing the object store raw.  Ray's default
+    splits a small read into about one block per MB, one task each.
+    Bound: a single-file checkpoint reads as ONE block whatever the CPU
+    count; a checkpoint written by >= 32 write tasks (>= 32 files) yields
+    >= 32 blocks on a cluster of >= 32 CPUs.  Reads footers and plan
+    metadata only; nothing executes here."""
+    import ray.data as rd
+    from ray.data import DataContext
+
+    from .hashagg import _cluster_cpus, _plan_size_bytes
+
+    ds = rd.read_parquet(path, columns=columns)
+    size = _plan_size_bytes(ds)
+    target = DataContext.get_current().target_max_block_size
+    n = _cluster_cpus()
+    if size and target:
+        n = max(n, math.ceil(size / target))
+    n = max(1, min(len(_parquet_files(path)), n))
+    try:   # reuse the probed datasource: a new read samples the files again
+        source = ds._logical_plan.dag._datasource
+    except AttributeError:
+        return rd.read_parquet(path, columns=columns, override_num_blocks=n)
+    return rd.read_datasource(source, override_num_blocks=n)
 
 
 def reduce_shards(in_dirs: list[str], num_shards: int, fn: Callable,

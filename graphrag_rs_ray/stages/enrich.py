@@ -40,11 +40,8 @@ ENRICHED_SCHEMA = pa.schema([
 class EnrichedChunkStage:
     """doc rows (doc_id, text) → enriched chunk rows."""
 
-    def __init__(self, cfg: KGConfig | None = None,
-                 df: dict | None = None, total_docs: int = 1):
+    def __init__(self, cfg: KGConfig | None = None):
         self.cfg = cfg or KGConfig()
-        self.df = df or {}
-        self.total_docs = total_docs
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         cfg = self.cfg
@@ -69,7 +66,7 @@ class EnrichedChunkStage:
                         if len(path) > 2:
                             subsection = path[2]
                     level = sections[sec_idx].heading.level
-                kws = [w for w, _ in tfidf_keywords(content, self.df, self.total_docs, 5)]
+                kws = [w for w, _ in tfidf_keywords(content, {}, 1, 5)]
                 summary = summarize(content, 150) if len(content) > 150 else None
                 cols["chunk_id"].append(f"{doc_id}_{i}")
                 cols["doc_id"].append(doc_id)

@@ -75,17 +75,24 @@ def exchange_blocks(ds, max_blocks: int) -> int:
     fine: it only decides how many sort tasks the exchange fans out to)."""
     from ray.data import DataContext
 
-    try:
-        # private plan API, checked against Ray 2.49; if it moves, the
-        # size is unknown and the exchange keeps the cap
-        size = ds._logical_plan.dag.infer_metadata().size_bytes
-    except AttributeError:
-        size = None
+    size = _plan_size_bytes(ds)
     target = DataContext.get_current().target_max_block_size
     if size is None or not target:
         return max_blocks
     n = max(math.ceil(size / target), _cluster_cpus())
     return max(1, min(max_blocks, n))
+
+
+def _plan_size_bytes(ds) -> int | None:
+    """In-memory size of ``ds`` as its plan states it without executing:
+    a materialized dataset's block metadata, a read's datasource estimate
+    (for Parquet, file bytes scaled by a sampled Arrow/Parquet ratio).
+    ``None`` when the plan does not know it (a map may change the size)
+    or when this private plan API, checked against Ray 2.49, has moved."""
+    try:
+        return ds._logical_plan.dag.infer_metadata().size_bytes
+    except AttributeError:
+        return None
 
 
 def hash_grouped_aggregate(ds, keys: list[str],

@@ -18,7 +18,7 @@ ctx = DataContext.get_current(); ctx.enable_progress_bars = False; ctx.op_resour
 import __ray_entry__ as e
 
 SF = "/root/testdata/sf0.01"
-TABLES = ("region","nation","customer","supplier","part","orders","lineitem","events","documents","embeddings")
+TABLES = ("events","documents","embeddings")
 
 def norm(df):
     df = df[sorted(df.columns)].copy()

@@ -1,8 +1,9 @@
 """The disk-exchange primitive (``stages/disk_exchange.py``): a staged
 write is skipped on a matching fingerprint and rebuilt whole otherwise;
 a failed shard reduce leaves neither data nor manifest, and a rerun
-reduces only that shard; the refs mode returns one table per shard; and
-no other pipeline module hand-rolls the exchange."""
+reduces only that shard; the refs mode returns one table per shard; a
+staged read is never split beyond its files; and no other pipeline
+module hand-rolls the exchange."""
 
 import glob
 import os
@@ -13,7 +14,8 @@ import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import pytest
 
-from graphrag_rs_ray.stages.disk_exchange import reduce_shards, stage_parquet
+from graphrag_rs_ray.stages.disk_exchange import (read_staged, reduce_shards,
+                                                  stage_parquet)
 from graphrag_rs_ray.state.manifests import read_manifest
 
 PKG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
@@ -110,6 +112,48 @@ def test_refs_mode_returns_one_table_per_shard(ray_session, tmp_path):
     assert [t.column("k")[0].as_py() for t in tables] == [0, 1, 2, 3]
     assert [t.column("rows")[0].as_py() for t in tables] == [7, 7, 6, 6]
     assert all(t.column("missing_files")[0].as_py() == 0 for t in tables)
+
+
+def test_read_staged_blocks_never_exceed_files(ray_session, tmp_path,
+                                              monkeypatch):
+    """A staged read gets one block per cluster CPU, or per target block
+    of its plan-stated size, but never more than its files, so Ray plans
+    no ``SplitBlocks`` behind it; deciding runs no plan."""
+    import pyarrow.parquet as pq
+    from ray.data._internal.plan import ExecutionPlan
+
+    from graphrag_rs_ray.stages import hashagg
+
+    three, one = tmp_path / "three", tmp_path / "one"
+    three.mkdir()
+    one.mkdir()
+    for i in range(3):
+        pq.write_table(pa.table({"x": pa.array(range(i * 10, i * 10 + 10),
+                                               pa.int64())}),
+                       three / f"part-{i}.parquet")
+    pq.write_table(pa.table({"x": pa.array(range(5), pa.int64())}),
+                   one / "part-0.parquet")
+
+    def must_not_run(*a, **k):
+        raise AssertionError("read_staged executed a plan")
+
+    def blocks(d, cpus, size=None):
+        with monkeypatch.context() as m:
+            m.setattr(hashagg, "_cluster_cpus", lambda: cpus)
+            if size is not None:
+                m.setattr(hashagg, "_plan_size_bytes", lambda ds: size)
+            m.setattr(ExecutionPlan, "execute", must_not_run)
+            m.setattr(ExecutionPlan, "execute_to_iterator", must_not_run)
+            ds = read_staged(str(d), columns=["x"])
+        out = ds.materialize()
+        assert sorted(out.to_pandas()["x"]) == _staged_x(str(d))
+        return out.num_blocks()
+
+    assert blocks(three, 1) == 1
+    assert blocks(three, 2) == 2          # min(files, cpus)
+    assert blocks(three, 32) == 3         # never above the file count
+    assert blocks(three, 1, size=10**12) == 3
+    assert blocks(one, 32) == 1
 
 
 def test_no_hand_rolled_disk_exchange_left():

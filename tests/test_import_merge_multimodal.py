@@ -590,25 +590,68 @@ def test_write_graph_shard_resume(ray_session, tmp_path):
     shutil.rmtree(out)
 
 
+def _staged_multifile_build(tmp_path):
+    """``build_kg`` over a ``combined/`` checkpoint of >= 3 files: four
+    page blocks and a small extraction batch make one write task, so one
+    file, per block."""
+    from graphrag_rs_ray.config import KGConfig
+    from graphrag_rs_ray.pipelines.kg import build_kg
+    from graphrag_rs_ray.sources.pages import pages_dataset
+
+    pages = pages_dataset(120, seed=3).repartition(4).materialize()
+    work = tmp_path / "work"
+    res = build_kg(pages, KGConfig(batch_size=16), work_dir=str(work))
+    assert len(list((work / "combined").glob("*.parquet"))) >= 3
+    return res
+
+
+def test_staged_build_reads_checkpoint_fused(ray_session, tmp_path,
+                                             monkeypatch):
+    """The staged checkpoint is read without ``SplitBlocks``, so each
+    branch reads it in the same task as its level-1 combine; the triple
+    branch's level-2 window sits behind a streaming boundary instead of
+    pulling the read's maps into a min-rows map."""
+    import re
+
+    import ray.data as rd
+
+    from graphrag_rs_ray.pipelines.kg import write_graph
+
+    res = _staged_multifile_build(tmp_path)
+    written = []
+    write_parquet = rd.Dataset.write_parquet
+
+    def capture(ds, *a, **k):
+        written.append(ds)
+        return write_parquet(ds, *a, **k)
+
+    monkeypatch.setattr(rd.Dataset, "write_parquet", capture)
+    write_graph(res, str(tmp_path / "graph"), num_shards=4,
+                disk_shuffle=True)
+    plans = [re.findall(r"Operator \d+ (.+?):", ds.stats())
+             for ds in written]
+    assert len(plans) == 2                     # entities, triple shuffle
+    assert not [op for ops in plans for op in ops if "SplitBlocks" in op]
+    assert plans[0][0].startswith(
+        "ReadParquet->MapBatches(entities_only)")
+    assert plans[1][0].startswith(
+        "ReadParquet->MapBatches(triples_only)")
+    assert "StreamingRepartition" in plans[1]
+
+
 def test_write_graph_disk_shuffle_equals_instore(ray_session, tmp_path):
     """disk_shuffle=True must produce EXACTLY the in-store path's
     triples (same dedup semantics via the shared triple_final_agg), keep
     partition-granular resume, and redo a crashed shard from the staged
-    partition without recomputing the build."""
+    partition without recomputing the build; both for an in-memory build
+    and for one resumed from a multi-file ``combined/`` checkpoint, as a
+    scale job runs."""
     import pyarrow.dataset as pads
 
     from graphrag_rs_ray.config import KGConfig
     from graphrag_rs_ray.pipelines.kg import build_kg, hash_subj, write_graph
     from graphrag_rs_ray.sources.pages import pages_dataset
     from graphrag_rs_ray.state.manifests import read_manifest
-
-    res = build_kg(pages_dataset(40, seed=3), KGConfig())
-    out_a = str(tmp_path / "graph_store")
-    out_b = str(tmp_path / "graph_disk")
-    m_a = write_graph(res, out_a, num_shards=4)
-    m_b = write_graph(res, out_b, num_shards=4, disk_shuffle=True)
-    assert m_b["n_triples"] == m_a["n_triples"] > 0
-    assert m_b["shard_rows"] == m_a["shard_rows"]
 
     def triples_table(out):
         t = (pads.dataset(os.path.join(out, "triples"),
@@ -618,28 +661,38 @@ def test_write_graph_disk_shuffle_equals_instore(ray_session, tmp_path):
                 "context_sample"]
         return (t[cols].sort_values(cols[:3]).reset_index(drop=True))
 
-    ta, tb = triples_table(out_a), triples_table(out_b)
-    assert ta.equals(tb)
-    # both paths place every triple by the blake2b hash of its subject
-    for out in (out_a, out_b):
-        t = pads.dataset(os.path.join(out, "triples"),
-                         partitioning="hive").to_table(
-                             columns=["subj", "shard"])
-        assert t.column("shard").to_pylist() == [
-            hash_subj(s, 4) for s in t.column("subj").to_pylist()]
+    builds = {"memory": build_kg(pages_dataset(40, seed=3), KGConfig()),
+              "staged": _staged_multifile_build(tmp_path)}
+    for name, res in builds.items():
+        out_a = str(tmp_path / f"{name}_store")
+        out_b = str(tmp_path / f"{name}_disk")
+        m_a = write_graph(res, out_a, num_shards=4)
+        m_b = write_graph(res, out_b, num_shards=4, disk_shuffle=True)
+        assert m_b["n_triples"] == m_a["n_triples"] > 0
+        assert m_b["shard_rows"] == m_a["shard_rows"]
 
-    # crashed-shard redo: only the victim shard is reduced again, from
-    # the staged shuffle partition (stage manifest untouched)
-    victim = os.path.join(out_b, "triples", "shard=1")
-    os.remove(os.path.join(victim, "_MANIFEST.json"))
-    os.remove(os.path.join(out_b, "_MANIFEST.json"))
-    stage_m = read_manifest(os.path.join(out_b, "_shuffle"))
-    m_b2 = write_graph(res, out_b, num_shards=4, disk_shuffle=True)
-    assert m_b2["resumed_shards"] == [0, 2, 3]
-    assert m_b2["n_triples"] == m_a["n_triples"]
-    assert read_manifest(os.path.join(out_b, "_shuffle"))[
-        "completed_at"] == stage_m["completed_at"]
-    assert triples_table(out_b).equals(ta)
+        ta, tb = triples_table(out_a), triples_table(out_b)
+        assert ta.equals(tb)
+        # both paths place every triple by the blake2b hash of its subject
+        for out in (out_a, out_b):
+            t = pads.dataset(os.path.join(out, "triples"),
+                             partitioning="hive").to_table(
+                                 columns=["subj", "shard"])
+            assert t.column("shard").to_pylist() == [
+                hash_subj(s, 4) for s in t.column("subj").to_pylist()]
+
+        # crashed-shard redo: only the victim shard is reduced again,
+        # from the staged shuffle partition (stage manifest untouched)
+        victim = os.path.join(out_b, "triples", "shard=1")
+        os.remove(os.path.join(victim, "_MANIFEST.json"))
+        os.remove(os.path.join(out_b, "_MANIFEST.json"))
+        stage_m = read_manifest(os.path.join(out_b, "_shuffle"))
+        m_b2 = write_graph(res, out_b, num_shards=4, disk_shuffle=True)
+        assert m_b2["resumed_shards"] == [0, 2, 3]
+        assert m_b2["n_triples"] == m_a["n_triples"]
+        assert read_manifest(os.path.join(out_b, "_shuffle"))[
+            "completed_at"] == stage_m["completed_at"]
+        assert triples_table(out_b).equals(ta)
 
 
 def test_write_graph_empty_result(ray_session, tmp_path):

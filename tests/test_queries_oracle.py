@@ -12,8 +12,7 @@ import pytest
 
 SF_DIR = "/root/testdata/sf0.001"
 
-TABLES = ("region", "nation", "customer", "supplier", "part", "orders",
-          "lineitem", "events", "documents", "embeddings")
+TABLES = ("events", "documents", "embeddings")
 
 
 def _duck():

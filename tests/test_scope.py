@@ -13,7 +13,8 @@ referenced somewhere in the repo's Python, tests included, so a cut
 cannot leave its helpers behind, and every module-level import of the
 package, the driver, ``bench.py`` and ``scripts/*.py`` is read.  Every
 file these gates parse compiles without a syntax or deprecation
-warning, and no package module calls ``print``."""
+warning, no package module calls ``print``, and no package
+``.repartition`` takes a literal block count."""
 
 import ast
 import glob
@@ -244,4 +245,23 @@ def test_package_has_no_print_calls():
              for node in ast.walk(_parse(path))
              if isinstance(node, ast.Call)
              and isinstance(node.func, ast.Name) and node.func.id == "print"]
+    assert calls == []
+
+
+def test_package_repartitions_have_no_literal_block_count():
+    """A fixed block count goes through ``stages/hashagg.exchange_blocks``
+    as its cap, so the count follows the input's size and the cluster's
+    CPUs: ``ds.repartition(exchange_blocks(ds, 64))``, never
+    ``ds.repartition(64)``."""
+    calls = [f"{os.path.relpath(path, ROOT)}:{node.lineno}"
+             for path in _py_files(PKG)
+             for node in ast.walk(_parse(path))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "repartition"
+             and any(isinstance(arg, ast.Constant)
+                     and isinstance(arg.value, int)
+                     for arg in [*node.args[:1],
+                                 *(k.value for k in node.keywords
+                                   if k.arg == "num_blocks")])]
     assert calls == []
