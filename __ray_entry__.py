@@ -990,71 +990,6 @@ def q_neural_embeddings(sf_dir: str):
         batch_format="pyarrow")
 
 
-def q_multimodal_features(sf_dir: str):
-    """Actor-pool fake-codec decode (``DeterministicFakeDecoder``):
-    features = BLAKE2b(payload) bytes / 255 as f32, width/height from the
-    digest tail.  The DIGESTS are staged (the ``simhash_signatures``
-    blake2b-vocab device — SQL can't hash, but every derived number is
-    re-computed in DuckDB: the /255 f32 cast and the 16 + d % 240 dims).
-    Driver-facing transform: the f32 feature list is exploded to
-    (dim, value) rows (list cells hash engine-dependently)."""
-    import hashlib
-    from graphrag_rs_ray.stages.multimodal import decode_features, media_from_documents
-
-    def digests(t: pa.Table) -> pa.Table:
-        ds = [list(hashlib.blake2b(p or b"", digest_size=18).digest())
-              for p in t.column("payload").to_pylist()]
-        return pa.table({"media_id": t.column("media_id"),
-                         "media_type": t.column("media_type"),
-                         "n_bytes": pa.array(
-                             [len(p or b"") for p in t.column("payload").to_pylist()],
-                             pa.int64()),
-                         "digest": pa.array(ds, pa.list_(pa.int64()))})
-
-    _stage(media_from_documents(sf_dir).map_batches(
-        digests, batch_format="pyarrow"), "multimodal_features", sf_dir)
-
-    feats = decode_features(media_from_documents(sf_dir))
-
-    def explode(t: pa.Table) -> pa.Table:
-        ids, types, nb, w, h, dim, val = [], [], [], [], [], [], []
-        for i in range(t.num_rows):
-            f = t.column("feature")[i].as_py()
-            for d, v in enumerate(f):
-                ids.append(t.column("media_id")[i].as_py())
-                types.append(t.column("media_type")[i].as_py())
-                nb.append(t.column("n_bytes")[i].as_py())
-                w.append(t.column("width")[i].as_py())
-                h.append(t.column("height")[i].as_py())
-                dim.append(d)
-                val.append(v)
-        return pa.table({"media_id": pa.array(ids, pa.string()),
-                         "media_type": pa.array(types, pa.string()),
-                         "n_bytes": pa.array(nb, pa.int64()),
-                         "width": pa.array(w, pa.int32()),
-                         "height": pa.array(h, pa.int32()),
-                         "dim": pa.array(dim, pa.int64()),
-                         "value": pa.array(val, pa.float32())})
-
-    return feats.map_batches(explode, batch_format="pyarrow")
-
-
-def q_frame_samples(sf_dir: str):
-    """Video frame sampling STRUCTURE (media_id, frame_idx, t_offset_s):
-    the media rows are staged, and DuckDB re-derives the per-video frame
-    explosion arithmetically (duration = n_bytes // 1000 + 1, evenly
-    spaced timestamps).  The frame payload bytes stay out of the oracle
-    (blake2b fake behind the codec boundary)."""
-    from graphrag_rs_ray.stages.multimodal import media_from_documents, sample_frames
-    media = _stage(media_from_documents(sf_dir).map_batches(
-        lambda t: t.select(["media_id", "media_type", "n_bytes"]),
-        batch_format="pyarrow"), "frame_samples", sf_dir)
-    full = media_from_documents(sf_dir)
-    return sample_frames(full).map_batches(
-        lambda t: t.select(["media_id", "frame_idx", "t_offset_s"]),
-        batch_format="pyarrow")
-
-
 def q_concept_mentions(sf_dir: str):
     """Concept extraction per chunk (``lightrag/concept_graph.rs:
     119-264``): capitalized + general noun-phrase regexes, top-20
@@ -1157,56 +1092,6 @@ def q_simhash_dup_pairs(sf_dir: str):
     sigs = _stage(td.simhash_signatures(sf_dir), "simhash_dup_pairs",
                   sf_dir)
     return td.simhash_dup_pairs(sf_dir, sigs_ds=sigs)
-
-
-_BPE_CACHE: dict[tuple, tuple] = {}
-
-
-def _bpe_learned(sf_dir: str, n_merges: int = 20, max_types: int = 300):
-    """Driver-side learned merges, cached per process (the three BPE
-    queries and bench share one learning pass — at scale the merge table
-    is learned once and persisted, like the KG checkpoints)."""
-    key = (sf_dir, n_merges, max_types)
-    if key not in _BPE_CACHE:
-        mdf = td.bpe_merges(sf_dir, n_merges=n_merges, max_types=max_types)
-        _BPE_CACHE[key] = (mdf, list(zip(mdf["lhs"], mdf["rhs"])))
-    return _BPE_CACHE[key]
-
-
-def q_bpe_merges(sf_dir: str):
-    """Learned BPE merge table (rnk, lhs, rhs).  Oracle: the whole
-    Sennrich+ 2016 learning loop as generated SQL (one weighted-argmax +
-    window merge pass per rank) straight from ``documents`` — zero
-    staging."""
-    return _bpe_learned(sf_dir)[0]
-
-
-def q_bpe_segments(sf_dir: str):
-    """Per-distinct-word BPE segmentation under the learned merges."""
-    return td.bpe_segments(sf_dir, merges=_bpe_learned(sf_dir)[1])
-
-
-def q_bpe_token_stats(sf_dir: str):
-    """Per-document BPE piece counts (stateless map, per-worker memo)."""
-    return td.bpe_token_stats(sf_dir, merges=_bpe_learned(sf_dir)[1])
-
-
-def q_semdedup(sf_dir: str):
-    """SemDeDup (Abbas+ 2023): k-means-blocked semantic near-dedup.
-    The (vec_id, cluster, csim) ASSIGNMENT is staged (the ``ivf_topk``
-    device): the argmax and the keep-ordering csim are float-op-order
-    surfaces (numpy normalize-then-matmul vs DuckDB
-    list_cosine_similarity — a near-threshold ulp flips verdicts), so
-    DuckDB consumes Python's own assignment and independently
-    re-derives the within-cluster cosine pair graph, reachability
-    closure, min-member group label and the keep-least-central rule."""
-    _, _, cent, _ = td.ivf_index(sf_dir, n_queries=1, n_centroids=8,
-                                 nprobe=1)
-    asg = td.semdedup_assignments(sf_dir, cent).map_batches(
-        lambda t: t.select(["vec_id", "cluster", "csim"]),
-        batch_format="pyarrow")
-    _stage(asg, "semdedup", sf_dir)
-    return td.semdedup(sf_dir, cent=cent)
 
 
 def q_corpus_curation(sf_dir: str):
@@ -2361,52 +2246,15 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # winnowing fingerprints: zero-staging oracle (full SQL re-derive)
         "winnow_fingerprints": td.winnow_fingerprints,
         "winnow_dup_pairs": td.winnow_dup_pairs,
-        # CCNet-style bigram-LM quality scoring: zero-staging oracle
-        "lm_perplexity": td.lm_perplexity,
-        "perplexity_buckets": td.perplexity_buckets,
-        # Gopher quality-filter rules: all-integer, zero-staging oracle
-        "gopher_quality": td.gopher_quality,
-        "gopher_repetition": td.gopher_repetition,
-        # eval-set decontamination: broadcast-small-side shingle overlap
-        "decontaminate": td.decontaminate,
-        # reproducible per-domain token-budget sampling (mixing step)
-        "domain_mixture": td.domain_mixture,
         # duplicate-span profiling over shared winnow fingerprints
         "dup_span_profile": td.dup_span_profile,
-        # one-row corpus composition report over the Gopher gates
-        "curation_report": td.curation_report,
-        # duplicate-span removal transform (keep-first-occurrence)
-        "remove_dup_spans": td.remove_dup_spans,
-        # DSIR importance scoring vs a deterministic target split
-        "dsir_scores": td.dsir_scores,
-        # GPT-style sequence-packing manifest (distributed prefix scan)
-        "sequence_pack": td.sequence_pack,
-        # deterministic hash-based train/val/test split
-        "corpus_split": td.corpus_split,
         # C4 line-level cleaning (Raffel+ 2020 §2.2)
         "c4_clean": td.c4_clean,
         # PII redaction (typed placeholders, pinned pass order)
         "pii_redact": td.pii_redact,
-        # corpus-wide exact line dedup (CCNet/RefinedWeb line correction)
-        "line_dedup": td.line_dedup,
-        # corpus vocabulary builder (BPE counting pass, global top-k)
-        "vocab_topk": td.vocab_topk,
-        # BPE subword tokenizer (Sennrich+ 2016): learned merges,
-        # per-distinct-word segmentation, per-doc piece counts — the
-        # ENTIRE learning loop re-derived in generated SQL, zero staging
-        "bpe_merges": q_bpe_merges,
-        "bpe_segments": q_bpe_segments,
-        "bpe_token_stats": q_bpe_token_stats,
-        # SemDeDup (Abbas+ 2023): k-means-blocked embedding near-dedup
-        "semdedup": q_semdedup,
-        # model-based quality filter (hashing-trick linear scorer;
-        # deterministic stand-in weights, zero-staging oracle)
-        "quality_classifier": td.quality_classifier,
         # deterministic training-order shuffle + shard manifest
         # (distributed order statistic over md5 hash order)
         "shuffle_shards": td.shuffle_shards,
-        # temperature-scaled domain sampling weights (mT5/DoReMi mix)
-        "mixture_weights": td.mixture_weights,
         # Common-Crawl link graph: <a href> extraction → edges →
         # host rollup → host PageRank (all oracle-replayed)
         "web_link_graph": q_web_link_graph,
@@ -2435,13 +2283,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "concept_edges": q_concept_edges,
         "enriched_chunks": q_enriched_chunks,
         "semantic_chunks": q_semantic_chunks,
-        # derived graph tables / similarity edges / multimodal plumbing
+        # derived graph tables / similarity edges
         "entity_to_chunks": q_entity_to_chunks,
         "chunk_to_entities": q_chunk_to_entities,
         "co_occurring_entities": q_co_occurring_entities,
         "semantic_edges": q_semantic_edges,
-        "multimodal_features": q_multimodal_features,
-        "frame_samples": q_frame_samples,
         "pagerank": q_pagerank,
         # graph ops over staged triples (oracle-checked)
         "k_hop": q_k_hop,
@@ -3171,163 +3017,8 @@ def _winnow_cte(k: int = 12, w: int = 5, base: int = 257) -> str:
         winnow_fps AS (SELECT DISTINCT doc_id, pos, fp FROM wsel)"""
 
 
-_LM_PPL_CTE = r"""
-    toks0 AS (
-      SELECT doc_id, lang, list_filter(list_transform(
-               regexp_split_to_array(trim(text), '\s+'),
-               x -> regexp_replace(lower(x), '[^\p{L}\p{N}]', '', 'g')),
-               x -> length(x) > 0) AS l
-      FROM documents WHERE length(trim(text)) > 0),
-    seq AS (
-      SELECT doc_id, lang, l, unnest(range(1, len(l) + 1)) AS pos
-      FROM toks0 WHERE len(l) > 0),
-    bg AS (
-      SELECT doc_id, lang,
-             CASE WHEN pos = 1 THEN '<s>' ELSE l[pos - 1] END AS prev,
-             l[pos] AS cur
-      FROM seq),
-    big AS (SELECT prev, cur, count(*)::BIGINT AS cb FROM bg GROUP BY prev, cur),
-    ctx AS (SELECT prev, sum(cb)::BIGINT AS cctx FROM big GROUP BY prev),
-    voc AS (SELECT count(DISTINCT cur)::BIGINT AS v FROM bg),
-    lp AS (
-      SELECT bg.doc_id, bg.lang,
-             floor(ln((big.cb + 1)::DOUBLE / (ctx.cctx + voc.v)) * 1e6)::BIGINT AS lpq
-      FROM bg JOIN big USING (prev, cur) JOIN ctx USING (prev) CROSS JOIN voc),
-    fin AS (
-      SELECT doc_id, lang, count(*)::BIGINT AS n_tokens,
-             (-sum(lpq))::BIGINT AS nll_micro,
-             ((-sum(lpq)) * 1000 // count(*))::BIGINT AS avg_nll_nano
-      FROM lp GROUP BY doc_id, lang)"""
-
-
-_GOPHER_SQL = r"""
-    WITH w AS (
-      SELECT doc_id, text,
-             list_filter(regexp_split_to_array(trim(text), '\s+'),
-                         x -> length(x) > 0) AS words,
-             regexp_split_to_array(text, '\n') AS lines
-      FROM documents),
-    toks AS (
-      SELECT doc_id,
-             regexp_replace(lower(unnest(regexp_split_to_array(trim(text), '\s+'))),
-                            '[^\p{L}\p{N}]', '', 'g') AS term
-      FROM documents WHERE length(trim(text)) > 0),
-    stops AS (
-      SELECT doc_id, count(DISTINCT term)::BIGINT AS n_stop
-      FROM toks
-      WHERE term IN ('the','be','to','of','and','that','have','with')
-      GROUP BY doc_id),
-    base AS (
-      SELECT w.doc_id,
-             len(words)::BIGINT AS n_words,
-             coalesce(list_sum(list_transform(words, x -> length(x))), 0)::BIGINT
-               AS total_word_chars,
-             len(list_filter(words, x -> regexp_matches(x, '\p{L}')))::BIGINT
-               AS n_alpha_words,
-             ((length(text) - length(replace(text, '#', ''))) +
-              (length(text) - length(replace(text, '...', ''))) // 3)::BIGINT
-               AS n_sym,
-             len(lines)::BIGINT AS n_lines,
-             len(list_filter(lines, x -> regexp_matches(x, '^[-*•]')))::BIGINT
-               AS n_bullet_lines,
-             len(list_filter(lines, x -> regexp_matches(x, '(\.\.\.|…)$')))::BIGINT
-               AS n_ellipsis_lines,
-             coalesce(s.n_stop, 0)::BIGINT AS n_stop_distinct
-      FROM w LEFT JOIN stops s ON s.doc_id = w.doc_id)
-    SELECT doc_id, n_words, total_word_chars, n_alpha_words, n_sym, n_lines,
-           n_bullet_lines, n_ellipsis_lines, n_stop_distinct,
-           (n_words BETWEEN {min_words} AND {max_words}
-            AND 3 * n_words <= total_word_chars
-            AND total_word_chars <= 10 * n_words
-            AND 10 * n_sym < n_words
-            AND 10 * n_bullet_lines < 9 * n_lines
-            AND 10 * n_ellipsis_lines < 3 * n_lines
-            AND 10 * n_alpha_words >= 8 * n_words
-            AND n_stop_distinct >= 2) AS keep
-    FROM base"""
-
-
-def _gopher_repetition_sql() -> str:
-    """Generated oracle for ``gopher_repetition``: the 22 integer counters
-    re-derived in SQL (dup-beyond-first semantics, non-empty lines/paras,
-    gram char length = length(gram) − (n−1) separators = sum of word
-    lengths, top-gram tie rule mc·max_len), keep = the cross-multiplied
-    Gopher thresholds — generated from the SAME rule table the Python
-    kernel evaluates (`textstats._REP_RULES`), parity by construction."""
-    from graphrag_rs_ray.functions.textstats import _REP_RULES
-    ctes = [r"""docs AS (SELECT doc_id, text FROM documents),
-    w AS (SELECT doc_id, list_filter(regexp_split_to_array(trim(text), '\s+'),
-                                     x -> length(x) > 0) AS l FROM docs)"""]
-    for tag, sep in (("l", r"\n"), ("p", r"\n\n")):
-        ctes.append(f"""
-    {tag}items AS (
-      SELECT doc_id, unnest(list_filter(regexp_split_to_array(text, '{sep}'),
-                                        x -> x <> '')) AS it
-      FROM docs),
-    {tag}grp AS (SELECT doc_id, it, count(*) AS c, length(it) AS le
-                 FROM {tag}items GROUP BY doc_id, it),
-    {tag}stat AS (
-      SELECT doc_id, sum(c)::BIGINT AS n_items,
-             sum(c * le)::BIGINT AS item_chars,
-             sum(CASE WHEN c > 1 THEN c - 1 ELSE 0 END)::BIGINT AS dup_items,
-             sum(CASE WHEN c > 1 THEN (c - 1) * le ELSE 0 END)::BIGINT
-               AS dup_item_chars
-      FROM {tag}grp GROUP BY doc_id)""")
-    for n in range(2, 11):
-        if n <= 4:
-            final = f"""
-    gm{n} AS (SELECT doc_id, max(c) AS mc FROM gc{n} GROUP BY doc_id),
-    gs{n} AS (SELECT gc.doc_id, (gm.mc * max(gc.le))::BIGINT AS v
-              FROM gc{n} gc JOIN gm{n} gm
-                ON gm.doc_id = gc.doc_id AND gc.c = gm.mc
-              GROUP BY gc.doc_id, gm.mc)"""
-        else:
-            final = f"""
-    gs{n} AS (SELECT doc_id,
-                     sum(CASE WHEN c > 1 THEN (c - 1) * le ELSE 0 END)::BIGINT AS v
-              FROM gc{n} GROUP BY doc_id)"""
-        ctes.append(f"""
-    g{n} AS (
-      SELECT doc_id, array_to_string(l[i:i + {n - 1}], ' ') AS gram
-      FROM (SELECT doc_id, l, unnest(range(1, len(l) - {n} + 2)) AS i
-            FROM w WHERE len(l) >= {n})),
-    gc{n} AS (SELECT doc_id, gram, count(*) AS c,
-                     (length(gram) - {n - 1})::BIGINT AS le
-              FROM g{n} GROUP BY doc_id, gram),{final}""")
-    stat_cols = {
-        "n_lines": "lstat.n_items", "dup_lines": "lstat.dup_items",
-        "line_chars": "lstat.item_chars",
-        "dup_line_chars": "lstat.dup_item_chars",
-        "n_paras": "pstat.n_items", "dup_paras": "pstat.dup_items",
-        "para_chars": "pstat.item_chars",
-        "dup_para_chars": "pstat.dup_item_chars",
-        "word_chars":
-            "(SELECT coalesce(list_sum(list_transform(w.l, x -> length(x))), 0)"
-            " FROM w WHERE w.doc_id = docs.doc_id)",
-    }
-    for n in range(2, 11):
-        key = f"top{n}_chars" if n <= 4 else f"dup{n}_chars"
-        stat_cols[key] = f"gs{n}.v"
-    sels = [f"coalesce({src}, 0)::BIGINT AS {name}"
-            for name, src in stat_cols.items()]
-    keep = " AND ".join(
-        f"({name} * {den} <= {num} * {denom})"
-        for name, denom, num, den in _REP_RULES)
-    joins = "\n      ".join(
-        f"LEFT JOIN {t} ON {t}.doc_id = docs.doc_id"
-        for t in ["lstat", "pstat"] + [f"gs{n}" for n in range(2, 11)])
-    return (f"WITH {','.join(ctes)},\n"
-            f"    base AS (SELECT docs.doc_id, {', '.join(sels)}\n"
-            f"      FROM docs\n      {joins})\n"
-            f"    SELECT *, ({keep}) AS keep FROM base")
-
-
 def oracle_sql() -> dict[str, str]:
     d = _oracle_sql_base()
-    d["bpe_merges"] = _bpe_merges_sql()
-    d["bpe_segments"] = _bpe_segments_sql()
-    d["bpe_token_stats"] = _bpe_token_stats_sql()
-    d["quality_classifier"] = _quality_classifier_sql()
     d["shuffle_shards"] = r"""
         WITH r AS (SELECT doc_id, md5('shuf:' || doc_id::VARCHAR) AS h
                    FROM documents),
@@ -3441,129 +3132,8 @@ def oracle_sql() -> dict[str, str]:
         SELECT agg.dst_url, agg.n_inlinks, agg.n_distinct_anchors,
                top.top_anchor
         FROM agg JOIN top ON top.dst_url = agg.dst_url AND top.rn = 1""")
-    d["mixture_weights"] = r"""
-        WITH s AS (
-          SELECT source, count(*)::BIGINT AS n_docs,
-                 sum(len(list_filter(
-                   regexp_split_to_array(trim(text), '\s+'),
-                   x -> length(x) > 0)))::BIGINT AS n_toks
-          FROM documents GROUP BY source),
-        w AS (SELECT source, n_docs, n_toks,
-                     floor(1e6 * pow(n_toks, 0.3))::BIGINT AS wq
-              FROM s)
-        SELECT source, n_docs, n_toks, wq,
-               (wq * 1000000 // (SELECT sum(wq) FROM w))::BIGINT
-                 AS share_micro
-        FROM w"""
-    d["semdedup"] = """
-        WITH RECURSIVE asg AS (
-          SELECT vec_id, cluster, csim FROM __ASG__),
-        emb AS (
-          SELECT vec_id, list_transform(embedding, x -> x::DOUBLE) AS v
-          FROM embeddings),
-        ae AS (SELECT a.vec_id, a.cluster, a.csim, e.v
-               FROM asg a JOIN emb e USING (vec_id)),
-        pr AS (
-          SELECT a.vec_id AS src, b.vec_id AS dst
-          FROM ae a JOIN ae b
-            ON a.cluster = b.cluster AND a.vec_id <> b.vec_id
-          WHERE list_cosine_similarity(a.v, b.v) >= 0.35),
-        reach AS (
-          SELECT vec_id AS v, vec_id AS lbl FROM asg
-          UNION
-          SELECT p.dst AS v, r.lbl FROM reach r JOIN pr p ON p.src = r.v),
-        grp AS (SELECT v AS vec_id, min(lbl)::BIGINT AS grp
-                FROM reach GROUP BY v)
-        SELECT a.vec_id, a.cluster, g.grp,
-               (row_number() OVER (PARTITION BY g.grp
-                                   ORDER BY a.csim, a.vec_id) = 1) AS keep
-        FROM asg a JOIN grp g USING (vec_id)""".replace(
-        "__ASG__", _staged_sql("semdedup"))
-    d["gopher_quality"] = (_GOPHER_SQL.replace("{min_words}", "50")
-                           .replace("{max_words}", "100000"))
-    d["gopher_repetition"] = _gopher_repetition_sql()
-    d["curation_report"] = f"""
-        WITH gq AS ({d["gopher_quality"]}),
-        gr AS ({_gopher_repetition_sql()})
-        SELECT count(*)::BIGINT AS n_docs,
-               sum(CASE WHEN gq.keep THEN 1 ELSE 0 END)::BIGINT
-                 AS n_quality_pass,
-               sum(CASE WHEN gr.keep THEN 1 ELSE 0 END)::BIGINT
-                 AS n_repetition_pass,
-               sum(CASE WHEN gq.keep AND gr.keep THEN 1 ELSE 0 END)::BIGINT
-                 AS n_both_pass,
-               sum(gq.n_words)::BIGINT AS total_words,
-               sum(CASE WHEN gq.keep AND gr.keep THEN gq.n_words
-                        ELSE 0 END)::BIGINT AS kept_words
-        FROM gq JOIN gr ON gr.doc_id = gq.doc_id"""
-    d["domain_mixture"] = r"""
-        WITH base AS (
-          SELECT doc_id, source, md5(doc_id::VARCHAR) AS h,
-                 len(list_filter(regexp_split_to_array(trim(text), '\s+'),
-                                 x -> length(x) > 0))::BIGINT AS n_words
-          FROM documents),
-        w AS (SELECT doc_id, source, n_words,
-                     coalesce(sum(n_words) OVER (
-                       PARTITION BY source ORDER BY h, doc_id
-                       ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING),
-                       0) AS tok_before
-              FROM base)
-        SELECT doc_id, source, n_words, (tok_before < 800) AS selected
-        FROM w"""
-    d["decontaminate"] = r"""
-        WITH toks0 AS (
-          SELECT doc_id, list_filter(list_transform(
-                   regexp_split_to_array(trim(text), '\s+'),
-                   x -> regexp_replace(lower(x), '[^\p{L}\p{N}]', '', 'g')),
-                   x -> length(x) > 0) AS l
-          FROM documents),
-        shd AS (
-          SELECT DISTINCT doc_id, array_to_string(l[i:i + 7], ' ') AS s
-          FROM (SELECT doc_id, l, unnest(range(1, len(l) - 8 + 2)) AS i
-                FROM toks0 WHERE len(l) >= 8)),
-        ev AS (SELECT DISTINCT s FROM shd WHERE doc_id % 100 = 7),
-        ov AS (SELECT shd.doc_id, count(*)::BIGINT AS n_sh,
-                      count(ev.s)::BIGINT AS n_ov
-               FROM shd LEFT JOIN ev ON ev.s = shd.s
-               GROUP BY shd.doc_id)
-        SELECT d.doc_id, (d.doc_id % 100 = 7) AS is_eval,
-               coalesce(ov.n_sh, 0)::BIGINT AS n_shingles,
-               coalesce(ov.n_ov, 0)::BIGINT AS n_overlap,
-               (coalesce(ov.n_ov, 0) >= 1) AS contaminated
-        FROM documents d LEFT JOIN ov ON ov.doc_id = d.doc_id"""
-    d["lm_perplexity"] = ("WITH " + _LM_PPL_CTE + """
-        SELECT doc_id, lang, n_tokens, nll_micro, avg_nll_nano,
-               round(exp(avg_nll_nano / 1e9), 6) AS ppl
-        FROM fin""")
-    d["perplexity_buckets"] = ("WITH " + _LM_PPL_CTE + """,
-        hist AS (SELECT lang, avg_nll_nano AS v, count(*)::BIGINT AS c
-                 FROM fin GROUP BY lang, avg_nll_nano),
-        tot AS (SELECT lang, sum(c)::BIGINT AS n FROM hist GROUP BY lang),
-        cum AS (SELECT lang, v,
-                       sum(c) OVER (PARTITION BY lang ORDER BY v) AS cum
-                FROM hist),
-        t1 AS (SELECT cum.lang, min(v) AS cut1 FROM cum JOIN tot USING (lang)
-               WHERE cum * 3 >= tot.n GROUP BY cum.lang),
-        t2 AS (SELECT cum.lang, min(v) AS cut2 FROM cum JOIN tot USING (lang)
-               WHERE cum * 3 >= 2 * tot.n GROUP BY cum.lang)
-        SELECT f.doc_id, f.lang, f.avg_nll_nano,
-               CASE WHEN f.avg_nll_nano <= t1.cut1 THEN 'head'
-                    WHEN f.avg_nll_nano <= t2.cut2 THEN 'middle'
-                    ELSE 'tail' END AS bucket
-        FROM fin f JOIN t1 USING (lang) JOIN t2 USING (lang)""")
     d["winnow_fingerprints"] = ("WITH " + _winnow_cte() +
                                 "\nSELECT doc_id, pos, fp FROM winnow_fps")
-    d["corpus_split"] = r"""
-        WITH s AS (
-          SELECT doc_id, source,
-                 CAST(('0x' || substr(md5(doc_id::VARCHAR), 1, 4)) AS INT)
-                   ::BIGINT AS slot
-          FROM documents)
-        SELECT doc_id, source, slot,
-               CASE WHEN slot < 655 THEN 'val'
-                    WHEN slot < 1310 THEN 'test'
-                    ELSE 'train' END AS split
-        FROM s"""
     d["c4_clean"] = r"""
         WITH base AS (SELECT doc_id, text,
                              string_split(text, chr(10)) AS l
@@ -3614,133 +3184,6 @@ def oracle_sql() -> dict[str, str]:
                regexp_replace(t2, '{PII_PHONE}', '<PHONE>', 'g') AS redacted
              FROM s2)
         SELECT doc_id, n_email, n_ip, n_phone, redacted FROM s3"""
-    d["line_dedup"] = r"""
-        WITH base AS (SELECT doc_id, string_split(text, chr(10)) AS l
-                      FROM documents),
-        lines AS (SELECT doc_id, i, l[i] AS ln
-                  FROM (SELECT doc_id, l,
-                               unnest(range(1, len(l) + 1)) AS i
-                        FROM base)),
-        tag AS (SELECT doc_id, i, ln,
-                       (length(trim(ln, ' ' || chr(9) || chr(13))) = 0)
-                         AS blank
-                FROM lines),
-        firsts AS (SELECT ln, min(doc_id * 1048576 + i) AS mpk
-                   FROM tag WHERE NOT blank
-                   GROUP BY ln HAVING count(*) > 1),
-        k AS (SELECT t.doc_id, t.i, t.ln,
-                     (t.blank OR f.ln IS NULL
-                      OR f.mpk = t.doc_id * 1048576 + t.i) AS keep
-              FROM tag t
-              LEFT JOIN firsts f ON f.ln = t.ln AND NOT t.blank)
-        SELECT doc_id, count(*)::BIGINT AS n_lines,
-               sum(CASE WHEN keep THEN 0 ELSE 1 END)::BIGINT AS n_dropped,
-               coalesce(string_agg(CASE WHEN keep THEN ln END,
-                                   chr(10) ORDER BY i), '') AS cleaned
-        FROM k GROUP BY doc_id"""
-    d["vocab_topk"] = r"""
-        WITH toks0 AS (
-          SELECT doc_id, list_filter(list_transform(
-                   regexp_split_to_array(trim(text), '\s+'),
-                   x -> regexp_replace(lower(x), '[^\p{L}\p{N}]', '', 'g')),
-                   x -> length(x) > 0) AS l
-          FROM documents),
-        tok AS (SELECT unnest(l) AS token FROM toks0),
-        cnt AS (SELECT token, count(*)::BIGINT AS n FROM tok GROUP BY token),
-        r AS (SELECT token, n,
-                     row_number() OVER (ORDER BY n DESC, token)::BIGINT
-                       AS rnk
-              FROM cnt)
-        SELECT token, n, rnk FROM r WHERE rnk <= 1000"""
-    d["sequence_pack"] = r"""
-        WITH base AS (
-          SELECT doc_id,
-                 len(list_filter(regexp_split_to_array(trim(text), '\s+'),
-                                 x -> length(x) > 0))::BIGINT AS n_tokens
-          FROM documents),
-        w AS (SELECT doc_id, n_tokens,
-                     coalesce(sum(n_tokens) OVER (
-                       ORDER BY doc_id
-                       ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING),
-                       0)::BIGINT AS cum_before
-              FROM base)
-        SELECT doc_id, n_tokens, cum_before,
-               (cum_before // 2048)::BIGINT AS start_seq,
-               (cum_before % 2048)::BIGINT AS start_off,
-               (CASE WHEN n_tokens = 0 THEN cum_before // 2048 - 1
-                     ELSE (cum_before + n_tokens - 1) // 2048
-                END)::BIGINT AS end_seq
-        FROM w"""
-    d["dsir_scores"] = r"""
-        WITH toks0 AS (
-          SELECT doc_id, list_filter(list_transform(
-                   regexp_split_to_array(trim(text), '\s+'),
-                   x -> regexp_replace(lower(x), '[^\p{L}\p{N}]', '', 'g')),
-                   x -> length(x) > 0) AS l
-          FROM documents),
-        bg AS (
-          SELECT doc_id, (doc_id % 50 = 3) AS is_t,
-                 l[pos] AS prev, l[pos + 1] AS cur
-          FROM (SELECT doc_id, l, unnest(range(1, len(l))) AS pos
-                FROM toks0 WHERE len(l) >= 2)),
-        fc AS (SELECT prev, cur, count(*)::BIGINT AS c_raw,
-                      sum(CASE WHEN is_t THEN 1 ELSE 0 END)::BIGINT AS c_t
-               FROM bg GROUP BY prev, cur),
-        tots AS (SELECT count(*)::BIGINT AS n_raw,
-                        sum(CASE WHEN is_t THEN 1 ELSE 0 END)::BIGINT AS n_t
-                 FROM bg),
-        voc AS (SELECT count(*)::BIGINT AS v FROM fc),
-        lr AS (SELECT bg.doc_id, bg.is_t,
-                      (floor(ln((fc.c_t + 1)::DOUBLE / (tots.n_t + voc.v)) * 1e6)
-                       - floor(ln((fc.c_raw + 1)::DOUBLE / (tots.n_raw + voc.v)) * 1e6))::BIGINT
-                        AS lrq
-               FROM bg JOIN fc USING (prev, cur)
-               CROSS JOIN tots CROSS JOIN voc),
-        agg AS (SELECT doc_id, bool_or(is_t) AS is_target,
-                       count(*)::BIGINT AS n_feats,
-                       sum(lrq)::BIGINT AS ratio_micro
-                FROM lr GROUP BY doc_id),
-        fin AS (SELECT doc_id, is_target, n_feats, ratio_micro,
-                       (CASE WHEN ratio_micro >= 0
-                             THEN (ratio_micro * 1000) // n_feats
-                             ELSE -(((-ratio_micro) * 1000 + n_feats - 1)
-                                    // n_feats)
-                        END)::BIGINT AS avg_ratio_nano
-                FROM agg)
-        SELECT doc_id, is_target, n_feats, ratio_micro, avg_ratio_nano,
-               (avg_ratio_nano > 0) AS selected
-        FROM fin"""
-    d["remove_dup_spans"] = ("WITH " + _winnow_cte(k=40, w=10) + """,
-        fpm AS (SELECT fp, min(doc_id) AS mdoc FROM winnow_fps GROUP BY fp),
-        cuts AS (SELECT DISTINCT w.doc_id, w.pos
-                 FROM winnow_fps w JOIN fpm USING (fp)
-                 WHERE w.doc_id > fpm.mdoc),
-        brks AS (SELECT doc_id, pos,
-                        CASE WHEN lag(pos) OVER (PARTITION BY doc_id ORDER BY pos) IS NULL
-                             OR pos - lag(pos) OVER (PARTITION BY doc_id ORDER BY pos) > 40
-                             THEN 1 ELSE 0 END AS brk
-                 FROM cuts),
-        isl AS (SELECT doc_id, pos,
-                       sum(brk) OVER (PARTITION BY doc_id ORDER BY pos) AS iid
-                FROM brks),
-        spans AS (SELECT doc_id, iid, min(pos) AS ist, max(pos) + 40 AS ien
-                  FROM isl GROUP BY doc_id, iid),
-        segs AS (SELECT doc_id, ist, ien,
-                        coalesce(lag(ien) OVER (PARTITION BY doc_id ORDER BY ist),
-                                 0) AS seg0
-                 FROM spans),
-        spliced AS (SELECT sg.doc_id,
-                           string_agg(substr(n.s, (sg.seg0 + 1)::INT,
-                                             (sg.ist - sg.seg0)::INT),
-                                      '' ORDER BY sg.ist)
-                             || substr(n.s, (max(sg.ien) + 1)::INT) AS cleaned,
-                           sum(sg.ien - sg.ist)::BIGINT AS removed
-                    FROM segs sg JOIN norm n ON n.doc_id = sg.doc_id
-                    GROUP BY sg.doc_id, n.s)
-        SELECT n.doc_id, length(n.s)::BIGINT AS norm_len,
-               coalesce(sp.removed, 0)::BIGINT AS removed_chars,
-               coalesce(sp.cleaned, n.s) AS cleaned_norm
-        FROM norm n LEFT JOIN spliced sp ON sp.doc_id = n.doc_id""")
     d["dup_span_profile"] = ("WITH " + _winnow_cte(k=40, w=10) + """,
         wdfp AS (SELECT DISTINCT doc_id, fp FROM winnow_fps),
         wshared AS (SELECT fp FROM wdfp GROUP BY fp HAVING count(*) > 1),
@@ -5156,108 +4599,6 @@ def _pagerank_sql(n_iter: int, damping: float, round_digits: int,
     return "\n".join(parts)
 
 
-_BPE_TOK_SQL = r"""
-toks0 AS MATERIALIZED (
-  SELECT doc_id, list_filter(list_transform(
-           regexp_split_to_array(trim(text), '\s+'),
-           x -> regexp_replace(lower(x), '[^\p{L}\p{N}]', '', 'g')),
-           x -> length(x) > 0) AS l
-  FROM documents),
-tok AS (SELECT unnest(l) AS word FROM toks0),
-wt AS MATERIALIZED (SELECT word, count(*)::BIGINT AS n
-                    FROM tok GROUP BY word),
-wf AS (SELECT word, n FROM wt ORDER BY n DESC, word LIMIT __K__),
-seg0 AS MATERIALIZED (SELECT word, n,
-         list_transform(range(1, length(word)+1), i -> word[i])
-           || ['</w>'] AS syms FROM wf)"""
-
-
-def _bpe_pass_sql(tag: str, src: str, pair: str) -> str:
-    """One L2R merge-all window pass (``functions/bpe.merge_pass``):
-    match flags → run-parity keep (overlaps only arise when lhs == rhs)
-    → splice via the lagged-keep skip.  Complete for a single pair: the
-    merged symbol can never start or finish another occurrence."""
-    body = r"""
-e__T__ AS (SELECT word, n, u.p AS p, syms[u.p] AS sym, syms[u.p+1] AS nxt
-         FROM __SRC__, unnest(range(1, len(syms)+1)) AS u(p)),
-q__T__ AS (SELECT *, coalesce(sym = (SELECT lhs FROM __M__)
-                   AND nxt = (SELECT rhs FROM __M__), false) AS mt
-         FROM e__T__),
-rr__T__ AS (SELECT *, CASE WHEN mt THEN p - row_number() OVER
-            (PARTITION BY word, mt ORDER BY p) END AS rid FROM q__T__),
-k__T__ AS (SELECT *, CASE WHEN mt THEN (p - min(p) OVER
-            (PARTITION BY word, rid)) % 2 = 0 ELSE false END AS keep
-         FROM rr__T__),
-g__T__ AS (SELECT *, coalesce(lag(keep) OVER
-            (PARTITION BY word ORDER BY p), false) AS pk FROM k__T__),
-seg__T__ AS MATERIALIZED (SELECT word, n,
-             list(CASE WHEN keep THEN sym || nxt ELSE sym END
-                  ORDER BY p) AS syms
-           FROM g__T__ WHERE NOT pk GROUP BY word, n)"""
-    return (body.replace("__T__", tag).replace("__SRC__", src)
-            .replace("__M__", pair).strip())
-
-
-def _bpe_prefix_sql(n_merges: int, max_types: int, with_apply: bool) -> str:
-    """The WHOLE BPE learning loop (Sennrich+ 2016) as generated SQL —
-    zero staging: per rank, weighted pair counts over the previous
-    segmentation → argmax (count DESC, pair ASC; binary UTF-8 order ==
-    code-point order) → one window merge pass.  ``with_apply`` appends
-    the apply chain re-tokenizing EVERY distinct corpus word with the
-    learned merges in rank order (``functions/bpe.apply_bpe``)."""
-    parts = ["WITH " + _BPE_TOK_SQL.replace("__K__", str(max_types)).strip()]
-    for r in range(1, n_merges + 1):
-        src = "seg" + str(r - 1)
-        parts.append((r"""
-pc__R__ AS (SELECT syms[u.p] AS lhs, syms[u.p+1] AS rhs,
-            sum(n)::BIGINT AS c
-          FROM __SRC__, unnest(range(1, len(syms))) AS u(p)
-          GROUP BY 1, 2),
-m__R__ AS MATERIALIZED (SELECT lhs, rhs FROM pc__R__
-          ORDER BY c DESC, lhs, rhs LIMIT 1)"""
-                      ).replace("__R__", str(r)).replace("__SRC__", src)
-                     .strip())
-        parts.append(_bpe_pass_sql(str(r), src, "m" + str(r)))
-    if with_apply:
-        parts.append(r"""
-sega0 AS MATERIALIZED (SELECT word, 0::BIGINT AS n,
-         list_transform(range(1, length(word)+1), i -> word[i])
-           || ['</w>'] AS syms FROM wt)""".strip())
-        for r in range(1, n_merges + 1):
-            parts.append(_bpe_pass_sql(
-                "a" + str(r), "sega" + str(r - 1), "m" + str(r)))
-    return ",\n".join(parts)
-
-
-def _bpe_merges_sql(n_merges: int = 20, max_types: int = 300) -> str:
-    union = "\nUNION ALL\n".join(
-        "SELECT {r}::BIGINT AS rnk, lhs, rhs FROM m{r}".replace(
-            "{r}", str(r))
-        for r in range(1, n_merges + 1))
-    return (_bpe_prefix_sql(n_merges, max_types, with_apply=False)
-            + "\n" + union)
-
-
-def _bpe_segments_sql(n_merges: int = 20, max_types: int = 300) -> str:
-    return (_bpe_prefix_sql(n_merges, max_types, with_apply=True)
-            + "\nSELECT word, array_to_string(syms, ' ') AS pieces,"
-            + "\n       len(syms)::BIGINT AS n_pieces FROM sega"
-            + str(n_merges))
-
-
-def _bpe_token_stats_sql(n_merges: int = 20, max_types: int = 300) -> str:
-    return (_bpe_prefix_sql(n_merges, max_types, with_apply=True) + r""",
-dt AS (SELECT doc_id, unnest(l) AS word FROM toks0),
-wcn AS (SELECT doc_id, word, count(*)::BIGINT AS c FROM dt GROUP BY 1, 2),
-sp AS (SELECT word, len(syms)::BIGINT AS np FROM sega""" + str(n_merges)
-            + r"""),
-j AS (SELECT wcn.doc_id, sum(wcn.c) AS nw, sum(wcn.c * sp.np) AS npc
-      FROM wcn JOIN sp USING (word) GROUP BY 1)
-SELECT d.doc_id, coalesce(j.nw, 0)::BIGINT AS n_words,
-       coalesce(j.npc, 0)::BIGINT AS n_pieces
-FROM documents d LEFT JOIN j ON j.doc_id = d.doc_id""")
-
-
 def _html_pages_str(sf_dir: str, query: str, links: int = 3):
     """Linked synthetic pages with html decoded to string (pre-extracted
     pages dropped — links live in markup only), staged for a query + its
@@ -5400,45 +4741,6 @@ _LINK_EDGE_SQL_BODY = r"""
 
 def _link_edges_sql(query: str) -> str:
     return _LINK_EDGE_SQL_BODY.replace("__PAGES__", _staged_sql(query))
-
-
-def _hex2int_sql(expr: str, n_chars: int) -> str:
-    """SQL expression: integer value of the first ``n_chars`` hex digits
-    of ``expr`` (== Python ``int(expr[:n], 16)``) — strpos-chain, no
-    engine-specific hex cast."""
-    terms = [
-        "(strpos('0123456789abcdef', substr(" + expr + ", "
-        + str(i + 1) + ", 1)) - 1) * " + str(16 ** (n_chars - 1 - i))
-        for i in range(n_chars)]
-    return "(" + " + ".join(terms) + ")"
-
-
-def _quality_classifier_sql() -> str:
-    """The hashing-trick linear scorer re-derived entirely from
-    ``documents``: bucket = md5(token)[:4], weight = md5('w'+bucket)[:8]
-    % 2001 - 1000 — all integer micro-logits, zero staging."""
-    bucket = _hex2int_sql("md5(token)", 4)
-    weight = _hex2int_sql("md5('w' || bucket::VARCHAR)", 8)
-    return r"""
-        WITH toks0 AS (
-          SELECT doc_id, list_filter(list_transform(
-                   regexp_split_to_array(trim(text), '\s+'),
-                   x -> regexp_replace(lower(x), '[^\p{L}\p{N}]', '', 'g')),
-                   x -> length(x) > 0) AS l
-          FROM documents),
-        ti AS (SELECT doc_id, unnest(l) AS token FROM toks0),
-        dt AS (SELECT DISTINCT token FROM ti),
-        tb AS (SELECT token, __BUCKET__::BIGINT AS bucket FROM dt),
-        tw AS (SELECT token, (__WEIGHT__ % 2001 - 1000)::BIGINT AS w
-               FROM tb),
-        agg AS (SELECT ti.doc_id, count(*)::BIGINT AS n_toks,
-                       sum(tw.w)::BIGINT AS logit_sum
-                FROM ti JOIN tw USING (token) GROUP BY 1)
-        SELECT d.doc_id, coalesce(a.n_toks, 0)::BIGINT AS n_toks,
-               coalesce(a.logit_sum, 0)::BIGINT AS logit_sum,
-               coalesce(a.logit_sum, 0) > 0 AS keep
-        FROM documents d LEFT JOIN agg a ON a.doc_id = d.doc_id""".replace(
-        "__BUCKET__", bucket).replace("__WEIGHT__", weight)
 
 
 def _oracle_sql_base() -> dict[str, str]:
@@ -6021,16 +5323,6 @@ def _oracle_sql_base() -> dict[str, str]:
             LEFT JOIN clos ON clos.node = nd.node
             LEFT JOIN betw ON betw.node = nd.node
         """.replace("{t}", _staged_sql("centrality")),
-        "frame_samples": """
-            WITH v AS (
-              SELECT media_id, n_bytes, (n_bytes // 1000 + 1) AS dur
-              FROM {m} WHERE media_type = 'video'),
-            f AS (SELECT media_id, dur, least(8, dur) AS n FROM v),
-            gs AS (SELECT unnest(range(0, 8)) AS idx)
-            SELECT f.media_id, gs.idx::BIGINT AS frame_idx,
-                   gs.idx * (f.dur * 1.0 / f.n) AS t_offset_s
-            FROM f CROSS JOIN gs WHERE gs.idx < f.n
-        """.replace("{m}", _staged_sql("frame_samples")),
         "triangle_counts": """
             WITH und AS (SELECT DISTINCT least(subj, obj) AS a,
                                          greatest(subj, obj) AS b
@@ -6221,19 +5513,6 @@ def _oracle_sql_base() -> dict[str, str]:
                    text, sentence_count
             FROM chunks
         """.replace("{s}", _staged_sql("semantic_chunks")),
-        "multimodal_features": """
-            WITH m AS (SELECT * FROM {s}),
-            dims AS (
-              SELECT media_id, media_type, n_bytes,
-                     (16 + digest[17] % 240)::INTEGER AS width,
-                     (16 + digest[18] % 240)::INTEGER AS height,
-                     unnest(range(0, 16)) AS dim,
-                     unnest(digest[1:16]) AS b
-              FROM m)
-            SELECT media_id, media_type, n_bytes, width, height, dim,
-                   (b::DOUBLE / 255.0)::FLOAT4 AS value
-            FROM dims
-        """.replace("{s}", _staged_sql("multimodal_features")),
         "kg_extract_text": """
             SELECT url AS doc_id, title,
                    CASE WHEN html_s IS NOT NULL AND length(html_s) > 0

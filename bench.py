@@ -304,40 +304,10 @@ def run_bench() -> dict:
 
     timed("winnow_dup_pairs", winnow_pairs)
 
-    # CCNet-style corpus-trained bigram-LM perplexity + per-lang buckets
-    def ppl_buckets():
-        from graphrag_rs_ray.pipelines import training_data as td
-        return td.perplexity_buckets(sf_dir).count()
-
-    timed("perplexity_buckets", ppl_buckets)
-    timed("gopher_quality", lambda: q["gopher_quality"](sf_dir).count())
-    timed("gopher_repetition",
-          lambda: q["gopher_repetition"](sf_dir).count())
-    timed("decontaminate", lambda: q["decontaminate"](sf_dir).count())
-    timed("domain_mixture", lambda: q["domain_mixture"](sf_dir).count())
     timed("dup_span_profile",
           lambda: q["dup_span_profile"](sf_dir).count())
-    timed("curation_report",
-          lambda: q["curation_report"](sf_dir).num_rows)
-    timed("remove_dup_spans",
-          lambda: q["remove_dup_spans"](sf_dir).count())
-    timed("dsir_scores", lambda: q["dsir_scores"](sf_dir).count())
-    timed("sequence_pack", lambda: q["sequence_pack"](sf_dir).count())
-    timed("corpus_split", lambda: q["corpus_split"](sf_dir).count())
     timed("c4_clean", lambda: q["c4_clean"](sf_dir).count())
     timed("pii_redact", lambda: q["pii_redact"](sf_dir).count())
-    timed("line_dedup", lambda: q["line_dedup"](sf_dir).count())
-    timed("vocab_topk", lambda: len(q["vocab_topk"](sf_dir)))
-    # BPE: learning (counting pass + driver merge loop) timed once;
-    # the per-doc tokenize-apply pass timed separately on the warm merges
-    timed("bpe_merges", lambda: len(q["bpe_merges"](sf_dir)))
-    timed("bpe_token_stats", lambda: q["bpe_token_stats"](sf_dir).count())
-    # SemDeDup un-staged production path (centroid staging is oracle
-    # harness I/O, same precedent as kg_triples)
-    from graphrag_rs_ray.pipelines import training_data as _td
-    timed("semdedup", lambda: _td.semdedup(sf_dir).count())
-    timed("quality_classifier",
-          lambda: q["quality_classifier"](sf_dir).count())
     timed("shuffle_shards", lambda: q["shuffle_shards"](sf_dir).count())
     timed("web_link_graph", lambda: q["web_link_graph"](sf_dir).count())
     timed("host_rank", lambda: q["host_rank"](sf_dir).count())

@@ -93,136 +93,6 @@ def bm25_tokenize(text: str) -> list[str]:
     return out
 
 
-def lm_tokenize(text: str) -> list[str]:
-    """LM tokenizer: whitespace split, lowercase, strip non-alnum per
-    token, keep EVERY non-empty token in sequence (no stopword or length
-    filter — an LM needs the full stream, unlike ``bm25_tokenize``).
-    Normalization is byte-for-byte the bm25 oracle's proven-parity shape
-    (split → lower → strip ``[^\\p{L}\\p{N}]``)."""
-    out = []
-    for tok in text.lower().split():
-        tok = "".join(c for c in tok if c.isalnum())
-        if tok:
-            out.append(tok)
-    return out
-
-
-GOPHER_STOPS = ("the", "be", "to", "of", "and", "that", "have", "with")
-
-
-def gopher_stats(text: str) -> dict:
-    """Gopher quality-filter counts (Rae+ 2021 §A1.1.2, PAPERS.md) as pure
-    INTEGERS so every downstream rule is exact cross-multiplication, never
-    a float ratio: word/char/alpha-word counts, '#'+'...' symbol hits
-    (non-overlapping, str.count ≡ SQL replace-length), bullet-start and
-    ellipsis-end line counts, distinct Gopher-stopword presence (tokens
-    normalized like ``lm_tokenize``)."""
-    words = text.split()
-    lines = text.split("\n")
-    n_words = len(words)
-    total_word_chars = sum(len(w) for w in words)
-    n_alpha_words = sum(1 for w in words if any(c.isalpha() for c in w))
-    n_sym = text.count("#") + text.count("...")
-    n_bullet = sum(1 for ln in lines if ln.startswith(("-", "*", "•")))
-    n_ellipsis = sum(1 for ln in lines if ln.endswith(("...", "…")))
-    stops = set()
-    for tok in text.lower().split():
-        tok = "".join(c for c in tok if c.isalnum())
-        if tok in GOPHER_STOPS:
-            stops.add(tok)
-    return {"n_words": n_words, "total_word_chars": total_word_chars,
-            "n_alpha_words": n_alpha_words, "n_sym": n_sym,
-            "n_lines": len(lines), "n_bullet_lines": n_bullet,
-            "n_ellipsis_lines": n_ellipsis, "n_stop_distinct": len(stops)}
-
-
-def gopher_keep(s: dict, min_words: int = 50, max_words: int = 100_000) -> bool:
-    """The Gopher keep rule over ``gopher_stats`` counts — all integer
-    comparisons: 50≤words≤100k, 3≤mean word len≤10, symbol ratio <0.1,
-    bullet lines <90%, ellipsis lines <30%, ≥80% words alphabetic,
-    ≥2 distinct stopwords."""
-    return (min_words <= s["n_words"] <= max_words
-            and 3 * s["n_words"] <= s["total_word_chars"] <= 10 * s["n_words"]
-            and 10 * s["n_sym"] < s["n_words"]
-            and 10 * s["n_bullet_lines"] < 9 * s["n_lines"]
-            and 10 * s["n_ellipsis_lines"] < 3 * s["n_lines"]
-            and 10 * s["n_alpha_words"] >= 8 * s["n_words"]
-            and s["n_stop_distinct"] >= 2)
-
-
-def gopher_repetition_stats(text: str) -> dict:
-    """Gopher repetition-filter counts (Rae+ 2021 §A1.1.1) as pure
-    integers.  Documented variant choices (each replayed by the oracle):
-    empty lines/paragraphs are excluded from numerators AND denominators;
-    duplicate chars count occurrences BEYOND the first; n-gram char
-    length = sum of word lengths (no separators) with ``word_chars`` as
-    every n-gram rule's denominator; top-n-gram tie rule = among the
-    most-frequent n-grams take the max char length (→ ``mc * max_len``);
-    duplicated-n-gram chars are overlap-unaware (sum over duplicate
-    instances, can exceed the denominator)."""
-    from collections import Counter
-
-    lines = [ln for ln in text.split("\n") if ln != ""]
-    paras = [p for p in text.split("\n\n") if p != ""]
-    words = text.split()
-
-    def dup_counts(items):
-        c = Counter(items)
-        n_dup = sum(k - 1 for k in c.values() if k > 1)
-        dup_chars = sum(len(v) * (k - 1) for v, k in c.items() if k > 1)
-        return n_dup, dup_chars, sum(len(v) for v in items)
-
-    dup_lines, dup_line_chars, line_chars = dup_counts(lines)
-    dup_paras, dup_para_chars, para_chars = dup_counts(paras)
-    word_chars = sum(len(w) for w in words)
-
-    out = {"n_lines": len(lines), "dup_lines": dup_lines,
-           "line_chars": line_chars, "dup_line_chars": dup_line_chars,
-           "n_paras": len(paras), "dup_paras": dup_paras,
-           "para_chars": para_chars, "dup_para_chars": dup_para_chars,
-           "word_chars": word_chars}
-    lens = [len(w) for w in words]
-    for n in range(2, 11):
-        grams = Counter()
-        glen = {}
-        for i in range(len(words) - n + 1):
-            g = " ".join(words[i:i + n])
-            grams[g] += 1
-            if g not in glen:
-                glen[g] = sum(lens[i:i + n])
-        if n <= 4:
-            if grams:
-                mc = max(grams.values())
-                out[f"top{n}_chars"] = mc * max(
-                    glen[g] for g, k in grams.items() if k == mc)
-            else:
-                out[f"top{n}_chars"] = 0
-        else:
-            out[f"dup{n}_chars"] = sum(
-                glen[g] * (k - 1) for g, k in grams.items() if k > 1)
-    return out
-
-
-# thresholds from the Gopher paper, as exact (num, den) rationals
-_REP_RULES = (
-    ("dup_lines", "n_lines", 3, 10), ("dup_line_chars", "line_chars", 1, 5),
-    ("dup_paras", "n_paras", 3, 10), ("dup_para_chars", "para_chars", 1, 5),
-    ("top2_chars", "word_chars", 1, 5), ("top3_chars", "word_chars", 9, 50),
-    ("top4_chars", "word_chars", 4, 25), ("dup5_chars", "word_chars", 3, 20),
-    ("dup6_chars", "word_chars", 7, 50), ("dup7_chars", "word_chars", 13, 100),
-    ("dup8_chars", "word_chars", 3, 25), ("dup9_chars", "word_chars", 11, 100),
-    ("dup10_chars", "word_chars", 1, 10),
-)
-
-
-def gopher_repetition_keep(s: dict) -> bool:
-    """Keep iff every repetition fraction is ≤ its Gopher threshold —
-    evaluated as exact integer cross-multiplication
-    (num_stat · den ≤ num · denom_stat)."""
-    return all(s[stat] * den <= num * s[denom]
-               for stat, denom, num, den in _REP_RULES)
-
-
 # ---- training-data extensions ------------------------------------------
 
 def quality_stats(text: str) -> dict:

@@ -1,6 +1,14 @@
 """Training-data operators over the local test tables (documents /
-embeddings / events) — the web-scale data-prep extensions: dedup families,
-similarity search, text analysis, temporal graph tables.
+embeddings / events) — the web-scale data-prep extensions the scale jobs
+run, and the families COVERAGE.md maps to a reference file:
+
+- dedup: exact, MinHash-LSH (in-store and disk), SimHash, n-gram verify,
+  transitive clusters, winnowing and the dup-span profile;
+- webtext curation (quality gates → exact → near dedup), C4 cleaning and
+  PII redaction, the training-order shuffle, the sharded corpus sink and
+  the cross-snapshot corpus diff;
+- similarity search (kNN, cosine near-dup, IVF, HNSW, LSH buckets), text
+  analysis (BM25/TF-IDF statistics) and the temporal graph tables.
 
 Every operator takes ``sf_dir`` and returns a lazy ``ray.data.Dataset``
 (aggregates are small; heavy stages are vectorized map_batches).  Operators
@@ -27,7 +35,6 @@ from ..functions.textstats import (
     bm25_tokenize,
     detect_language,
     fingerprint,
-    lm_tokenize,
     quality_stats,
 )
 
@@ -1048,41 +1055,6 @@ def dedup_clusters(sf_dir: str, threshold: float = 0.8, n: int = 3,
     return joined.map_batches(finish, batch_format="pyarrow")
 
 
-def write_curated_corpus(curated_ds, out_dir: str, num_shards: int = 16,
-                         fingerprint_parts: tuple = ()):
-    """Resumable curated-corpus sink: ``docs/shard=K/`` partitioned by
-    ``hash(doc_id) % num_shards``, one manifest per shard + a top-level
-    rollup; the docs are staged through ``stages/disk_exchange.py``.  A
-    rerun with an unchanged fingerprint returns the existing manifest
-    without rewriting — never one giant file, and a failed run skips
-    finished output."""
-    import pyarrow.dataset as pads
-
-    fp = fingerprint_config("curated_corpus", num_shards, *fingerprint_parts)
-    if stage_complete(out_dir, fp):
-        return read_manifest(out_dir)
-
-    docs_dir = os.path.join(out_dir, "docs")
-    stage_parquet(docs_dir, fp, lambda: curated_ds,
-                  lambda t: t.column("doc_id").to_numpy(
-                      zero_copy_only=False) % num_shards)
-
-    shard_counts = {}
-    for name in sorted(os.listdir(docs_dir)):
-        shard_dir = os.path.join(docs_dir, name)
-        if os.path.isdir(shard_dir) and name.startswith("shard="):
-            n = pads.dataset(shard_dir).count_rows()
-            shard_counts[name] = n
-            write_manifest(shard_dir, "curated_shard",
-                           fingerprint_config("curated_corpus", num_shards,
-                                              name, *fingerprint_parts),
-                           rows=n)
-    total = sum(shard_counts.values())
-    return write_manifest(out_dir, "curated_corpus", fp, rows=total,
-                          extra={"n_docs": total, "num_shards": num_shards,
-                                 "shard_rows": shard_counts})
-
-
 # ---------------------------------------------------- similarity search --
 
 def _lowest_vec_rows(path: str, n: int) -> pa.Table:
@@ -1604,165 +1576,6 @@ def winnow_dup_pairs(sf_dir: str, k: int = 12, w: int = 5,
     return shared.filter(expr=f"n_shared >= {min_shared}")
 
 
-def _lm_bigram_instances(sf_dir: str, docs_ds=None):
-    """One row per token: (doc_id, lang, prev, cur) with a '<s>' BOS
-    prefix per document (BOS never collides — real tokens are
-    alnum-only).  ``lang`` rides along so scoring needs no join back to
-    ``documents`` (injected test datasets without a lang column get
-    'xx')."""
-
-    def bigrams(batch: pa.Table) -> pa.Table:
-        langs = (batch.column("lang").to_pylist() if "lang" in
-                 batch.column_names else ["xx"] * len(batch))
-        ids, lgs, prevs, curs = [], [], [], []
-        for d, g, t in zip(batch.column("doc_id").to_pylist(), langs,
-                           batch.column("text").to_pylist()):
-            toks = lm_tokenize(t)
-            if not toks:
-                continue
-            ids.extend([d] * len(toks))
-            lgs.extend([g] * len(toks))
-            prevs.append("<s>")
-            prevs.extend(toks[:-1])
-            curs.extend(toks)
-        return pa.table({"doc_id": pa.array(ids, pa.int64()),
-                         "lang": pa.array(lgs, pa.string()),
-                         "prev": pa.array(prevs, pa.string()),
-                         "cur": pa.array(curs, pa.string())})
-
-    docs = (docs_ds if docs_ds is not None else
-            _docs(sf_dir, columns=("doc_id", "text", "lang")))
-    return docs.map_batches(bigrams, batch_format="pyarrow")
-
-
-def lm_perplexity(sf_dir: str, docs_ds=None):
-    """CCNet-style LM quality score (Wenzek+ 2020, PAPERS.md) with a
-    corpus-trained bigram model instead of the paper's pretrained KenLM
-    (no model downloads): add-1-smoothed P(cur|prev) = (c(prev,cur)+1) /
-    (c(prev)+V), per-document mean negative log-likelihood.
-
-    Float discipline for the DuckDB oracle: per-token log-probs are
-    FLOOR-quantized to integer micro-nats (``floor(ln(p)*1e6)``) so the
-    per-doc sum is order-free integer arithmetic; the mean is integer
-    floor-division to nano-nats.  ``ppl = round(exp(avg/1e9), 6)`` is the
-    only trailing float (one op per doc; ``math.log``/``math.exp`` are
-    libm, same as DuckDB's ``ln``/``exp`` — np.log's SIMD polynomial is
-    deliberately avoided, computed once per DISTINCT (cb,cctx) pair).
-
-    Scale shape: NO model table and NO joins.  Grouping token instances
-    by ``prev`` makes both counts bucket-local facts (cctx = the prev
-    group's size, cb = the within-group (prev,cur) count), so scoring is
-    one instance shuffle emitting per-(doc,bucket) integer partials, plus
-    a tiny pre-deduped vocabulary count and a small per-doc reduce.  Hub
-    prev-tokens (stopwords) concentrate their bucket exactly as they
-    would the build side of a join — salt hot prevs and pre-merge their
-    cb/cctx if a real corpus makes one bucket dominate."""
-    import pandas as pd
-    from ..stages.hashagg import grouped_arrow_agg, hash_grouped_aggregate
-
-    bg = _lm_bigram_instances(sf_dir, docs_ds).materialize()
-
-    def distinct_cur(batch: pa.Table) -> pa.Table:
-        return pa.table({"cur": pc.unique(batch.column("cur"))})
-
-    n_vocab = hash_grouped_aggregate(
-        bg.map_batches(distinct_cur, batch_format="pyarrow"), ["cur"],
-        grouped_arrow_agg(["cur"], [("cur", "count")],
-                          rename=["cur", "_c"])).count()
-
-    def lp_partial(t: pa.Table) -> pa.Table:
-        prev_c, _ = pd.factorize(t.column("prev").to_pandas())
-        cur_c, _ = pd.factorize(t.column("cur").to_pandas())
-        cctx = np.bincount(prev_c)  # every row of each prev is co-bucketed
-        pair = prev_c.astype(np.int64) * (cur_c.max() + 1) + cur_c
-        pu, pinv = np.unique(pair, return_inverse=True)
-        cb = np.bincount(pinv)
-        lpu = np.array(
-            [math.floor(math.log((c + 1.0) / (x + n_vocab)) * 1e6)
-             for c, x in zip(cb, cctx[(pu // (cur_c.max() + 1))])],
-            dtype=np.int64)
-        lpq = lpu[pinv]
-        dl = pd.DataFrame({"doc_id": t.column("doc_id").to_numpy()})
-        doc_c, doc_u = pd.factorize(dl["doc_id"])
-        n_part = np.bincount(doc_c).astype(np.int64)
-        s_part = np.zeros(len(doc_u), np.int64)
-        np.add.at(s_part, doc_c, lpq)
-        lang_first = (pd.Series(t.column("lang").to_pandas().values)
-                      .groupby(doc_c).first())
-        return pa.table({"doc_id": pa.array(doc_u, pa.int64()),
-                         "lang": pa.array(lang_first.to_numpy(), pa.string()),
-                         "n_part": pa.array(n_part, pa.int64()),
-                         "s_part": pa.array(s_part, pa.int64())})
-
-    partials = hash_grouped_aggregate(bg, ["prev"], lp_partial)
-    per_doc = hash_grouped_aggregate(
-        partials, ["doc_id"],
-        grouped_arrow_agg(["doc_id", "lang"],
-                          [("n_part", "sum"), ("s_part", "sum")],
-                          rename=["doc_id", "lang", "n_tokens", "_sum"]))
-
-    def fin(batch: pa.Table) -> pa.Table:
-        n = batch.column("n_tokens").to_numpy()
-        nll = -batch.column("_sum").to_numpy()
-        avg = (nll * 1000) // n  # positive ints: floor == trunc both sides
-        ppl = np.array([round(math.exp(a / 1e9), 6) for a in avg], np.float64)
-        return pa.table({
-            "doc_id": batch.column("doc_id"),
-            "lang": batch.column("lang"),
-            "n_tokens": pa.array(n.astype(np.int64), pa.int64()),
-            "nll_micro": pa.array(nll.astype(np.int64), pa.int64()),
-            "avg_nll_nano": pa.array(avg.astype(np.int64), pa.int64()),
-            "ppl": pa.array(ppl, pa.float64())})
-
-    return per_doc.map_batches(fin, batch_format="pyarrow")
-
-
-def perplexity_buckets(sf_dir: str, docs_ds=None):
-    """CCNet head/middle/tail corpus split: per-language thirds by the
-    integer ``avg_nll_nano`` score (head = lowest perplexity).  Cutoffs
-    are VALUE-based (smallest score whose per-language cumulative count
-    ×3 ≥ n, resp. ≥ 2n) so ties share a bucket — no global row-number.
-
-    Scale shape: the cutoff input is a (lang, score) histogram — at most
-    one row per distinct score value per language, aggregated
-    distributed; only the tiny per-language cumulative walk happens on
-    the driver (CCNet itself computes cutoffs from percentiles of a
-    sample; at 10⁹+ docs, coarsen the histogram by quantizing the score
-    before the walk)."""
-    import ray
-    from ..stages.hashagg import grouped_arrow_agg, hash_grouped_aggregate
-
-    scores = lm_perplexity(sf_dir, docs_ds).materialize()
-    hist = hash_grouped_aggregate(
-        scores, ["lang", "avg_nll_nano"],
-        grouped_arrow_agg(["lang", "avg_nll_nano"], [("doc_id", "count")],
-                          rename=["lang", "v", "c"])).to_pandas()
-    cuts: dict[str, tuple[int, int]] = {}
-    for lang, grp in hist.groupby("lang"):
-        grp = grp.sort_values("v")
-        cum = grp["c"].cumsum().to_numpy()
-        n = int(cum[-1])
-        vs = grp["v"].to_numpy()
-        cut1 = int(vs[np.argmax(cum * 3 >= n)])
-        cut2 = int(vs[np.argmax(cum * 3 >= 2 * n)])
-        cuts[lang] = (cut1, cut2)
-    cuts_ref = ray.put(cuts)
-
-    def assign(batch: pa.Table) -> pa.Table:
-        cd = ray.get(cuts_ref)
-        langs = batch.column("lang").to_pylist()
-        v = batch.column("avg_nll_nano").to_numpy()
-        bucket = ["head" if x <= cd[g][0] else
-                  "middle" if x <= cd[g][1] else "tail"
-                  for g, x in zip(langs, v)]
-        return pa.table({"doc_id": batch.column("doc_id"),
-                         "lang": batch.column("lang"),
-                         "avg_nll_nano": batch.column("avg_nll_nano"),
-                         "bucket": pa.array(bucket, pa.string())})
-
-    return scores.map_batches(assign, batch_format="pyarrow")
-
-
 def dup_span_profile(sf_dir: str, k: int = 40, w: int = 10, docs_ds=None):
     """Duplicate-span profiling (the detection half of Lee+ 2021 exact
     substring dedup): per doc, how many normalized chars are covered by
@@ -1850,550 +1663,6 @@ def dup_span_profile(sf_dir: str, k: int = 40, w: int = 10, docs_ds=None):
         return res.append_column("heavy_dup", pa.array(heavy, pa.bool_()))
 
     return hash_grouped_aggregate(tagged, ["doc_id"], profile)
-
-
-def remove_dup_spans(sf_dir: str, k: int = 40, w: int = 10, docs_ds=None):
-    """Duplicate-span REMOVAL (the transform half of Lee+ 2021): excise
-    from each doc's NORMALIZED text every [pos, pos+k) span whose winnow
-    fingerprint also appears in a SMALLER doc_id — the first occurrence
-    in doc-id order is the one kept, every later copy is cut.  Output:
-    (doc_id, norm_len, removed_chars, cleaned_norm).
-
-    Operating in normalized space keeps the oracle exact: DuckDB
-    re-derives the fingerprints, the keeper rule (per-fp min doc_id),
-    the interval union, and splices ``cleaned_norm`` back together with
-    ordered ``string_agg``+``substr`` — byte-for-byte.  (Raw-text
-    surgery needs the normalized→raw index map, which SQL can't replay;
-    the normalized transform is the oracle-honest variant and the raw
-    map is a mechanical extension inside the same kernel.)
-
-    Scale shape mirrors ``dup_span_profile``: per-fp min via hash agg,
-    cut positions via ``bucketed_join`` on fp, one per-doc grouped
-    reduce over a tagged union carrying the normalized string."""
-    from ..functions.dedup import Winnower
-    from ..stages.hashagg import (bucketed_join, grouped_arrow_agg,
-                                  hash_grouped_aggregate)
-
-    docs = docs_ds if docs_ds is not None else _docs(sf_dir)
-    fps = winnow_fingerprints(sf_dir, k, w, docs_ds=docs).materialize()
-
-    cuts = None
-    if fps.schema() is not None:
-        fpm = hash_grouped_aggregate(
-            fps, ["fp"],
-            grouped_arrow_agg(["fp"], [("doc_id", "min")],
-                              rename=["fp", "mdoc"])).materialize()
-        if fpm.schema() is not None:
-            joined = bucketed_join(fps, fpm, on=["fp"])
-
-            def later_only(t: pa.Table) -> pa.Table:
-                m = pc.greater(t.column("doc_id"), t.column("mdoc"))
-                kept = t.filter(m)
-                return pa.table({"doc_id": kept.column("doc_id"),
-                                 "pos": kept.column("pos"),
-                                 "s": pa.array([""] * len(kept),
-                                               pa.string())})
-
-            cuts = joined.map_batches(later_only, batch_format="pyarrow")
-
-    wn = Winnower(k=k, w=w)
-
-    def norm_rows(batch: pa.Table) -> pa.Table:
-        lut = wn.lut
-        ss = []
-        for t in batch.column("text").to_pylist():
-            raw = np.frombuffer(t.encode("utf-8"), dtype=np.uint8)
-            mapped = lut[raw]
-            ss.append(mapped[mapped != 255].tobytes().decode("ascii"))
-        return pa.table({"doc_id": batch.column("doc_id"),
-                         "pos": pa.array([-1] * len(batch), pa.int64()),
-                         "s": pa.array(ss, pa.string())})
-
-    tagged = docs.map_batches(norm_rows, batch_format="pyarrow")
-    if cuts is not None:
-        tagged = tagged.union(cuts)
-
-    def splice(t: pa.Table) -> pa.Table:
-        df = t.to_pandas()
-        out = {"doc_id": [], "norm_len": [], "removed_chars": [],
-               "cleaned_norm": []}
-        for did, grp in df.groupby("doc_id", sort=True):
-            s = grp.loc[grp["pos"] < 0, "s"].iloc[0]
-            n = len(s)
-            pos = np.unique(grp.loc[grp["pos"] >= 0, "pos"].to_numpy())
-            if pos.size:
-                diff = np.zeros(n + 1, np.int64)
-                np.add.at(diff, pos, 1)
-                np.add.at(diff, np.minimum(pos + k, n), -1)
-                covered = np.cumsum(diff[:n]) > 0
-                arr = np.frombuffer(s.encode("ascii"), dtype=np.uint8)
-                cleaned = arr[~covered].tobytes().decode("ascii")
-                removed = int(covered.sum())
-            else:
-                cleaned, removed = s, 0
-            out["doc_id"].append(int(did))
-            out["norm_len"].append(n)
-            out["removed_chars"].append(removed)
-            out["cleaned_norm"].append(cleaned)
-        return pa.table({
-            "doc_id": pa.array(out["doc_id"], pa.int64()),
-            "norm_len": pa.array(out["norm_len"], pa.int64()),
-            "removed_chars": pa.array(out["removed_chars"], pa.int64()),
-            "cleaned_norm": pa.array(out["cleaned_norm"], pa.string())})
-
-    return hash_grouped_aggregate(tagged, ["doc_id"], splice)
-
-
-def dsir_scores(sf_dir: str, target_mod: int = 50, target_rem: int = 3,
-                docs_ds=None):
-    """DSIR-style importance scoring (Xie+ 2023, Data Selection with
-    Importance Resampling): per-doc mean log importance ratio between a
-    TARGET distribution and the RAW corpus over bigram features, both
-    add-1-smoothed unigram-of-bigrams models.  The target split is
-    deterministic (``doc_id % target_mod == target_rem``) so tests and
-    the oracle replay it; ``selected`` = ratio > 0 (more target-like
-    than raw).
-
-    Same float discipline as ``lm_perplexity``: each log is
-    FLOOR-quantized to integer micro-nats (libm ``math.log`` per
-    DISTINCT count pair), sums/means are integer arithmetic.  Same
-    no-join scale shape: grouping instances by feature makes BOTH counts
-    bucket-local (c_raw = group size, c_target = target-flagged rows in
-    the group); scalars N_target/N_raw/V are tiny driver values.
-
-    Output: (doc_id, is_target, n_feats, ratio_micro, avg_ratio_nano,
-    selected)."""
-    import pandas as pd
-    from ..stages.hashagg import grouped_arrow_agg, hash_grouped_aggregate
-
-    def feats(batch: pa.Table) -> pa.Table:
-        ids, tgt, prevs, curs = [], [], [], []
-        for d, t in zip(batch.column("doc_id").to_pylist(),
-                        batch.column("text").to_pylist()):
-            toks = lm_tokenize(t)
-            if len(toks) < 2:
-                continue
-            n = len(toks) - 1
-            ids.extend([d] * n)
-            tgt.extend([d % target_mod == target_rem] * n)
-            prevs.extend(toks[:-1])
-            curs.extend(toks[1:])
-        return pa.table({"doc_id": pa.array(ids, pa.int64()),
-                         "is_t": pa.array(tgt, pa.bool_()),
-                         "prev": pa.array(prevs, pa.string()),
-                         "cur": pa.array(curs, pa.string())})
-
-    docs = docs_ds if docs_ds is not None else _docs(sf_dir)
-    bg = docs.map_batches(feats, batch_format="pyarrow").materialize()
-    if bg.schema() is None or bg.count() == 0:
-        return bg  # no docs with >= 2 tokens: empty result
-
-    def partial_tot(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "n_raw": pa.array([len(batch)], pa.int64()),
-            "n_t": pa.array([int(pc.sum(pc.cast(
-                batch.column("is_t"), pa.int64())).as_py() or 0)],
-                pa.int64())})
-
-    tot = bg.map_batches(partial_tot, batch_format="pyarrow").to_pandas()
-    n_raw_tot, n_t_tot = int(tot["n_raw"].sum()), int(tot["n_t"].sum())
-    v = hash_grouped_aggregate(
-        bg, ["prev", "cur"],
-        grouped_arrow_agg(["prev", "cur"], [("doc_id", "count")],
-                          rename=["prev", "cur", "_c"])).count()
-
-    def ratio_partial(t: pa.Table) -> pa.Table:
-        df = t.to_pandas()
-        key = pd.factorize(df["prev"] + "\x1f" + df["cur"])[0]
-        c_raw = np.bincount(key)
-        c_t = np.bincount(key, weights=df["is_t"].to_numpy()
-                          .astype(np.int64)).astype(np.int64)
-        pairs = np.stack([c_t[key], c_raw[key]], axis=1)
-        uniq, inv = np.unique(pairs, axis=0, return_inverse=True)
-        lr = np.array(
-            [math.floor(math.log((ct + 1.0) / (n_t_tot + v)) * 1e6)
-             - math.floor(math.log((cr + 1.0) / (n_raw_tot + v)) * 1e6)
-             for ct, cr in uniq], dtype=np.int64)
-        lrq = lr[inv]
-        doc_c, doc_u = pd.factorize(df["doc_id"])
-        n_part = np.bincount(doc_c).astype(np.int64)
-        s_part = np.zeros(len(doc_u), np.int64)
-        np.add.at(s_part, doc_c, lrq)
-        is_t_first = (pd.Series(df["is_t"].to_numpy())
-                      .groupby(doc_c).first())
-        return pa.table({
-            "doc_id": pa.array(doc_u.astype(np.int64), pa.int64()),
-            "is_t": pa.array(is_t_first.to_numpy(), pa.bool_()),
-            "n_part": pa.array(n_part, pa.int64()),
-            "s_part": pa.array(s_part, pa.int64())})
-
-    partials = hash_grouped_aggregate(bg, ["prev", "cur"], ratio_partial)
-    per_doc = hash_grouped_aggregate(
-        partials, ["doc_id"],
-        grouped_arrow_agg(["doc_id", "is_t"],
-                          [("n_part", "sum"), ("s_part", "sum")],
-                          rename=["doc_id", "is_target", "n_feats",
-                                  "_sum"]))
-
-    def fin(batch: pa.Table) -> pa.Table:
-        n = batch.column("n_feats").to_numpy()
-        s = batch.column("_sum").to_numpy()
-        # floor division toward -inf for possibly-negative sums, exact in
-        # SQL as well via a CASE (// truncates toward zero in numpy? no:
-        # numpy // floors; DuckDB // floors for integers too on negatives
-        # — but pin it with an explicit floor-div identity both sides)
-        avg = np.floor_divide(s * 1000, n)
-        return pa.table({
-            "doc_id": batch.column("doc_id"),
-            "is_target": batch.column("is_target"),
-            "n_feats": pa.array(n.astype(np.int64), pa.int64()),
-            "ratio_micro": pa.array(s.astype(np.int64), pa.int64()),
-            "avg_ratio_nano": pa.array(avg.astype(np.int64), pa.int64()),
-            "selected": pa.array((avg > 0).tolist(), pa.bool_())})
-
-    return per_doc.map_batches(fin, batch_format="pyarrow")
-
-
-def sequence_pack(sf_dir: str, seq_len: int = 2048, docs_ds=None):
-    """GPT-style sequence-packing manifest: concatenate every doc's
-    tokens in doc_id order and chop into fixed ``seq_len`` windows
-    (docs straddle boundaries, as in standard LM pre-training packing).
-    Output per doc: (doc_id, n_tokens, cum_before, start_seq, start_off,
-    end_seq) — ``end_seq`` is the inclusive last occupied sequence, and
-    ``start_seq - 1`` for an empty doc (documented sentinel, never NULL).
-
-    Scale shape — a DISTRIBUTED PREFIX SCAN, no global sort: docs bucket
-    by ``doc_id // B`` (contiguous id ranges), per-bucket token sums
-    aggregate distributed, the driver walks the ~N/B bucket sums into
-    base offsets (broadcast), and one grouped pass per bucket computes
-    exact intra-bucket prefixes.  Two passes over (doc_id, n_tokens)
-    rows, never over text twice."""
-    import ray
-    from ..stages.hashagg import grouped_arrow_agg, hash_grouped_aggregate
-
-    B = 4096
-
-    def stats(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_numpy()
-        nw = [len(t.split()) for t in batch.column("text").to_pylist()]
-        return pa.table({"doc_id": pa.array(ids, pa.int64()),
-                         "b": pa.array(ids // B, pa.int64()),
-                         "n_tokens": pa.array(nw, pa.int64())})
-
-    docs = docs_ds if docs_ds is not None else _docs(sf_dir)
-    st = docs.map_batches(stats, batch_format="pyarrow").materialize()
-
-    bsums = hash_grouped_aggregate(
-        st, ["b"],
-        grouped_arrow_agg(["b"], [("n_tokens", "sum")],
-                          rename=["b", "toks"])).to_pandas().sort_values("b")
-    base = dict(zip(bsums["b"],
-                    np.concatenate([[0], bsums["toks"].cumsum()
-                                    .to_numpy()[:-1]]).astype(np.int64)))
-    base_ref = ray.put(base)
-
-    def pack(t: pa.Table) -> pa.Table:
-        bd = ray.get(base_ref)
-        df = t.to_pandas().sort_values("doc_id")
-        out_parts = []
-        for b, grp in df.groupby("b", sort=True):
-            n = grp["n_tokens"].to_numpy(np.int64)
-            cum = int(bd[b]) + np.concatenate([[0], n.cumsum()[:-1]])
-            start_seq = cum // seq_len
-            end_seq = np.where(n == 0, start_seq - 1,
-                               (cum + np.maximum(n, 1) - 1) // seq_len)
-            out_parts.append(pa.table({
-                "doc_id": pa.array(grp["doc_id"].to_numpy(np.int64),
-                                   pa.int64()),
-                "n_tokens": pa.array(n, pa.int64()),
-                "cum_before": pa.array(cum.astype(np.int64), pa.int64()),
-                "start_seq": pa.array(start_seq.astype(np.int64),
-                                      pa.int64()),
-                "start_off": pa.array((cum % seq_len).astype(np.int64),
-                                      pa.int64()),
-                "end_seq": pa.array(end_seq.astype(np.int64), pa.int64())}))
-        return pa.concat_tables(out_parts) if out_parts else pa.table(
-            {c: pa.array([], pa.int64()) for c in
-             ("doc_id", "n_tokens", "cum_before", "start_seq",
-              "start_off", "end_seq")})
-
-    return hash_grouped_aggregate(st, ["b"], pack)
-
-
-def corpus_split(sf_dir: str, val_pct: int = 1, test_pct: int = 1,
-                 docs_ds=None):
-    """Deterministic stratified train/val/test split: assignment is a
-    pure function of md5(doc_id) — stateless, reshard/rerun-invariant,
-    and (unlike row-number splits) stable under corpus growth: adding
-    docs never moves an existing doc between splits.  Value-based
-    thresholds on the first 4 hex chars (65536 slots): val = slots
-    [0, 655), test = [655, 1310) at the 1%/1% defaults.  Stratification
-    is implicit — a uniform hash splits every `source`/language stratum
-    at the same rates without grouping.  No shuffle: one vectorized map."""
-
-    lo_val = (65536 * val_pct) // 100
-    lo_test = lo_val + (65536 * test_pct) // 100
-
-    def assign(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_pylist()
-        slots = [int(hashlib.md5(str(d).encode()).hexdigest()[:4], 16)
-                 for d in ids]
-        split = ["val" if s < lo_val else
-                 "test" if s < lo_test else "train" for s in slots]
-        return pa.table({"doc_id": pa.array(ids, pa.int64()),
-                         "source": batch.column("source"),
-                         "slot": pa.array(slots, pa.int64()),
-                         "split": pa.array(split, pa.string())})
-
-    docs = (docs_ds if docs_ds is not None else
-            _docs(sf_dir, columns=("doc_id", "source")))
-    return docs.map_batches(assign, batch_format="pyarrow")
-
-
-def gopher_quality(sf_dir: str, min_words: int = 50,
-                   max_words: int = 100_000, docs_ds=None):
-    """Gopher document-quality filter (Rae+ 2021 §A1.1.2): per-doc integer
-    counts (``functions.textstats.gopher_stats``) + the keep flag
-    (``gopher_keep`` — every ratio rule is exact integer
-    cross-multiplication, so the DuckDB oracle needs zero staging and no
-    float discipline at all).  Stateless vectorized-enough map: one pass
-    per doc over its words/lines, no shuffle, prunes to (doc_id, text) at
-    the read."""
-    from ..functions.textstats import gopher_keep, gopher_stats
-
-    def stats(batch: pa.Table) -> pa.Table:
-        rows = [gopher_stats(t) for t in batch.column("text").to_pylist()]
-        cols = {"doc_id": batch.column("doc_id")}
-        for k in ("n_words", "total_word_chars", "n_alpha_words", "n_sym",
-                  "n_lines", "n_bullet_lines", "n_ellipsis_lines",
-                  "n_stop_distinct"):
-            cols[k] = pa.array([r[k] for r in rows], pa.int64())
-        cols["keep"] = pa.array(
-            [gopher_keep(r, min_words, max_words) for r in rows], pa.bool_())
-        return pa.table(cols)
-
-    docs = docs_ds if docs_ds is not None else _docs(sf_dir)
-    return docs.map_batches(stats, batch_format="pyarrow")
-
-
-def gopher_repetition(sf_dir: str, docs_ds=None):
-    """Gopher repetition filters (Rae+ 2021 §A1.1.1): per-doc integer
-    counts (``functions.textstats.gopher_repetition_stats`` — dup
-    line/paragraph counts+chars, top-{2,3,4}-gram chars, duplicated
-    {5..10}-gram chars) + the keep flag (every threshold an exact integer
-    cross-multiplication).  Stateless map, no shuffle; the oracle
-    re-derives all 22 counters in SQL with zero staging."""
-    from ..functions.textstats import (gopher_repetition_keep,
-                                       gopher_repetition_stats)
-
-    def stats(batch: pa.Table) -> pa.Table:
-        rows = [gopher_repetition_stats(t)
-                for t in batch.column("text").to_pylist()]
-        cols = {"doc_id": batch.column("doc_id")}
-        if rows:
-            keys = list(rows[0].keys())
-        else:
-            keys = (["n_lines", "dup_lines", "line_chars", "dup_line_chars",
-                     "n_paras", "dup_paras", "para_chars", "dup_para_chars",
-                     "word_chars"] +
-                    [f"top{n}_chars" for n in (2, 3, 4)] +
-                    [f"dup{n}_chars" for n in range(5, 11)])
-        for k in keys:
-            cols[k] = pa.array([r[k] for r in rows], pa.int64())
-        cols["keep"] = pa.array([gopher_repetition_keep(r) for r in rows],
-                                pa.bool_())
-        return pa.table(cols)
-
-    docs = docs_ds if docs_ds is not None else _docs(sf_dir)
-    return docs.map_batches(stats, batch_format="pyarrow")
-
-
-def decontaminate(sf_dir: str, n: int = 8, eval_mod: int = 100,
-                  eval_rem: int = 7, docs_ds=None):
-    """Benchmark decontamination (GPT-3 appx C / Llama style): flag
-    training docs sharing any n-token shingle with the eval set.  The
-    eval split is deterministic (``doc_id % eval_mod == eval_rem``) so
-    tests and the oracle replay it; tokens via ``lm_tokenize``.
-
-    Scale shape: the eval side is SMALL by definition → its distinct
-    shingles are collected once and broadcast (``ray.put``), membership
-    is a vectorized ``pc.is_in`` per batch — the textbook
-    broadcast-small-side pattern, no shuffle at all on the corpus.  At
-    real scale broadcast 64-bit shingle hashes instead of strings (same
-    plumbing; strings here keep the oracle zero-staging).
-
-    Output: (doc_id, is_eval, n_shingles, n_overlap, contaminated) with
-    DISTINCT-shingle counting."""
-    import ray
-
-    def shingles(text: str) -> set[str]:
-        toks = lm_tokenize(text)
-        return {" ".join(toks[i:i + n]) for i in range(len(toks) - n + 1)}
-
-    docs = docs_ds if docs_ds is not None else _docs(sf_dir)
-
-    def eval_sh(batch: pa.Table) -> pa.Table:
-        out: set[str] = set()
-        for d, t in zip(batch.column("doc_id").to_pylist(),
-                        batch.column("text").to_pylist()):
-            if d % eval_mod == eval_rem:
-                out |= shingles(t)
-        return pa.table({"sh": pa.array(sorted(out), pa.string())})
-
-    ev_df = docs.map_batches(eval_sh, batch_format="pyarrow").to_pandas()
-    ev = set(ev_df["sh"]) if "sh" in ev_df.columns else set()
-    ev_ref = ray.put(ev)
-
-    def mark(batch: pa.Table) -> pa.Table:
-        evs = ray.get(ev_ref)
-        ids = batch.column("doc_id").to_pylist()
-        n_sh, n_ov = [], []
-        for t in batch.column("text").to_pylist():
-            sh = shingles(t)
-            n_sh.append(len(sh))
-            n_ov.append(len(sh & evs))
-        return pa.table({
-            "doc_id": pa.array(ids, pa.int64()),
-            "is_eval": pa.array([d % eval_mod == eval_rem for d in ids],
-                                pa.bool_()),
-            "n_shingles": pa.array(n_sh, pa.int64()),
-            "n_overlap": pa.array(n_ov, pa.int64()),
-            "contaminated": pa.array([v >= 1 for v in n_ov], pa.bool_())})
-
-    return docs.map_batches(mark, batch_format="pyarrow")
-
-
-def domain_mixture(sf_dir: str, budget: int = 800, docs_ds=None):
-    """Reproducible per-domain corpus mixing to a token budget (the
-    Pile/DoReMi-style sampling step): within each ``source``, order docs
-    by ``md5(doc_id)`` (a deterministic permutation — reruns and
-    resharding cannot change the sample) and select the greedy prefix:
-    a doc is selected iff the cumulative token count BEFORE it is still
-    under the budget.
-
-    Scale shape — a distributed exact order-statistic, NOT a per-source
-    sort: docs bucket by the first md5 byte (hex order ≡ md5 order);
-    per-(source,bucket) token sums aggregate distributed, the driver
-    walks 256 ints per source to find each boundary bucket, and ONLY the
-    boundary buckets (1/256 of each source) are resolved exactly via a
-    per-source grouped pass; everything else is decided by bucket id
-    against a broadcast cutoff map.  Output covers ALL docs with a
-    ``selected`` flag."""
-    import ray
-    from ..stages.hashagg import grouped_arrow_agg, hash_grouped_aggregate
-
-    def stats(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_pylist()
-        hs = [hashlib.md5(str(d).encode()).hexdigest() for d in ids]
-        nw = [len(t.split()) for t in batch.column("text").to_pylist()]
-        return pa.table({"doc_id": pa.array(ids, pa.int64()),
-                         "source": batch.column("source"),
-                         "h": pa.array(hs, pa.string()),
-                         "b": pa.array([int(x[:2], 16) for x in hs],
-                                       pa.int64()),
-                         "n_words": pa.array(nw, pa.int64())})
-
-    docs = (docs_ds if docs_ds is not None else
-            _docs(sf_dir, columns=("doc_id", "text", "source")))
-    st = docs.map_batches(stats, batch_format="pyarrow").materialize()
-
-    per_bucket = hash_grouped_aggregate(
-        st, ["source", "b"],
-        grouped_arrow_agg(["source", "b"], [("n_words", "sum")],
-                          rename=["source", "b", "toks"])).to_pandas()
-    # driver walk: 256 ints per source -> boundary bucket + prefix tokens
-    bound: dict[str, tuple[int, int]] = {}  # source -> (b*, tokens_before)
-    for src, grp in per_bucket.groupby("source"):
-        grp = grp.sort_values("b")
-        cum = grp["toks"].cumsum().to_numpy()
-        bs = grp["b"].to_numpy()
-        hit = np.nonzero(cum >= budget)[0]
-        if hit.size == 0:
-            bound[src] = (256, 0)  # whole source under budget
-        else:
-            i = int(hit[0])
-            bound[src] = (int(bs[i]), int(cum[i - 1]) if i else 0)
-    bound_ref = ray.put(bound)
-
-    def boundary_only(batch: pa.Table) -> pa.Table:
-        bd = ray.get(bound_ref)
-        keep = [bd[s][0] == b for s, b in
-                zip(batch.column("source").to_pylist(),
-                    batch.column("b").to_pylist())]
-        return batch.filter(pa.array(keep, pa.bool_()))
-
-    def resolve(t: pa.Table) -> pa.Table:
-        bd = ray.get(bound_ref)
-        df = t.to_pandas().sort_values(["source", "h", "doc_id"])
-        out_id, out_sel = [], []
-        for src, grp in df.groupby("source", sort=False):
-            before = bd[src][1]
-            for d, w in zip(grp["doc_id"], grp["n_words"]):
-                out_id.append(int(d))
-                out_sel.append(before < budget)
-                before += int(w)
-        return pa.table({"doc_id": pa.array(out_id, pa.int64()),
-                         "sel": pa.array(out_sel, pa.bool_())})
-
-    picks = hash_grouped_aggregate(
-        st.map_batches(boundary_only, batch_format="pyarrow"),
-        ["source"], resolve).to_pandas()
-    picks_map = (dict(zip(picks["doc_id"], picks["sel"]))
-                 if "doc_id" in picks.columns else {})
-    picks_ref = ray.put(picks_map)
-
-    def assign(batch: pa.Table) -> pa.Table:
-        bd, pm = ray.get(bound_ref), ray.get(picks_ref)
-        sel = []
-        for d, s, b in zip(batch.column("doc_id").to_pylist(),
-                           batch.column("source").to_pylist(),
-                           batch.column("b").to_pylist()):
-            sel.append(b < bd[s][0] if b != bd[s][0] else bool(pm[d]))
-        return pa.table({"doc_id": batch.column("doc_id"),
-                         "source": batch.column("source"),
-                         "n_words": batch.column("n_words"),
-                         "selected": pa.array(sel, pa.bool_())})
-
-    return st.map_batches(assign, batch_format="pyarrow")
-
-
-def curation_report(sf_dir: str, docs_ds=None):
-    """One-row corpus composition report: how much of the corpus survives
-    the Gopher quality and repetition gates, in docs and words — the
-    summary a curation run prints before committing to a filter config.
-
-    ONE pass over the docs computes both filter verdicts per batch
-    (kernels shared with ``gopher_quality``/``gopher_repetition``), emits
-    per-block integer partials, and the driver sums a ≤ n_blocks-row
-    table — no shuffle at any scale."""
-    from ..functions.textstats import (gopher_keep,
-                                       gopher_repetition_keep,
-                                       gopher_repetition_stats,
-                                       gopher_stats)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        nd = nq = nr = nb = tw = kw = 0
-        for t in batch.column("text").to_pylist():
-            s = gopher_stats(t)
-            q = gopher_keep(s)
-            r = gopher_repetition_keep(gopher_repetition_stats(t))
-            nd += 1
-            nq += q
-            nr += r
-            nb += q and r
-            tw += s["n_words"]
-            kw += s["n_words"] if (q and r) else 0
-        return pa.table({k: pa.array([v], pa.int64()) for k, v in
-                         (("n_docs", nd), ("n_quality_pass", nq),
-                          ("n_repetition_pass", nr), ("n_both_pass", nb),
-                          ("total_words", tw), ("kept_words", kw))})
-
-    docs = docs_ds if docs_ds is not None else _docs(sf_dir)
-    parts = (docs.map_batches(partial, batch_format="pyarrow")
-             .to_pandas())  # one row per block
-    tot = parts.sum()
-    return pa.table({c: pa.array([int(tot[c])], pa.int64())
-                     for c in parts.columns})
 
 
 def bm25_df(sf_dir: str):
@@ -2979,448 +2248,6 @@ def pii_redact(sf_dir: str, docs_ds=None):
     return docs.map_batches(redact, batch_format="pyarrow")
 
 
-def line_dedup(sf_dir: str, broadcast_limit: int = 200_000, docs_ds=None,
-               force_join: bool = False):
-    """Corpus-wide exact line dedup (CCNet §4.1 / RefinedWeb line-wise
-    correction): a non-blank line occurring more than once in the corpus
-    keeps only its FIRST occurrence (min (doc_id, line_idx)); blank lines
-    are document structure and never dedup.  Output per doc: line counts
-    + the cleaned text (kept raw lines rejoined with \\n).
-
-    Scale shape: explode lines → hash-grouped aggregate on the line text
-    finds DUPLICATED lines only (count > 1, a tiny set on real corpora)
-    with their first-occurrence key; unique lines never leave their
-    bucket.  The dup table flows back as a broadcast dict under
-    ``broadcast_limit`` rows, else via ``bucketed_join`` (two paths, one
-    semantics — equality-gated; ``force_join`` pins the join path for
-    tests).  Per-doc reassembly is one more hash-grouped pass.  The
-    occurrence key packs doc_id * 2^20 + line_idx (bound: < 2^20 lines
-    per doc, asserted at explode)."""
-    import ray
-    from ..functions.webclean import _STRIP
-    from ..stages.hashagg import (bucketed_join, grouped_arrow_agg,
-                                  hash_grouped_aggregate)
-
-    docs = docs_ds if docs_ds is not None else _docs(sf_dir)
-
-    def explode(batch: pa.Table) -> pa.Table:
-        ids, li, ln, blank, pk = [], [], [], [], []
-        for d, t in zip(batch.column("doc_id").to_pylist(),
-                        batch.column("text").to_pylist()):
-            lines = t.split("\n")
-            assert len(lines) < (1 << 20), "line_dedup: >=2^20 lines/doc"
-            for i, s in enumerate(lines, start=1):
-                ids.append(d)
-                li.append(i)
-                ln.append(s)
-                blank.append(len(s.strip(_STRIP)) == 0)
-                pk.append(d * (1 << 20) + i)
-        return pa.table({"doc_id": pa.array(ids, pa.int64()),
-                         "li": pa.array(li, pa.int64()),
-                         "ln": pa.array(ln, pa.string()),
-                         "blank": pa.array(blank, pa.bool_()),
-                         "pk": pa.array(pk, pa.int64())})
-
-    lines = docs.map_batches(explode, batch_format="pyarrow").materialize()
-
-    def dup_firsts(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.invert(t.column("blank")))
-        agg = t.group_by(["ln"]).aggregate([("pk", "min"), ("pk", "count")])
-        agg = agg.rename_columns(["ln", "mpk", "n"])
-        return agg.filter(pc.greater(agg.column("n"), 1)).drop_columns(["n"])
-
-    dups = hash_grouped_aggregate(lines, ["ln"], dup_firsts).materialize()
-
-    if not force_join and dups.count() <= broadcast_limit:
-        dup_df = dups.to_pandas()
-        dmap = ({} if dup_df.empty else
-                dict(zip(dup_df["ln"], dup_df["mpk"].astype("int64"))))
-        dref = ray.put(dmap)
-
-        def mark(batch: pa.Table) -> pa.Table:
-            dm = ray.get(dref)
-            keep = [b or dm.get(s, p) == p
-                    for s, b, p in zip(batch.column("ln").to_pylist(),
-                                       batch.column("blank").to_pylist(),
-                                       batch.column("pk").to_pylist())]
-            return batch.append_column("keep", pa.array(keep, pa.bool_()))
-
-        marked = lines.map_batches(mark, batch_format="pyarrow")
-    else:
-        joined = bucketed_join(lines, dups, on=["ln"], how="left")
-
-        def flag(batch: pa.Table) -> pa.Table:
-            mpk = batch.column("mpk").to_pylist()
-            keep = [b or (m is None) or int(m) == p
-                    for b, m, p in zip(batch.column("blank").to_pylist(),
-                                       mpk, batch.column("pk").to_pylist())]
-            return (batch.drop_columns(["mpk"])
-                    .append_column("keep", pa.array(keep, pa.bool_())))
-
-        marked = joined.map_batches(flag, batch_format="pyarrow")
-
-    def rebuild(t: pa.Table) -> pa.Table:
-        df = t.to_pandas().sort_values(["doc_id", "li"])
-        out = {"doc_id": [], "n_lines": [], "n_dropped": [], "cleaned": []}
-        for d, g in df.groupby("doc_id", sort=True):
-            out["doc_id"].append(int(d))
-            out["n_lines"].append(len(g))
-            out["n_dropped"].append(int((~g["keep"]).sum()))
-            out["cleaned"].append("\n".join(g.loc[g["keep"], "ln"]))
-        return pa.table({"doc_id": pa.array(out["doc_id"], pa.int64()),
-                         "n_lines": pa.array(out["n_lines"], pa.int64()),
-                         "n_dropped": pa.array(out["n_dropped"], pa.int64()),
-                         "cleaned": pa.array(out["cleaned"], pa.string())})
-
-    return hash_grouped_aggregate(
-        marked.drop_columns(["blank", "pk"]), ["doc_id"], rebuild)
-
-
-def vocab_topk(sf_dir: str, k: int = 1000, docs_ds=None):
-    """Corpus vocabulary builder (the counting pass of BPE/unigram vocab
-    training): global token frequencies via per-block Counter partials →
-    hash-grouped sum → per-block local top-k → driver final top-k (≤ k ×
-    n_blocks rows ever reach the driver).  Tokens via ``lm_tokenize``
-    (the proven-parity split → lower → strip \\p{L}\\p{N} shape); rank
-    ties break on token ASC.  Returns a pandas DataFrame (small by
-    construction)."""
-    from collections import Counter
-
-    from ..stages.hashagg import grouped_arrow_agg, hash_grouped_aggregate
-
-    docs = docs_ds if docs_ds is not None else _docs(sf_dir)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        c: Counter = Counter()
-        for t in batch.column("text").to_pylist():
-            c.update(lm_tokenize(t))
-        toks = sorted(c)
-        return pa.table({"token": pa.array(toks, pa.string()),
-                         "n": pa.array([c[t] for t in toks], pa.int64())})
-
-    counts = hash_grouped_aggregate(
-        docs.map_batches(partial, batch_format="pyarrow"), ["token"],
-        grouped_arrow_agg(["token"], [("n", "sum")], rename=["token", "n"]))
-
-    def local_topk(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas().sort_values(
-            ["n", "token"], ascending=[False, True]).head(k)
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    cand = counts.map_batches(local_topk, batch_format="pyarrow").to_pandas()
-    if "n" not in cand.columns:         # empty corpus
-        cand = cand.reindex(columns=["token", "n"])
-    fin = (cand.sort_values(["n", "token"], ascending=[False, True])
-           .head(k).reset_index(drop=True))
-    fin["rnk"] = (fin.index + 1).astype("int64")
-    fin["n"] = fin["n"].astype("int64")
-    return fin
-
-
-# ------------------------------------------------------------------ BPE --
-
-def bpe_word_freqs(sf_dir: str, docs_ds=None):
-    """Distributed word-TYPE frequency table feeding BPE learning:
-    per-block Counter partials → hash-grouped sum (the ``vocab_topk``
-    counting shape — every block emits at most its distinct-token count,
-    never its token stream)."""
-    from collections import Counter
-
-    from ..stages.hashagg import grouped_arrow_agg, hash_grouped_aggregate
-
-    docs = docs_ds if docs_ds is not None else _docs(sf_dir)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        c: Counter = Counter()
-        for t in batch.column("text").to_pylist():
-            c.update(lm_tokenize(t))
-        toks = sorted(c)
-        return pa.table({"word": pa.array(toks, pa.string()),
-                         "n": pa.array([c[t] for t in toks], pa.int64())})
-
-    return hash_grouped_aggregate(
-        docs.map_batches(partial, batch_format="pyarrow"), ["word"],
-        grouped_arrow_agg(["word"], [("n", "sum")], rename=["word", "n"]))
-
-
-def bpe_merges(sf_dir: str, n_merges: int = 20, max_types: int = 300,
-               freqs_ds=None):
-    """Learn BPE merges (Sennrich+ 2016) from the corpus.
-
-    Scale shape: the distributed pass is the word-type counting
-    (``bpe_word_freqs``); the merge loop itself runs driver-side over the
-    top-``max_types`` types by (freq DESC, word ASC) — bounded BY
-    CONTRACT, the standard practice for BPE learners (the type table a
-    learner consumes is always frequency-capped; the corpus never ships).
-    Returns a pandas DataFrame (rnk, lhs, rhs).  Oracle: the ENTIRE
-    learning loop is re-derived in generated SQL straight from
-    ``documents`` (one window-pass merge round per rank — zero staging).
-    """
-    import pandas as pd
-
-    from ..functions.bpe import learn_bpe
-
-    freqs = (freqs_ds if freqs_ds is not None
-             else bpe_word_freqs(sf_dir)).to_pandas()
-    freqs = freqs.sort_values(["n", "word"], ascending=[False, True]
-                              ).head(max_types)
-    merges = learn_bpe(list(zip(freqs["word"], freqs["n"].astype(int))),
-                       n_merges)
-    return pd.DataFrame({
-        "rnk": pd.array(range(1, len(merges) + 1), dtype="int64"),
-        "lhs": [m[0] for m in merges],
-        "rhs": [m[1] for m in merges],
-    })
-
-
-def bpe_segments(sf_dir: str, n_merges: int = 20, max_types: int = 300,
-                 merges=None, docs_ds=None):
-    """Tokenize every DISTINCT corpus word with the learned merges:
-    (word, pieces, n_pieces).  Stateless map over the distinct-word
-    table; the merge list (≤ n_merges tuples) ships in the closure."""
-    from ..functions.bpe import apply_bpe
-
-    if merges is None:
-        mdf = bpe_merges(sf_dir, n_merges=n_merges, max_types=max_types)
-        merges = list(zip(mdf["lhs"], mdf["rhs"]))
-
-    words = bpe_word_freqs(sf_dir, docs_ds=docs_ds)
-
-    def seg(batch: pa.Table) -> pa.Table:
-        ws = batch.column("word").to_pylist()
-        pieces = [apply_bpe(w, merges) for w in ws]
-        return pa.table({
-            "word": batch.column("word"),
-            "pieces": pa.array([" ".join(p) for p in pieces], pa.string()),
-            "n_pieces": pa.array([len(p) for p in pieces], pa.int64()),
-        })
-
-    return words.map_batches(seg, batch_format="pyarrow")
-
-
-def bpe_token_stats(sf_dir: str, n_merges: int = 20, max_types: int = 300,
-                    merges=None, docs_ds=None):
-    """Per-document BPE token counts: (doc_id, n_words, n_pieces).
-    Stateless per-doc map — the apply step is memoized per worker process
-    on the distinct words each batch sees (Zipf makes the hit rate high);
-    no join, no shuffle at any scale."""
-    from collections import Counter
-
-    from ..functions.bpe import apply_bpe
-
-    if merges is None:
-        mdf = bpe_merges(sf_dir, n_merges=n_merges, max_types=max_types)
-        merges = list(zip(mdf["lhs"], mdf["rhs"]))
-
-    docs = docs_ds if docs_ds is not None else _docs(sf_dir)
-    memo: dict = {}
-
-    def stats(batch: pa.Table) -> pa.Table:
-        ids, nw, npc = [], [], []
-        for did, t in zip(batch.column("doc_id").to_pylist(),
-                          batch.column("text").to_pylist()):
-            c = Counter(lm_tokenize(t))
-            total = words = 0
-            for w, k in c.items():
-                ln = memo.get(w)
-                if ln is None:
-                    ln = memo[w] = len(apply_bpe(w, merges))
-                total += k * ln
-                words += k
-            ids.append(did); nw.append(words); npc.append(total)
-        return pa.table({"doc_id": pa.array(ids, pa.int64()),
-                         "n_words": pa.array(nw, pa.int64()),
-                         "n_pieces": pa.array(npc, pa.int64())})
-
-    return docs.map_batches(stats, batch_format="pyarrow")
-
-
-# ------------------------------------------------------------ SemDeDup --
-
-# Driver-side k-means bounds for auto-k (ADVICE r04): sample rows the
-# driver will hold/cluster, and the largest auto-k before the build must
-# move off-driver.  Both are loud bounds, not silent truncations.
-_SEMDEDUP_SAMPLE_CAP = 262_144
-_SEMDEDUP_MAX_DRIVER_K = 16_384
-
-
-def semdedup(sf_dir: str, threshold: float = 0.35,
-             n_centroids: int | None = None,
-             seed: int = 11, sample_size: int = 512, kmeans_iters: int = 8,
-             cent=None, target_cluster_size: int = 1024):
-    """SemDeDup (Abbas+ 2023, PAPERS.md): semantic near-dedup via
-    k-means blocking.  Spherical k-means centroids from a bounded
-    driver-side sample (the ``ivf_index`` build), stateless cluster
-    assignment (argmax cosine; ties → lowest cluster id, numpy argmax ==
-    the oracle's row_number tie-break), then WITHIN each cluster
-    pairwise cosine ≥ ``threshold`` defines duplicate groups (connected
-    components over the pair graph); every group keeps the member LEAST
-    similar to its centroid (the paper's keep-low-centroid-sim rule),
-    ties on vec_id.  Output (vec_id, cluster, grp, keep); singletons
-    keep themselves.
-
-    Scale shape: the only exchange is the cluster groupby
-    (``hash_grouped_aggregate``); the quadratic verify is bounded per
-    cluster by the k choice — the paper's own device (k grows with the
-    corpus so cluster size stays fixed).  ``n_centroids=None`` (the
-    default) ENFORCES that device: k = max(8, n_vecs //
-    target_cluster_size), so expected cluster size stays
-    ~``target_cluster_size`` and the within-cluster O(m²) is bounded as
-    the corpus grows (the k-means sample is widened to 8·k so every
-    centroid can seed).  Pass an explicit k to reproduce a fixed-k run.
-    Centroids broadcast once via ``ray.put``; union-find runs inside the
-    bucket, never driver-side.
-
-    Driver bound: the centroid build is driver-side k-means at
-    O(k · sample · dim · iters), so the widened sample is CAPPED at
-    ``_SEMDEDUP_SAMPLE_CAP`` rows
-    (never ~n_vecs/128 — the uncapped widening re-grew driver footprint
-    with the corpus) and auto-k REFUSES loudly past
-    ``_SEMDEDUP_MAX_DRIVER_K`` centroids (~16M vecs at the default
-    target) rather than silently burning driver hours; past that bound
-    build centroids externally (e.g. distributed mini-batch k-means) and
-    pass ``cent=``, or raise ``target_cluster_size``.
-    """
-    from ..stages.hashagg import hash_grouped_aggregate
-
-    if cent is None:
-        if n_centroids is None:
-            import ray.data as rd
-            n_vecs = rd.read_parquet(
-                os.path.join(sf_dir, "embeddings.parquet"),
-                columns=["vec_id"]).count()
-            n_centroids = max(8, int(n_vecs) // target_cluster_size)
-            if n_centroids > _SEMDEDUP_MAX_DRIVER_K:
-                raise ValueError(
-                    f"semdedup: auto n_centroids={n_centroids:,} exceeds "
-                    f"the driver k-means bound {_SEMDEDUP_MAX_DRIVER_K:,} "
-                    f"({n_vecs:,} vecs / target_cluster_size="
-                    f"{target_cluster_size}); the centroid build is "
-                    "driver-side at O(k*sample*dim*iters). Build centroids "
-                    "externally and pass cent=, or raise "
-                    "target_cluster_size.")
-            sample_size = max(sample_size,
-                              min(8 * n_centroids, _SEMDEDUP_SAMPLE_CAP))
-        _, _, cent, _ = ivf_index(
-            sf_dir, n_queries=1, n_centroids=n_centroids, nprobe=1,
-            seed=seed, sample_size=sample_size, kmeans_iters=kmeans_iters)
-
-    def per_bucket(t: pa.Table) -> pa.Table:
-        out_v, out_c, out_g, out_k = [], [], [], []
-        df_ids = np.asarray(t.column("vec_id").to_pylist(), dtype=np.int64)
-        df_cl = np.asarray(t.column("cluster").to_pylist(), dtype=np.int64)
-        df_cs = np.asarray(t.column("csim").to_pylist(), dtype=np.float64)
-        embs = t.column("embedding").to_pylist()
-        for cl in np.unique(df_cl):
-            idx = np.where(df_cl == cl)[0]
-            order = idx[np.argsort(df_ids[idx])]
-            ids = df_ids[order]
-            cs = df_cs[order]
-            vecs = np.array([embs[i] for i in order], dtype=np.float64)
-            vecs /= np.maximum(
-                np.linalg.norm(vecs, axis=1, keepdims=True), 1e-12)
-            sims = vecs @ vecs.T
-            m = len(ids)
-            parent = list(range(m))
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            ii, jj = np.where(np.triu(sims >= threshold, k=1))
-            for a, b in zip(ii, jj):
-                ra, rb = find(int(a)), find(int(b))
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-            comp: dict[int, list[int]] = {}
-            for i in range(m):
-                comp.setdefault(find(i), []).append(i)
-            for members in comp.values():
-                grp = int(min(ids[i] for i in members))
-                best = min(members, key=lambda i: (cs[i], ids[i]))
-                for i in members:
-                    out_v.append(int(ids[i]))
-                    out_c.append(int(cl))
-                    out_g.append(grp)
-                    out_k.append(i == best)
-        return pa.table({"vec_id": pa.array(out_v, pa.int64()),
-                         "cluster": pa.array(out_c, pa.int64()),
-                         "grp": pa.array(out_g, pa.int64()),
-                         "keep": pa.array(out_k, pa.bool_())})
-
-    assigned = semdedup_assignments(sf_dir, cent)
-    return hash_grouped_aggregate(assigned, ["cluster"], per_bucket)
-
-
-def semdedup_assignments(sf_dir: str, cent):
-    """Stateless argmax-cosine cluster assignment for SemDeDup —
-    (vec_id, cluster, csim, embedding).  Factored out so the oracle can
-    STAGE the assignment (the ``ivf_topk`` device): the argmax and the
-    centroid-similarity keep-ordering are float-op-order surfaces
-    (numpy normalize-then-matmul vs DuckDB list_cosine_similarity), so
-    DuckDB consumes Python's own assignment instead of re-deriving it."""
-    import ray
-    import ray.data as rd
-
-    cref = ray.put(np.asarray(cent, dtype=np.float64))
-    ds = rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet"),
-                         columns=["vec_id", "embedding"])
-
-    def assign(batch: pa.Table) -> pa.Table:
-        ce = ray.get(cref)
-        vecs = np.array(batch.column("embedding").to_pylist(),
-                        dtype=np.float64)
-        vecs /= np.maximum(np.linalg.norm(vecs, axis=1, keepdims=True),
-                           1e-12)
-        sims = vecs @ ce.T
-        cid = np.argmax(sims, axis=1)
-        return pa.table({
-            "vec_id": batch.column("vec_id"),
-            "cluster": pa.array(cid, pa.int64()),
-            "csim": pa.array(sims[np.arange(len(cid)), cid], pa.float64()),
-            "embedding": batch.column("embedding"),
-        })
-
-    return ds.map_batches(assign, batch_format="pyarrow")
-
-
-# ------------------------------------------- model-based quality filter --
-
-def quality_classifier(sf_dir: str, weights=None, docs_ds=None):
-    """Model-based quality filtering (the GPT-3 appx-A / LLaMA curation
-    step; fastText-style hashing-trick linear scorer, Joulin+ 2016):
-    per-doc (doc_id, n_toks, logit_sum, keep) with keep = mean token
-    weight > 0.  Stateless per-doc map, per-worker token→weight memo
-    (Zipf makes the hit rate high); a trained model ships as a dense
-    ``weights`` array broadcast via ``ray.put``, the default is the
-    deterministic md5-derived stand-in (``functions/quality_clf``) so
-    the oracle re-derives EVERYTHING from ``documents`` — zero staging.
-    """
-    import ray
-
-    from ..functions.quality_clf import doc_logit
-
-    wref = ray.put(weights) if weights is not None else None
-    docs = docs_ds if docs_ds is not None else _docs(sf_dir)
-    memo: dict = {}
-
-    def score(batch: pa.Table) -> pa.Table:
-        w = ray.get(wref) if wref is not None else None
-        ids, nt, ls, keep = [], [], [], []
-        for did, t in zip(batch.column("doc_id").to_pylist(),
-                          batch.column("text").to_pylist()):
-            n, s = doc_logit(lm_tokenize(t), weights=w, _memo=memo)
-            ids.append(did); nt.append(n); ls.append(s); keep.append(s > 0)
-        return pa.table({"doc_id": pa.array(ids, pa.int64()),
-                         "n_toks": pa.array(nt, pa.int64()),
-                         "logit_sum": pa.array(ls, pa.int64()),
-                         "keep": pa.array(keep, pa.bool_())})
-
-    return docs.map_batches(score, batch_format="pyarrow")
-
-
 # --------------------------------------------- training-order shuffle --
 
 def shuffle_shards(sf_dir: str, n_shards: int = 16, seed: str = "shuf",
@@ -3484,51 +2311,6 @@ def shuffle_shards(sf_dir: str, n_shards: int = 16, seed: str = "shuf",
                          "shard_pos": pa.array(pos - start, pa.int64())})
 
     return hash_grouped_aggregate(st, ["b"], resolve)
-
-
-# ------------------------------------------ domain mixture weights --
-
-def mixture_weights(sf_dir: str, alpha: float = 0.3, docs_ds=None):
-    """Temperature-scaled domain sampling weights (the mT5 / DoReMi-init
-    corpus-mixing table, Xue+ 2021 §3.1): per ``source``, doc and token
-    counts, unnormalized weight floor(1e6·tokens^alpha) and its integer
-    micro-share of the corpus mix.  Per-block integer partials stream to
-    a driver reduce of ≤ blocks × sources rows — no shuffle at any
-    scale; pow via libm (math.pow ≡ DuckDB pow), quantized BEFORE the
-    normalizing division so every downstream value is exact integer
-    arithmetic."""
-    import pandas as pd
-
-    def partial(batch: pa.Table) -> pa.Table:
-        src = batch.column("source").to_pylist()
-        nw = [len(t.split()) for t in batch.column("text").to_pylist()]
-        agg: dict[str, list[int]] = {}
-        for s, w in zip(src, nw):
-            a = agg.setdefault(s, [0, 0])
-            a[0] += 1
-            a[1] += w
-        return pa.table({"source": pa.array(list(agg), pa.string()),
-                         "n_docs": pa.array([v[0] for v in agg.values()],
-                                            pa.int64()),
-                         "n_toks": pa.array([v[1] for v in agg.values()],
-                                            pa.int64())})
-
-    docs = (docs_ds if docs_ds is not None else
-            _docs(sf_dir, columns=("doc_id", "text", "source")))
-    parts = docs.map_batches(partial, batch_format="pyarrow").to_pandas()
-    if "source" not in parts.columns:   # empty corpus
-        parts = parts.reindex(columns=["source", "n_docs", "n_toks"])
-    agg = (parts.groupby("source", as_index=False)[["n_docs", "n_toks"]]
-           .sum().sort_values("source").reset_index(drop=True))
-    agg["wq"] = [int(math.floor(1e6 * math.pow(float(t), alpha)))
-                 for t in agg["n_toks"]]
-    sum_wq = int(agg["wq"].sum()) or 1   # empty corpus: no shares
-    agg["share_micro"] = [int(w) * 1_000_000 // sum_wq for w in agg["wq"]]
-    return pd.DataFrame({"source": agg["source"],
-                         "n_docs": agg["n_docs"].astype("int64"),
-                         "n_toks": agg["n_toks"].astype("int64"),
-                         "wq": agg["wq"].astype("int64"),
-                         "share_micro": agg["share_micro"].astype("int64")})
 
 
 # ------------------------------------- sharded training-corpus sink --

@@ -1,12 +1,9 @@
-"""At-scale datapoints for the training-order ops over the same planted
-1M-doc corpus as ``scale_dedup_datapoints.py``:
-
-* shuffle_shards — wall + structural proof at scale: positions are a
-  gapless permutation (count/min/max/sum identities), shards are
-  balanced (max-min ≤ 1) and internally contiguous (per-shard min=0,
-  max = count-1), all checked via distributed aggregates;
-* quality_classifier — wall + keep fraction (hashing-trick scorer);
-* mixture_weights — wall for the one-pass partial-aggregate reduce.
+"""At-scale datapoint for the training-order shuffle over the same
+planted 1M-doc corpus as ``scale_dedup_datapoints.py``: shuffle_shards
+wall + structural proof at scale.  Positions are a gapless permutation
+(count/min/max/sum identities), shards are balanced (max-min ≤ 1) and
+internally contiguous (per-shard min=0, max = count-1), all checked via
+distributed aggregates.
 
 Run:  python scripts/scale_order_datapoints.py [n_docs] [n_shards]
 """
@@ -52,10 +49,7 @@ def main():
         open(os.path.join(sf_dir, "_DONE"), "w").write("1")
 
     from graphrag_rs_ray.pipelines import training_data as td
-    from graphrag_rs_ray.stages.hashagg import (
-        grouped_arrow_agg,
-        hash_grouped_aggregate,
-    )
+    from graphrag_rs_ray.stages.hashagg import hash_grouped_aggregate
 
     td._docs(sf_dir).count()   # warm page cache + worker pool untimed
 
@@ -71,7 +65,6 @@ def main():
                and pos_sum == n_docs * (n_docs - 1) // 2)
 
     def per_shard(t: pa.Table) -> pa.Table:
-        import pandas as pd
         df = t.to_pandas()
         g = df.groupby("shard")["shard_pos"].agg(["count", "min", "max"])
         return pa.Table.from_pandas(g.reset_index(), preserve_index=False)
@@ -91,28 +84,6 @@ def main():
         "permutation_ok": perm_ok, "shards_balanced": balanced,
         "shards_contiguous": contiguous,
         "n_shards_seen": int(len(sh))}), flush=True)
-
-    t0 = time.perf_counter()
-    qc = td.quality_classifier(sf_dir).materialize()
-    t_qc = time.perf_counter() - t0
-    kept = qc.sum("keep")
-    print(json.dumps({
-        "op": "quality_classifier", "n_docs": n_docs,
-        "sec": round(t_qc, 1), "docs_per_sec": round(n_docs / t_qc),
-        "keep_frac": round(kept / n_docs, 4)}), flush=True)
-
-    t0 = time.perf_counter()
-    docs = td._docs(sf_dir).map_batches(
-        lambda t: t.append_column(
-            "source", pa.array(["w"] * t.num_rows, pa.string())),
-        batch_format="pyarrow")
-    mw = td.mixture_weights(sf_dir, docs_ds=docs)
-    t_mw = time.perf_counter() - t0
-    print(json.dumps({
-        "op": "mixture_weights", "n_docs": n_docs,
-        "sec": round(t_mw, 1),
-        "n_sources": int(len(mw)),
-        "total_tokens": int(mw["n_toks"].sum())}), flush=True)
 
     ray.shutdown()
 

@@ -74,37 +74,6 @@ def test_ngram_verify_paths_equal(ray_session):
     assert fast.equals(sharded)
 
 
-def test_write_curated_corpus_resumable(ray_session, tmp_path):
-    """Sharded sink writes docs/shard=K/ + per-shard manifests; a rerun
-    with the same fingerprint returns the manifest without rewriting."""
-    from graphrag_rs_ray.pipelines import training_data as td
-    sf = tmp_path / "sf"
-    os.makedirs(sf, exist_ok=True)
-    sf_dir = _mk_corpus(sf)
-    out = str(tmp_path / "curated")
-    curated = td.corpus_curation(sf_dir, keep_text=True)
-    man = td.write_curated_corpus(curated, out, num_shards=4)
-    assert man["rows"] == 2
-    shard_dirs = [d for d in os.listdir(os.path.join(out, "docs"))
-                  if d.startswith("shard=")]
-    assert shard_dirs, "no shard partitions written"
-    for d in shard_dirs:
-        assert os.path.exists(os.path.join(out, "docs", d, "_MANIFEST.json"))
-    # resume: same fingerprint → returned manifest, data untouched
-    import pyarrow.dataset as pads
-    before = pads.dataset(os.path.join(out, "docs"),
-                          partitioning="hive").count_rows()
-    man2 = td.write_curated_corpus(curated, out, num_shards=4)
-    assert man2["fingerprint"] == man["fingerprint"]
-    after = pads.dataset(os.path.join(out, "docs"),
-                         partitioning="hive").count_rows()
-    assert before == after == 2
-    # text survives keep_text
-    cols = pads.dataset(os.path.join(out, "docs"),
-                        partitioning="hive").schema.names
-    assert "text" in cols
-
-
 def test_corpus_curation_no_candidates(ray_session, tmp_path):
     """Empty LSH candidate set must not break the final filter."""
     from graphrag_rs_ray.pipelines import training_data as td

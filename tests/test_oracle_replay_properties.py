@@ -4,8 +4,6 @@ functions — no Ray, no staging).
 These pin the EQUIVALENCES the generated SQL oracles rely on:
 - the tag-strip automaton == the two-regex-pass replay used by the
   ``kg_extract_text`` oracle, over adversarial tag soup,
-- the /255 f32 cast double-rounding safety the ``multimodal_features``
-  oracle relies on (all 256 byte values),
 - the gleaning entity-merge fold == the first-candidate-at-max closed
   form the ``gleaning_triples`` oracle computes.
 """
@@ -13,7 +11,6 @@ These pin the EQUIVALENCES the generated SQL oracles rely on:
 import re
 import string
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,14 +34,6 @@ def test_tag_strip_automaton_equals_regex_replay(s):
     # sanitized domain (the oracle stages sanitized text)
     s = re.sub(r"[^\x09-\x0d\x20-\x7e]", "_", s)
     assert extract_text_content(s) == _regex_replay(s)
-
-
-def test_div255_f32_double_rounding_safe():
-    """(b::DOUBLE / 255.0)::FLOAT4 == uint8→f32 / f32(255) for all b."""
-    for b in range(256):
-        via_f64 = np.float32(np.float64(b) / 255.0)
-        via_f32 = np.uint8(b).astype(np.float32) / np.float32(255.0)
-        assert via_f64 == via_f32
 
 
 def _fold_merge(seed_dl: int, cand_dls: list[int]) -> int:

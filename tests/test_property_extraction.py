@@ -74,11 +74,14 @@ def test_tokenizers_total(text):
     assert detect_language(text) in ("en", "es", "pt", "fr")
 
 
-# one whitespace-free raw token, as the extractor's split yields it
+# one whitespace-free raw token, as the extractor's split yields it; the
+# head is an upper-case letter because only a token whose raw first
+# character is upper case is person-eligible ([5]), so the ``assume``
+# below rejects every other head
 _ACCENTED = "ÀÉÎÕÜÇÑàéîõüçñß"
 _TOKEN = st.builds(
     lambda head, tail: head + tail,
-    st.sampled_from(string.ascii_uppercase + _ACCENTED + "'(\"."),
+    st.sampled_from(string.ascii_uppercase + "ÀÉÎÕÜÇÑ"),
     st.text(alphabet=string.ascii_letters + _ACCENTED
             + string.digits + ".,'-()!?\"", max_size=10))
 

@@ -89,8 +89,6 @@ SQL_CHECKED = [
     # weighted Dijkstra SSSP (generated Bellman-Ford rounds) + bounded
     # simple-path enumeration (recursive CTE w/ visited check)
     "shortest_paths", "all_paths",
-    # video frame-sampling explosion structure (staged media rows)
-    "frame_samples",
     # four-phase pipeline validation report over staged corrupted tables
     "pipeline_validation",
     # real RDF/Turtle/GraphML import (SQL re-parses the same staged raw
@@ -126,8 +124,6 @@ SQL_CHECKED = [
     # positions (separator-priority rfinds, quarter gate, overlap
     # back-off, min-size trim gate)
     "kg_chunks",
-    # fake-codec decode arithmetic re-derived from staged blake2b digests
-    "multimodal_features",
     # semantic chunker: staged sentences+distances; percentile threshold,
     # breakpoint flags and segment assembly replayed in SQL
     "semantic_chunks",
@@ -170,6 +166,26 @@ def test_every_oracle_names_a_query():
     """An oracle whose query is gone is a leftover of a partial cut."""
     import __ray_entry__ as e
     assert sorted(set(e.oracle_sql()) - set(e.queries())) == []
+
+
+def test_bench_names_only_driver_queries():
+    """bench.py looks its timed queries up as ``q["<name>"]``; a name
+    that ``queries()`` no longer has would only fail as a KeyError in a
+    bench run, which the test suite never starts."""
+    import ast
+
+    import __ray_entry__ as e
+    bench = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "bench.py")
+    with open(bench) as f:
+        tree = ast.parse(f.read())
+    names = {n.slice.value for n in ast.walk(tree)
+             if isinstance(n, ast.Subscript)
+             and isinstance(n.value, ast.Name) and n.value.id == "q"
+             and isinstance(n.slice, ast.Constant)
+             and isinstance(n.slice.value, str)}
+    assert names, "no q[...] lookups found in bench.py"
+    assert sorted(names - set(e.queries())) == []
 
 
 ROWS_ONLY = ["chunk_embeddings"]

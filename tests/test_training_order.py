@@ -1,17 +1,13 @@
 """Gates for the training-order ops: shuffle_shards (naive-equality,
 gapless positions, balanced contiguous shards, reshard invariance) and
-mixture_weights (hand-computed shares, integer discipline)."""
+corpus_diff (cross-snapshot status, empty corpus)."""
 
 import hashlib
-import math
 
 import pyarrow as pa
 import pytest
 
-from graphrag_rs_ray.pipelines.training_data import (
-    mixture_weights,
-    shuffle_shards,
-)
+from graphrag_rs_ray.pipelines.training_data import shuffle_shards
 
 
 def _docs_table(n):
@@ -73,27 +69,6 @@ def test_shuffle_reshard_invariant(ray_session):
     assert not a["pos"].equals(c["pos"])
 
 
-def test_mixture_weights_hand_computed(ray_session):
-    import ray.data as rd
-    docs = pa.table({
-        "doc_id": pa.array([1, 2, 3], pa.int64()),
-        "text": pa.array(["a b c d", "e f", "g"], pa.string()),
-        "source": pa.array(["big", "big", "small"], pa.string()),
-    })
-    out = mixture_weights("", alpha=0.5,
-                          docs_ds=rd.from_arrow(docs).repartition(3))
-    out = out.set_index("source")
-    assert out.loc["big", "n_docs"] == 2 and out.loc["big", "n_toks"] == 6
-    assert out.loc["small", "n_docs"] == 1 and out.loc["small", "n_toks"] == 1
-    wq_big = int(math.floor(1e6 * math.pow(6.0, 0.5)))
-    wq_small = int(math.floor(1e6 * math.pow(1.0, 0.5)))
-    assert out.loc["big", "wq"] == wq_big
-    assert out.loc["small", "wq"] == wq_small
-    tot = wq_big + wq_small
-    assert out.loc["big", "share_micro"] == wq_big * 1_000_000 // tot
-    assert int(out["share_micro"].sum()) <= 1_000_000
-
-
 def test_corpus_diff(ray_session):
     import ray.data as rd
 
@@ -146,6 +121,4 @@ def test_empty_corpus_epilogues(ray_session):
         "doc_id": pa.array([], pa.int64()),
         "text": pa.array([], pa.string()),
         "source": pa.array([], pa.string())}))
-    assert len(td.mixture_weights("", docs_ds=empty)) == 0
-    assert len(td.vocab_topk("", docs_ds=empty)) == 0
     assert td.corpus_diff("", docs_ds=empty).count() == 0

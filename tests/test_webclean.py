@@ -1,8 +1,7 @@
-"""Gates for the web-cleaning family: C4 line filters, PII redaction,
-corpus-wide line dedup, vocabulary top-k.
+"""Gates for the web-cleaning family: C4 line filters and PII redaction.
 
-The sf corpora exercise only the no-match branches (no PII, no braces,
-no duplicate lines), so the TRUE branches are gated here two ways:
+The sf corpora exercise only the no-match branches (no PII, no braces),
+so the TRUE branches are gated here two ways:
 planted-case kernel asserts, and a DuckDB replay of the REAL oracle SQL
 over an in-memory `documents` table of planted texts (the same
 side-by-side the driver runs, on adversarial rows)."""
@@ -102,9 +101,7 @@ def test_oracle_parity_on_planted_docs():
                 df[c] = df[c].astype(str)
         return df.sort_values(list(df.columns)).reset_index(drop=True)
 
-    for name, fn in [("c4_clean", td.c4_clean), ("pii_redact", td.pii_redact),
-                     ("line_dedup", td.line_dedup),
-                     ("vocab_topk", td.vocab_topk)]:
+    for name, fn in [("c4_clean", td.c4_clean), ("pii_redact", td.pii_redact)]:
         got = fn("/unused", docs_ds=ds)
         got = got.to_pandas() if not isinstance(got, pd.DataFrame) else got
         want = _oracle(name)
@@ -112,44 +109,4 @@ def test_oracle_parity_on_planted_docs():
     # the planted corpus actually exercises the true branches
     pii = _oracle("pii_redact").set_index("doc_id")
     assert pii.loc[1, "n_email"] == 1 and pii.loc[1, "n_ip"] == 1
-    ld = _oracle("line_dedup").set_index("doc_id")
-    assert ld.loc[4, "n_dropped"] == 2 and ld.loc[3, "n_dropped"] == 0
 
-
-# ----------------------------------------------------------- pipelines --
-
-@pytest.mark.usefixtures("ray_session")
-def test_line_dedup_semantics_and_path_equality():
-    import ray.data as rd
-    from graphrag_rs_ray.pipelines import training_data as td
-
-    ds = rd.from_arrow(_planted_docs())
-    a = (td.line_dedup("/unused", docs_ds=ds).to_pandas()
-         .sort_values("doc_id").reset_index(drop=True))
-    # first occurrence (doc 3 line 1) survives; doc 4 loses both copies
-    a = a.set_index("doc_id")
-    assert a.loc[3, "n_dropped"] == 0
-    assert a.loc[3, "cleaned"] == PLANTED[2]           # blanks preserved
-    assert a.loc[4, "n_dropped"] == 2
-    assert a.loc[4, "cleaned"] == "Another unique line."
-    assert a.loc[6, "cleaned"] == "" and a.loc[6, "n_lines"] == 1
-    # forced bucketed-join path is bit-identical to the broadcast path
-    ds2 = rd.from_arrow(_planted_docs())
-    b = (td.line_dedup("/unused", docs_ds=ds2, force_join=True).to_pandas()
-         .sort_values("doc_id").set_index("doc_id"))
-    pd.testing.assert_frame_equal(a, b)
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_vocab_topk_ranking_and_cap():
-    import ray.data as rd
-    from graphrag_rs_ray.pipelines import training_data as td
-
-    ds = rd.from_arrow(pa.table({
-        "doc_id": pa.array([1, 2], pa.int64()),
-        "text": pa.array(["b b b a a c! C?", "a d d"], pa.string())}))
-    out = td.vocab_topk("/unused", k=3, docs_ds=ds)
-    # counts: a=3 b=3 c=2 d=2 — ties break token-ASC
-    assert list(out["token"]) == ["a", "b", "c"]
-    assert list(out["n"]) == [3, 3, 2]
-    assert list(out["rnk"]) == [1, 2, 3]
