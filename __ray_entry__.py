@@ -215,7 +215,6 @@ def q_kg_entities_fuzzy(sf_dir: str):
     oracle-checked; the link computation itself (blocked greedy
     clustering) stays gated by the determinism/similarity unit tests."""
     import ray
-    import ray.data as rd
     from graphrag_rs_ray.functions.similarity import LinkingConfig
     from graphrag_rs_ray.pipelines.kg import (
         entities_dataset, partial_entity_agg_from_final)
@@ -1149,7 +1148,6 @@ def _staged_conf_entities(query: str, sf_dir: str):
     (blake2b of the entity_id — the extractor's constant 0.8 would make
     confidence tie-breaks and averages degenerate)."""
     import hashlib
-    from graphrag_rs_ray.pipelines.kg import entities_dataset
 
     ents = _kg_ds(sf_dir, "entities")
 
@@ -1315,7 +1313,6 @@ def _staged_linker_entities(query: str, sf_dir: str, limit: int = 120):
     import hashlib
 
     import pyarrow.compute as pc
-    from graphrag_rs_ray.pipelines.kg import entities_dataset
 
     ents = _kg_ds(sf_dir, "entities")
 
@@ -1518,13 +1515,8 @@ def q_pipeline_validation(sf_dir: str):
     every check/metric row."""
     import hashlib
     import ray.data as rd
-    from graphrag_rs_ray.pipelines.kg import dedup_triples
     from graphrag_rs_ray.pipelines.validation import pipeline_validation_report
-    from graphrag_rs_ray.stages.canonicalize import (
-        entity_bucket_merge, partial_entity_agg)
     from graphrag_rs_ray.stages.enrich import EnrichedChunkStage
-    from graphrag_rs_ray.stages.hashagg import hash_grouped_aggregate
-    from graphrag_rs_ray.stages.kg_extract import triples_only
     import pyarrow.compute as _pc
 
     cfg = KGConfig()
@@ -2043,7 +2035,6 @@ def q_vector_store_stats(sf_dir: str):
 def _import_union(entities_ds, rels_ds):
     """Pad entity/relationship datasets to one shared all-string schema
     (kind 'e'/'r'; '' fills — never NULL, per the oracle-parity rule)."""
-    import ray.data as rd
 
     def pad_e(t: pa.Table) -> pa.Table:
         fill = pa.array([""] * t.num_rows, pa.string())

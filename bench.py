@@ -232,7 +232,6 @@ def run_bench() -> dict:
     timed("degree_stats", lambda: q["degree_stats"](sf_dir).count())
     def ner_unstaged():
         from graphrag_rs_ray.pipelines.kg import pages_to_chunks
-        from graphrag_rs_ray.sources.pages import pages_dataset
         from graphrag_rs_ray.stages.memo import memoized_stage
         from graphrag_rs_ray.stages.ner import (DEMO_ENTITY_TYPES,
                                                 DEMO_RULES, NERStage)

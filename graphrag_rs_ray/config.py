@@ -7,7 +7,7 @@ defaults match the reference's defaults where one exists (cited inline).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -20,7 +20,7 @@ class KGConfig:
                                         # | "rust_code" (chunking_strategies.rs:138)
 
     # extraction — registry name (SURVEY §2.13): "pattern" | "gleaning"
-    # (+ any name registered via stages.registry.register_extractor)
+    # (+ any name added to stages.registry.EXTRACTORS)
     extractor: str = "pattern"
     min_confidence: float = 0.7          # config/mod.rs:859-861
     entity_types: tuple[str, ...] = ("PERSON", "ORGANIZATION", "LOCATION")
@@ -42,17 +42,7 @@ class KGConfig:
     # link table stays a Dataset and subj/obj remap via bucketed joins
     link_broadcast_limit: int = 2_000_000
 
-    # embeddings
-    embedding_dim: int = 64
-    embed_entities: bool = True
-
     # physical
     batch_size: int = 256                # chunk rows per extraction batch
     extract_concurrency: int | tuple[int, int] | None = None  # actor pool size (None → tasks)
     num_shards: int = 16                 # adjacency shard count (hash(subj) % P)
-    max_context_chunks: int = 8          # contexts kept per deduped triple
-
-    extra: dict = field(default_factory=dict)
-
-
-DEFAULT_CONFIG = KGConfig()

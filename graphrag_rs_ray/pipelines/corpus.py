@@ -244,7 +244,6 @@ def concept_cluster_table(concepts_ds, collect_limit: int = 2_000_000):
 
     def rank_bucket(t: pa.Table) -> pa.Table:
         offs = ray.get(off_ref)
-        import pandas as pd
         df = t.to_pandas()
         df["_sk"] = [s.encode() for s in df["canonical_text"]]
         df = df.sort_values(["_bk", "_sk"], kind="stable")

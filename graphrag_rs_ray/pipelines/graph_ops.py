@@ -255,7 +255,6 @@ def pagerank(triples_ds, damping: float = 0.85, max_iter: int = 20,
       node table; the driver holds ONLY the convergence delta scalar.
     """
     import ray
-    import pandas as pd
 
     edges = triples_ds.map_batches(
         lambda t: t.select(["subj", "obj"]), batch_format="pyarrow").materialize()
@@ -428,7 +427,6 @@ def pagerank_dataset(edges, damping: float = 0.85, max_iter: int = 20,
 
     # node table with out-degree (0 for pure sinks)
     def endpoints(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         subj = t.column("subj")
         obj = t.column("obj")
         node = pa.concat_tables([pa.table({"node": subj, "is_src": pa.array([1] * t.num_rows, pa.int64())}),

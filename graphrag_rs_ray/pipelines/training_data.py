@@ -1381,7 +1381,6 @@ def lsh_planes(dim: int, n_planes: int = 12, seed: int = 7) -> np.ndarray:
 def lsh_buckets(sf_dir: str, n_planes: int = 12, seed: int = 7):
     """Random-hyperplane LSH bucket id per vector — the IVF/LSH scale path
     for ANN (bucket co-membership ⇒ candidate)."""
-    import ray
     import ray.data as rd
 
     path = os.path.join(sf_dir, "embeddings.parquet")
@@ -1598,7 +1597,6 @@ def dup_span_profile(sf_dir: str, k: int = 40, w: int = 10, docs_ds=None):
     small), then ONE grouped pass per doc over a union of tagged
     norm-length rows and shared-position rows (no left join, no NaN
     dtype drift)."""
-    import pandas as pd
     from ..functions.dedup import Winnower
     from ..stages.hashagg import (bucketed_join, grouped_arrow_agg,
                                   hash_grouped_aggregate)
@@ -1834,7 +1832,6 @@ def tfidf_topk(sf_dir: str, top_k: int = 5):
 def semantic_chunks(sf_dir: str):
     """Semantic chunking over documents — actor pool (the embedder's
     word-vector memo is per-actor state)."""
-    import ray.data as rd
     from ..functions.semantic_chunking import SemanticChunker, SemanticChunkerConfig
 
     class SemanticChunkStage:

@@ -75,7 +75,6 @@ def _entity_valid(i, n, t) -> bool:
 def import_csv(path: str, cfg: ImportConfig | None = None, delimiter: str = ","):
     """CSV/TSV → (entities_ds, relationships_ds, errors).  Raises
     ``ImportAborted`` when error count reaches ``max_errors``."""
-    import ray.data as rd
     from ray.data import read_csv
     from pyarrow import csv as pacsv
 
@@ -176,7 +175,6 @@ def import_jsonl(path: str, cfg: ImportConfig | None = None):
     """Tagged per-line records, streamed via ``read_text`` + vectorized
     parse.  Error rows count toward max_errors (checked after the parse
     pass; see module docstring for the distributed-abort contract)."""
-    import ray
     import ray.data as rd
 
     cfg = cfg or ImportConfig()

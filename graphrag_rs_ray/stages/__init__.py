@@ -15,7 +15,7 @@ from .canonicalize import (
 from .embed import EmbedStage
 from .hashagg import auto_pool, bucketed_join, grouped_arrow_agg, hash_grouped_aggregate
 from .memo import memoized_stage
-from .registry import make_extractor, register_extractor
+from .registry import make_extractor
 
 __all__ = [
     "extract_text_stage", "ChunkStage", "ExtractKG", "COMBINED_SCHEMA",
@@ -23,5 +23,4 @@ __all__ = [
     "partial_entity_agg", "entity_bucket_merge", "partial_triple_agg",
     "EmbedStage", "auto_pool", "bucketed_join", "grouped_arrow_agg",
     "hash_grouped_aggregate", "memoized_stage", "make_extractor",
-    "register_extractor",
 ]

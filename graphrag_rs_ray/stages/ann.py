@@ -137,7 +137,6 @@ def topk_directed_edges(pairs_ds, k: int = 10,
     rows (src, dst, sim, rank), tie-break (sim desc, dst asc)."""
 
     def both_dirs(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         fwd = pa.table({"src": t.column(id_a), "dst": t.column(id_b),
                         "sim": t.column(sim)})
         rev = pa.table({"src": t.column(id_b), "dst": t.column(id_a),

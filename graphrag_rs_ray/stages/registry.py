@@ -26,10 +26,9 @@ class GleaningCombinedStage:
 
     LLM_CONF = 0.9
 
-    def __init__(self, cfg: KGConfig):
+    def __init__(self):
         from .gleaning import GleaningExtractStage
-        rounds = int(cfg.extra.get("gleaning_rounds", 3))
-        self.inner = GleaningExtractStage(max_rounds=rounds)
+        self.inner = GleaningExtractStage(max_rounds=3)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         g = self.inner(batch)
@@ -53,7 +52,7 @@ class GleaningCombinedStage:
 
 EXTRACTORS = {
     "pattern": lambda cfg: ExtractKG(cfg),
-    "gleaning": lambda cfg: GleaningCombinedStage(cfg),
+    "gleaning": lambda cfg: GleaningCombinedStage(),
 }
 
 
@@ -65,8 +64,3 @@ def make_extractor(cfg: KGConfig):
         raise ValueError(
             f"unknown extractor {name!r}; registered: {sorted(EXTRACTORS)}") from None
     return factory(cfg)
-
-
-def register_extractor(name: str, factory) -> None:
-    """User-extension hook (mirrors ``core/registry.rs`` registration)."""
-    EXTRACTORS[name] = factory

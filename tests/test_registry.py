@@ -13,11 +13,11 @@ def test_unknown_extractor_rejected():
 
 
 def test_register_custom_extractor():
-    from graphrag_rs_ray.stages.registry import EXTRACTORS, make_extractor, register_extractor
+    from graphrag_rs_ray.stages.registry import EXTRACTORS, make_extractor
 
     def factory(cfg):
         return lambda batch: batch
-    register_extractor("custom", factory)
+    EXTRACTORS["custom"] = factory
     try:
         assert callable(make_extractor(KGConfig(extractor="custom")))
     finally:

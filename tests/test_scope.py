@@ -1,19 +1,19 @@
 """Scope gates.
 
-Every ``graphrag_rs_ray`` module is reached from a non-test entry point,
-except the modules listed in ``UNREACHED``.  Reach is the static import
-closure, by ``ast``, of the driver contract (``__ray_entry__.py``),
-``bench.py``, ``scripts/*.py`` and ``perfbench/*.py``; imports inside
-functions count.  A module that drops out of the closure fails the test
-until it is deleted or listed here, and a listed module that becomes
-reachable (or is deleted) fails it too, so the list can only shrink.
+Every ``graphrag_rs_ray`` module is reached from a non-test entry point.
+Reach is the static import closure, by ``ast``, of the driver contract
+(``__ray_entry__.py``), ``bench.py``, ``scripts/*.py`` and
+``perfbench/*.py``; imports inside functions count.  A module that
+drops out of the closure fails the test until it is deleted or wired
+into an entry point.
 
 Every top-level function and class of the package and the driver is
 referenced somewhere in the repo's Python, tests included, so a cut
-cannot leave its helpers behind, and every module-level import of the
-package, the driver, ``bench.py`` and ``scripts/*.py`` is read.  Every
-file these gates parse compiles without a syntax or deprecation
-warning, no package module calls ``print``, and no package
+cannot leave its helpers behind, and every import of the package, the
+driver, ``bench.py`` and ``scripts/*.py`` is read: a module-level one
+in its module or by another file, a function-local one in its
+function.  Every file these gates parse compiles without a syntax or
+deprecation warning, no package module calls ``print``, and no package
 ``.repartition`` takes a literal block count."""
 
 import ast
@@ -23,24 +23,6 @@ import warnings
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PKG = "graphrag_rs_ray"
-
-# Modules outside the indexing entry points, each covered by tests only.
-UNREACHED = {
-    "graphrag_rs_ray.api",                     # GraphRAG build facade
-    "graphrag_rs_ray.config_ext",              # config loader/schema ports
-    "graphrag_rs_ray.setconfig",               # TOML config system
-    "graphrag_rs_ray.functions.llm_extract",   # LLM response parsing
-    "graphrag_rs_ray.functions.multilingual",  # language detect/normalize
-    "graphrag_rs_ray.functions.paths",         # driver-side path kernels
-    "graphrag_rs_ray.functions.syntax",        # rule-based POS/NP
-    "graphrag_rs_ray.stages.rate_limit",       # API rate limiting
-    "graphrag_rs_ray.state.cache",             # LLM-response cache
-    "graphrag_rs_ray.state.incremental",       # standalone update manager
-    "graphrag_rs_ray.state.invalidation",      # cache invalidation planner
-    "graphrag_rs_ray.state.parquet_store",     # reference-schema persistence
-    "graphrag_rs_ray.state.workspace",         # named output directories
-}
-
 
 def _module_name(path: str) -> str:
     parts = os.path.relpath(path, ROOT)[:-3].split(os.sep)
@@ -112,8 +94,8 @@ def _unreached() -> set[str]:
     return set(mods) - seen
 
 
-def test_unreached_modules_are_exactly_the_listed_ones():
-    assert _unreached() == UNREACHED
+def test_every_package_module_is_reached():
+    assert _unreached() == set()
 
 
 def _py_files(*dirs: str) -> list[str]:
@@ -215,6 +197,38 @@ def test_every_module_level_import_is_read():
                    for b, m, n in _bindings(_top_level(tree), path)
                    if m != "__future__" and b not in loads
                    and (mod, b) not in external]
+    assert sorted(unread) == []
+
+
+def _own_nodes(fn) -> list:
+    """Nodes of ``fn``'s body outside its nested functions."""
+    todo, out = list(fn.body), []
+    while todo:
+        node = todo.pop()
+        out.append(node)
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            todo += ast.iter_child_nodes(node)
+    return out
+
+
+def test_every_function_local_import_is_read():
+    """Each name a function binds by an import in its own body is
+    loaded in that function or in a function nested in it."""
+    unread = []
+    for path in (_py_files(PKG) + glob.glob(os.path.join(ROOT, "scripts",
+                                                         "*.py"))
+                 + [os.path.join(ROOT, "__ray_entry__.py"),
+                    os.path.join(ROOT, "bench.py")]):
+        for fn in ast.walk(_parse(path)):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            loads = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)
+                     and isinstance(n.ctx, ast.Load)}
+            unread += [f"{os.path.relpath(path, ROOT)}:{fn.lineno} "
+                       f"{fn.name}: {b}"
+                       for b, _, _ in _bindings(_own_nodes(fn), path)
+                       if b not in loads]
     assert sorted(unread) == []
 
 

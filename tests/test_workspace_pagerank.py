@@ -1,4 +1,4 @@
-"""Workspace manager + PageRank + graph statistics."""
+"""PageRank + graph statistics."""
 
 import pyarrow as pa
 import pytest
@@ -39,7 +39,6 @@ def test_pagerank_sink_preference(ray_session):
 
 def test_personalized_pagerank_seeds(ray_session):
     from graphrag_rs_ray.pipelines.graph_ops import pagerank
-    import pytest as _pytest
     edges = [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d"), ("d", "c")]
     uniform = pagerank(_triples_ds(edges), max_iter=40)
     seeded = pagerank(_triples_ds(edges), max_iter=40,
@@ -49,7 +48,7 @@ def test_personalized_pagerank_seeds(ray_session):
     # teleporting to d boosts d (and its neighborhood) vs uniform
     assert s["d"] > u["d"]
     assert abs(sum(s.values()) - 1.0) < 1e-6
-    with _pytest.raises(ValueError, match="no known node"):
+    with pytest.raises(ValueError, match="no known node"):
         pagerank(_triples_ds(edges), reset_probabilities={"zz": 1.0})
 
 
@@ -119,30 +118,3 @@ def test_graph_statistics(ray_session):
     assert stats["n_triples"] > 0
     assert "PERSON" in stats["type_histogram"]
     assert stats["avg_entities_per_chunk"] > 0
-
-
-def test_workspace_roundtrip(ray_session, tmp_path):
-    from graphrag_rs_ray.config import KGConfig
-    from graphrag_rs_ray.pipelines.kg import build_kg
-    from graphrag_rs_ray.sources.pages import pages_dataset
-    from graphrag_rs_ray.state.workspace import WorkspaceManager
-
-    wm = WorkspaceManager(str(tmp_path / "ws"))
-    res = build_kg(pages_dataset(40, seed=9), KGConfig())
-    meta = wm.save("round1", res, num_shards=4)
-    assert meta["n_triples"] > 0
-
-    listed = wm.list()
-    assert [m["name"] for m in listed] == ["round1"]
-
-    ents, tris, meta2 = wm.load("round1")
-    assert ents.count() == meta["n_entities"]
-    assert tris.count() == meta["n_triples"]
-    assert meta2["created_at"] == meta["created_at"]
-
-    assert wm.delete("round1") is True
-    assert wm.list() == []
-    with pytest.raises(FileNotFoundError):
-        wm.load("round1")
-    with pytest.raises(ValueError):
-        wm.save("../evil", res)
