@@ -64,10 +64,6 @@ def tfidf_keywords(text: str, df: dict[str, int], total_docs: int,
 
 # ---- extractive summarizer ----------------------------------------------
 
-def _clean(w: str) -> str:
-    return w.lower().strip("".join(c for c in w if not c.isalnum()))
-
-
 def _content_words(s: str) -> list[str]:
     out = []
     for w in s.split():

@@ -8,7 +8,7 @@ kernel needs it.
 
 from .extract_text import extract_text_stage
 from .chunk import ChunkStage
-from .kg_extract import ExtractKG, COMBINED_SCHEMA, entities_only, triples_only, errors_only
+from .kg_extract import ExtractKG, COMBINED_SCHEMA, entities_only, triples_only
 from .canonicalize import (
     partial_entity_agg, entity_bucket_merge, partial_triple_agg,
 )
@@ -19,7 +19,7 @@ from .registry import make_extractor
 
 __all__ = [
     "extract_text_stage", "ChunkStage", "ExtractKG", "COMBINED_SCHEMA",
-    "entities_only", "triples_only", "errors_only",
+    "entities_only", "triples_only",
     "partial_entity_agg", "entity_bucket_merge", "partial_triple_agg",
     "EmbedStage", "auto_pool", "bucketed_join", "grouped_arrow_agg",
     "hash_grouped_aggregate", "memoized_stage", "make_extractor",

@@ -107,11 +107,17 @@ def hash_grouped_aggregate(ds, keys: list[str],
     blocks pays Ray's per-task overhead once per block, so coalesce it
     first (``ds.repartition(exchange_blocks(...))``)."""
 
+    # pandas metadata on a schema (``pa.Table.from_pandas``) makes it
+    # unhashable, and Ray's ``unify_schemas`` then logs a warning per
+    # sort reduce; dropping it copies no data
     def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column("_bucket", _bucket_of(batch, keys, num_buckets))
+        return batch.append_column(
+            "_bucket", _bucket_of(batch, keys, num_buckets)
+        ).replace_schema_metadata(None)
 
     def run_bucket(group: pa.Table) -> pa.Table:
-        return per_bucket_fn(group.drop_columns(["_bucket"]))
+        return per_bucket_fn(
+            group.drop_columns(["_bucket"])).replace_schema_metadata(None)
 
     return (ds.map_batches(add_bucket, batch_format="pyarrow")
               .groupby("_bucket")

@@ -144,11 +144,3 @@ def entities_only(batch: pa.Table) -> pa.Table:
 def triples_only(batch: pa.Table) -> pa.Table:
     t = batch.filter(pc.equal(batch.column("kind"), "t"))
     return t.select(["chunk_id", "doc_id", "subj", "pred", "obj", "conf"])
-
-
-def errors_only(batch: pa.Table) -> pa.Table:
-    """Poison-pill rows routed by the extraction stage."""
-    t = batch.filter(pc.equal(batch.column("kind"), "x"))
-    return pa.table({"chunk_id": t.column("chunk_id"),
-                     "doc_id": t.column("doc_id"),
-                     "error": t.column("name")})

@@ -33,6 +33,36 @@ def test_hash_agg_matches_pandas(ray_session):
     assert (out["v_max"].to_numpy() == truth["v_max"].to_numpy()).all()
 
 
+def test_hash_agg_output_schemas_hash(ray_session):
+    """``pa.Table.from_pandas`` puts a metadata dict on the schema, which
+    makes ``hash(schema)`` raise; Ray's ``unify_schemas`` hashes the
+    schemas of every exchange and logs a warning per reduce when that
+    fails.  The exchange and its output carry no schema metadata, even
+    when the input blocks and ``per_bucket_fn`` come from pandas."""
+    import ray
+    import ray.data as rd
+    from graphrag_rs_ray.stages.hashagg import hash_grouped_aggregate
+
+    blocks = [pa.Table.from_pandas(pd.DataFrame(
+        {"k": [f"key{(i * 7 + j) % 13}" for j in range(50)],
+         "v": list(range(50))})) for i in range(4)]
+    assert all(t.schema.metadata for t in blocks)
+
+    def per_bucket(t: pa.Table) -> pa.Table:
+        hash(t.schema)              # the exchanged blocks
+        df = t.to_pandas().groupby("k", as_index=False)["v"].sum()
+        return pa.Table.from_pandas(df, preserve_index=False)
+
+    out = hash_grouped_aggregate(rd.from_arrow(blocks), ["k"], per_bucket,
+                                 num_buckets=4)
+    tables = ray.get(out.to_arrow_refs())
+    for t in tables:
+        hash(t.schema)
+    got = pa.concat_tables([t for t in tables if t.num_rows]).to_pandas()
+    assert dict(zip(got["k"], got["v"])) == (
+        pa.concat_tables(blocks).to_pandas().groupby("k")["v"].sum().to_dict())
+
+
 def test_partial_agg_collapses_hub_keys(ray_session):
     """The per-block combiner must emit ONE row per (s,p,o) per block —
     the skew story: a hub triple crossing the shuffle once per block, not

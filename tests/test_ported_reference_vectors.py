@@ -3,8 +3,6 @@
 vendored crates, no network — so these pin fidelity test-by-test).
 
 Sources:
-* ``entity/llm_extractor.rs:1062-1140`` (6 vectors) → ``functions/
-  llm_extract.py``
 * ``entity/bidirectional_index.rs:333-500`` (8 vectors) → the dataset
   twins in ``pipelines/graph_ops.py`` (the mutable index becomes
   mention rows; every count/expectation carries over)
@@ -13,113 +11,6 @@ Sources:
 """
 
 import pyarrow as pa
-
-
-# ------------------------------------------- llm_extractor.rs vectors --
-
-TOM_CHUNK = ("Tom Sawyer is a young boy who lives in St. Petersburg with "
-             "his Aunt Polly. Tom is best friends with Huckleberry Finn. "
-             "They often go on adventures together.")
-
-
-def test_extract_json_from_markdown():
-    # llm_extractor.rs:1079-1092
-    from graphrag_rs_ray.functions.llm_extract import (
-        extract_json_from_markdown,
-    )
-    markdown = ('\nHere\'s the extraction:\n```json\n{\n  "entities": [],'
-                '\n  "relationships": []\n}\n```\n')
-    js = extract_json_from_markdown(markdown)
-    assert js is not None and "entities" in js
-    # plain fence accepted only when the body looks like JSON
-    assert extract_json_from_markdown("```\n{\"a\": 1}\n```") == '{"a": 1}'
-    assert extract_json_from_markdown("```\nnot json\n```") is None
-
-
-def test_find_json_in_text():
-    # llm_extractor.rs:1094-1099
-    from graphrag_rs_ray.functions.llm_extract import find_json_in_text
-    text = 'Some text before { "entities": [] } some text after'
-    assert find_json_in_text(text) == '{ "entities": [] }'
-    assert find_json_in_text("no braces here") is None
-
-
-def test_parse_valid_json():
-    # llm_extractor.rs:1101-1126
-    from graphrag_rs_ray.functions.llm_extract import (
-        parse_extraction_response,
-    )
-    response = ('\n{\n  "entities": [\n    {\n      "name": "Tom Sawyer",'
-                '\n      "type": "PERSON",\n      "description": "A young '
-                'boy"\n    }\n  ],\n  "relationships": []\n}\n')
-    out = parse_extraction_response(response)
-    assert len(out["entities"]) == 1
-    assert out["entities"][0]["name"] == "Tom Sawyer"
-    # unparseable input → EMPTY output, never an error (:216-223)
-    assert parse_extraction_response("utter garbage") == {
-        "entities": [], "relationships": []}
-
-
-def test_convert_to_entities():
-    # llm_extractor.rs:1128-1150
-    from graphrag_rs_ray.functions.llm_extract import convert_to_entities
-    data = [{"name": "Tom Sawyer", "type": "PERSON",
-             "description": "A young boy"}]
-    ents = convert_to_entities(data, TOM_CHUNK)
-    assert len(ents) == 1
-    assert ents[0].name == "Tom Sawyer"
-    assert ents[0].entity_type == "PERSON"
-    assert ents[0].confidence == 0.9
-    assert ents[0].mentions        # at least one mention found
-
-
-def test_find_llm_mentions():
-    # llm_extractor.rs:1152-1162 — "Tom" appears ≥ 2 times
-    from graphrag_rs_ray.functions.llm_extract import find_llm_mentions
-    mentions = find_llm_mentions("Tom", TOM_CHUNK)
-    assert len(mentions) >= 2
-    assert all(c == 0.9 for _, _, c in mentions)
-    # case-insensitive fallback at 0.85 when no exact match (:336-354)
-    ci = find_llm_mentions("tom sawyer", TOM_CHUNK)
-    assert ci and all(c == 0.85 for _, _, c in ci)
-    assert TOM_CHUNK[ci[0][0]:ci[0][1]] == "Tom Sawyer"
-
-
-def test_normalize_llm_name_implementation_pinned():
-    # llm_extractor.rs:393-400.  NOTE: the reference's inline test
-    # (:1164-1174) expects "tom_sawyer", but its implementation filters
-    # out spaces BEFORE the space→underscore replace, so it actually
-    # produces "tomsawyer"; the test sits behind disabled features and
-    # never runs.  We pin the implementation.
-    from graphrag_rs_ray.functions.llm_extract import normalize_llm_name
-    assert normalize_llm_name("Tom Sawyer") == "tomsawyer"
-    assert normalize_llm_name("New York City") == "newyorkcity"
-    assert normalize_llm_name("Dr. Smith") == "drsmith"
-    assert normalize_llm_name("snake_case Kept") == "snake_casekept"
-
-
-def test_convert_to_relationships():
-    # llm_extractor.rs:360-391 — case-insensitive entity resolution,
-    # unmatched pairs silently skipped, type := description
-    from graphrag_rs_ray.functions.llm_extract import (
-        convert_to_entities,
-        convert_to_relationships,
-    )
-    ents = convert_to_entities(
-        [{"name": "Tom Sawyer", "type": "PERSON", "description": ""},
-         {"name": "Huckleberry Finn", "type": "PERSON", "description": ""}],
-        TOM_CHUNK)
-    rels = convert_to_relationships(
-        [{"source": "tom sawyer", "target": "HUCKLEBERRY FINN",
-          "description": "best friends", "strength": 0.8},
-         {"source": "Tom Sawyer", "target": "Becky Thatcher",
-          "description": "likes", "strength": 0.5}],
-        ents)
-    assert len(rels) == 1
-    assert rels[0]["source"] == "PERSON_tomsawyer"
-    assert rels[0]["target"] == "PERSON_huckleberryfinn"
-    assert rels[0]["relation_type"] == "best friends"
-    assert rels[0]["confidence"] == 0.8
 
 
 # ------------------------------------ bidirectional_index.rs vectors --

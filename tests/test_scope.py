@@ -1,12 +1,10 @@
 """Scope gates.
 
 Every ``graphrag_rs_ray`` module is reached from a non-test entry point,
-except the modules listed in ``UNREACHED``.  Reach is the static import
-closure, by ``ast``, of the driver contract (``__ray_entry__.py``),
-``bench.py``, ``scripts/*.py`` and ``perfbench/*.py``; imports inside
-functions count.  A module that drops out of the closure fails the test
-until it is deleted or listed here, and a listed module that becomes
-reachable (or is deleted) fails it too, so the list can only shrink.
+with no exemptions.  Reach is the static import closure, by ``ast``, of
+the driver contract (``__ray_entry__.py``), ``bench.py``,
+``scripts/*.py`` and ``perfbench/*.py``; imports inside functions count.
+A module that only tests import fails the test until it is deleted.
 
 Every top-level function and class of the package and the driver is
 referenced somewhere in the repo's Python, tests included, so a cut
@@ -24,15 +22,6 @@ import warnings
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PKG = "graphrag_rs_ray"
-
-# Modules outside the indexing entry points, each covered by tests only:
-# the LLM serving side, which the indexing engine does not run.
-UNREACHED = {
-    "graphrag_rs_ray.functions.llm_extract",   # LLM response parsing
-    "graphrag_rs_ray.stages.rate_limit",       # API rate limiting
-    "graphrag_rs_ray.state.cache",             # LLM-response cache
-    "graphrag_rs_ray.state.invalidation",      # cache invalidation planner
-}
 
 
 def _module_name(path: str) -> str:
@@ -105,8 +94,8 @@ def _unreached() -> set[str]:
     return set(mods) - seen
 
 
-def test_unreached_modules_are_exactly_the_listed_ones():
-    assert _unreached() == UNREACHED
+def test_every_package_module_is_reached():
+    assert _unreached() == set()
 
 
 def _py_files(*dirs: str) -> list[str]:
