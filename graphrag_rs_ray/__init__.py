@@ -9,7 +9,7 @@ GraphRAG engine (mwatts/graphrag-rs) on top of ``ray.data.Dataset``:
 
 Layout:
     functions/  pure deterministic kernels (ported semantics, cited per file)
-    sources/    readers + deterministic synthetic page generator
+    sources/    page reader + synthetic page generator + graph import/export
     stages/     map_batches stage wrappers (stateless fns + actor classes)
     pipelines/  end-to-end dataflows (kg construction, training-data ops)
     state/      manifests / checkpoint-resume helpers

@@ -152,22 +152,3 @@ def chunk_text_legacy(text: str, chunk_size: int, overlap: int) -> list[tuple[st
             break
         start = max(start + 1, actual_end - overlap)
     return chunks
-
-
-def chunk_document(doc_id: str, text: str, chunk_size: int, overlap: int,
-                   min_chunk_size: int = MIN_CHUNK_SIZE) -> list[dict]:
-    """One document → chunk rows with ids ``{doc_id}_{i}``.
-
-    Id scheme matches the reference (``text/mod.rs:99,143``): a per-document
-    counter, so ids are stable regardless of cross-document ordering.
-    """
-    rows = []
-    for i, (content, start, end) in enumerate(chunk_text(text, chunk_size, overlap, min_chunk_size)):
-        rows.append({
-            "chunk_id": f"{doc_id}_{i}",
-            "doc_id": doc_id,
-            "text": content,
-            "start": start,
-            "end": end,
-        })
-    return rows

@@ -174,30 +174,6 @@ def extract_document_concepts(doc_id: str, text: str) -> list[dict]:
     return concepts
 
 
-def cluster_concepts(concepts: list[dict]) -> list[dict]:
-    """Exact-text concept clustering
-    (``collection_processor.rs:313-352``): group by lowercased trimmed
-    text; ``cluster_<k>`` ids in sorted canonical-text order (pinned;
-    the reference iterates a HashMap); document_frequency / total
-    mentions hardcoded 1 and confidence 0.8 — faithful constants."""
-    groups: dict[str, list[dict]] = {}
-    for c in concepts:
-        groups.setdefault(c["text"].lower().strip(), []).append(c)
-    clusters = []
-    for k, key in enumerate(sorted(groups, key=lambda s: s.encode())):
-        members = groups[key]
-        clusters.append({
-            "cluster_id": f"cluster_{k}",
-            "canonical_text": key,
-            "member_concept_ids": [m["concept_id"] for m in members],
-            "n_members": len(members),
-            "document_frequency": 1,
-            "total_mentions": 1,
-            "confidence": 0.8,
-        })
-    return clusters
-
-
 # ------------------------------------------------------------------ #
 # knowledge_graph.rs — corpus KG arithmetic
 # ------------------------------------------------------------------ #

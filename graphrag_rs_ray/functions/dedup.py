@@ -1,4 +1,4 @@
-"""Deduplication kernels: shingles, MinHash, SimHash, n-gram Jaccard.
+"""Deduplication kernels: MinHash, SimHash, n-gram Jaccard, winnowing.
 
 Training-data extensions (the reference has only exact relationship dedup,
 ``entity/gleaning_extractor.rs:418-436``; these are the web-scale near-dup
@@ -12,14 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 _MERSENNE = (1 << 61) - 1
-
-
-def shingles(text: str, k: int = 5) -> set[str]:
-    """Word k-shingles over the lowercased whitespace tokenization."""
-    words = text.lower().split()
-    if len(words) < k:
-        return {" ".join(words)} if words else set()
-    return {" ".join(words[i:i + k]) for i in range(len(words) - k + 1)}
 
 
 def char_ngrams(text: str, n: int = 3) -> set[str]:
@@ -90,8 +82,7 @@ class MinHasher:
 
     def _shingle_hashes(self, wh: np.ndarray) -> np.ndarray:
         """k-shingle hashes from per-word hashes (vectorized fold).
-        Shorter-than-k docs collapse to ONE shingle of all words —
-        mirroring ``shingles()``'s short-text semantics."""
+        Shorter-than-k docs collapse to ONE shingle of all words."""
         n = len(wh)
         k = min(self.shingle_k, len(_SHINGLE_MIX))
         if n == 0:
@@ -173,10 +164,6 @@ class MinHasher:
         return out
 
 
-def estimate_jaccard(sig1: np.ndarray, sig2: np.ndarray) -> float:
-    return float(np.mean(sig1 == sig2))
-
-
 def stable_word_hashes(words: list[str]) -> np.ndarray:
     """Vectorized stable 64-bit word hashes (pandas' C string hasher —
     fixed hash_key, so stable across processes/machines).  The shared
@@ -216,10 +203,6 @@ class SimHasher:
             out[i] = int.from_bytes(
                 np.packbits(sig_bits, bitorder="little").tobytes(), "little")
         return out
-
-
-def hamming_distance(a: int, b: int) -> int:
-    return bin(a ^ b).count("1")
 
 
 class Winnower:

@@ -73,13 +73,3 @@ class HashEmbedder:
         for i, t in enumerate(texts):
             out[i] = self.embed(t)
         return out
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Port of ``graph/mod.rs:278-292``."""
-    if a.shape != b.shape:
-        return 0.0
-    na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))

@@ -133,11 +133,3 @@ def build_hierarchy(sections: list[Section]) -> list[int]:
             roots.append(idx)
         stack.append(idx)
     return roots
-
-
-def parse_html_structure(content: str) -> tuple[list[Heading], list[Section], list[int]]:
-    """Full layout parse (``html.rs:146-157``)."""
-    headings = parse_headings(content)
-    sections = build_sections(headings, content)
-    roots = build_hierarchy(sections)
-    return headings, sections, roots

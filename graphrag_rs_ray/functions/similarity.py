@@ -154,16 +154,6 @@ def phonetic_similarity(s1: str, s2: str) -> float:
     return 0.9 if soundex(s1) == soundex(s2) else 0.0
 
 
-def compute_similarity(name1: str, name2: str, type1: str, type2: str,
-                       cfg: LinkingConfig = DEFAULT_LINKING) -> float:
-    """Max-of-metrics score; port of ``string_similarity_linker.rs:130-168``.
-    Expects RAW names (normalization happens here)."""
-    if type1 != type2:
-        return 0.0
-    n1, n2 = normalize_string(name1, cfg), normalize_string(name2, cfg)
-    return compute_similarity_normalized(n1, n2, cfg)
-
-
 def compute_similarity_normalized(n1: str, n2: str,
                                   cfg: LinkingConfig = DEFAULT_LINKING) -> float:
     if n1 == n2:
@@ -317,103 +307,6 @@ def greedy_cluster(items: list[tuple[str, str, float]],
                 for k in cluster:
                     if k != canonical:
                         links[items[k][0]] = canonical_id
-    return links
-
-
-def greedy_cluster_best_match(items: list[tuple[str, str, float]],
-                              cfg: LinkingConfig = DEFAULT_LINKING) -> dict[str, str]:
-    """OPT-IN alternative tie policy (NOT the reference default): each
-    item joins the existing cluster SEED with the HIGHEST similarity ≥
-    threshold (ties → earliest seed) instead of the first seed that
-    clears it.  The reference's first-seed-wins scan
-    (``string_similarity_linker.rs:68-127``) absorbs typo variants into
-    chance prefix-sharing clusters on dense blocks (BASELINE.md: planted
-    recall 0.64 at 1M entities); best-match recovers those without
-    changing the threshold.  Deterministic: items visited in entity_id
-    order, seeds compared in creation order.  Measured vs the reference
-    policy in BASELINE.md — kept opt-in because output CLUSTERS differ
-    from the reference's on dense blocks."""
-    import numpy as np
-
-    items = sorted(items, key=lambda t: t[0])
-    norms = [normalize_string(name, cfg) for _, name, _ in items]
-    n = len(items)
-    theta = cfg.min_similarity
-    use_phon = cfg.use_phonetic and theta <= 0.9
-    jmin = theta / (1.0 - theta) if theta < 1.0 else float("inf")
-
-    seed_idx: list[int] = []
-    members: dict[int, list[int]] = {}
-    # incremental per-seed screen arrays (same sound bounds as
-    # greedy_cluster, built as seeds appear)
-    S_M = np.zeros((0, _FOLD), np.int32)
-    S_P = np.zeros((0, 4), np.uint32)
-    S_len = np.zeros(0, np.float64)
-    S_ts = np.zeros(0, np.int64)
-    S_tc = np.zeros(0, np.float64)
-    S_sdx = np.zeros(0, np.int64)
-    ts_ids: dict = {}
-    sd_ids: dict = {}
-
-    def _feat(s: str):
-        M = np.zeros(_FOLD, np.int32)
-        if s:
-            codes = np.frombuffer(s.encode("utf-32-le"), np.uint32) & (_FOLD - 1)
-            M = np.bincount(codes, minlength=_FOLD).astype(np.int32)
-        P = np.zeros(4, np.uint32)
-        head = s[:4]
-        if head:
-            P[:len(head)] = np.frombuffer(head.encode("utf-32-le"), np.uint32)
-        ts = frozenset(s.split())
-        return M, P, float(len(s)), ts_ids.setdefault(ts, len(ts_ids)), \
-            float(len(ts)), sd_ids.setdefault(soundex(s), len(sd_ids))
-
-    for j in range(n):
-        M, P, lj, tsj, tcj, sdj = _feat(norms[j])
-        best_seed, best_sim = None, theta
-        if len(seed_idx):
-            I = np.minimum(S_M, M).sum(1, dtype=np.int64).astype(np.float64)
-            L1 = np.abs(S_M - M).sum(1, dtype=np.int64)
-            d_lb = np.maximum(np.abs(S_len - lj), (L1 + 1) // 2)
-            maxlen = np.maximum(np.maximum(S_len, lj), 1.0)
-            mask = np.zeros(len(seed_idx), bool)
-            if cfg.fuzzy_matching:
-                mask |= ((d_lb <= cfg.max_edit_distance)
-                         & (1.0 - d_lb / maxlen >= theta))
-            J_ub = (I / max(lj, 1.0) + I / np.maximum(S_len, 1.0) + 1.0) / 3.0
-            p = np.cumprod(S_P == P, axis=1).sum(1)
-            mask |= (J_ub + p * 0.1 * (1.0 - J_ub) >= theta) \
-                | (S_len == 0) | (lj == 0)
-            minc = np.minimum(S_tc, tcj)
-            maxc = np.maximum(S_tc, tcj)
-            mask |= (S_ts == tsj) | ((minc >= jmin) & (minc >= theta * maxc))
-            if use_phon:
-                mask |= S_sdx == sdj
-            for off in np.nonzero(mask)[0]:
-                si = seed_idx[int(off)]
-                sim = compute_similarity_normalized(norms[si], norms[j], cfg)
-                if sim > best_sim or (best_seed is None and sim >= theta):
-                    best_seed, best_sim = si, sim
-        if best_seed is None:
-            seed_idx.append(j)
-            members[j] = [j]
-            S_M = np.vstack([S_M, M[None]])
-            S_P = np.vstack([S_P, P[None]])
-            S_len = np.append(S_len, lj)
-            S_ts = np.append(S_ts, tsj)
-            S_tc = np.append(S_tc, tcj)
-            S_sdx = np.append(S_sdx, sdj)
-        else:
-            members[best_seed].append(j)
-
-    links: dict[str, str] = {}
-    for cluster in members.values():
-        if len(cluster) > 1:
-            canonical = max(cluster, key=lambda k: (items[k][2], items[k][0]))
-            canonical_id = items[canonical][0]
-            for k in cluster:
-                if k != canonical:
-                    links[items[k][0]] = canonical_id
     return links
 
 

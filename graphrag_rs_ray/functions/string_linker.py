@@ -41,9 +41,6 @@ order-sequential → its assignments are staged, unit-gated):
   in input order (NOT transitive closure); clusters of size > 1 only;
   canonical member = max confidence with LAST-maximal ties (Rust
   ``Iterator::max_by``); links = member_id → canonical_id.
-- ``find_canonical_entity`` (``:410-466``): first exact normalized
-  match short-circuits; otherwise best strictly-greater similarity ≥
-  threshold (first-seen wins ties).
 - ``min_jaccard_overlap`` exists in the reference config but is never
   read by any code path — carried, unused, documented.
 """
@@ -236,34 +233,3 @@ def link_entities(entities: list[dict],
                 links[entities[idx]["entity_id"]] = \
                     entities[canonical]["entity_id"]
     return links, clusters, canonicals
-
-
-def find_canonical_entity(mention: str, entity_type: str,
-                          candidates: list[dict],
-                          cfg: LinkerConfig = LinkerConfig()):
-    """``:413-466`` — exact short-circuit, else best strictly-greater
-    match at/above threshold (first-seen ties win)."""
-    nm = normalize_string(mention, cfg)
-    best_id, best_score = None, None
-    for cand in candidates:
-        if cand["type"] != entity_type:
-            continue
-        nc = normalize_string(cand["name"], cfg)
-        if nm == nc:
-            return cand["entity_id"]
-        comp = similarity_components(nm, nc, cfg)
-        mx = 0.0
-        for v in comp.values():
-            if v is not None:
-                mx = max(mx, v)
-        if mx >= cfg.min_similarity:
-            if best_score is None or mx > best_score:
-                best_id, best_score = cand["entity_id"], mx
-    return best_id
-
-
-__all__ = ["LinkerConfig", "normalize_string", "levenshtein_similarity",
-           "jaro_similarity", "jaro_winkler_similarity",
-           "jaccard_similarity", "soundex", "phonetic_similarity",
-           "similarity_components", "compute_similarity", "link_entities",
-           "find_canonical_entity"]

@@ -1,11 +1,10 @@
 """Text analysis kernels — port of
 ``graphrag-core/src/text/analysis.rs`` (section-number extraction,
-roman numerals, text statistics, blank-line positions, title
-extraction).  Heading/underline detection live in
+roman numerals, text statistics).  Heading/underline detection live in
 ``functions/layout.py`` (same reference file, ported round 1).
 
 Semantics pinned (statistics + section numbers are re-derived by the
-DuckDB oracle; titles/blank lines are unit-gated):
+DuckDB oracle):
 
 - extract_section_number (``analysis.rs:78-186``), precedence order:
   decimal ``^(\\d+(?:\\.\\d+)*)\\s*[.:]?\\s`` → chapter keyword
@@ -20,18 +19,11 @@ DuckDB oracle; titles/blank lines are unit-gated):
   count = count of ``.!?`` CHARACTERS (min 1), paragraphs =
   ``\\n\\n``-split non-blank segments (min 1), char (not byte) count,
   f32 ratios → f64 (repo-wide discipline).
-- find_blank_line_positions (``:218-236``): offset of the FIRST line
-  of each blank run (+1 per newline, byte offsets).
-- extract_title (``:302-330``): first 10 lines — ALL-CAPS short line,
-  else heading (markers stripped), else first non-empty line > 5
-  chars.
 """
 
 from __future__ import annotations
 
 import re
-
-from .layout import detect_heading_level, is_all_caps
 
 _DECIMAL_RE = re.compile(r"^(\d+(?:\.\d+)*)\s*[.:]?\s")
 _ROMAN_RE = re.compile(r"^([IVXLCDM]+)[.:]?\s")
@@ -108,34 +100,3 @@ def calculate_statistics(text: str) -> dict:
         "avg_word_length": (char_count / word_count
                             if word_count > 0 else 0.0),
     }
-
-
-def find_blank_line_positions(text: str) -> list[int]:
-    """``analysis.rs:218-236``."""
-    positions = []
-    offset = 0
-    prev_blank = False
-    for line in text.split("\n"):
-        blank = not line.strip()
-        if blank and not prev_blank:
-            positions.append(offset)
-        prev_blank = blank
-        offset += len(line) + 1
-    return positions
-
-
-def extract_title(text: str) -> str | None:
-    """``analysis.rs:302-330``."""
-    for line in text.split("\n")[:10]:
-        t = line.strip()
-        if not t:
-            continue
-        if is_all_caps(t) and len(t) < 100:
-            return t
-        if detect_heading_level(line) is not None:
-            clean = t.lstrip("#").lstrip("0123456789.").strip()
-            if clean:
-                return clean
-        if len(t) > 5:
-            return t
-    return None

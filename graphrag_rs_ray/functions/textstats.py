@@ -4,12 +4,11 @@ split, keyword extraction, quality scoring, fingerprinting.
 Ports:
 - language detection accent heuristic — ``graphrag-core/src/text/mod.rs:525-545``
 - sentence extraction on ``.!?`` — ``text/mod.rs:339-363``
-- word count — ``text/mod.rs:366-368``
 - frequency keyword extraction + stop list — ``text/mod.rs:457-492``
 - BM25 tokenizer (lowercase, strip non-alnum, len>2, non-stopword) —
   ``retrieval/bm25.rs:198-208``
 
-Quality scoring / token counting / fingerprinting are the training-data
+Quality scoring and fingerprinting are the training-data
 extensions (no reference equivalent; deterministic by construction).
 """
 
@@ -42,10 +41,6 @@ STOP_WORDS = frozenset({
     "will", "my", "one", "all", "would", "there", "their", "what", "so",
     "up", "out", "if", "about", "who", "get", "which", "go", "me",
 })
-
-
-def word_count(text: str) -> int:
-    return len(text.split())
 
 
 def extract_sentences(text: str) -> list[str]:
@@ -110,19 +105,6 @@ def quality_stats(text: str) -> dict:
         "stopword_ratio": (n_stop / n_words) if n_words else 0.0,
         "mean_word_len": (sum(len(w) for w in words) / n_words) if n_words else 0.0,
     }
-
-
-_BPE_ISH = None
-
-
-def token_count(text: str) -> int:
-    """Approximate BPE token count: word-piece regex (letters runs, digit
-    runs, single punctuation), the standard GPT-2-style pre-tokenizer shape."""
-    global _BPE_ISH
-    if _BPE_ISH is None:
-        import re
-        _BPE_ISH = re.compile(r"[A-Za-zÀ-ɏ]+|\d+|[^\sA-Za-zÀ-ɏ\d]")
-    return len(_BPE_ISH.findall(text))
 
 
 def fingerprint(text: str) -> str:

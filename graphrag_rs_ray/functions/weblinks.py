@@ -92,35 +92,3 @@ def extract_links(html: str, base_url: str) -> list[tuple[str, str]]:
         anchor = _WS_RE.sub(" ", _TAG_RE.sub("", m.group(2))).strip()
         out.append((dst, anchor))
     return out
-
-
-_TRACKING_EXACT = {"fbclid", "gclid", "msclkid", "mc_eid", "igshid"}
-
-
-def canonical_url(url: str) -> str:
-    """Canonical form for URL-level dedup (the CC-pipeline
-    granularity): ``normalize_url`` + fragment strip + ``www.`` host
-    prefix drop + tracking-param removal (``utm_*`` and the usual
-    click-id params) + residual query params sorted by key + trailing
-    path slash drop (root kept)."""
-    u = normalize_url(url.strip().split("#", 1)[0])
-    m = _ORIGIN_RE.match(u)
-    if not m:
-        return u
-    origin, rest = m.group(1), u[m.end():]
-    scheme, host = origin.split("//", 1)
-    if host.startswith("www.") and host.count(".") >= 2:
-        host = host[4:]
-    path, sep, query = rest.partition("?")
-    if sep:
-        kept = []
-        for part in query.split("&"):
-            key = part.split("=", 1)[0]
-            if key.startswith("utm_") or key in _TRACKING_EXACT:
-                continue
-            if part:
-                kept.append(part)
-        query = "&".join(sorted(kept))
-    if len(path) > 1 and path.endswith("/"):
-        path = path.rstrip("/") or "/"
-    return scheme + "//" + host + path + ("?" + query if query else "")

@@ -80,11 +80,6 @@ def concept_table_from_mentions(mentions_ds):
                           rename=["concept", "n_chunks"]))
 
 
-def concept_table(chunks_ds):
-    """concept → n_chunks (hash-bucketed count)."""
-    return concept_table_from_mentions(concept_mention_rows(chunks_ds))
-
-
 _TRIU_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -309,12 +304,3 @@ def concept_edges_from_lists(lists_ds, co_occurrence_threshold: int = 2,
         })
 
     return pair_counts.map_batches(finish, batch_format="pyarrow")
-
-
-def concept_edges(chunks_ds, co_occurrence_threshold: int = 2,
-                  max_concepts: int | None = None,
-                  vocab_broadcast_limit: int = 5_000_000):
-    """Edges with shared-chunk count ≥ threshold and Jaccard confidence."""
-    lists = concept_chunk_lists(chunks_ds, max_concepts).materialize()
-    return concept_edges_from_lists(lists, co_occurrence_threshold,
-                                    vocab_broadcast_limit)

@@ -155,46 +155,3 @@ def node_keywords(content: str, is_leaf: bool,
         if not out or out[-1] != k:
             out.append(k)
     return out[:10]
-
-
-def get_ancestors(nodes: dict[str, dict], node_id: str) -> list[str]:
-    """``mod.rs:934-948`` — self upward via parent links."""
-    out = []
-    cur = node_id
-    while cur is not None and cur in nodes:
-        out.append(cur)
-        cur = nodes[cur].get("parent_id")
-    return out
-
-
-def get_descendants(nodes: dict[str, dict], node_id: str) -> list[str]:
-    """``mod.rs:951-967`` — BFS over children lists."""
-    from collections import deque
-    children: dict[str, list[str]] = {}
-    for nid, n in nodes.items():
-        p = n.get("parent_id")
-        if p is not None:
-            children.setdefault(p, []).append(nid)
-    for v in children.values():
-        v.sort()
-    queue = deque(children.get(node_id, []))
-    out = []
-    while queue:
-        nid = queue.popleft()
-        out.append(nid)
-        queue.extend(children.get(nid, []))
-    return out
-
-
-def tree_statistics(rows: list[dict]) -> dict:
-    """``mod.rs:1000-1017``."""
-    per_level: dict[int, int] = {}
-    roots = 0
-    for r in rows:
-        per_level[r["level"]] = per_level.get(r["level"], 0) + 1
-        if r.get("parent_id") is None:
-            roots += 1
-    return {"total_nodes": len(rows),
-            "max_level": max(per_level) if per_level else 0,
-            "nodes_per_level": per_level,
-            "root_count": roots}

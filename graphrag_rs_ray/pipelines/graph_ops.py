@@ -999,29 +999,6 @@ def degree_stats(triples_ds, num_buckets: int = 64):
 
 # ---- graph statistics ---------------------------------------------------
 
-def graph_statistics(entities_ds, triples_ds, mentions_ds=None):
-    """Counts + entity-type histogram + avg entities/chunk
-    (``graph/mod.rs:316-354``)."""
-    type_hist = hash_grouped_aggregate(
-        entities_ds, ["type"],
-        grouped_arrow_agg(["type"], [("entity_id", "count")],
-                          rename=["type", "n"])).to_pandas()
-    stats = {
-        "n_entities": int(entities_ds.count()),
-        "n_triples": int(triples_ds.count()),
-        "type_histogram": dict(zip(type_hist["type"], type_hist["n"].astype(int))),
-    }
-    if mentions_ds is not None:
-        per_chunk = hash_grouped_aggregate(
-            mentions_ds, ["chunk_id"],
-            grouped_arrow_agg(["chunk_id"], [("entity_id", "count")],
-                              rename=["chunk_id", "n"]))
-        df = per_chunk.to_pandas()
-        stats["n_chunks"] = len(df)
-        stats["avg_entities_per_chunk"] = float(df["n"].mean()) if len(df) else 0.0
-    return stats
-
-
 # ---- link prediction ----------------------------------------------------
 
 def link_prediction(triples_ds, max_center_degree: int = 64,

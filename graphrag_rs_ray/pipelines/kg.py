@@ -463,17 +463,6 @@ def write_graph(result: KGResult, out_dir: str, num_shards: int = 16,
     return manifest
 
 
-def to_reference_entity_schema(entities_ds):
-    """Rename our entity columns to the reference's Parquet persistence
-    schema (``persistence/parquet.rs:218-229``): id, name, entity_type,
-    confidence, mention_count [, embedding] — so a consumer of the
-    reference's entities.parquet can read ours unchanged."""
-    def rename(t: pa.Table) -> pa.Table:
-        mapping = {"entity_id": "id", "type": "entity_type", "conf": "confidence"}
-        return t.rename_columns([mapping.get(c, c) for c in t.column_names])
-    return entities_ds.map_batches(rename, batch_format="pyarrow")
-
-
 def hash_subj(subj: str, num_shards: int) -> int:
     import hashlib
     return int.from_bytes(hashlib.blake2b(subj.encode(), digest_size=4).digest(), "little") % num_shards

@@ -158,8 +158,3 @@ def pipeline_statistics(docs_ds, mentions_ds) -> pa.Table:
             [(m / e) if e > 0 else 0.0], pa.float64()),
         "avg_entities_per_chunk": pa.array(
             [(m / ch) if ch > 0 else 0.0], pa.float64())})
-
-
-__all__ = ["CHUNK_SIZE", "CHUNK_OVERLAP", "chunk_text",
-           "normalize_concept", "fixed_chunks", "lazy_concept_mentions",
-           "lists_from_mentions", "pipeline_statistics"]

@@ -17,7 +17,6 @@ from ..functions.semantic_merging import (
     group_similar_entities,
     heuristic_merge_decision,
     merge_entities,
-    semantic_similarity,
 )
 from ..stages.hashagg import hash_grouped_aggregate
 
@@ -110,7 +109,3 @@ def merge_groups_table(entities: list[dict], threshold: float = 0.7):
         "merged_mentions": pa.array(g_cols["merged_mentions"],
                                     pa.int64())})
     return assignments, groups_tbl
-
-
-__all__ = ["candidate_pairs", "merge_groups_table",
-           "semantic_similarity"]

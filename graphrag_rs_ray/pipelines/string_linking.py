@@ -15,7 +15,6 @@ import pyarrow as pa
 
 from ..functions.string_linker import (
     LinkerConfig,
-    compute_similarity,
     link_entities,
     normalize_string,
     similarity_components,
@@ -105,6 +104,3 @@ def links_table(entities: list[dict],
         "entity_id": pa.array(ids, pa.string()),
         "canonical_id": pa.array([links[i] for i in ids], pa.string())})
     return assignments, links_tbl
-
-
-__all__ = ["similarity_pairs", "links_table", "compute_similarity"]

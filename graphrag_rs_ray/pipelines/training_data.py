@@ -1318,10 +1318,13 @@ def hnsw_shard_candidates(sf_dir: str, n_queries: int = 5,
     qref = ray.put((qids, qmat))
     ds = rd.read_parquet(path, columns=["vec_id", "embedding"])
 
+    # the embeddings table's pandas metadata would make the sort's
+    # schemas unhashable (see stages/hashagg.hash_grouped_aggregate)
     def shard_col(batch: pa.Table) -> pa.Table:
         vid = np.asarray(batch.column("vec_id").to_pylist(), dtype=np.int64)
         return batch.append_column(
-            "shard", pa.array(vid % num_shards, pa.int64()))
+            "shard", pa.array(vid % num_shards, pa.int64())
+        ).replace_schema_metadata(None)
 
     def build_search(group: pa.Table) -> pa.Table:
         from ..functions.hnsw import HNSWIndex
@@ -1854,25 +1857,6 @@ def semantic_chunks(sf_dir: str):
     from ..stages.memo import memoized_stage
     fn = memoized_stage("semantic-chunks", SemanticChunkStage)
     return _docs(sf_dir).map_batches(fn, batch_format="pyarrow", batch_size=None)
-
-
-def enriched_chunks(sf_dir: str):
-    """Chunk + enrich the documents table (chapter/keywords/summary)."""
-    import ray.data as rd
-    from ..config import KGConfig
-    from ..stages.enrich import EnrichedChunkStage
-
-    ds = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                         columns=["doc_id", "text"])
-
-    def to_str_ids(batch: pa.Table) -> pa.Table:
-        ids = [f"doc{i}" for i in batch.column("doc_id").to_pylist()]
-        return pa.table({"doc_id": pa.array(ids, pa.string()),
-                         "text": batch.column("text")})
-
-    cfg = KGConfig(chunk_size=400, chunk_overlap=50)
-    return (ds.map_batches(to_str_ids, batch_format="pyarrow")
-              .map_batches(EnrichedChunkStage(cfg), batch_format="pyarrow"))
 
 
 # ------------------------------------------------------ temporal graph --

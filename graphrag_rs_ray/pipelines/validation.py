@@ -308,29 +308,3 @@ def pipeline_validation_report(docs_ds, chunks_ds, mentions_ds, entities_ds,
         "passed": pa.array([bool(r[3]) for r in rows], pa.bool_()),
         "value": pa.array([float(r[4]) for r in rows], pa.float64()),
     })
-
-
-def detailed_report(tbl: pa.Table) -> str:
-    """Text rendering in the reference's ``detailed_report`` shape
-    (rs:536-580): per-phase PASS/FAIL header, one ✓/✗ line per check,
-    overall summary."""
-    lines = ["=== Pipeline Validation Report ==="]
-    phases = list(dict.fromkeys(tbl.column("phase").to_pylist()))
-    total = passed_n = 0
-    for ph in phases:
-        sub = tbl.filter(pc.equal(tbl.column("phase"), ph))
-        checks = sub.filter(pc.equal(sub.column("kind"), "check"))
-        ph_pass = all(checks.column("passed").to_pylist())
-        lines.append(f"\n[{'PASS' if ph_pass else 'FAIL'}] {ph}")
-        for nm, ok, v in zip(checks.column("name").to_pylist(),
-                             checks.column("passed").to_pylist(),
-                             checks.column("value").to_pylist()):
-            total += 1
-            passed_n += ok
-            lines.append(f"  {'✓' if ok else '✗'} {nm}: {v:g}")
-        mets = sub.filter(pc.equal(sub.column("kind"), "metric"))
-        for nm, v in zip(mets.column("name").to_pylist(),
-                         mets.column("value").to_pylist()):
-            lines.append(f"    {nm} = {v:g}")
-    lines.append(f"\n{passed_n}/{total} checks passed")
-    return "\n".join(lines)

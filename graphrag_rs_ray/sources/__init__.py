@@ -1,1 +1,1 @@
-"""Sources: deterministic synthetic page generation + parquet/csv/json readers."""
+"""Sources: the page Parquet reader, the deterministic synthetic page generator, and RDF/Turtle/GraphML import and export."""

@@ -5,8 +5,12 @@ silently import nothing (``pipeline/data_import.rs:533-556``: "TODO:
 Implement RDF parsing", "TODO: Implement GraphML parsing").  This module
 implements them for real, mapping both formats onto the reference's
 import model (``ImportedEntity``/``ImportedRelationship``,
-``data_import.rs:60-100``) with the same validation + max-errors abort
-contract as the CSV/JSON/JSONL importers in ``readers.py``.
+``data_import.rs:60-100``) with the reference's validation + max-errors
+abort (``data_import.rs:560+``): parse errors accumulate up to
+``ImportConfig.max_errors``, then the import raises ``ImportAborted``.
+The reference's sequential early abort depends on row order, so the
+distributed contract is "abort if TOTAL errors >= max_errors", checked
+at the driver after the parse pass.
 
 N-Triples semantics (documented extension — the reference fixes none):
 - ``<s> <p> <o> .`` with an IRI/blank object → one relationship row
@@ -48,11 +52,20 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import dataclass
 
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .readers import ImportAborted, ImportConfig
+
+class ImportAborted(Exception):
+    pass
+
+
+@dataclass
+class ImportConfig:
+    skip_validation: bool = False
+    max_errors: int = 10
 
 RDF_TYPE_IRI = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 
@@ -215,8 +228,8 @@ def import_rdf(path: str, cfg: ImportConfig | None = None,
                num_buckets: int = 64):
     """N-Triples file(s) → (entities_ds, relationships_ds, errors_ds).
     Raises ``ImportAborted`` when parse-error count reaches
-    ``max_errors`` (same distributed-abort contract as ``import_jsonl``:
-    abort iff TOTAL errors ≥ max)."""
+    ``max_errors`` (the distributed-abort contract in the module
+    docstring: abort iff TOTAL errors ≥ max)."""
     import ray.data as rd
 
     cfg = cfg or ImportConfig()
@@ -576,23 +589,6 @@ def _iter_graphml(source):
                     pass
     except ET.ParseError as ex:
         yield ("x", f"invalid GraphML XML: {ex}")
-
-
-def parse_graphml_bytes(xml_bytes: bytes):
-    """One-file GraphML parse → (entity rows, relationship rows, errors).
-    Namespace-tolerant; thin wrapper over the streaming ``_iter_graphml``
-    (a malformed document yields the rows parsed before the error plus
-    one error row — the abort contract counts it either way)."""
-    import io
-    ents, rels, errors = [], [], []
-    for kind, item in _iter_graphml(io.BytesIO(xml_bytes)):
-        if kind == "e":
-            ents.append(item)
-        elif kind == "r":
-            rels.append(item)
-        else:
-            errors.append(item)
-    return ents, rels, errors
 
 
 _GM_COLS = ["kind", "id", "name", "entity_type", "source", "target",

@@ -1,223 +1,19 @@
-"""Versioned graph store: transactions, rollback, time travel, and the
-consistency report.
+"""The graph consistency report.
 
 Reference surface: ``graphrag-core/src/graph/incremental.rs`` —
-``begin_transaction / commit_transaction / rollback_transaction``
-(:2292-2368), ``rollback_delta`` (:2266), ``validate_consistency``
-(:2496-2539, the ConsistencyReport struct :439-452).  The reference keeps
-the graph in RAM and its transaction rollback is a recorded-but-empty
-loop; at 100-TB scale the graph lives in Parquet shards, so this module
-implements the same API as *versioned manifests over immutable Parquet
-deltas* instead:
-
-- a transaction stages new entity/triple delta directories under
-  ``tx_<id>/`` (nothing visible to readers),
-- ``commit`` atomically writes ``v<N>.json`` listing the delta dirs of
-  every live version (os.replace of a temp file = the commit point),
-- ``rollback`` (abort) deletes the staging dirs,
-- ``rollback_to(v)`` is NON-destructive: it writes a new version whose
-  delta list equals v's — history is append-only lineage, any prior
-  version remains checkout-able (time travel), matching the
-  manifests-as-resume-state design of the KG sink (``pipelines/kg.py``),
-- ``read(version)`` merges the delta chain lazily with the same
-  merge semantics as ``pipelines/graph_ops.merge_entity_tables`` /
-  ``merge_triple_tables`` — a streaming union + hash-bucketed dedup, so
-  reading N deltas is one shuffle, never a driver materialization.
-
-The consistency report mirrors ``validate_consistency``: orphaned
-entities (no relationship touches them), broken relationships (an
-endpoint name resolves to no entity row), entities missing embeddings;
-``issues_found`` is their sum.  All three checks are anti-joins done with
-broadcast key sets when the entity table is small and ``bucketed_join``
-otherwise — never a Python loop over rows.
+``validate_consistency`` (:2496-2539, the ConsistencyReport struct
+:439-452): orphaned entities (no relationship touches them), broken
+relationships (an endpoint name resolves to no entity row), entities
+missing embeddings; ``issues_found`` is their sum.  All three checks are
+anti-joins done with broadcast key sets when the entity table is small
+and ``bucketed_join`` otherwise — never a Python loop over rows.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import shutil
-import time
-import uuid
-
 import pyarrow as pa
 import pyarrow.compute as pc
 
-
-class TransactionError(RuntimeError):
-    pass
-
-
-class Transaction:
-    """Staged writes for one transaction; visible only after commit()."""
-
-    def __init__(self, store: "VersionedGraphStore", tx_id: str):
-        self.store = store
-        self.tx_id = tx_id
-        self.status = "active"            # active | committed | aborted
-        self._deltas: list[dict] = []     # {"kind": ..., "dir": ...}
-
-    def _stage_dir(self, kind: str) -> str:
-        d = os.path.join(self.store.root, f"tx_{self.tx_id}",
-                         f"{kind}_{len(self._deltas)}")
-        os.makedirs(d, exist_ok=True)
-        return d
-
-    def _check_active(self):
-        if self.status != "active":
-            raise TransactionError(f"transaction {self.tx_id} is {self.status}")
-
-    def write_entities(self, ds) -> "Transaction":
-        self._check_active()
-        d = self._stage_dir("entities")
-        ds.write_parquet(d)
-        self._deltas.append({"kind": "entities", "dir": d})
-        return self
-
-    def write_triples(self, ds) -> "Transaction":
-        self._check_active()
-        d = self._stage_dir("triples")
-        ds.write_parquet(d)
-        self._deltas.append({"kind": "triples", "dir": d})
-        return self
-
-    def commit(self) -> int:
-        """Atomically publish the staged deltas as a new version; returns
-        the new version number (``commit_transaction``,
-        ``incremental.rs:2319-2341``)."""
-        self._check_active()
-        v = self.store._publish(self._deltas, op="commit", tx_id=self.tx_id)
-        self.status = "committed"
-        return v
-
-    def rollback(self) -> None:
-        """Abort: discard staged deltas (``rollback_transaction``,
-        ``incremental.rs:2343-2368`` — there it marks Aborted; here the
-        staged files are actually removed)."""
-        self._check_active()
-        shutil.rmtree(os.path.join(self.store.root, f"tx_{self.tx_id}"),
-                      ignore_errors=True)
-        self._deltas.clear()
-        self.status = "aborted"
-
-
-class VersionedGraphStore:
-    """Append-only versioned (entities, triples) store under ``root``."""
-
-    def __init__(self, root: str):
-        self.root = root
-        os.makedirs(root, exist_ok=True)
-
-    # ---- version bookkeeping -------------------------------------------
-
-    def versions(self) -> list[int]:
-        out = []
-        for f in os.listdir(self.root):
-            if f.startswith("v") and f.endswith(".json"):
-                try:
-                    out.append(int(f[1:-5]))
-                except ValueError:
-                    pass
-        return sorted(out)
-
-    def current_version(self) -> int | None:
-        vs = self.versions()
-        return vs[-1] if vs else None
-
-    def _manifest_path(self, v: int) -> str:
-        return os.path.join(self.root, f"v{v}.json")
-
-    def _load_manifest(self, v: int) -> dict:
-        p = self._manifest_path(v)
-        if not os.path.exists(p):
-            raise TransactionError(f"version {v} does not exist")
-        with open(p) as f:
-            return json.load(f)
-
-    def _publish(self, new_deltas: list[dict], op: str,
-                 tx_id: str | None = None,
-                 base_version: int | None = None) -> int:
-        cur = self.current_version()
-        base = cur if base_version is None else base_version
-        prior = self._load_manifest(base)["deltas"] if base is not None else []
-        v = (cur + 1) if cur is not None else 0
-        manifest = {
-            "version": v,
-            "op": op,
-            "tx_id": tx_id,
-            "base_version": base,
-            "created_at": time.time(),
-            "deltas": prior + new_deltas,
-        }
-        tmp = self._manifest_path(v) + ".tmp"
-        with open(tmp, "w") as f:
-            json.dump(manifest, f, indent=1)
-        os.replace(tmp, self._manifest_path(v))      # the commit point
-        return v
-
-    # ---- transaction API ------------------------------------------------
-
-    def begin(self) -> Transaction:
-        """``begin_transaction`` (``incremental.rs:2292-2317``)."""
-        return Transaction(self, uuid.uuid4().hex[:12])
-
-    def rollback_to(self, version: int) -> int:
-        """Non-destructive rollback: new version with ``version``'s delta
-        list (``rollback_delta``, ``incremental.rs:2266``; lineage kept)."""
-        target = self._load_manifest(version)
-        cur = self.current_version()
-        v = (cur + 1) if cur is not None else 0
-        manifest = {
-            "version": v,
-            "op": "rollback_to",
-            "tx_id": None,
-            "base_version": version,
-            "created_at": time.time(),
-            "deltas": target["deltas"],
-        }
-        tmp = self._manifest_path(v) + ".tmp"
-        with open(tmp, "w") as f:
-            json.dump(manifest, f, indent=1)
-        os.replace(tmp, self._manifest_path(v))
-        return v
-
-    def history(self) -> list[dict]:
-        return [{k: m[k] for k in ("version", "op", "tx_id", "base_version")}
-                for m in (self._load_manifest(v) for v in self.versions())]
-
-    # ---- reading --------------------------------------------------------
-
-    def _read_kind(self, kind: str, version: int | None):
-        import ray.data as rd
-        v = self.current_version() if version is None else version
-        if v is None:
-            raise TransactionError("store has no committed version")
-        dirs = [d["dir"] for d in self._load_manifest(v)["deltas"]
-                if d["kind"] == kind]
-        if not dirs:
-            return None
-        ds = rd.read_parquet(dirs[0])
-        for d in dirs[1:]:
-            ds = ds.union(rd.read_parquet(d))
-        return ds
-
-    def read(self, version: int | None = None):
-        """(entities_ds, triples_ds) as of ``version`` (default: latest),
-        delta chain merged with the standard conflict semantics."""
-        from ..pipelines.graph_ops import merge_entity_tables, merge_triple_tables
-
-        ent = self._read_kind("entities", version)
-        tri = self._read_kind("triples", version)
-        # the union carries duplicate keys across deltas; one bucketed
-        # merge collapses them (same one-shuffle cost as a single delta)
-        if ent is not None:
-            ent = merge_entity_tables(ent, ent.limit(0))
-        if tri is not None:
-            tri = merge_triple_tables(tri, tri.limit(0))
-        return ent, tri
-
-
-# ---- consistency report -------------------------------------------------
 
 def consistency_report(entities_ds, triples_ds,
                        broadcast_limit: int = 2_000_000):

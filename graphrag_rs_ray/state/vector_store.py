@@ -27,9 +27,6 @@ import heapq
 
 import numpy as np
 
-__all__ = ["KDTree", "VectorStore", "vector_store_actor",
-           "load_dataset_into_store"]
-
 
 class KDTree:
     """Exact k-NN k-d tree over unit-normalized rows of ``matrix``.

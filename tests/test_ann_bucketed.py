@@ -98,6 +98,26 @@ def test_hnsw_recall(ray_session):
         approx2.sort_values(["query_id", "rank"]).reset_index(drop=True))
 
 
+def test_hnsw_shard_exchange_schemas_hash(ray_session):
+    """The embeddings table carries pandas metadata, a dict that makes
+    ``hash(schema)`` raise; Ray's ``unify_schemas`` hashes the schemas
+    of every sort reduce and logs a warning when that fails.  The blocks
+    ``hnsw_shard_candidates`` sends through its shard exchange carry no
+    schema metadata."""
+    import os
+
+    import pyarrow.parquet as pq
+    from graphrag_rs_ray.pipelines import training_data as td
+
+    block = pq.read_table(os.path.join(SF_DIR, "embeddings.parquet"),
+                          columns=["vec_id", "embedding"])
+    assert block.schema.metadata
+    op = td.hnsw_shard_candidates(SF_DIR)._logical_plan.dag
+    while op.name != "MapBatches(shard_col)":
+        op = op.input_dependencies[0]
+    hash(op._fn(block).schema)
+
+
 def test_hnsw_kernel_exactness_small():
     """On a corpus smaller than ef_search the layer-0 pool is exhaustive:
     HNSW == exact cosine ranking."""

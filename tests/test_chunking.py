@@ -1,10 +1,13 @@
 """Chunker invariants mirroring the reference's tests
 (``text/chunking.rs:254-329``) plus hypothesis property tests."""
 
+import pyarrow as pa
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphrag_rs_ray.functions.chunking import chunk_document, chunk_text
+from graphrag_rs_ray.config import KGConfig
+from graphrag_rs_ray.functions.chunking import chunk_text
+from graphrag_rs_ray.stages.chunk import ChunkStage
 
 
 def test_hierarchical_chunking_reference_case():
@@ -42,7 +45,9 @@ def test_offsets_are_real():
 
 def test_chunk_ids_stable():
     text = ". ".join(f"Sentence number {i} with several words inside it" for i in range(40))
-    rows = chunk_document("https://x.example/a", text, 200, 40)
+    stage = ChunkStage(KGConfig(chunk_size=200, chunk_overlap=40))
+    rows = stage(pa.table({"doc_id": ["https://x.example/a"],
+                           "text": [text]})).to_pylist()
     assert [r["chunk_id"] for r in rows] == [f"https://x.example/a_{i}" for i in range(len(rows))]
     assert all(text[r["start"]:r["end"]] == r["text"] for r in rows)
 

@@ -7,7 +7,6 @@ import pyarrow as pa
 import pytest
 
 from graphrag_rs_ray.functions.corpus_index import (
-    cluster_concepts,
     content_hash,
     cooccurrence_relations,
     corpus_graph_stats,
@@ -145,24 +144,6 @@ def test_document_concepts_patterns_and_ids():
     c0 = cs[0]
     assert c0["context"] == text[max(c0["start"] - 50, 0):][:100]
     assert c0["frequency"] == 1 and c0["confidence"] == 0.7
-
-
-def test_cluster_concepts_exact_text_grouping():
-    text = ("The Data system uses a new process method daily. "
-            "NASA HQ Team works.")
-    cs = extract_document_concepts("d1", text)
-    clusters = cluster_concepts(cs)
-    canon = [c["canonical_text"] for c in clusters]
-    assert canon == ["data system", "nasa hq", "new process",
-                     "process method", "team works"]
-    assert clusters[0]["cluster_id"] == "cluster_0"
-    assert clusters[0]["n_members"] == 2
-    assert clusters[0]["member_concept_ids"] == ["concept_d1_0",
-                                                 "concept_d1_3"]
-    # faithful hardcoded constants (collection_processor.rs:337-344)
-    assert clusters[0]["document_frequency"] == 1
-    assert clusters[0]["total_mentions"] == 1
-    assert clusters[0]["confidence"] == 0.8
 
 
 # ------------------------------------------------------------------ #

@@ -79,25 +79,3 @@ def test_node_keywords_leaf_and_merge():
     many = node_keywords("", False, [[f"k{i:02d}" for i in range(8)],
                                      [f"k{i:02d}" for i in range(4, 12)]])
     assert len(many) == 10 and many[0] == "k00"
-
-
-def test_ancestors_descendants_statistics():
-    from graphrag_rs_ray.pipelines.doctree import (
-        get_ancestors, get_descendants, tree_statistics)
-    nodes = {
-        "leaf_a_0": {"level": 0, "parent_id": "level_1_0"},
-        "leaf_a_1": {"level": 0, "parent_id": "level_1_0"},
-        "leaf_a_2": {"level": 0, "parent_id": "level_1_1"},
-        "level_1_0": {"level": 1, "parent_id": "level_2_0"},
-        "level_1_1": {"level": 1, "parent_id": "level_2_0"},
-        "level_2_0": {"level": 2, "parent_id": None},
-    }
-    assert get_ancestors(nodes, "leaf_a_0") == [
-        "leaf_a_0", "level_1_0", "level_2_0"]
-    assert get_descendants(nodes, "level_2_0") == [
-        "level_1_0", "level_1_1", "leaf_a_0", "leaf_a_1", "leaf_a_2"]
-    stats = tree_statistics([{**n, "node_id": k}
-                             for k, n in nodes.items()])
-    assert stats == {"total_nodes": 6, "max_level": 2,
-                     "nodes_per_level": {0: 3, 1: 2, 2: 1},
-                     "root_count": 1}

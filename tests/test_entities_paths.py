@@ -64,18 +64,6 @@ def test_small_build_entities_one_block_per_cpu(ray_session):
     assert res.entities.materialize().num_blocks() == _cluster_cpus()
 
 
-def test_reference_entity_schema_adapter(ray_session):
-    from graphrag_rs_ray.config import KGConfig
-    from graphrag_rs_ray.pipelines.kg import entities_dataset, to_reference_entity_schema
-    from graphrag_rs_ray.sources.pages import pages_dataset
-
-    ents = entities_dataset(pages_dataset(30, seed=13), KGConfig())
-    ref = to_reference_entity_schema(ents).to_pandas()
-    # persistence/parquet.rs:218-229 column names
-    assert {"id", "name", "entity_type", "confidence", "mention_count"} <= set(ref.columns)
-    assert len(ref) > 0
-
-
 def _fold_entity_merge(t):
     """Plain-Python per-id fold of partial entity rows: summed counts per
     name, canonical name by ``select_canonical_name``, max conf, summed

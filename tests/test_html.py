@@ -2,10 +2,11 @@
 reference's own tests (``text/parsers/html.rs:168-241``)."""
 
 from graphrag_rs_ray.functions.html import (
+    build_hierarchy,
+    build_sections,
     extract_page_text,
     extract_text_content,
     parse_headings,
-    parse_html_structure,
 )
 
 REF_DOC = """
@@ -44,7 +45,8 @@ def test_nested_tags_in_heading():
 def test_hierarchy():
     # html.rs:204-220
     content = "<h1>Main</h1>\n<h2>Sub1</h2>\n<h3>SubSub1</h3>\n<h2>Sub2</h2>"
-    headings, sections, roots = parse_html_structure(content)
+    sections = build_sections(parse_headings(content), content)
+    roots = build_hierarchy(sections)
     assert len(sections) == 4
     assert roots == [0]
     assert sections[1].parent_section == 0

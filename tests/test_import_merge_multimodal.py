@@ -1,4 +1,4 @@
-"""Data import (CSV/JSON/JSONL/RDF/Turtle/GraphML + validation), graph
+"""Data import (RDF/Turtle/GraphML + validation), graph
 export, incremental merge strategies, checkpoint-resume and the graph
 sink.  The file keeps its old name, from before the multimodal stubs
 were cut, so its test ids stay stable."""
@@ -8,76 +8,6 @@ import os
 
 import pyarrow as pa
 import pytest
-
-
-@pytest.fixture(scope="module")
-def tmpdir_mod(tmp_path_factory):
-    return tmp_path_factory.mktemp("import")
-
-
-def test_csv_import(ray_session, tmpdir_mod):
-    from graphrag_rs_ray.sources.readers import ColumnMappings, ImportConfig, import_csv
-    p = tmpdir_mod / "ents.csv"
-    p.write_text(
-        "id,name,type,src,dst,rel,note\n"
-        "e1,Alice,PERSON,e1,e2,KNOWS,hello\n"
-        "e2,Bob,PERSON,,,,\n"
-        ",missing,PERSON,,,,\n"            # invalid: empty id → dropped
-        "e3,Carol,PERSON,e3,e1,WORKS_WITH,\n")
-    cfg = ImportConfig(column_mappings=ColumnMappings(
-        entity_id="id", entity_name="name", entity_type="type",
-        relationship_source="src", relationship_target="dst",
-        relationship_type="rel"))
-    ents, rels = import_csv(str(p), cfg)
-    edf = ents.to_pandas()
-    assert sorted(edf["id"]) == ["e1", "e2", "e3"]
-    assert json.loads(edf.set_index("id").loc["e1", "attributes"]) == {
-        "src": "e1", "dst": "e2", "rel": "KNOWS", "note": "hello"}
-    rdf = rels.to_pandas()
-    assert sorted(zip(rdf["source"], rdf["target"], rdf["relation_type"])) == [
-        ("e1", "e2", "KNOWS"), ("e3", "e1", "WORKS_WITH")]
-
-
-def test_csv_missing_column_aborts(ray_session, tmpdir_mod):
-    from graphrag_rs_ray.sources.readers import ImportAborted, ImportConfig, import_csv
-    p = tmpdir_mod / "bad.csv"
-    p.write_text("a,b\n1,2\n")
-    with pytest.raises(ImportAborted):
-        import_csv(str(p), ImportConfig())
-
-
-def test_json_graph_import(ray_session, tmpdir_mod):
-    from graphrag_rs_ray.sources.readers import import_json_graph
-    p = tmpdir_mod / "graph.json"
-    p.write_text(json.dumps({
-        "entities": [
-            {"id": "e1", "name": "Alice", "entity_type": "PERSON"},
-            {"id": "", "name": "bad", "entity_type": "PERSON"},
-        ],
-        "relationships": [
-            {"source": "e1", "target": "e1", "relation_type": "SELF"},
-        ]}))
-    ents, rels, errors = import_json_graph(str(p))
-    assert ents.count() == 1
-    assert rels.count() == 1
-    assert len(errors) == 1
-
-
-def test_jsonl_import_and_abort(ray_session, tmpdir_mod):
-    from graphrag_rs_ray.sources.readers import ImportAborted, ImportConfig, import_jsonl
-    p = tmpdir_mod / "recs.jsonl"
-    lines = [
-        {"type": "entity", "id": "e1", "name": "A", "entity_type": "PERSON"},
-        {"type": "relationship", "source": "e1", "target": "e2", "relation_type": "KNOWS"},
-        {"type": "entity", "id": "", "name": "bad", "entity_type": "X"},
-    ]
-    p.write_text("\n".join(json.dumps(x) for x in lines) + "\nnot json at all\n")
-    ents, rels, errors = import_jsonl(str(p), ImportConfig(max_errors=10))
-    assert ents.count() == 1
-    assert rels.count() == 1
-    assert errors.count() == 2
-    with pytest.raises(ImportAborted):
-        import_jsonl(str(p), ImportConfig(max_errors=2))
 
 
 NT_FIXTURE = """\
@@ -94,8 +24,8 @@ not a triple at all
 
 
 def test_rdf_import(tmp_path):
-    from graphrag_rs_ray.sources.readers import (ImportAborted, ImportConfig,
-                                                 import_rdf)
+    from graphrag_rs_ray.sources.rdf_graphml import (ImportAborted,
+                                                     ImportConfig, import_rdf)
     p = tmp_path / "g.nt"
     p.write_text(NT_FIXTURE)
     ents, rels, errors = import_rdf(str(p))
@@ -135,8 +65,8 @@ unknownprefix:x ex:y doc:z .
 
 
 def test_turtle_import(tmp_path):
-    from graphrag_rs_ray.sources.readers import ImportAborted, ImportConfig
-    from graphrag_rs_ray.sources.rdf_graphml import import_turtle
+    from graphrag_rs_ray.sources.rdf_graphml import (ImportAborted,
+                                                     ImportConfig, import_turtle)
     p = tmp_path / "g.ttl"
     p.write_text(TTL_FIXTURE)
     ents, rels, errors = import_turtle(str(p))
@@ -161,8 +91,8 @@ def test_turtle_import(tmp_path):
 
 
 def test_turtle_prefix_conflict(tmp_path):
-    from graphrag_rs_ray.sources.readers import ImportAborted
-    from graphrag_rs_ray.sources.rdf_graphml import read_turtle_prefixes
+    from graphrag_rs_ray.sources.rdf_graphml import (ImportAborted,
+                                                     read_turtle_prefixes)
     d = tmp_path / "ttl"
     d.mkdir()
     (d / "a.ttl").write_text("@prefix ex: <http://a/> .\n")
@@ -191,8 +121,8 @@ GRAPHML_FIXTURE = """\
 
 
 def test_graphml_import(tmp_path):
-    from graphrag_rs_ray.sources.readers import (ImportAborted, ImportConfig,
-                                                 import_graphml)
+    from graphrag_rs_ray.sources.rdf_graphml import (ImportAborted,
+                                                     ImportConfig, import_graphml)
     p = tmp_path / "g.graphml"
     p.write_text(GRAPHML_FIXTURE)
     ents, rels, errors = import_graphml(str(p))
@@ -341,8 +271,8 @@ def test_export_roundtrip_adversarial_strings(tmp_path):
 def test_graphml_stream_equals_whole_file(tmp_path):
     """The constant-memory iterparse path and the per-file path produce
     identical tables on a multi-file dir (incl. error rows)."""
-    from graphrag_rs_ray.sources.readers import ImportConfig
-    from graphrag_rs_ray.sources.rdf_graphml import (import_graphml,
+    from graphrag_rs_ray.sources.rdf_graphml import (ImportConfig,
+                                                     import_graphml,
                                                      import_graphml_stream)
     d = tmp_path / "gm"
     d.mkdir()

@@ -95,8 +95,7 @@ def test_entity_extraction_validation(ray_session):
 def test_validation_detects_violations(ray_session):
     # corrupted graph: mention → missing chunk, triple → missing entity,
     # blank entity type, invalid confidence, empty chunk, poor coverage
-    from graphrag_rs_ray.pipelines.validation import (
-        detailed_report, pipeline_validation_report)
+    from graphrag_rs_ray.pipelines.validation import pipeline_validation_report
 
     tbl = pipeline_validation_report(
         _docs_ds([("d1", 100), ("d2", 50)]),
@@ -117,14 +116,11 @@ def test_validation_detects_violations(ray_session):
     assert m[("Relationship Extraction", "relationship_types_populated")] == (False, 1.0)
     assert m[("Relationship Extraction", "relationship_entities_exist")] == (False, 1.0)
     assert m[("Graph Construction", "graph_not_empty")][0]
-    rep = detailed_report(tbl)
-    assert "FAIL" in rep and "checks passed" in rep
 
 
 def test_pipeline_report_rollup(ray_session):
     # pipeline_validation.rs:658-680 — all-green rollup: every check passes
-    from graphrag_rs_ray.pipelines.validation import (
-        detailed_report, pipeline_validation_report)
+    from graphrag_rs_ray.pipelines.validation import pipeline_validation_report
     import pyarrow.compute as pc
 
     tbl = pipeline_validation_report(
@@ -137,5 +133,3 @@ def test_pipeline_report_rollup(ray_session):
         _triples_ds([("Alice", "works_at", "Stanford", 0.9)]))
     checks = tbl.filter(pc.equal(tbl.column("kind"), "check"))
     assert all(checks.column("passed").to_pylist())
-    rep = detailed_report(tbl)
-    assert "FAIL" not in rep

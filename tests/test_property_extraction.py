@@ -15,7 +15,10 @@ from graphrag_rs_ray.functions.entities import (
     is_likely_person_name,
 )
 from graphrag_rs_ray.functions.html import extract_page_text
-from graphrag_rs_ray.functions.similarity import compute_similarity, normalize_string
+from graphrag_rs_ray.functions.similarity import (
+    compute_similarity_normalized,
+    normalize_string,
+)
 from graphrag_rs_ray.functions.textstats import bm25_tokenize, detect_language
 
 text_strategy = st.text(
@@ -59,7 +62,7 @@ def test_extract_page_text_total(html, fallback):
 @settings(max_examples=80, deadline=None)
 @given(text_strategy, text_strategy)
 def test_similarity_bounds_and_symmetry(a, b):
-    s = compute_similarity(a, b, "PERSON", "PERSON")
+    s = compute_similarity_normalized(normalize_string(a), normalize_string(b))
     assert 0.0 <= s <= 1.0 + 1e-6
     # exact-normalized match always scores 1.0
     if normalize_string(a) == normalize_string(b):

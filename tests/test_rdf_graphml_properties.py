@@ -7,16 +7,17 @@ Properties:
 - `_escape_nt` / `_unescape_nt` are mutual inverses on any text;
 - a parsed literal never leaks its datatype/lang suffix even when the
   literal body ends in escaped quotes;
-- `parse_graphml_bytes` round-trips node/edge data through the same
-  escaping the exporter uses (XML-1.0-legal payloads).
+- `_iter_graphml`, the parse both GraphML importers run, round-trips
+  node/edge data through the same escaping the exporter uses
+  (XML-1.0-legal payloads).
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphrag_rs_ray.sources.rdf_graphml import (
-    RDF_TYPE_IRI, _escape_nt, _local_name, _unescape_nt,
-    parse_graphml_bytes, parse_ntriples_batch)
+    RDF_TYPE_IRI, _escape_nt, _iter_graphml, _local_name, _unescape_nt,
+    parse_ntriples_batch)
 
 # IRI bodies: no angle brackets (the N-Triples delimiter), no whitespace
 iri_body = st.text(
@@ -142,7 +143,11 @@ def test_graphml_data_roundtrip(pairs):
     doc = ("<graphml>" + "".join(keys)
            + '<graph><node id="n0">' + "".join(data)
            + "</node></graph></graphml>")
-    ents, rels, errors = parse_graphml_bytes(doc.encode())
+    import io
+    items = list(_iter_graphml(io.BytesIO(doc.encode())))
+    ents = [row for kind, row in items if kind == "e"]
+    rels = [row for kind, row in items if kind == "r"]
+    errors = [row for kind, row in items if kind == "x"]
     assert not errors and len(ents) == 1 and not rels
     import json
     # replay the importer's documented fold: document order, last

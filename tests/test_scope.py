@@ -1,19 +1,23 @@
 """Scope gates.
 
-Every ``graphrag_rs_ray`` module is reached from a non-test entry point,
-with no exemptions.  Reach is the static import closure, by ``ast``, of
-the driver contract (``__ray_entry__.py``), ``bench.py``,
-``scripts/*.py`` and ``perfbench/*.py``; imports inside functions count.
-A module that only tests import fails the test until it is deleted.
+Reach is one ``ast`` walk from the entry points: the driver contract's
+``entry``, ``queries`` and ``oracle_sql`` (``__ray_entry__.py``), and
+every statement and def of ``bench.py``, ``scripts/*.py`` and
+``perfbench/*.py``.  A reached def or module reaches what its code
+imports and the defs it names, through relative imports and
+``__init__`` re-exports; string constants, ``__all__`` lists and tests
+are no reference.  Every ``graphrag_rs_ray`` module and every top-level
+function and class of the package and the driver is reached, so a cut
+cannot leave its helpers behind.  The exemptions are the ``ORACLES``: a
+def no entry point reaches that a named test compares a live path
+against.
 
-Every top-level function and class of the package and the driver is
-referenced somewhere in the repo's Python, tests included, so a cut
-cannot leave its helpers behind, and every import of the package, the
-driver, ``bench.py`` and ``scripts/*.py`` is read: a module-level one
-in its module or by another file, a function-local one in its
-function.  Every file these gates parse compiles without a syntax or
-deprecation warning, no package module calls ``print``, and no package
-``.repartition`` takes a literal block count."""
+Every import of the package, the driver, ``bench.py`` and
+``scripts/*.py`` is read: a module-level one in its module or by another
+file, a function-local one in its function.  Every file these gates
+parse compiles without a syntax or deprecation warning, no package
+module calls ``print``, and no package ``.repartition`` takes a literal
+block count."""
 
 import ast
 import glob
@@ -29,12 +33,6 @@ def _module_name(path: str) -> str:
     if parts[-1] == "__init__":
         parts.pop()
     return ".".join(parts)
-
-
-def _package_modules() -> dict[str, str]:
-    return {_module_name(path): path
-            for path in glob.glob(os.path.join(ROOT, PKG, "**", "*.py"),
-                                  recursive=True)}
 
 
 def _bindings(nodes, path: str):
@@ -59,43 +57,174 @@ def _bindings(nodes, path: str):
     return out
 
 
-def _imports(path: str, mods: dict[str, str]) -> set[str]:
-    """Package modules that ``path`` imports, with their parent
-    packages."""
-    found = set()
-    for _, mod, name in _bindings(ast.walk(_parse(path)), path):
-        found.add(mod)
-        if name:
-            found.add(f"{mod}.{name}")
-    out = set()
-    for mod in found:
-        parts = mod.split(".")
-        out.update(p for p in (".".join(parts[:i])
-                               for i in range(1, len(parts) + 1))
-                   if p in mods)
-    return out
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+# Defs no entry point reaches that a test compares a live path against,
+# each with that test.  The test must reach its def.
+ORACLES = {
+    f"{PKG}.functions.similarity.select_canonical_name":
+        "tests/test_entities_paths.py::"
+        "test_entity_bucket_merge_equals_python_fold",
+    f"{PKG}.functions.entities.is_likely_person_name":
+        "tests/test_property_extraction.py::"
+        "test_two_word_flag_is_person_name_test",
+    f"{PKG}.functions.entities.is_capitalized":
+        "tests/test_property_extraction.py::"
+        "test_two_word_flag_is_person_name_test",
+    f"{PKG}.functions.entity_linker.string_similarity":
+        "tests/test_oracle_replay_properties.py::"
+        "test_banded_similarity_decisions_exact",
+}
 
 
-def _unreached() -> set[str]:
-    mods = _package_modules()
-    entries = ([os.path.join(ROOT, "__ray_entry__.py"),
-                os.path.join(ROOT, "bench.py")]
-               + glob.glob(os.path.join(ROOT, "scripts", "*.py"))
-               + glob.glob(os.path.join(ROOT, "perfbench", "*.py")))
-    todo = set()
-    for path in entries:
-        todo |= _imports(path, mods)
-    seen = set()
-    while todo:
-        mod = todo.pop()
-        if mod not in seen:
-            seen.add(mod)
-            todo |= _imports(mods[mod], mods)
-    return set(mods) - seen
+def _bound(bindings) -> dict:
+    """Bound name -> ``(module, name)`` it resolves to; ``import a.b``
+    binds the module ``a``."""
+    return {b: ((b, None) if n is None and m.split(".")[0] == b else (m, n))
+            for b, m, n in bindings}
+
+
+class _Code:
+    """Every module of the package, the driver, ``bench.py``,
+    ``scripts/*.py``, ``perfbench/*.py`` and ``tests/*.py``, parsed, with
+    its top-level defs and its module-level imports."""
+
+    def __init__(self):
+        paths = (_py_files(PKG) + glob.glob(os.path.join(ROOT, "scripts",
+                                                           "*.py"))
+                 + glob.glob(os.path.join(ROOT, "perfbench", "*.py"))
+                 + glob.glob(os.path.join(ROOT, "tests", "*.py"))
+                 + [os.path.join(ROOT, "__ray_entry__.py"),
+                    os.path.join(ROOT, "bench.py")])
+        self.paths = {_module_name(p): p for p in paths}
+        self.trees = {m: _parse(p) for m, p in self.paths.items()}
+        self.defs = {m: {n.name: n for n in t.body if isinstance(n, DEFS)}
+                     for m, t in self.trees.items()}
+        self.binds = {m: _bound(_bindings(_top_level(t), self.paths[m]))
+                      for m, t in self.trees.items()}
+
+    def resolve(self, mod: str, name: str | None):
+        """What ``from mod import name`` binds: ``(module, None)`` for a
+        module, ``(module, def)`` for a top-level def, following
+        re-exports; None for anything else."""
+        if name is None or f"{mod}.{name}" in self.trees:
+            full = mod if name is None else f"{mod}.{name}"
+            return (full, None) if full in self.trees else None
+        if name in self.defs.get(mod, {}):
+            return mod, name
+        if name in self.binds.get(mod, {}):
+            return self.resolve(*self.binds[mod][name])
+        return None
+
+    def reach(self, roots, opaque=()) -> tuple[set, set]:
+        """The modules and ``(module, def)`` pairs that ``roots`` reach.
+        A root or target is ``(module, None)`` for a module's top-level
+        code or ``(module, def)``.  A reached unit reaches, by its code,
+        each module it imports and the name it imports, the target of
+        each ``Name`` it loads and of each ``alias.attr`` on an imported
+        module; a reached def reaches its module, and a module its
+        parent packages.  String constants, ``__all__`` included, are
+        not references.  The top-level code of ``opaque`` modules reaches
+        nothing."""
+        mods, defs = set(), set()
+        todo = list(roots)
+        while todo:
+            mod, name = todo.pop()
+            if (mod, name) in defs or (name is None and mod in mods):
+                continue
+            if name is None:
+                mods.add(mod)
+                parts = mod.split(".")
+                todo += [(".".join(parts[:i]), None)
+                         for i in range(1, len(parts))
+                         if ".".join(parts[:i]) in self.trees]
+                nodes = []
+                for stmt in [] if mod in opaque else self.trees[mod].body:
+                    if isinstance(stmt, DEFS):
+                        nodes += stmt.decorator_list
+                        nodes += getattr(stmt, "bases", [])
+                    else:
+                        nodes.append(stmt)
+                nodes = [n for s in nodes for n in ast.walk(s)]
+            else:
+                defs.add((mod, name))
+                todo.append((mod, None))
+                nodes = list(ast.walk(self.defs[mod][name]))
+            todo += self._targets(mod, nodes)
+        return mods, defs
+
+    def _targets(self, mod: str, nodes: list) -> list:
+        imports = _bindings(nodes, self.paths[mod])
+        local = _bound(imports)
+        out = [(m, None) for _, m, _ in imports if m in self.trees]
+        out += [self.resolve(m, n) for _, m, n in imports]
+
+        def lookup(name):
+            if name in local:
+                return self.resolve(*local[name])
+            if name in self.defs[mod]:
+                return mod, name
+            if name in self.binds[mod]:
+                return self.resolve(*self.binds[mod][name])
+            return None
+
+        for node in nodes:
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                out.append(lookup(node.id))
+            elif isinstance(node, ast.Attribute):
+                chain, v = [node.attr], node.value
+                while isinstance(v, ast.Attribute):
+                    chain.insert(0, v.attr)
+                    v = v.value
+                target = lookup(v.id) if isinstance(v, ast.Name) else None
+                for attr in chain:
+                    if target is None or target[1] is not None:
+                        break
+                    target = self.resolve(target[0], attr)
+                out.append(target)
+        return [t for t in out if t is not None]
+
+
+def _entry_points(code: _Code) -> list:
+    """The driver's ``entry``/``queries``/``oracle_sql``, and every
+    statement and def of ``bench.py``, ``scripts/*.py`` and
+    ``perfbench/*.py``."""
+    roots = [("__ray_entry__", n) for n in ("entry", "queries",
+                                             "oracle_sql")]
+    for mod in code.trees:
+        if mod == "bench" or mod.split(".")[0] in ("scripts", "perfbench"):
+            roots += [(mod, None)] + [(mod, n) for n in code.defs[mod]]
+    return roots
+
+
+def _unreached(code: _Code) -> tuple[set, set]:
+    """Package modules, and package and driver defs, that no entry
+    point reaches."""
+    mods, defs = code.reach(_entry_points(code))
+    owned = [m for m in code.trees
+             if m == "__ray_entry__" or m.split(".")[0] == PKG]
+    return ({m for m in owned if m != "__ray_entry__"} - mods,
+            {f"{m}.{n}" for m in owned for n in code.defs[m]
+             if (m, n) not in defs})
 
 
 def test_every_package_module_is_reached():
-    assert _unreached() == set()
+    assert _unreached(_Code())[0] == set()
+
+
+def test_every_top_level_def_is_reached():
+    """Reach follows imports and the bodies of reached defs from the
+    entry points; the only defs outside it are the ``ORACLES``, each
+    reached by the body of the test named for it (and the test file's
+    defs it calls), not by the test file's imports alone."""
+    code = _Code()
+    assert sorted(_unreached(code)[1]) == sorted(ORACLES)
+    for full, test in ORACLES.items():
+        path, fn = test.split("::")
+        mod = _module_name(os.path.join(ROOT, path))
+        assert fn in code.defs[mod], test
+        _, defs = code.reach([(mod, fn)], opaque={mod})
+        assert tuple(full.rsplit(".", 1)) in defs, (full, test)
 
 
 def _py_files(*dirs: str) -> list[str]:
@@ -107,33 +236,6 @@ def _py_files(*dirs: str) -> list[str]:
 def _parse(path: str) -> ast.Module:
     with open(path) as f:
         return ast.parse(f.read())
-
-
-def test_every_top_level_name_is_referenced():
-    """A reference is a ``Name``, an ``Attribute``, an import alias or a
-    string constant equal to the name; the ``def``/``class`` statement
-    itself is none of these."""
-    driver = os.path.join(ROOT, "__ray_entry__.py")
-    defined = {}
-    for path in _py_files(PKG) + [driver]:
-        for node in _parse(path).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                defined[node.name] = os.path.relpath(path, ROOT)
-    refs = set()
-    for path in (_py_files(PKG, "scripts", "perfbench", "tests")
-                 + [driver, os.path.join(ROOT, "bench.py")]):
-        for node in ast.walk(_parse(path)):
-            if isinstance(node, ast.Name):
-                refs.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                refs.add(node.attr)
-            elif isinstance(node, ast.alias):
-                refs.add(node.name.rsplit(".", 1)[-1])
-            elif isinstance(node, ast.Constant) and isinstance(node.value,
-                                                               str):
-                refs.add(node.value)
-    assert {n: defined[n] for n in set(defined) - refs} == {}
 
 
 def _top_level(tree: ast.Module) -> list:
@@ -151,8 +253,7 @@ def _top_level(tree: ast.Module) -> list:
 
 def test_every_module_level_import_is_read():
     """Each name a module binds by a module-level import is read in
-    that module (a load of the name, or a string in its ``__all__``),
-    or read from it by another file: ``from <module> import name`` or
+    that module (a load of the name), or read from it by another file: ``from <module> import name`` or
     ``<module>.name``.  Package ``__init__`` re-exports are exempt."""
     driver = os.path.join(ROOT, "__ray_entry__.py")
     bench = os.path.join(ROOT, "bench.py")
@@ -186,12 +287,6 @@ def test_every_module_level_import_is_read():
         tree = trees[path]
         loads = {n.id for n in ast.walk(tree)
                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-        for node in tree.body:
-            if (isinstance(node, ast.Assign)
-                    and any(isinstance(t, ast.Name) and t.id == "__all__"
-                            for t in node.targets)):
-                loads |= {c.value for c in ast.walk(node.value)
-                          if isinstance(c, ast.Constant)}
         mod = _module_name(path)
         unread += [f"{os.path.relpath(path, ROOT)}: {b}"
                    for b, m, n in _bindings(_top_level(tree), path)

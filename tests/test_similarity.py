@@ -1,9 +1,12 @@
 """Similarity-stack goldens taken from the reference's tests
 (``string_similarity_linker.rs:471-621``)."""
 
+import pyarrow as pa
+
 from graphrag_rs_ray.functions.similarity import (
+    DEFAULT_LINKING,
     LinkingConfig,
-    compute_similarity,
+    compute_similarity_normalized,
     greedy_cluster,
     jaccard_similarity,
     jaro_winkler_similarity,
@@ -48,15 +51,25 @@ def test_jaccard():
     assert jaccard_similarity("", "") == 1.0
 
 
+def _similarity(a: str, b: str, cfg: LinkingConfig = DEFAULT_LINKING) -> float:
+    return compute_similarity_normalized(normalize_string(a, cfg),
+                                         normalize_string(b, cfg), cfg)
+
+
 def test_cross_type_never_links():
-    # string_similarity_linker.rs:537-575
-    assert compute_similarity("John Smith", "John Smith", "PERSON", "ORGANIZATION") == 0.0
+    # string_similarity_linker.rs:537-575; linking blocks by type, so an
+    # exact name match across types is never compared
+    from graphrag_rs_ray.stages.linking import add_block_key, make_block_clusterer
+    t = pa.table({"entity_id": ["PERSON_johnsmith", "ORGANIZATION_johnsmith"],
+                  "name": ["John Smith", "John Smith"],
+                  "type": ["PERSON", "ORGANIZATION"], "conf": [0.9, 0.9]})
+    assert make_block_clusterer(LinkingConfig())(add_block_key(t)).num_rows == 0
 
 
 def test_typo_variants_link():
-    s = compute_similarity("John Smith", "Jon Smith", "PERSON", "PERSON")
+    s = _similarity("John Smith", "Jon Smith")
     assert s >= 0.85
-    s = compute_similarity("John Smith", "Jhon Smith", "PERSON", "PERSON")
+    s = _similarity("John Smith", "Jhon Smith")
     assert s >= 0.85
 
 
@@ -94,7 +107,7 @@ def test_select_canonical_name():
 
 def test_phonetic_config():
     cfg = LinkingConfig(use_phonetic=True, min_similarity=0.85)
-    s = compute_similarity("Smith", "Smyth", "PERSON", "PERSON", cfg)
+    s = _similarity("Smith", "Smyth", cfg)
     assert s >= 0.85
 
 
@@ -171,28 +184,3 @@ def test_pruned_equals_reference_edge_strings():
     items = base + _rand_items(40, 3)
     for cfg in (LinkingConfig(), LinkingConfig(use_phonetic=True)):
         assert greedy_cluster(items, cfg) == greedy_cluster_reference(items, cfg)
-
-
-def test_best_match_policy_recovers_absorbed_typos():
-    """Opt-in best-match tie policy: an item equidistant-eligible to two
-    seeds joins the MOST similar one; first-seed-wins takes the earliest.
-    Deterministic across input orders."""
-    from graphrag_rs_ray.functions.similarity import greedy_cluster_best_match
-    import itertools
-    # seed A ("smithson") comes first; "smith john" clears threshold vs it
-    # via prefix bonus, but its true variant "smith jonh" is more similar
-    items = [
-        ("P_a", "Smithson Jon", 0.9),
-        ("P_b", "Smith John", 0.9),
-        ("P_c", "Smith Jonh", 0.5),   # typo of P_b
-    ]
-    bm = greedy_cluster_best_match(items)
-    assert bm.get("P_c") == "P_b"
-    # determinism under permutation
-    results = {frozenset(greedy_cluster_best_match(list(p)).items())
-               for p in itertools.permutations(items)}
-    assert len(results) == 1
-    # large-block path agrees with itself and links every planted typo to
-    # a cluster (sound bounds shared with greedy_cluster)
-    big = _rand_items(120, 5)
-    assert greedy_cluster_best_match(big) == greedy_cluster_best_match(big)

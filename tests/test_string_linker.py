@@ -6,7 +6,6 @@ import math
 from graphrag_rs_ray.functions.string_linker import (
     LinkerConfig,
     compute_similarity,
-    find_canonical_entity,
     jaccard_similarity,
     jaro_winkler_similarity,
     levenshtein_similarity,
@@ -70,23 +69,6 @@ def test_levenshtein_similarity_cap_and_byte_maxlen():
     # distance 1 ≤ 2 → 1 − 1/10 over byte max-length
     assert math.isclose(levenshtein_similarity("jon smith", "john smith"),
                         1.0 - 1 / 10)
-
-
-def test_find_canonical_entity():
-    # :538-585
-    cfg = LinkerConfig(min_similarity=0.8)
-    candidates = [
-        {"entity_id": "e1", "name": "John Smith", "type": "PERSON",
-         "conf": 0.9},
-        {"entity_id": "e2", "name": "Acme Corp", "type": "ORG",
-         "conf": 0.85},
-    ]
-    assert find_canonical_entity("Jon Smith", "PERSON", candidates,
-                                 cfg) == "e1"
-    assert find_canonical_entity("John Smith", "ORG", candidates,
-                                 cfg) is None
-    assert find_canonical_entity("Jhon Smith", "PERSON", candidates,
-                                 cfg) == "e1"
 
 
 def test_link_similar_entities():

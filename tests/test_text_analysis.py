@@ -1,13 +1,11 @@
 """Text analysis kernels (``text/analysis.rs``) — section numbers,
-roman numerals, statistics, blank lines, titles."""
+roman numerals, statistics."""
 
 import pytest
 
 from graphrag_rs_ray.functions.text_analysis import (
     calculate_statistics,
     extract_section_number,
-    extract_title,
-    find_blank_line_positions,
     parse_roman_numeral,
 )
 
@@ -64,25 +62,3 @@ def test_calculate_statistics():
     empty = calculate_statistics("")
     assert empty["sentence_count"] == 1 and empty["paragraph_count"] == 1
     assert empty["avg_word_length"] == 0.0
-
-
-def test_find_blank_line_positions():
-    text = "a\n\nb\n\n\nc"
-    # blank runs start at offsets 2 (after 'a\n') and 5..6 → first of
-    # each run only
-    assert find_blank_line_positions(text) == [2, 5]
-    assert find_blank_line_positions("no blanks") == []
-
-
-def test_extract_title():
-    assert extract_title("\nMY GREAT TITLE\nbody text") == "MY GREAT TITLE"
-    # quirk: the space after '#' blocks the numeric strip (Rust
-    # trim_start_matches chain, analysis.rs:315-323)
-    assert extract_title("# 1. Heading Title\nbody") == "1. Heading Title"
-    # '#1.' is not a recognized heading (no space) → plain-line branch
-    assert extract_title("#1. Heading Title\nbody") == "#1. Heading Title"
-    assert extract_title("plain first line here\nrest") == \
-        "plain first line here"
-    assert extract_title("") is None
-    # short non-heading lines are skipped
-    assert extract_title("ab\nlonger line follows") == "longer line follows"

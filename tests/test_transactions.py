@@ -1,5 +1,6 @@
-"""Versioned graph store: transactions, rollback, time travel, and the
-consistency report (``graph/incremental.rs:2266-2368,2496-2539``)."""
+"""The graph consistency report (``graph/incremental.rs:2496-2539``)
+and the delta merge of entity and triple tables
+(``graph/incremental.rs:242-257,750-771``)."""
 
 import pyarrow as pa
 import pytest
@@ -33,31 +34,16 @@ E0 = [("e1", "Alice Smith", "person", 0.9, 3),
 T0 = [("Alice Smith", "works_for", "Acme Corp", 0.9, 2, "c1")]
 
 
-def _store(tmp_path):
-    from graphrag_rs_ray.state.transactions import VersionedGraphStore
-    return VersionedGraphStore(str(tmp_path / "graph"))
-
-
-def test_commit_and_read_roundtrip(ray_session, tmp_path):
-    s = _store(tmp_path)
-    v = s.begin().write_entities(_ents(E0)).write_triples(_tris(T0)).commit()
-    assert v == 0 and s.current_version() == 0
-    ent, tri = s.read()
-    edf = ent.to_pandas().sort_values("entity_id")
-    assert list(edf["name"]) == ["Alice Smith", "Acme Corp"]
-    assert tri.count() == 1
-
-
-def test_delta_merge_semantics(ray_session, tmp_path):
-    s = _store(tmp_path)
-    s.begin().write_entities(_ents(E0)).write_triples(_tris(T0)).commit()
+def test_delta_merge_semantics(ray_session):
+    from graphrag_rs_ray.pipelines.graph_ops import (merge_entity_tables,
+                                                     merge_triple_tables)
     # delta: e1 again with higher conf (name wins), plus a new entity+triple
-    s.begin().write_entities(_ents(
+    ent = merge_entity_tables(_ents(E0), _ents(
         [("e1", "Alice J. Smith", "person", 0.95, 2),
-         ("e3", "Bob", "person", 0.7, 1)])).write_triples(_tris(
+         ("e3", "Bob", "person", 0.7, 1)]))
+    tri = merge_triple_tables(_tris(T0), _tris(
         [("Alice Smith", "works_for", "Acme Corp", 0.95, 1, "c0"),
-         ("Bob", "knows", "Alice Smith", 0.7, 1, "c2")])).commit()
-    ent, tri = s.read()
+         ("Bob", "knows", "Alice Smith", 0.7, 1, "c2")]))
     edf = ent.to_pandas().set_index("entity_id")
     assert len(edf) == 3
     assert edf.loc["e1", "name"] == "Alice J. Smith"      # higher conf wins
@@ -68,34 +54,6 @@ def test_delta_merge_semantics(ray_session, tmp_path):
     assert row["n_contexts"] == 3                         # 2 + 1
     assert abs(row["conf"] - 0.95) < 1e-6                 # max conf
     assert row["context_sample"] == "c0"                  # min sample
-
-
-def test_abort_leaves_no_trace(ray_session, tmp_path):
-    from graphrag_rs_ray.state.transactions import TransactionError
-    s = _store(tmp_path)
-    s.begin().write_entities(_ents(E0)).commit()
-    tx = s.begin().write_entities(_ents([("e9", "Ghost", "person", 0.5, 1)]))
-    tx.rollback()
-    assert s.current_version() == 0
-    ent, _ = s.read()
-    assert ent.count() == 2
-    with pytest.raises(TransactionError):
-        tx.write_entities(_ents(E0))                      # aborted tx is dead
-
-
-def test_rollback_to_is_nondestructive_time_travel(ray_session, tmp_path):
-    s = _store(tmp_path)
-    s.begin().write_entities(_ents(E0)).commit()                      # v0
-    s.begin().write_entities(
-        _ents([("e3", "Bob", "person", 0.7, 1)])).commit()            # v1
-    v2 = s.rollback_to(0)                                             # v2
-    assert v2 == 2
-    ent, _ = s.read()                                  # latest == v0 content
-    assert ent.count() == 2
-    ent1, _ = s.read(version=1)                        # v1 still reachable
-    assert ent1.count() == 3
-    ops = [h["op"] for h in s.history()]
-    assert ops == ["commit", "commit", "rollback_to"]
 
 
 CE = [("e1", "A", "person", 0.9, 1), ("e2", "B", "person", 0.9, 1),

@@ -141,20 +141,6 @@ def test_pre_extracted_pages_contribute_no_edges(ray_session):
     assert link_edges(rd.from_arrow(t)).count() == 0
 
 
-def test_canonical_url():
-    from graphrag_rs_ray.functions.weblinks import canonical_url as c
-    assert c("HTTPS://WWW.Site.Example:443/a/?utm_source=x&b=2&a=1&fbclid=z#f") == \
-        "https://site.example/a?a=1&b=2"
-    assert c("https://www.example/x") == "https://www.example/x"  # www.<tld>
-    assert c("https://site.example/") == "https://site.example/"
-    assert c("https://site.example/p/?utm_x=1") == "https://site.example/p"
-    assert c("http://site.example:80/p?z=1&y=2") == \
-        "http://site.example/p?y=2&z=1"
-    # idempotent
-    for u in ("https://site.example/a?a=1&b=2", "https://site.example/"):
-        assert c(c(u)) == c(u)
-
-
 def test_anchor_text_index(ray_session):
     import ray.data as rd
 
@@ -231,14 +217,6 @@ def test_resolve_href_contract(href):
     if got is not None:
         assert got.lower().startswith(("http://", "https://"))
         assert "#" not in got
-
-
-@settings(max_examples=60, deadline=None)
-@given(_URLISH)
-def test_canonical_url_idempotent(u):
-    from graphrag_rs_ray.functions.weblinks import canonical_url as c
-    once = c(u)
-    assert c(once) == once
 
 
 def test_invalid_utf8_html_does_not_crash(ray_session):

@@ -99,22 +99,3 @@ def test_pagerank_dataset_personalized(ray_session):
     d = dict(zip(ddf["node"], ddf["score"]))
     for k in b:
         assert abs(b[k] - d[k]) < 1e-9, k
-
-
-def test_graph_statistics(ray_session):
-    from graphrag_rs_ray.config import KGConfig
-    from graphrag_rs_ray.pipelines.graph_ops import graph_statistics
-    from graphrag_rs_ray.pipelines.kg import build_kg, chunks_to_combined, pages_to_chunks
-    from graphrag_rs_ray.sources.pages import pages_dataset
-    from graphrag_rs_ray.stages.kg_extract import entities_only
-
-    cfg = KGConfig()
-    pages = pages_dataset(50, seed=5)
-    res = build_kg(pages, cfg)
-    mentions = chunks_to_combined(pages_to_chunks(pages_dataset(50, seed=5), cfg), cfg) \
-        .map_batches(entities_only, batch_format="pyarrow")
-    stats = graph_statistics(res.entities, res.triples, mentions)
-    assert stats["n_entities"] > 0
-    assert stats["n_triples"] > 0
-    assert "PERSON" in stats["type_histogram"]
-    assert stats["avg_entities_per_chunk"] > 0
