@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-_MERSENNE = (1 << 61) - 1
-
 
 def char_ngrams(text: str, n: int = 3) -> set[str]:
     s = " ".join(text.lower().split())

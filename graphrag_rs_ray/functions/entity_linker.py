@@ -9,7 +9,10 @@ order-sequential → its assignments are staged, unit-gated):
 
 - String similarity (``:424-438``): 1 − levenshtein(chars) /
   max(BYTE lengths) — the same char-distance/byte-maxlen mix as the
-  ROGRAG fuzzy matcher (ASCII-equal here).
+  ROGRAG fuzzy matcher (ASCII-equal here).  The distance comes from
+  ``functions/similarity.py``: its full DP for the value, its bounded
+  kernel for the greedy and LMCD passes, which only compare the value
+  with a threshold.
 - exact_match_linking (``:159-192``): group by exact name; EVERY name
   gets a cluster (singletons too); exact_matches += size − 1.
 - fuzzy_match_linking (``:194-249``): greedy seed pass in list order
@@ -41,18 +44,7 @@ order-sequential → its assignments are staged, unit-gated):
 
 from __future__ import annotations
 
-
-def levenshtein_chars(s1: str, s2: str) -> int:
-    a, b = list(s1), list(s2)
-    n, m = len(a), len(b)
-    prev = list(range(m + 1))
-    for i in range(1, n + 1):
-        cur = [i] + [0] * m
-        for j in range(1, m + 1):
-            cost = 0 if a[i - 1] == b[j - 1] else 1
-            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost)
-        prev = cur
-    return prev[m]
+from .similarity import levenshtein_bounded, levenshtein_distance
 
 
 def string_similarity(s1: str, s2: str) -> float:
@@ -62,76 +54,33 @@ def string_similarity(s1: str, s2: str) -> float:
     max_len = max(len(s1.encode()), len(s2.encode()))
     if max_len == 0:
         return 1.0
-    return 1.0 - levenshtein_chars(s1, s2) / max_len
+    return 1.0 - levenshtein_distance(s1, s2) / max_len
+
+
+def _banded_similarity(s1: str, s2: str, t: float) -> float:
+    """``string_similarity(s1, s2)`` through the bounded kernel, for the
+    linking passes that only compare it with ``t``.  Any distance with
+    ``1 - dist/max_len >= t`` is at most ``(1 - t)·max_len``, so the
+    integer ``cap`` over-bounds every distance that can reach ``t``:
+    within it the value is the exact one, past it the kernel's
+    ``cap + 1`` gives a value at least ``2/max_len`` below ``t``, as the
+    true one is — both ``>= t`` and ``> t`` decide as on the full DP
+    (property-gated in ``tests/test_oracle_replay_properties.py``)."""
+    if s1 == s2:
+        return 1.0
+    max_len = max(len(s1.encode()), len(s2.encode()))
+    cap = int((1.0 - t) * max_len) + 2
+    return 1.0 - levenshtein_bounded(s1, s2, cap) / max_len
 
 
 def similar_at_least(s1: str, s2: str, t: float) -> bool:
-    """EXACT decision ``string_similarity(s1, s2) >= t`` without the full
-    O(n·m) DP on clear rejects: the linking passes only consume the
-    boolean, and ``dist >= |len(s1) - len(s2)|`` always, so pairs whose
-    length difference alone already pushes similarity below ``t`` are
-    rejected in O(1); otherwise a banded DP (Ukkonen cutoff) computes the
-    exact distance up to the cap and the ORIGINAL float expression
-    decides — bit-identical to the unpruned path (equivalence
-    property-gated in tests)."""
-    if s1 == s2:
-        return True
-    max_len = max(len(s1.encode()), len(s2.encode()))
-    if max_len == 0:
-        return True
-    # any dist with 1 - dist/max_len >= t satisfies dist <= (1-t)*max_len;
-    # cap is a safe integer over-bound of that float boundary
-    cap = int((1.0 - t) * max_len) + 2
-    if abs(len(s1) - len(s2)) > cap:
-        return False
-    dist = _levenshtein_banded(s1, s2, cap)
-    if dist > cap:
-        return False
-    return 1.0 - dist / max_len >= t
+    """EXACT decision ``string_similarity(s1, s2) >= t``."""
+    return _banded_similarity(s1, s2, t) >= t
 
 
 def similar_strictly_above(s1: str, s2: str, t: float) -> bool:
-    """EXACT decision ``string_similarity(s1, s2) > t`` (strict twin of
-    ``similar_at_least``, same banded pruning)."""
-    if s1 == s2:
-        return 1.0 > t
-    max_len = max(len(s1.encode()), len(s2.encode()))
-    if max_len == 0:
-        return 1.0 > t
-    cap = int((1.0 - t) * max_len) + 2
-    if abs(len(s1) - len(s2)) > cap:
-        return False
-    dist = _levenshtein_banded(s1, s2, cap)
-    if dist > cap:
-        return False
-    return 1.0 - dist / max_len > t
-
-
-def _levenshtein_banded(s1: str, s2: str, k: int) -> int:
-    """Exact char Levenshtein when the distance is <= k; any value > k
-    otherwise (band of width 2k+1 around the diagonal)."""
-    n, m = len(s1), len(s2)
-    if abs(n - m) > k:
-        return k + 1
-    big = k + 1
-    prev = [j if j <= k else big for j in range(m + 1)]
-    for i in range(1, n + 1):
-        lo = max(1, i - k)
-        hi = min(m, i + k)
-        cur = [big] * (m + 1)
-        if i - k <= 0:
-            cur[0] = i
-        a = s1[i - 1]
-        for j in range(lo, hi + 1):
-            cost = 0 if a == s2[j - 1] else 1
-            v = prev[j - 1] + cost
-            if prev[j] + 1 < v:
-                v = prev[j] + 1
-            if cur[j - 1] + 1 < v:
-                v = cur[j - 1] + 1
-            cur[j] = v
-        prev = cur
-    return prev[m]
+    """EXACT decision ``string_similarity(s1, s2) > t``."""
+    return _banded_similarity(s1, s2, t) > t
 
 
 def infer_entity_type(name: str) -> str:
@@ -235,11 +184,11 @@ def fuzzy_match_linking(entities: list[dict], threshold: float,
 
     IDENTICAL decisions to ``_fuzzy_match_linking_naive`` (equality
     property-gated), but the O(k²) per-pair Python loop is replaced by
-    two vectorized EXACT lower-bound prefilters per seed, so the banded
+    two vectorized EXACT lower-bound prefilters per seed, so the batched
     DP runs only on plausible pairs:
 
     * char-length band — ``dist >= |len(a) - len(b)|`` always, the same
-      O(1) reject ``similar_at_least`` does, batched in numpy;
+      O(1) reject ``levenshtein_bounded`` does, batched in numpy;
     * bucketed character-bag L1 — each edit changes the char multiset by
       at most 2, so ``dist >= L1/2``; projecting chars into
       ``_BAG_BUCKETS`` buckets only shrinks L1 (bucket-merging is a

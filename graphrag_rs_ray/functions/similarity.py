@@ -7,6 +7,14 @@ max_edit_distance (``:193-206``), Jaro-Winkler (``:252-326``), token Jaccard
 (``:130-168``), and the greedy single-pass clustering (``:68-127``) — made
 deterministic here by requiring callers to pass entities in a stable sort
 order (the reference iterates whatever order the graph yields).
+
+The package's two Levenshtein kernels live here: ``levenshtein_distance``
+(full DP, the uncapped value) and ``levenshtein_bounded`` (the distance
+capped at ``k + 1``, for every caller that only tests it against a
+bound: this module's capped similarity, ``string_linker`` and the
+threshold decisions of ``entity_linker``).  The capped similarity is
+0.0 past the cap either way, so scores are bit-identical to the full DP.
+Jaro, Jaro-Winkler and Jaccard here serve ``string_linker`` too.
 """
 
 from __future__ import annotations
@@ -59,8 +67,43 @@ def levenshtein_distance(s1: str, s2: str) -> int:
     return prev[-1]
 
 
+def levenshtein_bounded(s1: str, s2: str, k: int) -> int:
+    """``min(levenshtein_distance(s1, s2), k + 1)``: the exact distance
+    when it is at most ``k``, else ``k + 1`` (Ukkonen's cutoff, 1985).
+    A length gap over ``k`` rejects in O(1); otherwise only the band of
+    2k+1 cells around the diagonal is filled (a cell off it is at least
+    its offset ``|i - j| > k``, so ``k + 1`` stands in for it), and the
+    scan stops at the first row whose cells all exceed ``k``: no path
+    through that row can come back under it.  Fills O(k·n) cells.
+    Gated against the full DP by ``tests/test_kernel_properties.py``."""
+    n, m = len(s1), len(s2)
+    if abs(n - m) > k:
+        return k + 1
+    big = k + 1
+    prev = [j if j <= k else big for j in range(m + 1)]
+    for i in range(1, n + 1):
+        cur = [big] * (m + 1)
+        if i <= k:
+            cur[0] = i
+        row_min = cur[0]
+        c = s1[i - 1]
+        for j in range(max(1, i - k), min(m, i + k) + 1):
+            v = prev[j - 1] + (c != s2[j - 1])
+            if prev[j] < v:
+                v = prev[j] + 1
+            if cur[j - 1] < v:
+                v = cur[j - 1] + 1
+            cur[j] = v
+            if v < row_min:
+                row_min = v
+        if row_min > k:
+            return big
+        prev = cur
+    return min(prev[m], big)
+
+
 def levenshtein_similarity(s1: str, s2: str, max_edit_distance: int = 2) -> float:
-    d = levenshtein_distance(s1, s2)
+    d = levenshtein_bounded(s1, s2, max_edit_distance)
     if d > max_edit_distance:
         return 0.0
     max_len = max(len(s1), len(s2))

@@ -13,19 +13,23 @@ order-sequential → its assignments are staged, unit-gated):
 - ``levenshtein_similarity`` (``:190-204``): distance over CHARS; 0.0
   when distance > max_edit_distance (default 2); else
   1 − dist / max(BYTE lengths) — the same char-distance/byte-maxlen mix
-  as ``corpus/entity_linker.rs`` (ASCII-equal).
-- ``jaro_similarity`` (``:262-326``): textbook Jaro — match window
+  as ``corpus/entity_linker.rs`` (ASCII-equal).  The distance is
+  ``functions/similarity.levenshtein_bounded`` capped at
+  max_edit_distance: above the cap the score is 0.0 whatever it is.
+- Jaro, Jaro-Winkler and token Jaccard are imported from
+  ``functions/similarity.py``, which ports the same reference file.
+  ``jaro_similarity`` (``:262-326``): textbook Jaro — match window
   ⌊max(l1,l2)/2⌋−1 (saturating), greedy first-free match scan,
   transpositions over matched chars vs ascending matched positions.
   NOT DuckDB's ``jaro_similarity`` (different matcher — measured
   mismatches), so the oracle replays this algorithm with a recursive
   CTE carrying a HUGEINT used-position bitmask (names must stay under
   ~120 chars; the bounded query inputs do).
-- ``jaro_winkler_similarity`` (``:246-260``): prefix bonus
+  ``jaro_winkler_similarity`` (``:246-260``): prefix bonus
   jaro + p·0.1·(1−jaro) applied UNCONDITIONALLY (no 0.7 boost
   threshold — another reason DuckDB's builtin can't be the oracle),
   prefix = common chars in the first min(4, zip) positions.
-- ``jaccard_similarity`` (``:328-345``): whitespace-token SETS;
+  ``jaccard_similarity`` (``:328-345``): whitespace-token SETS;
   both-empty → 1.0.
 - ``soundex`` (``:347-395``): THIS file's own variant — vowels /
   ignored chars do NOT reset ``prev_code`` (unlike classic Soundex and
@@ -49,7 +53,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .entity_linker import levenshtein_chars
+from .similarity import (jaccard_similarity, jaro_winkler_similarity,
+                         levenshtein_bounded)
 
 
 @dataclass
@@ -74,68 +79,13 @@ def normalize_string(s: str, cfg: LinkerConfig = LinkerConfig()) -> str:
 
 def levenshtein_similarity(s1: str, s2: str,
                            cfg: LinkerConfig = LinkerConfig()) -> float:
-    dist = levenshtein_chars(s1, s2)
+    dist = levenshtein_bounded(s1, s2, cfg.max_edit_distance)
     if dist > cfg.max_edit_distance:
         return 0.0
     max_len = max(len(s1.encode()), len(s2.encode()))
     if max_len == 0:
         return 1.0
     return 1.0 - dist / max_len
-
-
-def jaro_similarity(s1: str, s2: str) -> float:
-    c1, c2 = list(s1), list(s2)
-    l1, l2 = len(c1), len(c2)
-    if l1 == 0 and l2 == 0:
-        return 1.0
-    if l1 == 0 or l2 == 0:
-        return 0.0
-    md = max(max(l1, l2) // 2 - 1, 0)
-    m1 = [False] * l1
-    m2 = [False] * l2
-    matches = 0
-    for i in range(l1):
-        for j in range(max(0, i - md), min(i + md + 1, l2)):
-            if m2[j] or c1[i] != c2[j]:
-                continue
-            m1[i] = True
-            m2[j] = True
-            matches += 1
-            break
-    if matches == 0:
-        return 0.0
-    trans = 0
-    k = 0
-    for i in range(l1):
-        if not m1[i]:
-            continue
-        while not m2[k]:
-            k += 1
-        if c1[i] != c2[k]:
-            trans += 1
-        k += 1
-    m = float(matches)
-    return (m / l1 + m / l2 + (m - trans / 2.0) / m) / 3.0
-
-
-def jaro_winkler_similarity(s1: str, s2: str) -> float:
-    jaro = jaro_similarity(s1, s2)
-    prefix = 0
-    for a, b in list(zip(s1, s2))[:4]:
-        if a != b:
-            break
-        prefix += 1
-    return jaro + prefix * 0.1 * (1.0 - jaro)
-
-
-def jaccard_similarity(s1: str, s2: str) -> float:
-    t1, t2 = set(s1.split()), set(s2.split())
-    if not t1 and not t2:
-        return 1.0
-    union = len(t1 | t2)
-    if union == 0:
-        return 0.0
-    return len(t1 & t2) / union
 
 
 _SOUNDEX_CODES = {**{c: "1" for c in "BFPV"},

@@ -45,6 +45,7 @@ from ..stages.canonicalize import (
     partial_triple_agg,
 )
 from ..stages.hashagg import (
+    _plan_num_blocks,
     exchange_blocks,
     grouped_arrow_agg,
     hash_grouped_aggregate,
@@ -176,13 +177,19 @@ def exact_entities(combined, cfg: KGConfig):
     uncoalesced, the entity exchange cost 610 s of a 646 s stage) and
     reach the cap; a small build is not split into ``num_shards * 4``
     sort tasks.  The bucket count stays ``num_shards * 4``, so every
-    bucket holds the same rows whatever the block count."""
+    bucket holds the same rows whatever the block count.  The two maps
+    keep one partial block per ``combined`` block, so when ``combined``'s
+    plan already fixes that count (materialized, or a staged read) and it
+    is the target, the repartition (a split and a reduce task per block)
+    is skipped."""
     partial = (combined.map_batches(entities_only, batch_format="pyarrow")
                .map_batches(partial_entity_agg, batch_format="pyarrow",
                             batch_size=None))
     n_blocks = exchange_blocks(combined, cfg.num_shards * 4)
+    if _plan_num_blocks(combined) != n_blocks:
+        partial = partial.repartition(n_blocks)
     return hash_grouped_aggregate(
-        partial.repartition(n_blocks), ["entity_id"], entity_bucket_merge,
+        partial, ["entity_id"], entity_bucket_merge,
         num_buckets=cfg.num_shards * 4)
 
 

@@ -606,9 +606,12 @@ def ngram_dedup_pairs(sf_dir: str, threshold: float = 0.8, n: int = 3,
     # shuffle cost at sf0.1); target ~50k pairs per bucket
     n_buckets = max(8, min(64, n_cand // 50_000 + 1))
 
+    # pandas metadata on the read's schema would make the driver's
+    # schema unification of the materialized blocks fail to hash them
     def prune(t: pa.Table) -> pa.Table:
         return t.filter(pc.is_in(t.column("doc_id"),
-                                 value_set=ray.get(idref)))
+                                 value_set=ray.get(idref))
+                        ).replace_schema_metadata(None)
 
     # ONE corpus read feeds both join sides (the pruned table is
     # candidate-sized, so materializing it is cheap)
@@ -1068,8 +1071,9 @@ def _lowest_vec_rows(path: str, n: int) -> pa.Table:
 
     ds = rd.read_parquet(path, columns=["vec_id", "embedding"])
 
-    def smallest(t: pa.Table) -> pa.Table:
-        return t.take(pc.sort_indices(t.column("vec_id"))[:n])
+    def smallest(t: pa.Table) -> pa.Table:   # no pandas metadata: see prune
+        return t.take(pc.sort_indices(t.column("vec_id"))[:n]
+                      ).replace_schema_metadata(None)
 
     parts = [b for b in ds.map_batches(
         smallest, batch_format="pyarrow",

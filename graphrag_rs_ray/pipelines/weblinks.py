@@ -19,14 +19,6 @@ from ..stages.hashagg import (
     hash_grouped_aggregate,
 )
 
-EDGES_SCHEMA = pa.schema([
-    ("src_url", pa.string()),
-    ("src_host", pa.string()),
-    ("dst_url", pa.string()),
-    ("dst_host", pa.string()),
-    ("anchor", pa.string()),
-])
-
 
 def link_edges(pages_ds):
     """Raw outlink edges: one row per extracted anchor, document order

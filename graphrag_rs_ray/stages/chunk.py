@@ -16,15 +16,6 @@ from ..config import KGConfig
 from ..functions.chunking import chunk_text, chunk_text_legacy
 from ..functions.code_chunking import chunk_rust_code
 
-CHUNKS_SCHEMA = pa.schema([
-    ("chunk_id", pa.string()),
-    ("doc_id", pa.string()),
-    ("text", pa.string()),
-    ("start", pa.int64()),
-    ("end", pa.int64()),
-    ("lang", pa.string()),
-])
-
 
 class ChunkStage:
     def __init__(self, cfg: KGConfig | None = None):

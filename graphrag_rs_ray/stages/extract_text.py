@@ -14,13 +14,6 @@ import pyarrow as pa
 
 from ..functions.html import extract_page_text
 
-DOCS_SCHEMA = pa.schema([
-    ("doc_id", pa.string()),     # = url (content-derived, stable; SURVEY §4 determinism)
-    ("title", pa.string()),
-    ("text", pa.string()),
-    ("lang", pa.string()),
-])
-
 
 def extract_text_stage(batch: pa.Table) -> pa.Table:
     urls = batch.column("url").to_pylist()

@@ -95,6 +95,20 @@ def _plan_size_bytes(ds) -> int | None:
         return None
 
 
+def _plan_num_blocks(ds) -> int | None:
+    """Block count ``ds``'s plan fixes without executing: a materialized
+    dataset's, or a read's ``override_num_blocks``.  ``None`` for any
+    other plan (``Dataset.num_blocks()`` raises on a lazy one) or when
+    this private plan API, checked against Ray 2.49, has moved."""
+    from ray.data.dataset import MaterializedDataset
+
+    if isinstance(ds, MaterializedDataset):
+        return ds.num_blocks()
+    dag = getattr(getattr(ds, "_logical_plan", None), "dag", None)
+    n = getattr(dag, "_parallelism", -1) if type(dag).__name__ == "Read" else -1
+    return n if n > 0 else None
+
+
 def hash_grouped_aggregate(ds, keys: list[str],
                            per_bucket_fn: Callable[[pa.Table], pa.Table],
                            num_buckets: int = 64):

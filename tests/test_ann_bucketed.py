@@ -118,6 +118,43 @@ def test_hnsw_shard_exchange_schemas_hash(ray_session):
     hash(op._fn(block).schema)
 
 
+def test_driver_collected_maps_drop_schema_metadata(ray_session,
+                                                    monkeypatch):
+    """``_lowest_vec_rows``' ``smallest`` and ``ngram_dedup_pairs``'
+    ``prune`` map pandas-written tables whose blocks the driver then
+    collects; a metadata dict left on their schemas makes the driver's
+    ``unify_schemas`` log a hash warning.  Their outputs hash."""
+    import os
+
+    import pyarrow.parquet as pq
+    import ray.data as rd
+    from graphrag_rs_ray.pipelines import training_data as td
+
+    emb = os.path.join(SF_DIR, "embeddings.parquet")
+    assert pq.read_schema(emb).metadata
+    hash(td._lowest_vec_rows(emb, 3).schema)
+
+    maps = []
+    docs = td._docs
+
+    class Spy:   # records the map ngram_dedup_pairs runs on the corpus
+        def __init__(self, ds):
+            self.ds = ds
+
+        def map_batches(self, fn, **kw):
+            maps.append(fn)
+            return self.ds.map_batches(fn, **kw)
+
+    monkeypatch.setattr(td, "_docs", lambda *a, **k: Spy(docs(*a, **k)))
+    td.ngram_dedup_pairs(SF_DIR, cand_ds=rd.from_items(
+        [{"doc_a": 0, "doc_b": 1}]))
+    block = pq.read_table(os.path.join(SF_DIR, "documents.parquet"),
+                          columns=["doc_id", "text"])
+    assert block.schema.metadata
+    (prune,) = maps
+    hash(prune(block).schema)
+
+
 def test_hnsw_kernel_exactness_small():
     """On a corpus smaller than ef_search the layer-0 pool is exhaustive:
     HNSW == exact cosine ranking."""

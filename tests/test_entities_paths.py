@@ -64,6 +64,52 @@ def test_small_build_entities_one_block_per_cpu(ray_session):
     assert res.entities.materialize().num_blocks() == _cluster_cpus()
 
 
+def test_exact_entities_skips_a_noop_repartition(ray_session, tmp_path,
+                                                 monkeypatch):
+    """On one CPU the exchange wants one block; a 1-block materialized
+    ``combined`` and a 1-file staged one already plan that many, so the
+    exact-entities plan has no ``Repartition*`` operator.  On four CPUs
+    the same input is still split to one block per CPU.  The entity
+    table is the same either way."""
+    import pyarrow.parquet as pq
+    import ray
+    from graphrag_rs_ray.config import KGConfig
+    from graphrag_rs_ray.pipelines.kg import (chunks_to_combined,
+                                              exact_entities,
+                                              pages_to_chunks)
+    from graphrag_rs_ray.sources.pages import pages_dataset
+    from graphrag_rs_ray.stages import hashagg
+    from graphrag_rs_ray.stages.disk_exchange import read_staged
+
+    def op_names(ds):
+        names, ops = [], [ds._logical_plan.dag]
+        while ops:
+            op = ops.pop()
+            names.append(op.name)
+            ops.extend(op.input_dependencies)
+        return names
+
+    def rows(ds):
+        return sorted(tuple(r.values()) for r in ds.take_all())
+
+    cfg = KGConfig()
+    combined = chunks_to_combined(pages_to_chunks(pages_dataset(60, seed=13),
+                                                  cfg), cfg).materialize()
+    assert combined.num_blocks() == 1
+    pq.write_table(ray.get(combined.to_arrow_refs())[0],
+                   str(tmp_path / "part-0.parquet"))
+    staged = read_staged(str(tmp_path))
+    monkeypatch.setattr(hashagg, "_cluster_cpus", lambda: 4)
+    want = rows(exact_entities(combined, cfg))
+    assert any(n.startswith("Repartition")
+               for n in op_names(exact_entities(combined, cfg)))
+    monkeypatch.setattr(hashagg, "_cluster_cpus", lambda: 1)
+    for ds in (combined, staged):
+        out = exact_entities(ds, cfg)
+        assert not any(n.startswith("Repartition") for n in op_names(out))
+        assert rows(out) == want
+
+
 def _fold_entity_merge(t):
     """Plain-Python per-id fold of partial entity rows: summed counts per
     name, canonical name by ``select_canonical_name``, max conf, summed

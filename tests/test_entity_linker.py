@@ -8,11 +8,13 @@ from graphrag_rs_ray.functions.entity_linker import (
     fuzzy_match_linking,
     hybrid_linking,
     infer_entity_type,
-    levenshtein_chars,
     link_entities,
     lmcd_clustering,
     select_canonical_name,
     string_similarity,
+)
+from graphrag_rs_ray.functions.similarity import (
+    levenshtein_distance as levenshtein_chars,
 )
 
 

@@ -7,10 +7,13 @@ import string
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphrag_rs_ray.functions.string_linker import (
+from graphrag_rs_ray.functions import similarity, string_linker
+from graphrag_rs_ray.functions.similarity import (
     jaccard_similarity,
     jaro_similarity,
     jaro_winkler_similarity,
+)
+from graphrag_rs_ray.functions.string_linker import (
     levenshtein_similarity,
     normalize_string,
     soundex,
@@ -90,3 +93,61 @@ def test_lazy_chunker_covers_text(text, size, overlap):
         assert b["start_offset"] > a["start_offset"]     # progress
     for c in chunks:
         assert text[c["start_offset"]:c["end_offset"]] == c["content"]
+
+
+# ---- the bounded Levenshtein kernel -------------------------------------
+# Both greedy clusterers and every capped similarity score through
+# ``levenshtein_bounded``, so their equality gates cannot see a fault in
+# it; these compare it with the full DP.
+
+# a small alphabet (multibyte letters and a space included) keeps many
+# pairs within a few edits; arbitrary text covers the rest
+WORD = st.one_of(st.text(alphabet="abcé漢 ", max_size=12),
+                 st.text(max_size=12))
+
+
+@st.composite
+def _near_pairs(draw):
+    """(a, b): independent words, or ``b`` a few random edits of ``a``."""
+    a = draw(WORD)
+    if draw(st.booleans()):
+        return a, draw(WORD)
+    b = list(a)
+    for _ in range(draw(st.integers(0, 4))):
+        op = draw(st.sampled_from("ids"))
+        pos = draw(st.integers(0, len(b)))
+        ch = draw(st.sampled_from("abé漢"))
+        if op == "i":
+            b.insert(pos, ch)
+        elif b and pos < len(b):
+            if op == "d":
+                del b[pos]
+            else:
+                b[pos] = ch
+    return a, "".join(b)
+
+
+@settings(max_examples=3000, deadline=None)
+@given(_near_pairs(), st.integers(0, 3))
+def test_levenshtein_bounded_equals_capped_full_dp(pair, k):
+    a, b = pair
+    assert similarity.levenshtein_bounded(a, b, k) == min(
+        similarity.levenshtein_distance(a, b), k + 1)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_near_pairs(), st.integers(0, 3))
+def test_capped_levenshtein_similarity_bit_identical(pair, k):
+    """Both capped similarities equal their full-DP expression exactly
+    (char max length in ``similarity``, byte max length in
+    ``string_linker``)."""
+    a, b = pair
+    d = similarity.levenshtein_distance(a, b)
+    for got, max_len in (
+            (similarity.levenshtein_similarity(a, b, k),
+             max(len(a), len(b))),
+            (string_linker.levenshtein_similarity(
+                a, b, string_linker.LinkerConfig(max_edit_distance=k)),
+             max(len(a.encode()), len(b.encode())))):
+        want = 0.0 if d > k else 1.0 if max_len == 0 else 1.0 - d / max_len
+        assert got == want

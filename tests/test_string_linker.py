@@ -3,17 +3,19 @@
 
 import math
 
+from graphrag_rs_ray.functions.similarity import (
+    jaccard_similarity,
+    jaro_winkler_similarity,
+    levenshtein_distance as levenshtein_chars,
+)
 from graphrag_rs_ray.functions.string_linker import (
     LinkerConfig,
     compute_similarity,
-    jaccard_similarity,
-    jaro_winkler_similarity,
     levenshtein_similarity,
     link_entities,
     normalize_string,
     soundex,
 )
-from graphrag_rs_ray.functions.entity_linker import levenshtein_chars
 
 
 def test_levenshtein_distance():
