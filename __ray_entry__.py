@@ -531,209 +531,21 @@ def q_incremental_update(sf_dir: str):
         batch_format="pyarrow")
 
 
-def q_pagerank(sf_dir: str):
-    """Dataset-native PageRank (``pagerank.rs:17-52,184-223`` semantics:
-    new = (1-d)/n + Σ d·score/out_deg, no dangling redistribution) over the
-    staged triple table, run for a FIXED 8 iterations (tolerance=0) so the
-    DuckDB oracle — 8 programmatically generated join+aggregate steps —
-    computes the identical recurrence.  Scores rounded to 8 decimals on
-    both sides (sum order differs between engines; accumulated FP error
-    ≲1e-14 is absorbed by the rounding)."""
-    from graphrag_rs_ray.pipelines.graph_ops import pagerank_dataset
-    edges = _staged_triples("pagerank", sf_dir).map_batches(
-        lambda t: t.select(["subj", "obj"]), batch_format="pyarrow")
-    return pagerank_dataset(edges, damping=0.85, max_iter=8, tolerance=0.0,
-                            num_buckets=16, round_digits=8)
-
-
 def q_connected_components(sf_dir: str):
     """Undirected connected components via hash-to-min label propagation
     (component = lexicographically-smallest reachable node,
     ``pipelines/communities.py``); oracle = DuckDB recursive-CTE
     reachability closure + min(label)."""
     from graphrag_rs_ray.pipelines.communities import connected_components
-    triples = _staged_triples("connected_components", sf_dir)
+    triples = _stage(_kg_ds(sf_dir, "triples").map_batches(
+        lambda t: t.select(["subj", "pred", "obj"]), batch_format="pyarrow"),
+        "connected_components", sf_dir)
     def und(t):
         import pyarrow.compute as pc
         keep = t.filter(pc.invert(pc.equal(t.column("subj"), t.column("obj"))))
         return pa.table({"a": keep.column("subj"), "b": keep.column("obj")})
     return connected_components(
         triples.map_batches(und, batch_format="pyarrow"), num_buckets=16)
-
-
-def _staged_triples(query: str, sf_dir: str):
-    """Stage the deduped (subj, pred, obj) triple table for a graph-op
-    query + its oracle."""
-    tri = _kg_ds(sf_dir, "triples").map_batches(
-        lambda t: t.select(["subj", "pred", "obj"]), batch_format="pyarrow")
-    return _stage(tri, query, sf_dir)
-
-
-def q_k_hop(sf_dir: str):
-    """3-hop BFS neighbourhood (both directions, ``traversal.rs:85-151``)
-    from the 3 lexicographically-first subjects; oracle = DuckDB recursive
-    CTE over the staged triples."""
-    from graphrag_rs_ray.pipelines.graph_ops import k_hop
-    from graphrag_rs_ray.stages.hashagg import grouped_arrow_agg, hash_grouped_aggregate
-    triples = _staged_triples("k_hop", sf_dir)
-    seeds_ds = hash_grouped_aggregate(
-        triples.map_batches(lambda t: t.select(["subj"]), batch_format="pyarrow"),
-        ["subj"], grouped_arrow_agg(["subj"], [("subj", "count")],
-                                    rename=["subj", "n"]))
-    seeds = [r["subj"] for r in seeds_ds.sort("subj").limit(3).take(3)]
-    return k_hop(triples, seeds, k=3, direction="both")
-
-
-def q_degree_stats(sf_dir: str):
-    """Per-node degree + centrality table (``graph/analytics.rs``)."""
-    from graphrag_rs_ray.pipelines.graph_ops import degree_stats
-    return degree_stats(_staged_triples("degree_stats", sf_dir))
-
-
-def q_centrality(sf_dir: str):
-    """Degree / betweenness / closeness centrality
-    (``analytics.rs:182-278``) over the 2-hop subgraph of the 3
-    lexicographically-first subjects (all-pairs centrality is quadratic —
-    the bounded subgraph is the documented usage pattern at scale).
-    Oracle: DuckDB all-pairs hop distances (recursive CTE) + the
-    d(s,v)+d(v,t)=d(s,t) decomposition test."""
-    from graphrag_rs_ray.pipelines.graph_ops import centrality_scores, k_hop
-    from graphrag_rs_ray.stages.hashagg import grouped_arrow_agg, hash_grouped_aggregate
-    tri = _kg_ds(sf_dir, "triples").map_batches(
-        lambda t: t.select(["subj", "pred", "obj"]),
-        batch_format="pyarrow").materialize()
-    seeds_ds = hash_grouped_aggregate(
-        tri.map_batches(lambda t: t.select(["subj"]), batch_format="pyarrow"),
-        ["subj"], grouped_arrow_agg(["subj"], [("subj", "count")],
-                                    rename=["subj", "n"]))
-    seeds = [r["subj"] for r in seeds_ds.sort("subj").limit(3).take(3)]
-    # bounded subgraph: first 120 nodes by (hop, name) — all-pairs
-    # centrality AND its O(n³) SQL oracle stay tractable; 120 nodes also
-    # bounds the subgraph diameter ≪ the oracle's 12-hop walk cap
-    hops = sorted((r["hop"], r["node"])
-                  for r in k_hop(tri, seeds, k=2, direction="both")
-                  .take_all())[:120]
-    import ray
-    nref = ray.put(pa.array(sorted(n for _, n in hops), pa.string()))
-
-    def sub(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        ns = ray.get(nref)
-        keep = pc.and_(pc.is_in(t.column("subj"), value_set=ns),
-                       pc.is_in(t.column("obj"), value_set=ns))
-        return t.filter(keep)
-
-    staged = _stage(tri.map_batches(sub, batch_format="pyarrow"),
-                    "centrality", sf_dir)
-    return centrality_scores(staged, num_buckets=16)
-
-
-def _pair_weight(a_arr: pa.Array, b_arr: pa.Array) -> pa.Array:
-    """Deterministic synthetic edge weight in [0.5, 3.0) from the pair's
-    blake2b digest (the sf tables carry no numeric edge attribute; the
-    staged column feeds BOTH the Ray derivation and the oracle, so only
-    determinism matters)."""
-    import hashlib
-    ws = []
-    for a, b in zip(a_arr.to_pylist(), b_arr.to_pylist()):
-        h = int.from_bytes(hashlib.blake2b(f"{a}\x1f{b}".encode(),
-                                           digest_size=8).digest(), "big")
-        ws.append(0.5 + (h % 2000) / 800.0)
-    return pa.array(ws, pa.float64())
-
-
-def _staged_weighted_edges(query: str, sf_dir: str, max_nodes: int):
-    """Bounded undirected weighted edge list for the path queries:
-    distinct canonical KG pairs (src < dst, self-loops dropped)
-    restricted to the first ``max_nodes`` nodes by (hop, name) around the
-    lexicographically-first node (same bounding pattern as
-    ``q_centrality`` — path enumeration and its oracle are exponential /
-    O(n·rounds), the bounded subgraph is the documented usage at scale),
-    plus a deterministic weight column, staged for both sides."""
-    import ray
-    import pyarrow.compute as pc
-    from graphrag_rs_ray.pipelines.graph_ops import k_hop
-    from graphrag_rs_ray.stages.hashagg import (
-        grouped_arrow_agg,
-        hash_grouped_aggregate,
-    )
-    tri = _kg_ds(sf_dir, "triples").map_batches(
-        lambda t: t.select(["subj", "pred", "obj"]),
-        batch_format="pyarrow").materialize()
-
-    def canon(t: pa.Table) -> pa.Table:
-        keep = t.filter(pc.not_equal(t.column("subj"), t.column("obj")))
-        return pa.table({
-            "subj": pc.min_element_wise(keep.column("subj"), keep.column("obj")),
-            "obj": pc.max_element_wise(keep.column("subj"), keep.column("obj"))})
-
-    pairs = hash_grouped_aggregate(
-        tri.map_batches(canon, batch_format="pyarrow"), ["subj", "obj"],
-        grouped_arrow_agg(["subj", "obj"], [("subj", "count")],
-                          rename=["subj", "obj", "n"])).materialize()
-    seed = pairs.min("subj")
-    hops = sorted((r["hop"], r["node"])
-                  for r in k_hop(pairs, [seed], k=2, direction="both")
-                  .take_all())[:max_nodes]
-    nref = ray.put(pa.array(sorted(n for _, n in hops), pa.string()))
-
-    def fin(t: pa.Table) -> pa.Table:
-        ns = ray.get(nref)
-        keep = t.filter(pc.and_(pc.is_in(t.column("subj"), value_set=ns),
-                                pc.is_in(t.column("obj"), value_set=ns)))
-        return pa.table({
-            "src": keep.column("subj"), "dst": keep.column("obj"),
-            "w": _pair_weight(keep.column("subj"), keep.column("obj"))})
-
-    return _stage(pairs.map_batches(fin, batch_format="pyarrow"),
-                  query, sf_dir)
-
-
-def q_shortest_paths(sf_dir: str):
-    """Single-source weighted shortest paths (Dijkstra,
-    ``analytics.rs:272-345``) from the lexicographically-first node of a
-    bounded weighted subgraph.  dist = exact f64 min path-sum (fl(+) is
-    monotone, so Dijkstra, sharded Bellman-Ford and the oracle's unrolled
-    relaxation all yield the min over the same left-associated sums —
-    bit-equal, no rounding); pred = lexicographically smallest optimal
-    predecessor ('' at the source; the reference's reconstructed path
-    follows HashSet iteration order and is not reproducible even there).
-    Oracle: programmatically generated Bellman-Ford rounds."""
-    from graphrag_rs_ray.pipelines.paths import shortest_paths
-    edges = _staged_weighted_edges("shortest_paths", sf_dir, max_nodes=56)
-    source = edges.min("src")
-    return shortest_paths(edges, source)
-
-
-def q_all_paths(sf_dir: str):
-    """All simple paths (≤4 nodes) between the lexicographically first
-    and last nodes of a bounded weighted subgraph (DFS,
-    ``analytics.rs:347-404``; the end node is terminal).  Oracle: DuckDB
-    recursive CTE with the same delimiter-encoded visited check."""
-    from graphrag_rs_ray.pipelines.paths import all_paths
-    edges = _staged_weighted_edges("all_paths", sf_dir, max_nodes=24)
-    start = edges.min("src")
-    end = edges.max("dst")
-    return all_paths(edges, start, end, max_depth=4)
-
-
-def q_triangle_counts(sf_dir: str):
-    """Per-node triangles + local clustering coefficient
-    (``analytics.rs:452-484``); oracle = DuckDB 3-way self-join over the
-    staged triples' canonical undirected edge set."""
-    from graphrag_rs_ray.pipelines.graph_ops import triangle_counts
-    return triangle_counts(_staged_triples("triangle_counts", sf_dir),
-                           num_buckets=16)
-
-
-def q_graph_statistics(sf_dir: str):
-    """One-row GraphStatistics (``incremental.rs:420-436``,
-    ``analytics.rs:436-484``): counts, avg/max degree, components,
-    density, average clustering coefficient."""
-    from graphrag_rs_ray.pipelines.graph_ops import graph_statistics_row
-    import ray.data as rd
-    return rd.from_arrow(graph_statistics_row(
-        _staged_triples("graph_statistics", sf_dir), num_buckets=16))
 
 
 def q_doc_tree(sf_dir: str):
@@ -1398,8 +1210,11 @@ def q_lazy_pipeline_stats(sf_dir: str):
     import ray.data as rd
     from graphrag_rs_ray.pipelines.lazy_pipeline import (
         fixed_chunks, lazy_concept_mentions, pipeline_statistics)
+    # no pandas metadata on the staged files: reading them back would
+    # make the schema unify log a hash warning
     docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "text"])
+                           columns=["doc_id", "text"]).map_batches(
+        lambda t: t.replace_schema_metadata(None), batch_format="pyarrow")
     mentions = _stage(lazy_concept_mentions(fixed_chunks(docs)),
                       "lazy_pipeline_stats", sf_dir)
     return rd.from_arrow(pipeline_statistics(docs, mentions))
@@ -1976,7 +1791,9 @@ def _loaded_vector_store(sf_dir: str):
     head = pq.read_table(path, columns=["embedding"]).column("embedding")
     dim = len(head[0])
     store = vector_store_actor(dim)
-    ds = rd.read_parquet(path, columns=["vec_id", "embedding"])
+    # pandas metadata would make iter_batches' schema unify log a hash warning
+    ds = rd.read_parquet(path, columns=["vec_id", "embedding"]).map_batches(
+        lambda t: t.replace_schema_metadata(None), batch_format="pyarrow")
     load_dataset_into_store(store, ds, "vec_id", "embedding")
     return store, path
 
@@ -2246,16 +2063,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # deterministic training-order shuffle + shard manifest
         # (distributed order statistic over md5 hash order)
         "shuffle_shards": td.shuffle_shards,
-        # Common-Crawl link graph: <a href> extraction → edges →
-        # host rollup → host PageRank (all oracle-replayed)
-        "web_link_graph": q_web_link_graph,
-        "domain_link_stats": q_domain_link_stats,
-        "host_rank": q_host_rank,
-        "anchor_text_index": q_anchor_text_index,
-        # jusText-style link-density boilerplate block decisions
-        "boilerplate_blocks": q_boilerplate_blocks,
-        # neighborhood-overlap link prediction (CN/Jaccard/Adamic-Adar)
-        "link_prediction": q_link_prediction,
         # cross-snapshot corpus diff (added/removed/changed/same)
         "corpus_diff": td.corpus_diff,
         "corpus_curation": q_corpus_curation,
@@ -2279,17 +2086,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "chunk_to_entities": q_chunk_to_entities,
         "co_occurring_entities": q_co_occurring_entities,
         "semantic_edges": q_semantic_edges,
-        "pagerank": q_pagerank,
         # graph ops over staged triples (oracle-checked)
-        "k_hop": q_k_hop,
-        "degree_stats": q_degree_stats,
         "connected_components": q_connected_components,
         "consistency_report": q_consistency_report,
         "doc_tree": q_doc_tree,
         "doc_tree_summaries": q_doc_tree_summaries,
-        "triangle_counts": q_triangle_counts,
-        "shortest_paths": q_shortest_paths,
-        "all_paths": q_all_paths,
         "semantic_merge_pairs": q_semantic_merge_pairs,
         "semantic_merge_groups": q_semantic_merge_groups,
         "entity_clusters": q_entity_clusters,
@@ -2303,8 +2104,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "lazy_pipeline_stats": q_lazy_pipeline_stats,
         "text_statistics": q_text_statistics,
         "section_numbers": q_section_numbers,
-        "graph_statistics": q_graph_statistics,
-        "centrality": q_centrality,
         "chunk_embeddings": q_chunk_embeddings,
         "neural_embeddings": q_neural_embeddings,
         # BM25 scoring + sentence stats (oracle-checked)
@@ -3022,14 +2821,6 @@ def oracle_sql() -> dict[str, str]:
                (pos - (((pos * 16) // total) * total + 16 - 1) // 16
                 )::BIGINT AS shard_pos
         FROM p"""
-    d["web_link_graph"] = ("WITH " + _link_edges_sql("web_link_graph")
-                           + "\nSELECT * FROM edges")
-    d["domain_link_stats"] = ("WITH " + _link_edges_sql("domain_link_stats")
-                              + """
-        SELECT src_host, dst_host, count(*)::BIGINT AS n_links
-        FROM edges GROUP BY src_host, dst_host""")
-    d["host_rank"] = _pagerank_sql(n_iter=8, damping=0.85, round_digits=8,
-                                   query="host_rank")
     d["corpus_diff"] = r"""
         WITH cur AS (SELECT doc_id, md5(text) AS fp FROM documents),
         prev AS (
@@ -3047,82 +2838,6 @@ def oracle_sql() -> dict[str, str]:
                     WHEN c.fp = p.fp THEN 'same'
                     ELSE 'changed' END AS status
         FROM cur c FULL OUTER JOIN prev p ON c.doc_id = p.doc_id"""
-    d["link_prediction"] = r"""
-        WITH tri AS (SELECT subj, obj FROM __TRI__),
-        e AS (SELECT DISTINCT a, b FROM (
-            SELECT subj AS a, obj AS b FROM tri WHERE subj <> obj
-            UNION ALL
-            SELECT obj AS a, subj AS b FROM tri WHERE subj <> obj)),
-        deg AS (SELECT a AS node, count(*)::BIGINT AS deg
-                FROM e GROUP BY a),
-        ctr AS (SELECT node,
-                       floor(1000000 / ln(deg::DOUBLE))::BIGINT AS term
-                FROM deg WHERE deg >= 2 AND deg <= 64),
-        w AS (SELECT e1.b AS pa, e2.b AS pb, c.term
-              FROM e e1 JOIN e e2 ON e1.a = e2.a AND e1.b < e2.b
-              JOIN ctr c ON c.node = e1.a),
-        p AS (SELECT pa, pb, count(*)::BIGINT AS cn,
-                     sum(term)::BIGINT AS aa_micro
-              FROM w GROUP BY pa, pb),
-        q AS (SELECT p.pa, p.pb, p.cn, p.aa_micro,
-                     da.deg AS deg_a, db.deg AS deg_b
-              FROM p JOIN deg da ON da.node = p.pa
-                     JOIN deg db ON db.node = p.pb)
-        SELECT pa AS node_a, pb AS node_b, cn,
-               (cn * 1000000 // (deg_a + deg_b - cn))::BIGINT
-                 AS jaccard_micro,
-               aa_micro
-        FROM q
-        WHERE NOT EXISTS (SELECT 1 FROM e
-                          WHERE e.a = q.pa AND e.b = q.pb)""".replace(
-        "__TRI__", _staged_sql("link_prediction"))
-    d["boilerplate_blocks"] = (r"""
-        WITH pages AS (SELECT url, html FROM __PAGES__),
-        b0 AS (
-          SELECT url, 'p' AS tag,
-                 unnest(regexp_extract_all(html,
-                   '(?is)<p[^>]*>(.*?)</p>', 1)) AS raw
-          FROM pages
-          UNION ALL
-          SELECT url, 'li',
-                 unnest(regexp_extract_all(html,
-                   '(?is)<li[^>]*>(.*?)</li>', 1))
-          FROM pages
-          UNION ALL
-          SELECT url, 'h',
-                 unnest(regexp_extract_all(html,
-                   '(?is)<h[1-6][^>]*>(.*?)</h[1-6]>', 1))
-          FROM pages),
-        c AS (
-          SELECT url, tag,
-                 trim(regexp_replace(regexp_replace(raw, '<[^>]+>', '',
-                   'g'), '\s+', ' ', 'g')) AS block_text,
-                 coalesce(list_sum(list_transform(
-                   regexp_extract_all(raw, '(?is)<a\s[^>]*>(.*?)</a>', 1),
-                   x -> length(trim(regexp_replace(regexp_replace(x,
-                          '<[^>]+>', '', 'g'), '\s+', ' ', 'g'))))),
-                   0)::BIGINT AS link_chars
-          FROM b0)
-        SELECT url, tag, block_text,
-               length(block_text)::BIGINT AS text_chars, link_chars,
-               (length(block_text) > 0
-                AND 1000000 * link_chars < 500000 * length(block_text))
-                 AS kept
-        FROM c""").replace("__PAGES__", _staged_sql("boilerplate_blocks"))
-    d["anchor_text_index"] = ("WITH "
-                              + _link_edges_sql("anchor_text_index") + """,
-        cnt AS (SELECT dst_url, anchor, count(*)::BIGINT AS c
-                FROM edges GROUP BY dst_url, anchor),
-        top AS (SELECT dst_url, anchor AS top_anchor,
-                       row_number() OVER (PARTITION BY dst_url
-                         ORDER BY c DESC, anchor ASC) AS rn
-                FROM cnt),
-        agg AS (SELECT dst_url, count(*)::BIGINT AS n_inlinks,
-                       count(DISTINCT anchor)::BIGINT AS n_distinct_anchors
-                FROM edges GROUP BY dst_url)
-        SELECT agg.dst_url, agg.n_inlinks, agg.n_distinct_anchors,
-               top.top_anchor
-        FROM agg JOIN top ON top.dst_url = agg.dst_url AND top.rn = 1""")
     d["winnow_fingerprints"] = ("WITH " + _winnow_cte() +
                                 "\nSELECT doc_id, pos, fp FROM winnow_fps")
     d["c4_clean"] = r"""
@@ -3213,12 +2928,10 @@ def oracle_sql() -> dict[str, str]:
         FROM wp GROUP BY doc_a, doc_b HAVING count(*) >= 4""")
     d["bm25_topk"] = ("SELECT * FROM (" + d["bm25_scores"] +
                       ") ORDER BY score DESC, doc_id ASC LIMIT 10")
-    d["pagerank"] = _pagerank_sql(n_iter=8, damping=0.85, round_digits=8)
     d["doc_tree_summaries"] = _doc_tree_summaries_sql()
     d["enriched_chunks"] = _enriched_chunks_sql()
     d["kg_chunks"] = _kg_chunks_sql()
     d["kg_mentions"] = _kg_mentions_sql()
-    d["shortest_paths"] = _sssp_sql(n_rounds=64)
     d["pipeline_validation"] = _validation_sql()
     d["semantic_merge_pairs"] = _semantic_merge_pairs_sql()
     d["semantic_merge_groups"] = _semantic_merge_groups_sql()
@@ -4520,220 +4233,6 @@ def _validation_sql() -> str:
     """
 
 
-def _sssp_sql(n_rounds: int) -> str:
-    """Single-source Bellman-Ford as programmatically generated SQL: one
-    relax-then-min CTE per round, mirroring
-    ``paths._shortest_paths_sharded``'s recurrence exactly (same f64 op
-    shapes; candidate sums are identical left-associated path sums, so
-    the min is bit-equal — no rounding).  ``AS MATERIALIZED`` stops
-    DuckDB inlining each round's two references into an exponential
-    plan."""
-    t = _staged_sql("shortest_paths")
-    parts = [
-        f"WITH sym AS MATERIALIZED (SELECT src, dst, w FROM {t}",
-        f"  UNION ALL SELECT dst, src, w FROM {t}),",
-        "s AS (SELECT min(src) AS v FROM sym),",
-        "d0 AS (SELECT v AS node, 0.0::DOUBLE AS d FROM s)",
-    ]
-    for i in range(1, n_rounds + 1):
-        parts.append(f""",
-        d{i} AS MATERIALIZED (SELECT node, min(d) AS d FROM (
-            SELECT node, d FROM d{i - 1}
-            UNION ALL
-            SELECT e.dst, p.d + e.w FROM d{i - 1} p
-            JOIN sym e ON e.src = p.node)
-          GROUP BY node)""")
-    parts.append(f""",
-        pr AS (SELECT e.dst AS node, min(e.src) AS pred
-               FROM sym e
-               JOIN d{n_rounds} pu ON pu.node = e.src
-               JOIN d{n_rounds} pv ON pv.node = e.dst
-               WHERE pu.d + e.w = pv.d
-               GROUP BY e.dst)
-        SELECT dd.node, dd.d AS dist,
-               CASE WHEN dd.node = (SELECT v FROM s) THEN ''
-                    ELSE pr.pred END AS pred
-        FROM d{n_rounds} dd LEFT JOIN pr ON pr.node = dd.node""")
-    return "\n".join(parts)
-
-
-def _pagerank_sql(n_iter: int, damping: float, round_digits: int,
-                  query: str = "pagerank") -> str:
-    """Fixed-iteration PageRank as programmatically generated SQL: one
-    join+aggregate CTE per power iteration, mirroring
-    ``graph_ops.pagerank_dataset``'s recurrence exactly (same f64 op
-    order per term; summation order differs → both sides round)."""
-    e = _staged_sql(query)
-    parts = [
-        f"WITH e AS (SELECT subj, obj FROM {e}),",
-        "deg AS (SELECT subj AS node, count(*)::DOUBLE AS out_deg"
-        " FROM e GROUP BY subj),",
-        "nodes AS (SELECT DISTINCT node FROM"
-        " (SELECT subj AS node FROM e UNION ALL SELECT obj FROM e)),",
-        "nn AS (SELECT count(*)::DOUBLE AS n FROM nodes),",
-        "s0 AS (SELECT node, 1.0 / (SELECT n FROM nn) AS score FROM nodes)",
-    ]
-    for i in range(1, n_iter + 1):
-        parts.append(f""",
-        s{i} AS (
-          SELECT nd.node,
-                 (1.0 - {damping}) * (1.0 / (SELECT n FROM nn))
-                   + coalesce(c.csum, 0.0) AS score
-          FROM nodes nd LEFT JOIN (
-            SELECT e.obj AS node,
-                   sum(({damping} * s.score) / greatest(d.out_deg, 1.0)) AS csum
-            FROM e JOIN s{i - 1} s ON e.subj = s.node
-                   JOIN deg d ON e.subj = d.node
-            GROUP BY e.obj) c ON nd.node = c.node)""")
-    parts.append(
-        f"\nSELECT node, round(score, {round_digits}) AS score FROM s{n_iter}")
-    return "\n".join(parts)
-
-
-def _html_pages_str(sf_dir: str, query: str, links: int = 3):
-    """Linked synthetic pages with html decoded to string (pre-extracted
-    pages dropped — links live in markup only), staged for a query + its
-    oracle."""
-    from graphrag_rs_ray.sources.pages import pages_dataset
-
-    def rows(t: pa.Table) -> pa.Table:
-        u2, h2 = [], []
-        for u, h in zip(t.column("url").to_pylist(),
-                        t.column("html").to_pylist()):
-            if h is None:
-                continue
-            u2.append(u)
-            h2.append(h.decode("utf-8", errors="replace"))
-        return pa.table({"url": pa.array(u2, pa.string()),
-                         "html": pa.array(h2, pa.string())})
-
-    pages = pages_dataset(_n_pages(sf_dir), links=links).map_batches(
-        rows, batch_format="pyarrow")
-    return _stage(pages, query, sf_dir)
-
-
-def q_web_link_graph(sf_dir: str):
-    """Common-Crawl-style outlink extraction: <a href> anchors of every
-    html page → resolved+normalized (src_url, src_host, dst_url,
-    dst_host, anchor) edges; kernel semantics (href forms, skip schemes,
-    fragment stripping) replayed by the oracle's regex+CASE SQL over the
-    staged page table."""
-    from graphrag_rs_ray.pipelines.weblinks import link_edges
-    return link_edges(_html_pages_str(sf_dir, "web_link_graph"))
-
-
-def q_domain_link_stats(sf_dir: str):
-    """Host-level link-graph rollup: (src_host, dst_host, n_links) via
-    one hash-bucketed aggregation over the extracted edges."""
-    from graphrag_rs_ray.pipelines.weblinks import domain_edges, link_edges
-    return domain_edges(link_edges(
-        _html_pages_str(sf_dir, "domain_link_stats")))
-
-
-def q_anchor_text_index(sf_dir: str):
-    """Anchor-text document expansion: per dst_url, in-link count,
-    distinct anchors, and the most frequent anchor (ties lexicographic);
-    one dst_url-bucketed exchange."""
-    from graphrag_rs_ray.pipelines.weblinks import (anchor_text_index,
-                                                    link_edges)
-    return anchor_text_index(link_edges(
-        _html_pages_str(sf_dir, "anchor_text_index")))
-
-
-def q_link_prediction(sf_dir: str):
-    """Common-neighbors / Jaccard / Adamic-Adar link prediction over the
-    undirected distinct KG graph (bonus analytics beyond the reference,
-    Liben-Nowell & Kleinberg 2003); hub cap 64 bounds the wedge
-    emission, AA terms quantized per center so sums are order-free."""
-    from graphrag_rs_ray.pipelines.graph_ops import link_prediction
-    return link_prediction(_staged_triples("link_prediction", sf_dir),
-                           max_center_degree=64)
-
-
-def q_boilerplate_blocks(sf_dir: str):
-    """jusText-style link-density boilerplate decisions: one row per
-    <p>/<li>/<h*> block with integer char counts and the keep verdict
-    (1e6·link_chars < 5e5·text_chars cross-multiplication)."""
-    from graphrag_rs_ray.pipelines.weblinks import boilerplate_blocks
-    return boilerplate_blocks(_html_pages_str(sf_dir, "boilerplate_blocks"))
-
-
-def q_host_rank(sf_dir: str):
-    """PageRank over the host graph (distinct host→host edges from the
-    domain rollup), fixed 8 iterations so the oracle replays the exact
-    recurrence (same machinery as the `pagerank` query)."""
-    from graphrag_rs_ray.pipelines.graph_ops import pagerank_dataset
-    from graphrag_rs_ray.pipelines.weblinks import domain_edges, link_edges
-
-    de = domain_edges(link_edges(
-        _html_pages_str(sf_dir, "host_rank_pages"))).map_batches(
-        lambda t: pa.table({"subj": t.column("src_host"),
-                            "obj": t.column("dst_host")}),
-        batch_format="pyarrow")
-    edges = _stage(de, "host_rank", sf_dir)
-    return pagerank_dataset(edges, damping=0.85, max_iter=8, tolerance=0.0,
-                            num_buckets=16, round_digits=8)
-
-
-_LINK_EDGE_SQL_BODY = r"""
-        pages AS (SELECT url, html FROM __PAGES__),
-        m AS (SELECT url,
-               regexp_extract_all(html,
-                 '(?is)<a\s[^>]*?href\s*=\s*"([^"]*)"[^>]*>(.*?)</a>', 1)
-                 AS hrefs,
-               regexp_extract_all(html,
-                 '(?is)<a\s[^>]*?href\s*=\s*"([^"]*)"[^>]*>(.*?)</a>', 2)
-                 AS txts
-              FROM pages),
-        u AS (SELECT url AS src_url, unnest(hrefs) AS href,
-                     unnest(txts) AS txt
-              FROM m),
-        t AS (SELECT src_url, trim(href) AS h, txt FROM u),
-        f AS (SELECT src_url, split_part(h, '#', 1) AS hs, txt
-              FROM t
-              WHERE h <> '' AND NOT (h LIKE '#%')
-                AND NOT (lower(h) LIKE 'mailto:%')
-                AND NOT (lower(h) LIKE 'javascript:%')
-                AND NOT (lower(h) LIKE 'data:%')
-                AND NOT (lower(h) LIKE 'tel:%')),
-        g AS (SELECT src_url, txt,
-                     CASE
-                       WHEN lower(hs) LIKE 'http://%'
-                         OR lower(hs) LIKE 'https://%' THEN hs
-                       WHEN hs LIKE '//%' THEN 'https:' || hs
-                       WHEN hs LIKE '/%' THEN
-                         regexp_extract(src_url, '^(https?://[^/]+)', 1) || hs
-                       WHEN length(regexp_extract(src_url, '^(.*/)', 1))
-                              <= 8 THEN
-                         -- origin-only base (https://host): Python's
-                         -- resolve_href appends origin + '/' + href;
-                         -- the greedy ^(.*/) would yield just the scheme
-                         rtrim(src_url, '/') || '/' || hs
-                       ELSE regexp_extract(src_url, '^(.*/)', 1) || hs
-                     END AS dst0
-              FROM f WHERE hs <> ''),
-        n AS (SELECT src_url, txt,
-                     lower(regexp_extract(dst0, '^(https?://[^/]+)', 1))
-                       || substr(dst0,
-                            length(regexp_extract(dst0,
-                                   '^(https?://[^/]+)', 1)) + 1) AS dst_url
-              FROM g),
-        edges AS (
-          SELECT src_url,
-                 lower(regexp_extract(src_url, '^https?://([^/:]+)', 1))
-                   AS src_host,
-                 dst_url,
-                 lower(regexp_extract(dst_url, '^https?://([^/:]+)', 1))
-                   AS dst_host,
-                 trim(regexp_replace(regexp_replace(txt, '<[^>]+>', '', 'g'),
-                                     '\s+', ' ', 'g')) AS anchor
-          FROM n)"""
-
-
-def _link_edges_sql(query: str) -> str:
-    return _LINK_EDGE_SQL_BODY.replace("__PAGES__", _staged_sql(query))
-
-
 def _oracle_sql_base() -> dict[str, str]:
     return {
         "text_clean": """
@@ -5241,143 +4740,6 @@ def _oracle_sql_base() -> dict[str, str]:
              AND a.doc_id < b.doc_id
             GROUP BY a.doc_id, b.doc_id
         """.replace("{t}", _staged_sql("minhash_lsh_candidates")),
-        "k_hop": """
-            WITH RECURSIVE und AS (
-              SELECT subj AS src, obj AS dst FROM {t}
-              UNION SELECT obj, subj FROM {t}),
-            seeds AS (SELECT node FROM (SELECT DISTINCT subj AS node FROM {t})
-                      ORDER BY node LIMIT 3),
-            walk(node, hop) AS (
-              SELECT node, 0 FROM seeds
-              UNION
-              SELECT u.dst, w.hop + 1 FROM walk w
-              JOIN und u ON u.src = w.node WHERE w.hop < 3)
-            SELECT node, min(hop)::BIGINT AS hop FROM walk GROUP BY node
-        """.replace("{t}", _staged_sql("k_hop")),
-        "all_paths": """
-            WITH RECURSIVE sym AS (
-              SELECT src, dst, w FROM {t}
-              UNION ALL SELECT dst, src, w FROM {t}),
-            s AS (SELECT min(src) AS a, max(dst) AS b FROM {t}),
-            walk(last, path, wsum, n) AS (
-              SELECT a, a, 0.0::DOUBLE, 1 FROM s
-              UNION ALL
-              SELECT e.dst, w.path || '|' || e.dst, w.wsum + e.w, w.n + 1
-              FROM walk w JOIN sym e ON e.src = w.last
-              WHERE w.n < 4 AND w.last <> (SELECT b FROM s)
-                AND position('|' || e.dst || '|'
-                             IN '|' || w.path || '|') = 0)
-            SELECT path, n::BIGINT AS n_nodes, wsum AS weight
-            FROM walk WHERE last = (SELECT b FROM s)
-        """.replace("{t}", _staged_sql("all_paths")),
-        "centrality": """
-            WITH RECURSIVE und AS (SELECT DISTINCT least(subj, obj) AS a,
-                                          greatest(subj, obj) AS b
-                           FROM {t} WHERE subj <> obj),
-            sym AS (SELECT a AS src, b AS dst FROM und
-                    UNION SELECT b, a FROM und),
-            nodes AS (SELECT DISTINCT src AS node FROM sym),
-            nn AS (SELECT count(*)::BIGINT AS n FROM nodes),
-            walk(src, node, d) AS (
-              SELECT node, node, 0 FROM nodes
-              UNION
-              SELECT w.src, s.dst, w.d + 1
-              FROM walk w JOIN sym s ON s.src = w.node
-              WHERE w.d < 12),
-            dist AS (SELECT src, node, min(d)::BIGINT AS d
-                     FROM walk GROUP BY src, node),
-            deg AS (SELECT src AS node, count(*)::BIGINT AS k
-                    FROM sym GROUP BY src),
-            clos AS (SELECT src AS node,
-                            count(*) - 1 AS reach,
-                            sum(d)::BIGINT AS total
-                     FROM dist GROUP BY src),
-            betw AS (SELECT v.node, count(*)::BIGINT AS cnt
-                     FROM nodes v
-                     JOIN dist d1 ON d1.node = v.node AND d1.src <> v.node
-                     JOIN dist d2 ON d2.src = v.node AND d2.node <> v.node
-                     JOIN dist d3 ON d3.src = d1.src AND d3.node = d2.node
-                     WHERE d1.src <> d2.node AND d1.d + d2.d = d3.d
-                     GROUP BY v.node)
-            SELECT nd.node,
-                   CASE WHEN nn.n > 1 THEN deg.k / (nn.n - 1.0)
-                        ELSE 0.0 END AS degree_centrality,
-                   CASE WHEN nn.n > 2
-                        THEN coalesce(betw.cnt, 0)
-                             / ((nn.n - 1.0) * (nn.n - 2.0) / 2.0)
-                        ELSE 0.0 END AS betweenness,
-                   CASE WHEN clos.reach > 0 AND clos.total > 0
-                        THEN clos.reach * 1.0 / clos.total
-                        ELSE 0.0 END AS closeness
-            FROM nodes nd CROSS JOIN nn
-            JOIN deg ON deg.node = nd.node
-            LEFT JOIN clos ON clos.node = nd.node
-            LEFT JOIN betw ON betw.node = nd.node
-        """.replace("{t}", _staged_sql("centrality")),
-        "triangle_counts": """
-            WITH und AS (SELECT DISTINCT least(subj, obj) AS a,
-                                         greatest(subj, obj) AS b
-                         FROM {t} WHERE subj <> obj),
-            tri AS (SELECT e1.a AS x, e1.b AS y, e2.b AS z
-                    FROM und e1 JOIN und e2 ON e2.a = e1.b
-                                JOIN und e3 ON e3.a = e1.a AND e3.b = e2.b),
-            tn AS (SELECT node, count(*)::BIGINT AS triangles FROM (
-                     SELECT x AS node FROM tri
-                     UNION ALL SELECT y FROM tri
-                     UNION ALL SELECT z FROM tri) GROUP BY node),
-            deg AS (SELECT node, count(*)::BIGINT AS degree FROM (
-                     SELECT a AS node FROM und
-                     UNION ALL SELECT b FROM und) GROUP BY node)
-            SELECT d.node, d.degree,
-                   coalesce(tn.triangles, 0)::BIGINT AS triangles,
-                   CASE WHEN d.degree >= 2
-                        THEN (2.0 * coalesce(tn.triangles, 0))
-                             / (d.degree * (d.degree - 1.0))
-                        ELSE 0.0 END AS local_cc
-            FROM deg d LEFT JOIN tn USING (node)
-        """.replace("{t}", _staged_sql("triangle_counts")),
-        "graph_statistics": """
-            WITH RECURSIVE und AS (SELECT DISTINCT least(subj, obj) AS a,
-                                          greatest(subj, obj) AS b
-                           FROM {t} WHERE subj <> obj),
-            sym AS (SELECT a AS src, b AS dst FROM und
-                    UNION SELECT b, a FROM und),
-            nodes AS (SELECT DISTINCT src AS node FROM sym),
-            r(node, lab) AS (
-              SELECT node, node FROM nodes
-              UNION
-              SELECT u.dst, r.lab FROM r JOIN sym u ON u.src = r.node),
-            comps AS (SELECT node, min(lab) AS lab FROM r GROUP BY node),
-            tri AS (SELECT e1.a AS x, e1.b AS y, e2.b AS z
-                    FROM und e1 JOIN und e2 ON e2.a = e1.b
-                                JOIN und e3 ON e3.a = e1.a AND e3.b = e2.b),
-            tn AS (SELECT node, count(*)::BIGINT AS triangles FROM (
-                     SELECT x AS node FROM tri
-                     UNION ALL SELECT y FROM tri
-                     UNION ALL SELECT z FROM tri) GROUP BY node),
-            deg AS (SELECT node, count(*)::BIGINT AS degree FROM (
-                     SELECT a AS node FROM und
-                     UNION ALL SELECT b FROM und) GROUP BY node),
-            cc AS (SELECT d.node, d.degree,
-                          CASE WHEN d.degree >= 2
-                               THEN (2.0 * coalesce(tn.triangles, 0))
-                                    / (d.degree * (d.degree - 1.0))
-                               ELSE 0.0 END AS c
-                   FROM deg d LEFT JOIN tn USING (node))
-            SELECT (SELECT count(*) FROM deg)::BIGINT AS node_count,
-                   (SELECT count(*) FROM und)::BIGINT AS edge_count,
-                   (SELECT max(degree) FROM deg)::BIGINT AS max_degree,
-                   (SELECT count(DISTINCT lab) FROM comps)::BIGINT
-                     AS connected_components,
-                   round((2.0 * (SELECT count(*) FROM und))
-                         / (SELECT count(*) FROM deg), 9) AS average_degree,
-                   round((2.0 * (SELECT count(*) FROM und))
-                         / ((SELECT count(*) FROM deg)
-                            * ((SELECT count(*) FROM deg) - 1.0)), 9) AS density,
-                   round((SELECT sum(c) FROM cc WHERE degree >= 2)
-                         / (SELECT count(*) FROM cc WHERE degree >= 2), 9)
-                     AS clustering_coefficient
-        """.replace("{t}", _staged_sql("graph_statistics")),
         "doc_tree": """
             WITH leaves AS (
               SELECT doc_id, chunk_id,
@@ -5851,21 +5213,6 @@ def _oracle_sql_base() -> dict[str, str]:
               SELECT u.dst, r.lab FROM r JOIN und u ON u.src = r.node)
             SELECT node, min(lab) AS component FROM r GROUP BY node
         """.replace("{t}", _staged_sql("connected_components")),
-        "degree_stats": """
-            WITH ep AS (
-              SELECT subj AS node, 1 AS out_d, 0 AS in_d FROM {t}
-              UNION ALL SELECT obj, 0, 1 FROM {t}),
-            deg AS (SELECT node, sum(out_d)::BIGINT AS out_deg,
-                           sum(in_d)::BIGINT AS in_deg
-                    FROM ep GROUP BY node),
-            n AS (SELECT count(*) AS n FROM deg)
-            SELECT node, out_deg, in_deg,
-                   (out_deg + in_deg)::BIGINT AS degree,
-                   CASE WHEN n.n > 1
-                        THEN (out_deg + in_deg) * 1.0 / (n.n - 1)
-                        ELSE 0.0 END AS degree_centrality
-            FROM deg CROSS JOIN n
-        """.replace("{t}", _staged_sql("degree_stats")),
         "semantic_edges": """
             WITH e AS (SELECT entity_id, embedding FROM {t}),
             scored AS (

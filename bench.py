@@ -229,7 +229,6 @@ def run_bench() -> dict:
         return semantic_edges(ents, similarity_threshold=0.8).count()
 
     timed("semantic_edges", semantic_edges_unstaged)
-    timed("degree_stats", lambda: q["degree_stats"](sf_dir).count())
     def ner_unstaged():
         from graphrag_rs_ray.pipelines.kg import pages_to_chunks
         from graphrag_rs_ray.stages.memo import memoized_stage
@@ -308,38 +307,20 @@ def run_bench() -> dict:
     timed("c4_clean", lambda: q["c4_clean"](sf_dir).count())
     timed("pii_redact", lambda: q["pii_redact"](sf_dir).count())
     timed("shuffle_shards", lambda: q["shuffle_shards"](sf_dir).count())
-    timed("web_link_graph", lambda: q["web_link_graph"](sf_dir).count())
-    timed("host_rank", lambda: q["host_rank"](sf_dir).count())
-    # link_prediction is NOT benched at sf0.1: the saturated synthetic KG
-    # (~900 entities, ~300k triples) puts every node over the hub cap, so
-    # the result is degenerate there; sf0.01 (avg degree ~15) is the
-    # oracle-checked non-degenerate scale (97k predicted pairs).
     timed("bm25_df", lambda: q["bm25_df"](sf_dir).count())
     timed("knn_bruteforce", lambda: q["knn_bruteforce"](sf_dir).count())
     timed("quality_scores", lambda: q["quality_scores"](sf_dir).count())
     timed("temporal_evolution", lambda: q["temporal_evolution"](sf_dir).num_rows)
     timed("temporal_centrality", lambda: q["temporal_centrality"](sf_dir).count())
-    # round-2 additions: graph analytics, Dataset-native pagerank, ANN
-    # index path, transactions-side report, RAPTOR trees
-    # graph analytics, un-staged production paths over the shared triples
-    # checkpoint (the query fns stage the triple table for their oracles —
+    # round-2 additions: connected components, ANN index path,
+    # transactions-side report, RAPTOR trees
+    # CC, the un-staged production path over the shared triples
+    # checkpoint (the query fn stages the triple table for its oracle —
     # harness I/O, same precedent as kg_triples/concept_edges)
     def _tri_sel():
         return e._kg_ds(sf_dir, "triples").map_batches(
             lambda t: t.select(["subj", "pred", "obj"]),
             batch_format="pyarrow")
-
-    def pagerank_unstaged():
-        from graphrag_rs_ray.pipelines.graph_ops import pagerank_dataset
-        edges = _tri_sel().map_batches(
-            lambda t: t.select(["subj", "obj"]), batch_format="pyarrow")
-        return pagerank_dataset(edges, damping=0.85, max_iter=8,
-                                tolerance=0.0, num_buckets=16,
-                                round_digits=8).count()
-
-    def triangles_unstaged():
-        from graphrag_rs_ray.pipelines.graph_ops import triangle_counts
-        return triangle_counts(_tri_sel(), num_buckets=16).count()
 
     def cc_unstaged():
         from graphrag_rs_ray.pipelines.communities import (
@@ -347,8 +328,6 @@ def run_bench() -> dict:
         return connected_components(_und_edges(_tri_sel()),
                                     num_buckets=16).count()
 
-    timed("pagerank", pagerank_unstaged)
-    timed("triangle_counts", triangles_unstaged)
     timed("connected_components", cc_unstaged)
     timed("ivf_topk", lambda: q["ivf_topk"](sf_dir).count())
     def doc_tree_unstaged():
@@ -363,7 +342,6 @@ def run_bench() -> dict:
     timed("doc_tree_summaries", doc_tree_unstaged)
     timed("consistency_report",
           lambda: q["consistency_report"](sf_dir).count())
-    timed("centrality", lambda: q["centrality"](sf_dir).count())
     # round-2 late additions: entity linking, text analysis.
     # distributed hybrid linking over the flat mention table; the flat
     # extraction is staged UNTIMED (input construction, shared shape with

@@ -1,8 +1,8 @@
-"""Path-compressing union-find over string node ids — the shared
-driver-local kernel behind the small-graph fast paths (connected
-components, Leiden component tagging, centrality).  Component label =
-lexicographically-smallest member, the same rule as the distributed
-hash-to-min propagation, so local and sharded twins agree bit-for-bit.
+"""Path-compressing union-find over string node ids — the driver-local
+kernel behind the small-graph fast path of connected components.
+Component label = lexicographically-smallest member, the same rule as
+the distributed hash-to-min propagation, so local and sharded twins
+agree bit-for-bit.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ Hash-to-min label propagation (iterated ``bucketed_join`` +
 min-aggregate, the standard CC-in-MapReduce construction) with a
 driver union-find fast path for small graphs.  Component ids are the
 lexicographically-smallest member name — stable across runs and
-partitionings.  Used by ``dedup_clusters`` and the ``graph_ops``
-centrality / statistics operators.
+partitionings.  Used by ``dedup_clusters`` and the
+``connected_components`` query.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def connected_components(edges_ds, num_buckets: int = 64, max_rounds: int = 50,
     #             propagation radius: O(log diameter) rounds,
     #   checkpoint to Parquet (alternating slots) — the hard lineage cut
     #   (materialize alone lets diamond-shaped plans re-derive prior
-    #   rounds; same rule as pagerank_dataset).
+    #   rounds; the iterative-loop rule in CLAUDE.md).
     for _rnd in range(max_rounds):
         _t0 = _time.perf_counter()
         lab_a = labels.map_batches(

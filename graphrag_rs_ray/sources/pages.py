@@ -67,47 +67,8 @@ def _rng_for(i: int, seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64((seed << 32) ^ i))
 
 
-def _link_section(i: int, seed: int, links: int, horizon: int) -> str:
-    """Deterministic outlink block for page ``i``: ``links`` anchors to
-    other pages in ``[0, horizon)`` cycling through href forms (absolute,
-    root-relative, protocol-relative, fragment-suffixed), 30% of targets
-    biased to pages 0-9 (hub in-degree skew, the web's reality), plus a
-    duplicated first link and junk hrefs (mailto / #fragment) the
-    extractor must skip.  A SEPARATE rng stream keeps every existing
-    field of the page byte-identical when links are enabled."""
-    lrng = _rng_for(i, seed ^ 0x5EED11)
-    items: list[str] = []
-    first_href = None
-    for k in range(links):
-        j = (int(lrng.integers(0, 10)) if lrng.random() < 0.3
-             else int(lrng.integers(0, max(1, horizon))))
-        slug_j = hashlib.blake2b(f"{seed}:{j}".encode(),
-                                 digest_size=6).hexdigest()
-        host_j = f"site{j % N_SITES}.example"
-        form = k % 4
-        if form == 0:
-            href = f"https://{host_j}/{slug_j}"
-        elif form == 1:
-            href = f"/{slug_j}"                    # same-host relative
-        elif form == 2:
-            href = f"//{host_j}/{slug_j}"          # protocol-relative
-        else:
-            href = f"https://{host_j}/{slug_j}#sec{k}"
-        if first_href is None:
-            first_href = href
-        items.append(f'<li><a href="{href}">Link to {host_j} {slug_j}</a></li>')
-    if first_href is not None:
-        items.append(f'<li><a href="{first_href}">Repeat link</a></li>')
-    items.append('<li><a href="mailto:contact@example.org">Mail</a></li>')
-    items.append('<li><a href="#top">Top</a></li>')
-    return "<h2>Links</h2>\n<ul>\n" + "\n".join(items) + "\n</ul>\n"
-
-
-def page_record(i: int, seed: int = 42, hub_fraction: float = 0.2,
-                links: int = 0, link_horizon: int = 100_000) -> dict:
-    """Deterministically generate page ``i``.  ``links > 0`` appends a
-    deterministic outlink section (see ``_link_section``); the default 0
-    leaves every byte identical to the golden-gated corpus."""
+def page_record(i: int, seed: int = 42, hub_fraction: float = 0.2) -> dict:
+    """Deterministically generate page ``i``."""
     rng = _rng_for(i, seed)
     first = FIRST_NAMES[int(rng.integers(len(FIRST_NAMES)))]
     last = LAST_NAMES[int(rng.integers(len(LAST_NAMES)))]
@@ -153,9 +114,8 @@ def page_record(i: int, seed: int = 42, hub_fraction: float = 0.2,
 
     title = f"Site {i % N_SITES} report {slug}"
     body = "\n".join(f"<p>{s}</p>" for s in sentences)
-    nav = _link_section(i, seed, links, link_horizon) if links else ""
     html = (f"<html>\n<body>\n<h1>Report on <em>{first} {last}</em></h1>\n"
-            f"<h2>Section {i % 7}</h2>\n{body}\n{nav}</body>\n</html>")
+            f"<h2>Section {i % 7}</h2>\n{body}\n</body>\n</html>")
 
     # ~10% of pages arrive pre-extracted (html absent, text present)
     if rng.random() < 0.1:
@@ -246,8 +206,7 @@ def read_pages_parquet(path: str, *, target_task_bytes: int = 8 << 20,
 
 
 def pages_dataset(n: int, seed: int = 42, hub_fraction: float = 0.2,
-                  override_num_blocks: int | None = None,
-                  links: int = 0):
+                  override_num_blocks: int | None = None):
     """Lazy, distributed page generation: ``range(n)`` → per-index records.
 
     Generation happens inside map_batches tasks, so arbitrarily large
@@ -259,8 +218,8 @@ def pages_dataset(n: int, seed: int = 42, hub_fraction: float = 0.2,
     def gen(batch: pa.Table) -> pa.Table:
         ids = batch.column("id").to_pylist()
         return pa.Table.from_pylist(
-            [page_record(i, seed, hub_fraction, links=links, link_horizon=n)
-             for i in ids], schema=PAGES_SCHEMA)
+            [page_record(i, seed, hub_fraction) for i in ids],
+            schema=PAGES_SCHEMA)
 
     base = rd.range(n, override_num_blocks=override_num_blocks)
     return base.map_batches(gen, batch_format="pyarrow", batch_size=1024)

@@ -1,12 +1,11 @@
-"""At-scale datapoints for the DISTRIBUTED graph paths.
+"""At-scale datapoint for the DISTRIBUTED connected-components path.
 
 The sf test KG saturates at ~900 entities (fixed name vocabulary), so
-the sharded paths of connected_components / triangle_counts /
-pagerank_dataset are never stressed by the driver bench — their
-small-graph twins take over.  This script generates a seeded sparse
-random graph at millions of edges, forces the distributed paths
-(``small_graph_limit=0``), and prints one JSON line per op for
-BASELINE.md.
+the sharded path of connected_components is never stressed by the
+driver bench — its union-find twin takes over.  This script generates
+a seeded sparse random graph at millions of edges, forces the
+distributed path (``small_graph_limit=0``), and prints one JSON line
+for BASELINE.md.
 
 Run:  python scripts/scale_graph_datapoints.py [n_nodes] [n_edges]
 """
@@ -65,7 +64,6 @@ def main():
         stage_graph(n_nodes, n_edges, gdir)
 
     from graphrag_rs_ray.pipelines.communities import connected_components
-    from graphrag_rs_ray.pipelines.graph_ops import triangle_counts
 
     tri_ds = rd.read_parquet(gdir)
 
@@ -83,15 +81,6 @@ def main():
     print(json.dumps({"op": "connected_components_distributed",
                       "n_nodes": n_cc_nodes, "n_edges": n_edges,
                       "sec": round(t_cc, 1)}), flush=True)
-
-    t0 = time.perf_counter()
-    tc = triangle_counts(tri_ds, num_buckets=64, small_graph_limit=0)
-    total_tri = tc.sum("triangles") or 0
-    t_tc = time.perf_counter() - t0
-    print(json.dumps({"op": "triangle_counts_distributed",
-                      "n_edges": n_edges,
-                      "total_triangle_slots": int(total_tri),
-                      "sec": round(t_tc, 1)}), flush=True)
 
     ray.shutdown()
 

@@ -28,8 +28,10 @@ def ray_session():
     ctx = DataContext.get_current()
     ctx.enable_progress_bars = False
     # the executor's 50% per-operator reservation starves long map/shuffle
-    # chains at num_cpus=4 (measured: dataset-mode pagerank 1.6 s/iter
-    # without reservation vs ~30 s/iter with) — same setting as bench.py
+    # chains at num_cpus=4 (the hash exchanges, CC label propagation's
+    # join+aggregate rounds; measured: distributed CC on a 2k-node, 3k-edge
+    # random graph, min of 2, 9.2 s without vs 15.5 s with) — same
+    # setting as bench.py
     ctx.op_resource_reservation_enabled = False
     yield
     ray.shutdown()

@@ -155,6 +155,33 @@ def test_driver_collected_maps_drop_schema_metadata(ray_session,
     hash(prune(block).schema)
 
 
+def test_driver_reads_log_no_schema_hash_warning(ray_session):
+    """The vector-store load streams the pandas-written embeddings table
+    through ``iter_batches`` and ``lazy_pipeline_stats`` stages and reads
+    back rows of the pandas-written documents table; a metadata dict on
+    those schemas makes Ray's ``unify_schemas`` log "Failed to hash the
+    schemas".  Neither query logs it."""
+    import logging
+
+    import __ray_entry__ as e
+
+    records = []
+
+    class Keep(logging.Handler):
+        def emit(self, record):
+            records.append(record.getMessage())
+
+    log = logging.getLogger("ray.data._internal.arrow_ops.transform_pyarrow")
+    handler = Keep(logging.WARNING)
+    log.addHandler(handler)
+    try:
+        e.q_vector_store_stats(SF_DIR).to_pandas()
+        e.q_lazy_pipeline_stats(SF_DIR).to_pandas()
+    finally:
+        log.removeHandler(handler)
+    assert not [m for m in records if "Failed to hash the schemas" in m]
+
+
 def test_hnsw_kernel_exactness_small():
     """On a corpus smaller than ef_search the layer-0 pool is exhaustive:
     HNSW == exact cosine ranking."""

@@ -39,6 +39,16 @@ def test_text_byte_identical():
         sha = hashlib.sha256(
             extract_page_text(rec["html"], rec["text"]).encode("utf-8")).hexdigest()
         assert sha == expected[rec["url"]], f"text drift at {rec['url']}"
+    # the generated pages themselves, byte for byte (perfbench stages its
+    # restage_disk input from this generator)
+    import pyarrow as pa
+    from graphrag_rs_ray.sources.pages import pages_table
+    t = pages_table(200)
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, t.schema) as w:
+        w.write_table(t)
+    assert hashlib.sha256(sink.getvalue()).hexdigest() == (
+        "9be4909f08754c7cdd9dfd742c7283c7693d201136494702bfd14f6c83dd8877")
 
 
 def test_triple_precision_recall(kg_result):

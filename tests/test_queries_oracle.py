@@ -54,16 +54,14 @@ SQL_CHECKED = [
     "incremental_update", "semantic_edges",
     # LSH-blocked near-dup at effectively-exact recall settings
     "cosine_dup_pairs_bucketed",
-    # graph ops over staged triples
-    "k_hop", "degree_stats",
     # staged band rows
     "minhash_lsh_candidates",
     # temporal validity-interval snapshot (plain view oracle)
     "temporal_snapshot",
     # fuzzy remap+merge over staged exact entities + links
     "kg_entities_fuzzy",
-    # fixed-iteration PageRank (generated per-iteration SQL) + CC closure
-    "pagerank", "connected_components",
+    # connected components (recursive-CTE reachability closure)
+    "connected_components",
     # staged-input near-dup/ANN oracles: plane matrix → sign-packing,
     # vocab hashes → vote/pack, candidate pairs → trigram Jaccard,
     # inverted lists + probes → within-lists cosine top-k
@@ -82,13 +80,6 @@ SQL_CHECKED = [
     "consistency_report",
     # RAPTOR tree structure re-derived arithmetically from staged leaf ids
     "doc_tree",
-    # triangle enumeration (3-way self-join) + one-row graph statistics
-    "triangle_counts", "graph_statistics",
-    # all-pairs-distance centrality on the bounded 2-hop subgraph
-    "centrality",
-    # weighted Dijkstra SSSP (generated Bellman-Ford rounds) + bounded
-    # simple-path enumeration (recursive CTE w/ visited check)
-    "shortest_paths", "all_paths",
     # four-phase pipeline validation report over staged corrupted tables
     "pipeline_validation",
     # real RDF/Turtle/GraphML import (SQL re-parses the same staged raw
