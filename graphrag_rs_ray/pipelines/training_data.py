@@ -100,8 +100,7 @@ def minhash_signatures(sf_dir: str, num_perm: int = 64, shingle_k: int = 3,
 
 
 def minhash_lsh_candidates(sf_dir: str, num_perm: int = 64, shingle_k: int = 3,
-                           bands_ds=None,
-                           hot_broadcast_limit: int = 1_000_000):
+                           bands_ds=None):
     """Candidate near-dup pairs (shingle→minhash→band→bucket groupby).
 
     Two-phase to dodge per-group Python overhead: (1) a native vectorized
@@ -110,25 +109,23 @@ def minhash_lsh_candidates(sf_dir: str, num_perm: int = 64, shingle_k: int = 3,
     pair-emitting map_groups.  On mostly-unique corpora this reduces the
     Python-group count from |docs|×bands to ~|duplicates|.
 
-    Hot-bucket filter, two paths: the hot-key set is ~|duplicate
-    buckets| — UNBOUNDED in corpus size — so it broadcasts only below
-    ``hot_broadcast_limit`` keys, packed to one uint64 per key
-    (``(band_hash << 4) ^ band``) and matched with a vectorized
-    ``pc.is_in``.  The pack drops band_hash's top 4 bits, so distinct
-    keys may alias — harmless: the filter only PRE-selects rows, the
-    downstream groupby re-groups exactly on (band, band_hash) and a
-    false-positive singleton group emits no pairs.  No false negatives
-    (the pack is a pure function of the key).  Above the limit the hot
-    keys stay a Dataset and the filter becomes a bucketed semi-join —
-    nothing ships whole.
+    Hot-bucket filter: the hot-key set is ~|duplicate buckets| —
+    UNBOUNDED in corpus size — so it goes through
+    ``stages/hashagg.semi_filter`` (broadcast below its byte budget, a
+    bucketed semi-join above), packed to one uint64 key column
+    (``(band_hash << 4) ^ band``) on both sides.  The pack drops
+    band_hash's top 4 bits, so distinct keys may alias — harmless: the
+    filter only PRE-selects rows, the downstream groupby re-groups
+    exactly on (band, band_hash) and a false-positive singleton group
+    emits no pairs.  No false negatives (the pack is a pure function of
+    the key).
 
     ``bands_ds`` (optional) supplies pre-computed band rows — the query
     layer stages them to Parquet so the band→candidate derivation is
     DuckDB-oracle-checked (the signature math itself is unit-gated)."""
     import pandas as pd
-    import ray
-    from ..stages.hashagg import (bucketed_join, grouped_arrow_agg,
-                                  hash_grouped_aggregate)
+    from ..stages.hashagg import (grouped_arrow_agg, hash_grouped_aggregate,
+                                  semi_filter)
 
     bands = (bands_ds if bands_ds is not None
              else minhash_signatures(sf_dir, num_perm, shingle_k)).materialize()
@@ -137,32 +134,19 @@ def minhash_lsh_candidates(sf_dir: str, num_perm: int = 64, shingle_k: int = 3,
         grouped_arrow_agg(["band", "band_hash"], [("doc_id", "count")],
                           rename=["band", "band_hash", "n"]))
     hot = counts.filter(expr="n > 1").materialize()
-    n_hot = hot.count()
 
-    def _packed(band_arr, hash_arr) -> pa.UInt64Array:
-        b = band_arr.to_numpy(zero_copy_only=False).astype(np.uint64)
-        h = hash_arr.to_numpy(zero_copy_only=False).astype(np.uint64)
-        return pa.array((h << np.uint64(4)) ^ b, pa.uint64())
+    def packed(t: pa.Table) -> pa.Table:
+        b = t.column("band").to_numpy(zero_copy_only=False).astype(np.uint64)
+        h = t.column("band_hash").to_numpy(
+            zero_copy_only=False).astype(np.uint64)
+        return t.append_column("_hot", pa.array((h << np.uint64(4)) ^ b,
+                                                pa.uint64()))
 
-    if n_hot <= hot_broadcast_limit:
-        chunks = [_packed(b.column("band"), b.column("band_hash"))
-                  for b in hot.iter_batches(batch_format="pyarrow")
-                  if b.num_rows]          # empty blocks carry no columns
-        hot_ref = ray.put(pa.concat_arrays(chunks) if chunks
-                          else pa.array([], pa.uint64()))
-
-        def only_hot(batch: pa.Table) -> pa.Table:
-            packed = _packed(batch.column("band"),
-                             batch.column("band_hash"))
-            return batch.filter(pc.is_in(packed,
-                                         value_set=ray.get(hot_ref)))
-
-        hot_bands = bands.map_batches(only_hot, batch_format="pyarrow")
-    else:
-        hot_keys = hot.map_batches(
-            lambda t: t.select(["band", "band_hash"]),
-            batch_format="pyarrow")
-        hot_bands = bucketed_join(bands, hot_keys, ["band", "band_hash"])
+    hot_bands = semi_filter(
+        bands.map_batches(packed, batch_format="pyarrow"),
+        hot.map_batches(lambda t: packed(t).select(["_hot"]),
+                        batch_format="pyarrow"),
+        "_hot").drop_columns(["_hot"])
 
     def pairs(group: pd.DataFrame) -> pa.Table:
         ids = sorted(set(group["doc_id"]))
@@ -306,6 +290,14 @@ def _popcount64(x: np.ndarray) -> np.ndarray:
                          axis=1).sum(axis=1).astype(np.int64)
 
 
+def _pair_ids(pairs_ds):
+    """Both doc ids of every (doc_a, doc_b) row, as one ``doc_id``
+    column."""
+    return pairs_ds.map_batches(lambda t: pa.table({"doc_id": pa.concat_arrays(
+        [t.column("doc_a").combine_chunks(),
+         t.column("doc_b").combine_chunks()])}), batch_format="pyarrow")
+
+
 def _collision_pairs(rows_ds, key_cols: list[str], pack_fn):
     """Shared exact-recall collision-pair generation for the simhash
     family: ONE hash-bucketed exchange on ``key_cols``; inside each
@@ -360,7 +352,7 @@ def _hamming_verify(cand, sigs, max_hamming: int, small_cand_limit: int):
     ``ngram_dedup_pairs``)."""
     import ray
 
-    from ..stages.hashagg import bucketed_join
+    from ..stages.hashagg import bucketed_join, semi_filter
 
     def _verify_arrays(da, db, sa, sb):
         h = _popcount64(np.bitwise_xor(sa, sb))
@@ -378,18 +370,14 @@ def _hamming_verify(cand, sigs, max_hamming: int, small_cand_limit: int):
                                        "hamming": pa.array([], pa.int64())}))
 
     if n_cand <= small_cand_limit:
-        # small fast path: candidate-doc signatures only (never the full
-        # table at scale; here candidates bound the broadcast)
-        ids: set[int] = set()
-        for b in cand.iter_batches(batch_format="pyarrow"):
-            ids.update(b.column("doc_a").to_pylist())
-            ids.update(b.column("doc_b").to_pylist())
+        # small fast path: the workers keep the candidate docs'
+        # signatures, and only those reach the driver (candidates bound
+        # the broadcast)
         sig_map: dict[int, int] = {}
-        idarr = pa.array(sorted(ids), pa.int64())
-        for b in sigs.iter_batches(batch_format="pyarrow"):
-            f = b.filter(pc.is_in(b.column("doc_id"), value_set=idarr))
-            sig_map.update(zip(f.column("doc_id").to_pylist(),
-                               f.column("simhash").to_pylist()))
+        for b in semi_filter(sigs, _pair_ids(cand), "doc_id").iter_batches(
+                batch_format="pyarrow"):
+            sig_map.update(zip(b.column("doc_id").to_pylist(),
+                               b.column("simhash").to_pylist()))
         sref = ray.put(sig_map)
 
         def verify_small(batch: pa.Table) -> pa.Table:
@@ -581,42 +569,27 @@ def ngram_dedup_pairs(sf_dir: str, threshold: float = 0.8, n: int = 3,
     then doc_b side) instead of broadcasting the whole corpus text into
     the verify stage — at web scale the candidate set is tiny next to the
     corpus, and the join ships only candidate rows + matching texts.
-    The documents side is semi-join-pruned first: the candidate doc-id
-    KEY SET (small by construction — LSH collisions) is broadcast once
-    via ``ray.put`` and each batch keeps only ``is_in`` rows, so the two
-    join shuffles move candidate texts, not the corpus (the repo's
-    broadcast-key-set join discipline)."""
+    The documents side is semi-join-pruned first to the candidate doc
+    ids (small by construction — LSH collisions) with
+    ``stages/hashagg.semi_filter``, so the two join shuffles move
+    candidate texts, not the corpus."""
     import ray
 
-    from ..stages.hashagg import bucketed_join
+    from ..stages.hashagg import bucketed_join, semi_filter
 
     cand = (cand_ds if cand_ds is not None
             else minhash_lsh_candidates(sf_dir)).map_batches(
         lambda t: t.select(["doc_a", "doc_b"]),
         batch_format="pyarrow").materialize()
-    ids: set[int] = set()
-    n_cand = 0
-    for b in cand.iter_batches(batch_format="pyarrow"):
-        n_cand += b.num_rows
-        ids.update(b.column("doc_a").to_pylist())
-        ids.update(b.column("doc_b").to_pylist())
-    idref = ray.put(pa.array(sorted(ids), pa.int64()))
+    n_cand = cand.count()
     # bucket count sized to the candidate set: 64 buckets on a few
     # hundred pairs is pure exchange overhead (measured ~4.7 s of fixed
     # shuffle cost at sf0.1); target ~50k pairs per bucket
     n_buckets = max(8, min(64, n_cand // 50_000 + 1))
 
-    # pandas metadata on the read's schema would make the driver's
-    # schema unification of the materialized blocks fail to hash them
-    def prune(t: pa.Table) -> pa.Table:
-        return t.filter(pc.is_in(t.column("doc_id"),
-                                 value_set=ray.get(idref))
-                        ).replace_schema_metadata(None)
-
     # ONE corpus read feeds both join sides (the pruned table is
     # candidate-sized, so materializing it is cheap)
-    pruned = _docs(sf_dir).map_batches(prune,
-                                       batch_format="pyarrow").materialize()
+    pruned = semi_filter(_docs(sf_dir), _pair_ids(cand), "doc_id").materialize()
 
     if n_cand <= small_cand_limit:
         # small fast path (two-path discipline, equality-tested): below
@@ -848,8 +821,10 @@ def corpus_curation(sf_dir: str, min_tokens: int = 20,
     Composition of the individually-oracle-checked pieces into the
     pipeline a 100-TB pre-training corpus actually runs: every stage
     streams; the only shuffles are the fp-group and the LSH band group;
-    the verified-pair drop set is broadcast (near-dup pairs are tiny next
-    to the corpus by construction).
+    the verified-pair drop set leaves the survivors through
+    ``stages/hashagg.semi_filter`` (``anti``): broadcast below its byte
+    budget, which near-dup pairs stay under by construction, and a
+    bucketed anti-join above it.
 
     ``survivors_ds`` / ``bands_ds`` let the query layer stage the band
     rows so the whole composition is DuckDB-oracle-checked.  They apply
@@ -862,7 +837,7 @@ def corpus_curation(sf_dir: str, min_tokens: int = 20,
     store (their text column is the corpus — the dominant volume), and
     candidates come from :func:`minhash_lsh_candidates_disk`.  Output
     identical (equality-gated in tests/test_dedup_disk.py)."""
-    import ray
+    from ..stages.hashagg import semi_filter
 
     if disk_shuffle and (survivors_ds is not None or bands_ds is not None):
         raise ValueError("corpus_curation: survivors_ds/bands_ds are "
@@ -906,24 +881,16 @@ def corpus_curation(sf_dir: str, min_tokens: int = 20,
                 batch_format="pyarrow"))
         cand = minhash_lsh_candidates(sf_dir, bands_ds=bands).materialize()
 
-    drop: set[int] = set()
     if cand.count() > 0:
-        verified = ngram_dedup_pairs(sf_dir, threshold=jaccard_threshold,
-                                     cand_ds=cand)
-        for b in verified.iter_batches(batch_format="pyarrow"):
-            drop.update(b.column("doc_b").to_pylist())
-    drop_ref = ray.put(pa.array(sorted(drop), pa.int64()))
+        drop = ngram_dedup_pairs(
+            sf_dir, threshold=jaccard_threshold, cand_ds=cand).map_batches(
+            lambda t: t.select(["doc_b"]), batch_format="pyarrow")
+        surv = semi_filter(surv, drop.materialize(), "doc_id", anti=True)
 
     cols = ["doc_id", "lang_pred", "n_tokens", "n_chars", "punct_ratio",
             "stopword_ratio", "n_exact_dups"] + (["text"] if keep_text
                                                  else [])
-
-    def final(batch: pa.Table) -> pa.Table:
-        keep = pc.invert(pc.is_in(batch.column("doc_id"),
-                                  value_set=ray.get(drop_ref)))
-        return batch.filter(keep).select(cols)
-
-    return surv.map_batches(final, batch_format="pyarrow")
+    return surv.map_batches(lambda t: t.select(cols), batch_format="pyarrow")
 
 
 def dedup_clusters(sf_dir: str, threshold: float = 0.8, n: int = 3,
@@ -1496,7 +1463,7 @@ def winnow_fingerprints(sf_dir: str, k: int = 12, w: int = 5, docs_ds=None):
 
 def winnow_dup_pairs(sf_dir: str, k: int = 12, w: int = 5,
                      min_shared: int = 4, max_docs_per_fp: int = 16,
-                     docs_ds=None, hot_broadcast_limit: int = 1_000_000):
+                     docs_ds=None):
     """Near-dup candidate pairs from shared winnowing fingerprints: docs
     sharing ≥ ``min_shared`` distinct fingerprint values, with the shared
     count.  Fingerprints held by more than ``max_docs_per_fp`` docs are
@@ -1504,17 +1471,14 @@ def winnow_dup_pairs(sf_dir: str, k: int = 12, w: int = 5,
     and at web scale a hot fingerprint bucket is a quadratic pair bomb);
     the cap is part of the operator contract and the oracle replays it.
 
-    Same two-PATH hot-key filter as ``minhash_lsh_candidates``: the hot
-    set is ~|fps shared by 2..max_docs_per_fp docs| — unbounded in corpus
-    dup mass — so it is collected + broadcast (vectorized ``pc.is_in`` on
-    the single int64 key) only below ``hot_broadcast_limit``; above, the
-    hot keys stay a Dataset and the filter is a bucketed semi-join
-    (``stages/hashagg.bucketed_join``) — nothing ships to the driver.
-    Path equality is gated by
+    Same hot-key filter as ``minhash_lsh_candidates``: the hot set is
+    ~|fps shared by 2..max_docs_per_fp docs| — unbounded in corpus dup
+    mass — so it goes through ``stages/hashagg.semi_filter`` (broadcast
+    below its byte budget, a bucketed semi-join above; the counts
+    exchange runs again on that path).  Path equality is gated by
     ``tests/test_winnow_paths.py::test_winnow_broadcast_and_join_paths_equal``."""
-    import ray
-    from ..stages.hashagg import (bucketed_join, grouped_arrow_agg,
-                                  hash_grouped_aggregate)
+    from ..stages.hashagg import (grouped_arrow_agg, hash_grouped_aggregate,
+                                  semi_filter)
 
     fps = hash_grouped_aggregate(
         winnow_fingerprints(sf_dir, k, w, docs_ds=docs_ds), ["doc_id", "fp"],
@@ -1525,34 +1489,7 @@ def winnow_dup_pairs(sf_dir: str, k: int = 12, w: int = 5,
         fps, ["fp"],
         grouped_arrow_agg(["fp"], [("doc_id", "count")], rename=["fp", "nd"]))
     hot = counts.filter(expr=f"nd > 1 and nd <= {max_docs_per_fp}")
-    # stream the hot set to the driver ONCE, aborting the collect the
-    # moment it crosses the broadcast limit (the common ≤-limit case
-    # costs exactly what the old single-path collect did — no extra
-    # materialize barrier); above the limit, re-derive it lazily for the
-    # bucketed semi-join (the giant-corpus path, where a recompute of
-    # the counts exchange is the acceptable price of never holding the
-    # set driver-side)
-    chunks, n_hot, oversize = [], 0, False
-    for b in hot.iter_batches(batch_format="pyarrow"):
-        if b.num_rows:
-            n_hot += b.num_rows
-            if n_hot > hot_broadcast_limit:
-                oversize = True
-                break
-            chunks.append(b.column("fp").combine_chunks().cast(pa.int64()))
-    if oversize:
-        hot_keys = hot.map_batches(lambda t: t.select(["fp"]),
-                                   batch_format="pyarrow")
-        hot_fps = bucketed_join(fps, hot_keys, ["fp"]).materialize()
-    else:
-        hot_ref = ray.put(pa.concat_arrays(chunks) if chunks
-                          else pa.array([], pa.int64()))
-
-        def only_hot(batch: pa.Table) -> pa.Table:
-            return batch.filter(pc.is_in(batch.column("fp"),
-                                         ray.get(hot_ref)))
-
-        hot_fps = fps.map_batches(only_hot, batch_format="pyarrow")
+    hot_fps = semi_filter(fps, hot.select_columns(["fp"]), "fp")
 
     def bucket_pairs(t: pa.Table) -> pa.Table:
         # whole BUCKET of colliding fps at once: sort, slice contiguous
@@ -2319,7 +2256,7 @@ def write_corpus_shards(curated_dir: str, out_dir: str,
 
     import ray.data as rd
 
-    from ..stages.hashagg import bucketed_join
+    from ..stages import hashagg
 
     def shard_fp(k: int) -> str:
         return fingerprint_config("corpus-shard", input_token, num_shards,
@@ -2381,44 +2318,23 @@ def write_corpus_shards(curated_dir: str, out_dir: str,
         manifest_ds = rd.read_parquet(glob.glob(
             os.path.join(order_dir, "*.parquet")))
         if done:
-            # RESUME: prune BEFORE the text-carrying join — the manifest
-            # is ids-only (cheap to filter), and broadcasting the missing
-            # shards' doc_ids lets the curated table drop finished rows
-            # MAP-SIDE, so the exchange moves only the redone shards'
-            # text (measured: a 2-of-64-shard redo paid ~90% of the full
-            # write through the unpruned join).  Above the broadcast
-            # limit the old filter-after-join path still holds.
-            import ray
+            # RESUME: the inner join on the missing shards' manifest rows
+            # keeps only their docs.  When their int64 doc_ids fit the
+            # broadcast budget, the curated table also drops finished
+            # rows MAP-SIDE first, so the exchange moves only the redone
+            # shards' text (measured: a 2-of-64-shard redo paid ~90% of
+            # the full write through the unpruned join); above it, a
+            # sharded prune would only add a second text exchange.
             todo = pa.array(missing, pa.int64())
-            man_missing = manifest_ds.map_batches(
+            manifest_ds = manifest_ds.map_batches(
                 lambda t: t.filter(pc.is_in(t.column("shard"),
                                             value_set=todo)),
                 batch_format="pyarrow").materialize()
-            redo_broadcast_limit = 10_000_000
-            if man_missing.count() <= redo_broadcast_limit:
-                chunks = [b.column("doc_id").combine_chunks()
-                          for b in man_missing.iter_batches(
-                              batch_format="pyarrow") if b.num_rows]
-                ids_ref = ray.put(pa.concat_arrays(
-                    [c.cast(pa.int64()) for c in chunks]) if chunks
-                    else pa.array([], pa.int64()))
-
-                def only_missing(t: pa.Table) -> pa.Table:
-                    return t.filter(pc.is_in(t.column("doc_id"),
-                                             value_set=ray.get(ids_ref)))
-
-                joined = bucketed_join(
-                    curated_ds.map_batches(only_missing,
-                                           batch_format="pyarrow"),
-                    man_missing, ["doc_id"])
-            else:
-                joined = bucketed_join(curated_ds, manifest_ds,
-                                       ["doc_id"]).map_batches(
-                    lambda t: t.filter(pc.is_in(t.column("shard"),
-                                                value_set=todo)),
-                    batch_format="pyarrow")
-        else:
-            joined = bucketed_join(curated_ds, manifest_ds, ["doc_id"])
+            if 8 * manifest_ds.count() <= hashagg.BROADCAST_KEY_BYTES:
+                curated_ds = hashagg.semi_filter(
+                    curated_ds, manifest_ds.select_columns(["doc_id"]),
+                    "doc_id")
+        joined = hashagg.bucketed_join(curated_ds, manifest_ds, ["doc_id"])
         joined.write_parquet(out_dir, partition_cols=["shard"])
         for k in missing:
             d = os.path.join(out_dir, f"shard={k}")

@@ -31,8 +31,10 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 
 def auto_pool(lo: int = 4) -> tuple[int, int]:
@@ -146,12 +148,30 @@ def bucketed_join(left_ds, right_ds, on: list[str],
     each bucket is joined with a vectorized pandas merge.  No full-table
     broadcast; skewed keys spread only as far as their bucket (salt the
     key upstream for pathological hubs)."""
+    unioned, left_cols, right_cols = _tag_union(left_ds, right_ds, on)
+
+    def join_bucket(t: pa.Table) -> pa.Table:
+        # split in Arrow (type-preserving) — a whole-table to_pandas would
+        # coerce null-padded int columns to float64
+        lt = t.filter(pc.equal(t.column("_side"), 0)).select(list(left_cols)).to_pandas()
+        rt = t.filter(pc.equal(t.column("_side"), 1)).select(list(right_cols)).to_pandas()
+        out = lt.merge(rt, on=on, how=how)
+        return pa.Table.from_pandas(out, preserve_index=False)
+
+    return hash_grouped_aggregate(unioned, on, join_bucket,
+                                  num_buckets=num_buckets)
+
+
+def _tag_union(left_ds, right_ds, on: list[str]):
+    """Both sides padded to one schema (union needs identical schemas),
+    tagged with an int8 ``_side`` (0 left, 1 right) and union'd; returns
+    that dataset and each side's column names.  The sides share only the
+    ``on`` columns."""
     left_schema, right_schema = left_ds.schema(), right_ds.schema()
     left_cols, right_cols = left_schema.names, right_schema.names
     if set(left_cols) & set(right_cols) != set(on):
         raise ValueError("bucketed_join: non-key column names must be disjoint")
 
-    # pad both sides to a shared schema (union needs identical schemas)
     def _type_of(schema, name):
         return schema.base_schema.field(name).type
 
@@ -174,18 +194,92 @@ def bucketed_join(left_ds, right_ds, on: list[str],
     unioned = left_ds.map_batches(tag(0, left_cols, right_schema),
                                   batch_format="pyarrow").union(
         right_ds.map_batches(tag(1, right_cols, left_schema), batch_format="pyarrow"))
+    return unioned, left_cols, right_cols
 
-    def join_bucket(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        # split in Arrow (type-preserving) — a whole-table to_pandas would
-        # coerce null-padded int columns to float64
-        lt = t.filter(pc.equal(t.column("_side"), 0)).select(list(left_cols)).to_pandas()
-        rt = t.filter(pc.equal(t.column("_side"), 1)).select(list(right_cols)).to_pandas()
-        out = lt.merge(rt, on=on, how=how)
-        return pa.Table.from_pandas(out, preserve_index=False)
 
-    return hash_grouped_aggregate(unioned, on, join_bucket,
-                                  num_buckets=num_buckets)
+# Driver-side budget of a broadcast key set, in Arrow bytes: 8 B/id ×
+# 50M ids, the incremental-ingest job's documented bound.  ``semi_filter``
+# reads it at call time.
+BROADCAST_KEY_BYTES = 400 * 2**20
+
+
+def semi_filter(ds, keys_ds, on: str, anti: bool = False):
+    """The rows of ``ds`` whose column ``on`` holds (``anti``: does not
+    hold) a value of ``keys_ds``'s single column, which has ``on``'s
+    type.  A null matches a null, as ``pc.is_in`` has it.  Rows keep
+    their columns and duplicates; the schema metadata is dropped.
+
+    The semi-join reduction (Bernstein & Chiu, JACM 1981) on one of two
+    paths.  ``keys_ds`` streams to the driver once, unique per batch,
+    and the collect stops as soon as its Arrow bytes exceed
+    ``BROADCAST_KEY_BYTES``.  Below that budget the keys are put once
+    and a stateless map matches each batch with ``pc.is_in``: ``ds``
+    never enters an exchange.  Above it, both sides go through one
+    hash-bucketed exchange (``bucketed_join``'s tag and union) and each
+    bucket matches its rows against its keys with ``pc.is_in``; that
+    path runs ``keys_ds`` a second time, so pass a materialized one when
+    it is costly to recompute.
+
+    Membership only: an operator that attaches values looked up by key
+    (``curation_survivors_skinny``'s fp → (rep, n) map, the kg link
+    remap, the concepts vocabulary, the ``verify_small`` dicts) is a
+    join, not this filter."""
+    import ray
+
+    def pick(col, value_set):
+        m = pc.is_in(col, value_set=value_set)
+        return pc.invert(m) if anti else m
+
+    keys = _collect_keys(keys_ds, BROADCAST_KEY_BYTES)
+    if keys is not None:
+        ref = ray.put(keys)
+
+        def keep(t: pa.Table) -> pa.Table:
+            return t.filter(pick(t.column(on), ray.get(ref))
+                            ).replace_schema_metadata(None)
+
+        return ds.map_batches(keep, batch_format="pyarrow")
+
+    def hashed(t: pa.Table) -> pa.Table:
+        return t.append_column("_hk", _key_hash(t.column(on)))
+
+    rows = ds.map_batches(hashed, batch_format="pyarrow")
+    if rows.schema() is None:       # an empty ds: no batch ran the map
+        return ds
+    keys = keys_ds.map_batches(lambda t: hashed(pa.table({on: t.column(0)})),
+                               batch_format="pyarrow")
+    unioned, _, _ = _tag_union(rows, keys, [on, "_hk"])
+
+    def filter_bucket(t: pa.Table) -> pa.Table:
+        right = pc.equal(t.column("_side"), 1)
+        rows = t.filter(pc.invert(right)).drop_columns(["_hk", "_side"])
+        return rows.filter(pick(rows.column(on), t.filter(right).column(on)))
+
+    return hash_grouped_aggregate(unioned, ["_hk"], filter_bucket)
+
+
+def _collect_keys(keys_ds, budget: int) -> pa.Array | None:
+    """The distinct values of ``keys_ds``'s single column, or None as
+    soon as the collected Arrow bytes exceed ``budget``."""
+    chunks, size = [], 0
+    for b in keys_ds.iter_batches(batch_format="pyarrow"):
+        if b.num_rows:          # an empty block carries no columns
+            chunks.append(pc.unique(b.column(0)))
+            size += chunks[-1].nbytes
+            if size > budget:
+                return None
+    return pc.unique(pa.concat_arrays(chunks)) if chunks else pa.nulls(0)
+
+
+def _key_hash(col) -> pa.Array:
+    """A uint64 hash per key, the same for equal keys in any batch.  Only
+    the non-null values are hashed: pandas would convert an int column
+    holding a null to float64 and hash its values differently.  A null
+    hashes to 0."""
+    h = np.zeros(len(col), np.uint64)
+    h[pc.is_valid(col).to_numpy(zero_copy_only=False)] = pd.util.hash_array(
+        col.drop_null().to_numpy(zero_copy_only=False))
+    return pa.array(h, pa.uint64())
 
 
 def grouped_arrow_agg(group_keys: list[str], aggregations: list[tuple[str, str]],

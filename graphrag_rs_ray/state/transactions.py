@@ -4,9 +4,9 @@ Reference surface: ``graphrag-core/src/graph/incremental.rs`` —
 ``validate_consistency`` (:2496-2539, the ConsistencyReport struct
 :439-452): orphaned entities (no relationship touches them), broken
 relationships (an endpoint name resolves to no entity row), entities
-missing embeddings; ``issues_found`` is their sum.  All three checks are
-anti-joins done with broadcast key sets when the entity table is small
-and ``bucketed_join`` otherwise — never a Python loop over rows.
+missing embeddings; ``issues_found`` is their sum.  The first two are
+membership filters (``stages/hashagg.semi_filter``) — never a Python
+loop over rows.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def consistency_report(entities_ds, triples_ds,
-                       broadcast_limit: int = 2_000_000):
+def consistency_report(entities_ds, triples_ds):
     """Single-row ConsistencyReport (``incremental.rs:439-452,2496-2539``):
 
       n_entities, n_triples,
@@ -27,12 +26,13 @@ def consistency_report(entities_ds, triples_ds,
       issues_found      = sum of the three,
       is_consistent     = (issues_found == 0) as int64.
 
-    Membership checks are vectorized ``pc.is_in`` against a broadcast key
-    set when the entity table is small (the common case: entities ≪
-    triples); for web-scale entity tables the same anti-join runs through
-    ``stages/hashagg.bucketed_join`` — flip with ``broadcast_limit``.
+    ``n_broken`` is ``n_triples`` less the triples whose subject and
+    object both pass a semi filter on the entity names; ``n_orphaned``
+    counts the entities an anti filter on the endpoint names keeps.
+    Each filter broadcasts its key set below
+    ``hashagg.BROADCAST_KEY_BYTES`` and runs a bucketed exchange above.
     """
-    import ray
+    from ..stages.hashagg import semi_filter
 
     ent = entities_ds.materialize()
     tri = triples_ds.materialize()
@@ -48,86 +48,17 @@ def consistency_report(entities_ds, triples_ds,
     else:
         n_missing = 0
 
-    if n_entities <= broadcast_limit:
-        names_ref = ray.put(pa.concat_tables(
-            [b.select(["name"]) for b in
-             ent.map_batches(lambda t: t.select(["name"]),
-                             batch_format="pyarrow").iter_batches(
-                                 batch_format="pyarrow")]
-        ).column("name").combine_chunks())
-
-        def broken(t: pa.Table) -> pa.Table:
-            names = ray.get(names_ref)
-            ok = pc.and_(pc.is_in(t.column("subj"), value_set=names),
-                         pc.is_in(t.column("obj"), value_set=names))
-            return pa.table({"b": pc.cast(pc.invert(ok), pa.int64())})
-
-        n_broken = tri.map_batches(broken, batch_format="pyarrow").sum("b") or 0
-
-        # endpoint name set (small by the same assumption once deduped
-        # per block; full distinct happens driver-side over block partials)
-        parts = tri.map_batches(
-            lambda t: pa.table({"name": pc.unique(pa.concat_arrays(
-                [t.column("subj").combine_chunks(),
-                 t.column("obj").combine_chunks()]))}),
-            batch_format="pyarrow")
-        ep = set()
-        for b in parts.iter_batches(batch_format="pyarrow"):
-            ep.update(b.column("name").to_pylist())
-        ep_ref = ray.put(pa.array(sorted(ep), pa.string()))
-
-        def orph(t: pa.Table) -> pa.Table:
-            eps = ray.get(ep_ref)
-            return pa.table({"o": pc.cast(pc.invert(
-                pc.is_in(t.column("name"), value_set=eps)), pa.int64())})
-
-        n_orphaned = ent.map_batches(orph, batch_format="pyarrow").sum("o") or 0
-    else:
-        from ..stages.hashagg import bucketed_join, grouped_arrow_agg, \
-            hash_grouped_aggregate
-
-        # every shuffle output below is MATERIALIZED before a join reads
-        # it: ent_names feeds two joins (a diamond), and bucketed_join
-        # reads both input schemas, which on a lazy shuffle output is a
-        # limit-1 execution back through every upstream sort (a test run
-        # once stalled for 30+ min inside such a probe of ``sj``)
-        ent_names = hash_grouped_aggregate(
-            ent.map_batches(lambda t: t.select(["name"]),
-                            batch_format="pyarrow"),
-            ["name"], grouped_arrow_agg(["name"], [("name", "count")],
-                                        rename=["name", "_n"])).materialize()
-        # broken: left-join both endpoints against the entity name set
-        sj = bucketed_join(
-            tri.map_batches(lambda t: pa.table(
-                {"name": t.column("subj"), "oname": t.column("obj")}),
-                batch_format="pyarrow"),
-            ent_names, on=["name"], how="left").materialize()
-        sj2 = bucketed_join(
-            sj.map_batches(lambda t: pa.table(
-                {"name": t.column("oname"),
-                 "s_ok": pc.cast(pc.is_valid(t.column("_n")), pa.int64())}),
-                batch_format="pyarrow"),
-            ent_names, on=["name"], how="left")
-        n_broken = sj2.map_batches(
-            lambda t: pa.table({"b": pc.cast(pc.or_(
-                pc.equal(t.column("s_ok"), 0),
-                pc.is_null(t.column("_n"))), pa.int64())}),
-            batch_format="pyarrow").sum("b") or 0
-
-        ep_names = hash_grouped_aggregate(
-            tri.map_batches(lambda t: pa.table({"name": pa.concat_arrays(
-                [t.column("subj").combine_chunks(),
-                 t.column("obj").combine_chunks()])}),
-                batch_format="pyarrow"),
-            ["name"], grouped_arrow_agg(["name"], [("name", "count")],
-                                        rename=["name", "_t"])).materialize()
-        oj = bucketed_join(ent.map_batches(
-            lambda t: t.select(["name"]), batch_format="pyarrow"),
-            ep_names, on=["name"], how="left")
-        n_orphaned = oj.map_batches(
-            lambda t: pa.table({"o": pc.cast(pc.is_null(t.column("_t")),
-                                             pa.int64())}),
-            batch_format="pyarrow").sum("o") or 0
+    names = ent.select_columns(["name"])
+    # materialized before the second filter reads it: the sharded path
+    # probes its input's schema, which on a lazy exchange output is a
+    # limit-1 execution back through the sort (a test once stalled 30+
+    # min inside such a probe)
+    subj_ok = semi_filter(tri, names, "subj").materialize()
+    n_broken = n_triples - semi_filter(subj_ok, names, "obj").count()
+    endpoints = tri.map_batches(lambda t: pa.table({"name": pa.concat_arrays(
+        [t.column("subj").combine_chunks(),
+         t.column("obj").combine_chunks()])}), batch_format="pyarrow")
+    n_orphaned = semi_filter(ent, endpoints, "name", anti=True).count()
 
     issues = int(n_orphaned) + int(n_broken) + int(n_missing)
     return pa.table({

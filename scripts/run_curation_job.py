@@ -66,7 +66,9 @@ def main() -> int:
         ray.init(address=os.environ.get("RAY_ADDRESS", "local"),
                  include_dashboard=False, logging_level="ERROR")
     from ray.data import DataContext
-    DataContext.get_current().enable_progress_bars = False
+    ctx = DataContext.get_current()
+    ctx.enable_progress_bars = False
+    ctx.op_resource_reservation_enabled = False
 
     import ray.data as rd
 

@@ -71,40 +71,6 @@ def _batch_docs(b: int, m: int, step: int):
     return gen
 
 
-def _semi_filter(ds, ids_ds, keep: bool = True,
-                 broadcast_limit: int = 50_000_000):
-    """Filter ``ds`` rows by doc_id membership in ``ids_ds`` — the
-    broadcast semi/anti-join pattern: the id set is packed int64s
-    (8 B/id; 50M ids = 400 MB, the documented bound) shipped once via
-    ``ray.put`` and matched with vectorized ``pc.is_in`` — the corpus
-    TEXT never goes through an exchange (a bucketed join here sorted
-    10M full-text rows and blew the spill budget).  Above the limit it
-    falls back to the bucketed join."""
-    import pyarrow as _pa
-    import pyarrow.compute as pc
-    import ray
-
-    if ids_ds.count() > broadcast_limit:
-        from graphrag_rs_ray.stages.hashagg import bucketed_join
-        if keep:
-            return bucketed_join(ds, ids_ds, ["doc_id"])
-        raise NotImplementedError(
-            "anti-join above the broadcast limit: invert the id set "
-            "upstream (emit the smaller side)")
-    chunks = [b.column("doc_id") for b in
-              ids_ds.iter_batches(batch_format="pyarrow") if b.num_rows]
-    ids = (_pa.concat_arrays([c.combine_chunks() if hasattr(c, "combine_chunks")
-                              else c for c in chunks])
-           if chunks else _pa.array([], _pa.int64()))
-    ref = ray.put(ids)
-
-    def f(t: pa.Table) -> pa.Table:
-        m = pc.is_in(t.column("doc_id"), value_set=ray.get(ref))
-        return t.filter(m if keep else pc.invert(m))
-
-    return ds.map_batches(f, batch_format="pyarrow")
-
-
 def _stage_docs(ds, path: str):
     if os.path.exists(path):
         shutil.rmtree(path)
@@ -119,6 +85,7 @@ def run_job(out: str, batches: int = 4, docs_per_batch: int = 100_000,
     import ray.data as rd
 
     from graphrag_rs_ray.pipelines import training_data as td
+    from graphrag_rs_ray.stages.hashagg import semi_filter
     from graphrag_rs_ray.state.fp_index import FingerprintIndex
     from graphrag_rs_ray.state.manifests import (fingerprint_config,
                                                  read_manifest,
@@ -181,7 +148,7 @@ def run_job(out: str, batches: int = 4, docs_per_batch: int = 100_000,
                 return t.filter(m).select(["doc_id"])
 
             keep_ids = diff.map_batches(_keep_new, batch_format="pyarrow")
-            delta = _semi_filter(docs, keep_ids).materialize()
+            delta = semi_filter(docs, keep_ids, "doc_id").materialize()
             n_same = docs.count() - delta.count()
 
         # 2. corpus-level near-dup flags vs everything already ingested
@@ -197,9 +164,10 @@ def run_job(out: str, batches: int = 4, docs_per_batch: int = 100_000,
 
         dup_ids = flags.map_batches(_dups, batch_format="pyarrow")
         n_corpus_dup = dup_ids.count()
-        # anti-join on the DUP ids (the small side — survivors are ~the
-        # whole batch); the text never enters an exchange
-        keep = _semi_filter(delta, dup_ids, keep=False)
+        # anti filter on the DUP ids (the small side — survivors are ~the
+        # whole batch); below the broadcast budget the text never enters
+        # an exchange
+        keep = semi_filter(delta, dup_ids, "doc_id", anti=True)
 
         # 3. curate the survivors (gates → exact → near dedup, in-batch)
         sf_b = _stage_docs(keep, os.path.join(work, f"delta_{b:04d}"))

@@ -82,11 +82,14 @@ def main():
             round(len(got & planted_near) / len(planted_near), 4)}),
         flush=True)
 
-    # two-path gate at scale: hot_broadcast_limit=0 forces the bucketed
+    # two-path gate at scale: a zero broadcast budget forces the bucketed
     # semi-join path; the pair set must be identical to the broadcast run
+    from graphrag_rs_ray.stages import hashagg
+    budget, hashagg.BROADCAST_KEY_BYTES = hashagg.BROADCAST_KEY_BYTES, 0
     t0 = time.perf_counter()
-    pairs_j = td.winnow_dup_pairs(sf_dir, k=k, w=w, hot_broadcast_limit=0).to_pandas()
+    pairs_j = td.winnow_dup_pairs(sf_dir, k=k, w=w).to_pandas()
     t_join = time.perf_counter() - t0
+    hashagg.BROADCAST_KEY_BYTES = budget
     got_j = {(min(a, b), max(a, b))
              for a, b in zip(pairs_j["doc_a"], pairs_j["doc_b"])}
     print(json.dumps({

@@ -198,19 +198,20 @@ def test_hnsw_kernel_exactness_small():
         assert got == exact
 
 
-def test_minhash_hot_filter_paths_equal(ray_session):
+def test_minhash_hot_filter_paths_equal(ray_session, monkeypatch):
     """The broadcast (packed pc.is_in) and bucketed-semi-join hot-bucket
-    paths must yield identical candidate pairs; limit=0 forces the
-    semi-join twin."""
+    paths must yield identical candidate pairs; a zero byte budget forces
+    the semi-join twin."""
     from graphrag_rs_ray.pipelines import training_data as td
+    from graphrag_rs_ray.stages import hashagg
 
     def norm(df):
         return (df.sort_values(["doc_a", "doc_b"])
                 .reset_index(drop=True))
 
     fast = norm(td.minhash_lsh_candidates(SF_DIR).to_pandas())
-    slow = norm(td.minhash_lsh_candidates(
-        SF_DIR, hot_broadcast_limit=0).to_pandas())
+    monkeypatch.setattr(hashagg, "BROADCAST_KEY_BYTES", 0)
+    slow = norm(td.minhash_lsh_candidates(SF_DIR).to_pandas())
     assert fast.equals(slow)
     assert len(fast) > 0        # planted dups must surface candidates
 

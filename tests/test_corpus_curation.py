@@ -59,6 +59,36 @@ def test_corpus_curation_planted(ray_session, tmp_path):
     assert set(out["lang_pred"]) == {"en"}
 
 
+def test_corpus_curation_drop_set_stays_off_the_driver(ray_session, tmp_path,
+                                                       monkeypatch):
+    """With no broadcast budget the verified drop set leaves the
+    survivors through the sharded anti filter: the rows equal the
+    default run's, and no ``ray.put`` receives an Arrow array holding a
+    drop id."""
+    import ray
+    from graphrag_rs_ray.pipelines import training_data as td
+    from graphrag_rs_ray.stages import hashagg
+    sf_dir = _mk_corpus(tmp_path)
+
+    def run():
+        return (td.corpus_curation(sf_dir).to_pandas()
+                .sort_values("doc_id").reset_index(drop=True))
+
+    want = run()
+    assert 3 not in set(want["doc_id"])      # the near dup of doc 1
+    put, arrays = ray.put, []
+
+    def recording_put(value, *args, **kwargs):
+        if isinstance(value, (pa.Array, pa.ChunkedArray)):
+            arrays.append(value.to_pylist())
+        return put(value, *args, **kwargs)
+
+    monkeypatch.setattr(ray, "put", recording_put)
+    monkeypatch.setattr(hashagg, "BROADCAST_KEY_BYTES", 0)
+    assert run().equals(want)
+    assert not any(3 in a for a in arrays)
+
+
 def test_ngram_verify_paths_equal(ray_session):
     """Broadcast fast path (candidates ≤ limit) ≡ bucketed-join scale
     path on the same candidate set (two-path discipline gate)."""

@@ -6,8 +6,10 @@ import os
 
 import pyarrow as pa
 import pyarrow.dataset as pads
+import pytest
 
 from graphrag_rs_ray.pipelines.training_data import write_corpus_shards
+from graphrag_rs_ray.stages import hashagg
 
 
 def _curated_dir(tmp_path, n=300):
@@ -26,7 +28,14 @@ def _read_all(out):
             .to_pandas().sort_values("doc_id").reset_index(drop=True))
 
 
-def test_write_resume_and_crash_recovery(ray_session, tmp_path):
+@pytest.mark.parametrize("budget", ["default", 0])
+def test_write_resume_and_crash_recovery(ray_session, tmp_path, monkeypatch,
+                                         budget):
+    """A zero broadcast budget skips the crash resume's map-side prune:
+    the inner join on the missing shards' manifest rows alone keeps
+    their docs."""
+    if budget != "default":
+        monkeypatch.setattr(hashagg, "BROADCAST_KEY_BYTES", budget)
     cur = _curated_dir(tmp_path)
     out = str(tmp_path / "corpus")
 

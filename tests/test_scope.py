@@ -17,7 +17,9 @@ Every import of the package, the driver, ``bench.py`` and
 file, a function-local one in its function.  Every file these gates
 parse compiles without a syntax or deprecation warning, no package
 module calls ``print``, and no package ``.repartition`` takes a literal
-block count."""
+block count.  A broadcast key set is matched only inside
+``stages/hashagg.semi_filter``, and every script that starts Ray turns
+off Ray Data's per-operator resource reservation."""
 
 import ast
 import glob
@@ -374,3 +376,58 @@ def test_package_repartitions_have_no_literal_block_count():
                                  *(k.value for k in node.keywords
                                    if k.arg == "num_blocks")])]
     assert calls == []
+
+
+def _is_ray_call(node, attr: str) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == attr and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "ray")
+
+
+def test_key_set_broadcasts_go_through_semi_filter():
+    """A key set put once and matched with ``pc.is_in(..., value_set=
+    ray.get(ref))`` is the broadcast half of a semi/anti filter; it is
+    written only in ``stages/hashagg.semi_filter``, which bounds the
+    driver collect and shards above the bound.  A value set read from a
+    name the same top-level def binds to ``ray.get(...)`` counts too."""
+    sites = []
+    for path in _py_files(PKG, "scripts"):
+        if os.path.relpath(path, ROOT) == os.path.join(PKG, "stages",
+                                                       "hashagg.py"):
+            continue
+        for top in _parse(path).body:
+            if not isinstance(top, DEFS):
+                continue
+            nodes = list(ast.walk(top))
+            got = {t.id for n in nodes if isinstance(n, ast.Assign)
+                   and _is_ray_call(n.value, "get")
+                   for t in n.targets if isinstance(t, ast.Name)}
+            if any(isinstance(n, ast.Call)
+                   and isinstance(n.func, ast.Attribute)
+                   and n.func.attr == "is_in"
+                   and any(_is_ray_call(v, "get")
+                           or (isinstance(v, ast.Name) and v.id in got)
+                           for v in [*n.args[1:2], *(k.value for k in n.keywords
+                                                     if k.arg == "value_set")])
+                   for n in nodes):
+                sites.append(f"{os.path.relpath(path, ROOT)}:{top.name}")
+    assert sorted(sites) == []
+
+
+def test_scripts_that_start_ray_turn_off_op_reservation():
+    """Ray Data's per-operator resource reservation starves long
+    map/exchange chains on a few CPUs (see ``tests/conftest.py``); every
+    ``scripts/*.py`` that calls ``ray.init`` sets
+    ``op_resource_reservation_enabled = False``."""
+    missing = []
+    for path in glob.glob(os.path.join(ROOT, "scripts", "*.py")):
+        nodes = list(ast.walk(_parse(path)))
+        if any(_is_ray_call(n, "init") for n in nodes) and not any(
+                isinstance(n, ast.Assign)
+                and isinstance(n.value, ast.Constant) and n.value.value is False
+                and any(isinstance(t, ast.Attribute)
+                        and t.attr == "op_resource_reservation_enabled"
+                        for t in n.targets)
+                for n in nodes):
+            missing.append(os.path.relpath(path, ROOT))
+    assert sorted(missing) == []

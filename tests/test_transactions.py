@@ -70,11 +70,15 @@ def _with_emb(ds, null_names):
     return ds.map_batches(add, batch_format="pyarrow")
 
 
-@pytest.mark.parametrize("broadcast_limit", [2_000_000, 0])
-def test_consistency_report_counts(ray_session, tmp_path, broadcast_limit):
+@pytest.mark.parametrize("budget", [2_000_000, 0])
+def test_consistency_report_counts(ray_session, tmp_path, monkeypatch,
+                                   budget):
+    """Both filter paths: a 2 MB key budget broadcasts, 0 shards."""
+    from graphrag_rs_ray.stages import hashagg
     from graphrag_rs_ray.state.transactions import consistency_report
-    rep = consistency_report(_with_emb(_ents(CE), {"C"}), _tris(CT),
-                             broadcast_limit=broadcast_limit).to_pandas()
+    monkeypatch.setattr(hashagg, "BROADCAST_KEY_BYTES", budget)
+    rep = consistency_report(_with_emb(_ents(CE), {"C"}),
+                             _tris(CT)).to_pandas()
     r = rep.iloc[0]
     assert r["n_entities"] == 3 and r["n_triples"] == 2
     assert r["n_orphaned"] == 1          # C touches no relationship

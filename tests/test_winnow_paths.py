@@ -1,6 +1,7 @@
 """Two-path gate for the winnow hot-fingerprint filter: broadcast
-(≤ hot_broadcast_limit) and bucketed-semi-join (above) must produce the
-IDENTICAL pair set — the same discipline minhash_lsh_candidates carries.
+(keys within ``hashagg.BROADCAST_KEY_BYTES``) and bucketed semi-join
+(above) must produce the IDENTICAL pair set — the same discipline
+minhash_lsh_candidates carries.
 """
 
 import pyarrow as pa
@@ -35,15 +36,17 @@ def _fixture():
     return texts
 
 
-def test_winnow_broadcast_and_join_paths_equal(ray_session):
+def test_winnow_broadcast_and_join_paths_equal(ray_session, monkeypatch):
     from graphrag_rs_ray.pipelines import training_data as td
+    from graphrag_rs_ray.stages import hashagg
 
-    def run(limit):
-        out = td.winnow_dup_pairs("/unused", docs_ds=_docs_ds(_fixture()),
-                                  hot_broadcast_limit=limit).to_pandas()
+    def run():
+        out = td.winnow_dup_pairs("/unused",
+                                  docs_ds=_docs_ds(_fixture())).to_pandas()
         return set(zip(out.doc_a, out.doc_b, out.n_shared))
 
-    fast = run(1_000_000)       # broadcast path
-    slow = run(0)               # bucketed semi-join path (limit forced)
+    fast = run()                # broadcast path
+    monkeypatch.setattr(hashagg, "BROADCAST_KEY_BYTES", 0)
+    slow = run()                # bucketed semi-join path (budget forced)
     assert fast, "fixture must produce pairs"
     assert fast == slow
